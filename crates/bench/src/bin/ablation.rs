@@ -33,6 +33,8 @@ fn run(label: &str, spec: &BenchmarkSpec, cfg: FlowConfig) -> InsertionResult {
 }
 
 fn main() {
+    // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
+    let _obs = psbi_obs::flush_on_drop();
     let args = Args::from_env();
     let which = std::env::args()
         .nth(1)

@@ -15,6 +15,8 @@ use psbi_core::flow::BufferInsertionFlow;
 use psbi_timing::criticality;
 
 fn main() {
+    // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
+    let _obs = psbi_obs::flush_on_drop();
     let args = Args::from_env();
     let cfg = ExperimentConfig::parse(&args, &["s9234"]);
     let sigma: f64 = args.get("sigma").unwrap_or(0.0);

@@ -11,6 +11,8 @@
 use psbi_bench::{ascii_histogram, run_cell, Args, ExperimentConfig};
 
 fn main() {
+    // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
+    let _obs = psbi_obs::flush_on_drop();
     let args = Args::from_env();
     let cfg = ExperimentConfig::parse(&args, &["s9234"]);
     let sigma: f64 = args.get("sigma").unwrap_or(0.0);

@@ -39,6 +39,8 @@ fn push_i64s(out: &mut Vec<u8>, values: &[i64]) {
 }
 
 fn main() {
+    // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
+    let _obs = psbi_obs::flush_on_drop();
     let args = Args::from_env();
     let circuit_name: String = args.get("circuit").unwrap_or_else(|| "s9234".to_string());
     let samples: usize = args.get("samples").unwrap_or(256);

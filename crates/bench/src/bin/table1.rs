@@ -15,6 +15,8 @@
 use psbi_bench::{format_cell, run_cell, Args, ExperimentConfig};
 
 fn main() {
+    // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
+    let _obs = psbi_obs::flush_on_drop();
     let args = Args::from_env();
     let cfg = ExperimentConfig::parse(&args, &["s9234", "s13207", "s15850"]);
     if cfg.circuits.is_empty() {

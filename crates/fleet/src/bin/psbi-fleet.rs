@@ -358,6 +358,8 @@ fn cmd_submit(args: &Args) -> Result<(), FleetError> {
 }
 
 fn main() -> ExitCode {
+    // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
+    let _obs = psbi_obs::flush_on_drop();
     let command = match std::env::args().nth(1) {
         Some(c) => c,
         None => return usage(),

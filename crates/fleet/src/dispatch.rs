@@ -41,6 +41,9 @@
 //!
 //! Campaigns multiplex over one shared [`WorkspacePool`]; leases are
 //! granted round-robin across active campaigns so no submitter starves.
+//! A worker's `request` with nothing grantable is long-polled: it is
+//! answered the moment a lease can be granted, or `wait {ms: 0}` after
+//! at most one second.
 
 use crate::error::FleetError;
 use crate::journal::{JobRecord, Journal};
@@ -66,6 +69,12 @@ pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
 
 /// Default dispatcher address (`PSBI_DISPATCH_ADDR` overrides).
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
+
+/// Longest a worker's `request` is held when nothing is grantable before
+/// it is answered `wait {ms: 0}`.  It stays below the shortest socket
+/// read timeout either side applies, `4 × max(lease_ms, 500)` = 2 s, so
+/// a held request never reads as a dead peer.
+const LONG_POLL: Duration = Duration::from_secs(1);
 
 /// Knobs for one `psbi-fleet serve` process.
 ///
@@ -594,18 +603,14 @@ fn progress_loop(state: &Arc<ServeState>) {
     }
 }
 
+/// A granted lease: lease id, campaign id, spec text, job indices and the
+/// campaign's retry/verify settings.
+type Grant = (u64, u64, String, Vec<usize>, usize, bool);
+
 /// Grants one lease to `conn` (0 = inline): the lowest pending job's
 /// circuit, up to `lease_jobs` of its pending jobs (0 = all of them),
-/// rotating round-robin across active campaigns.  Returns the lease id,
-/// campaign id, spec text, job indices and the campaign's retry/verify
-/// settings.
-#[allow(clippy::type_complexity)]
-fn grant_lease(
-    t: &mut Table,
-    conn: u64,
-    lease_ms: u64,
-    lease_jobs: usize,
-) -> Option<(u64, u64, String, Vec<usize>, usize, bool)> {
+/// rotating round-robin across active campaigns.
+fn grant_lease(t: &mut Table, conn: u64, lease_ms: u64, lease_jobs: usize) -> Option<Grant> {
     let ids: Vec<u64> = t
         .campaigns
         .iter()
@@ -662,6 +667,32 @@ fn grant_lease(
     );
     update_gauges(t);
     Some(grant)
+}
+
+/// Long-polls a worker's `request`: grants a lease as soon as one can be
+/// granted, or returns `None` on shutdown or after [`LONG_POLL`].
+/// `state.wake` is notified on every event that can make work grantable
+/// — admission, accepted results, lease expiry, disconnects — and on
+/// shutdown, so an idle worker is answered the moment work appears
+/// instead of after a client-side back-off.
+fn await_grant(state: &ServeState, conn_id: u64) -> Option<Grant> {
+    let deadline = Instant::now() + LONG_POLL;
+    let mut t = lock_table(state);
+    loop {
+        if state.shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
+        let grant = grant_lease(&mut t, conn_id, state.opts.lease_ms, state.opts.lease_jobs);
+        let left = deadline.saturating_duration_since(Instant::now());
+        if grant.is_some() || left.is_zero() {
+            return grant;
+        }
+        t = state
+            .wake
+            .wait_timeout(t, left)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+    }
 }
 
 /// Feeds one verified record into a campaign's reorder buffer.  A job
@@ -1047,32 +1078,28 @@ fn worker_session(
             Err(e) => return Err(e),
         };
         match msg {
-            Msg::Request => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    send(writer, &Msg::Shutdown)?;
+            Msg::Request => match await_grant(state, conn_id) {
+                Some((lease, campaign, spec, jobs, retries, verify)) => send(
+                    writer,
+                    &Msg::Lease {
+                        lease,
+                        campaign,
+                        spec,
+                        jobs,
+                        deadline_ms: state.opts.lease_ms,
+                        heartbeat_ms: state.opts.heartbeat_ms,
+                        retries,
+                        verify,
+                    },
+                )?,
+                None if state.shutdown.load(Ordering::SeqCst) => {
+                    // `initiate_shutdown` has already told this worker
+                    // and closed the socket; the repeat is best effort.
+                    let _ = send(writer, &Msg::Shutdown);
                     return Ok(());
                 }
-                let grant = {
-                    let mut t = lock_table(state);
-                    grant_lease(&mut t, conn_id, state.opts.lease_ms, state.opts.lease_jobs)
-                };
-                match grant {
-                    Some((lease, campaign, spec, jobs, retries, verify)) => send(
-                        writer,
-                        &Msg::Lease {
-                            lease,
-                            campaign,
-                            spec,
-                            jobs,
-                            deadline_ms: state.opts.lease_ms,
-                            heartbeat_ms: state.opts.heartbeat_ms,
-                            retries,
-                            verify,
-                        },
-                    )?,
-                    None => send(writer, &Msg::Wait { ms: 200 })?,
-                }
-            }
+                None => send(writer, &Msg::Wait { ms: 0 })?,
+            },
             Msg::Heartbeat { lease } => {
                 let _span = psbi_obs::Span::enter_with("dispatch.heartbeat", &[("lease", lease)]);
                 psbi_obs::metrics::counter_add("dispatch.heartbeats", 1);

@@ -55,7 +55,11 @@ pub enum Msg {
         /// Worker display name (diagnostics only).
         worker: String,
     },
-    /// Worker → server: ready for (more) work.
+    /// Worker → server: ready for (more) work.  A worker keeps at most
+    /// one request outstanding.  The dispatcher long-polls it: the reply
+    /// is a [`Msg::Lease`] the moment one can be granted, [`Msg::Shutdown`]
+    /// if the dispatcher is going away, or `wait {ms: 0}` after at most
+    /// one second with nothing grantable.
     Request,
     /// Server → worker: a lease over `jobs` of one campaign.
     Lease {
@@ -121,9 +125,12 @@ pub enum Msg {
         /// Lease id.
         lease: u64,
     },
-    /// Server → worker: no pending work right now; re-request after `ms`.
+    /// Server → worker: a long-polled [`Msg::Request`] found no work
+    /// within its bound; re-request after `ms`.
     Wait {
-        /// Suggested back-off before the next [`Msg::Request`].
+        /// Back-off before the next [`Msg::Request`].  The dispatcher
+        /// already waited out the long-poll, so it sends 0; workers cap
+        /// any value at 2 s.
         ms: u64,
     },
     /// Server → submitter: periodic campaign progress.

@@ -336,23 +336,6 @@ pub(crate) fn execute_batch(
     Ok(())
 }
 
-/// RAII flush of both obs sinks when `run_campaign` returns (any path):
-/// rewrites the trace file and the metrics snapshot if their subsystems
-/// are armed, warning on stderr instead of failing the campaign — the
-/// canonical journal is already safely on disk by then.
-struct FlushObs;
-
-impl Drop for FlushObs {
-    fn drop(&mut self) {
-        if let Err(e) = psbi_obs::trace::flush() {
-            eprintln!("psbi-fleet: warning: trace flush failed: {e}");
-        }
-        if let Err(e) = psbi_obs::metrics::flush() {
-            eprintln!("psbi-fleet: warning: metrics flush failed: {e}");
-        }
-    }
-}
-
 /// Runs (or resumes) `spec` against the journal at `journal_path`.
 ///
 /// Completed jobs found in the journal are never re-executed; the rest are
@@ -378,7 +361,9 @@ pub fn run_campaign(
         // the environment has not armed one already.
         psbi_obs::metrics::arm(None);
     }
-    let _flush_obs = FlushObs;
+    // Flush both obs sinks however this returns; a failed flush only
+    // warns — the canonical journal is already safely on disk by then.
+    let _flush_obs = psbi_obs::flush_on_drop();
     spec.validate()?;
     let jobs = spec.jobs();
     let total = jobs.len();

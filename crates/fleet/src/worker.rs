@@ -13,8 +13,18 @@
 //!   without a thundering herd.
 //! * **Heartbeats** per lease on a dedicated thread sharing the
 //!   line-atomic writer, so a long solve does not look like a dead
-//!   worker.  The `dispatch.worker.stall` failpoint suppresses beats —
-//!   the deterministic test for the expiry/re-dispatch path.
+//!   worker.  The thread is owned by an RAII guard: it beats once per
+//!   `heartbeat_ms` while the lease runs, and dropping the guard at the
+//!   lease's end wakes and joins it at once — a lease ends at its last
+//!   ack, never at the next beat.  The `dispatch.worker.stall` failpoint
+//!   suppresses beats — the deterministic test for the
+//!   expiry/re-dispatch path.
+//! * **One outstanding request.**  A `request` is sent once and its
+//!   reply read past any stale `ack`/`expired` left over from the
+//!   previous lease (a heartbeat that crossed the lease's last ack, or
+//!   the ack of a result sent just before an expiry), so a stale message
+//!   never provokes a second request whose reply would land inside the
+//!   next lease.
 //! * **An unacknowledged-result cache**: every computed record is kept
 //!   until the dispatcher acknowledges it.  After a dropped connection
 //!   the worker resumes from its last acknowledged record — re-leased
@@ -49,8 +59,9 @@ use psbi_core::flow::WorkspacePool;
 use std::collections::HashMap;
 use std::io::{BufReader, Write as _};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Knobs for one `psbi-fleet worker` process.
@@ -274,9 +285,14 @@ fn session(
     )?;
     loop {
         send(&writer, &Msg::Request)?;
-        let msg = match read_msg(&mut reader) {
-            Ok(Some(msg)) => msg,
-            Ok(None) | Err(_) => return Ok(SessionEnd::ConnLost),
+        let msg = loop {
+            match read_msg(&mut reader) {
+                // Stale replies for an earlier lease; the request is
+                // still outstanding, so keep reading — never re-request.
+                Ok(Some(Msg::Ack { .. } | Msg::Expired { .. })) => {}
+                Ok(Some(msg)) => break msg,
+                Ok(None) | Err(_) => return Ok(SessionEnd::ConnLost),
+            }
         };
         match msg {
             Msg::Wait { ms } => std::thread::sleep(Duration::from_millis(ms.min(2_000))),
@@ -308,14 +324,12 @@ fn session(
                     retries,
                     verify,
                 };
-                match run_lease(&mut reader, &writer, memory, ctx)? {
+                match run_lease(&mut reader, &writer, memory, &ctx)? {
                     LeaseEnd::Continue => {}
                     LeaseEnd::Shutdown => return Ok(SessionEnd::Shutdown),
                     LeaseEnd::ConnLost => return Ok(SessionEnd::ConnLost),
                 }
             }
-            // Stale replies for an earlier (abandoned) lease.
-            Msg::Ack { .. } | Msg::Expired { .. } => {}
             other => {
                 return Err(FleetError::Dispatch(format!(
                     "unexpected dispatcher message {}",
@@ -349,13 +363,58 @@ enum AckWait {
     ConnLost,
 }
 
+/// Renews one lease from a background thread for as long as it lives.
+/// The thread waits on a channel with the heartbeat interval as its
+/// timeout: each timeout sends one beat, and dropping the guard sends
+/// the stop signal, which wakes the thread at once, then joins it.
+struct Heartbeat {
+    stop: mpsc::Sender<()>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Heartbeat {
+    fn start(writer: &Arc<Mutex<TcpStream>>, lease: u64, heartbeat_ms: u64) -> Self {
+        let (stop, stopped) = mpsc::channel::<()>();
+        let writer = Arc::clone(writer);
+        let interval = Duration::from_millis(heartbeat_ms.clamp(10, 60_000));
+        let thread = std::thread::spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                // The `dispatch.worker.stall` failpoint suppresses beats
+                // so the dispatcher-side expiry path can be tested
+                // deterministically: the lease goes unrenewed.
+                if psbi_fault::failpoint!("dispatch.worker.stall", "lease" = lease) {
+                    continue;
+                }
+                if send(&writer, &Msg::Heartbeat { lease }).is_err() {
+                    break;
+                }
+            }
+        });
+        Self {
+            stop,
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for Heartbeat {
+    fn drop(&mut self) {
+        // The thread may already have exited on a failed send, so the
+        // stop signal can find no receiver; either way the join is due.
+        let _ = self.stop.send(());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
 /// Executes one lease: re-sends cached unacked records first, then
-/// computes the rest, heartbeating throughout.
+/// computes the rest, heartbeating until the function returns.
 fn run_lease(
     reader: &mut BufReader<TcpStream>,
     writer: &Arc<Mutex<TcpStream>>,
     memory: &mut WorkerMemory,
-    ctx: LeaseCtx,
+    ctx: &LeaseCtx,
 ) -> Result<LeaseEnd, FleetError> {
     let (spec, grid, fingerprint) = remember_spec(memory, &ctx.spec_text)?;
     for &j in &ctx.jobs {
@@ -366,48 +425,8 @@ fn run_lease(
             )));
         }
     }
+    let _heartbeat = Heartbeat::start(writer, ctx.lease, ctx.heartbeat_ms);
 
-    // Heartbeat thread: renews the lease while jobs compute.  The
-    // `dispatch.worker.stall` failpoint suppresses beats so the
-    // dispatcher-side expiry path can be tested deterministically.
-    let stop = Arc::new(AtomicBool::new(false));
-    let beat = {
-        let stop = Arc::clone(&stop);
-        let writer = Arc::clone(writer);
-        let lease = ctx.lease;
-        let interval = Duration::from_millis(ctx.heartbeat_ms.clamp(10, 60_000));
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                if psbi_fault::failpoint!("dispatch.worker.stall", "lease" = lease) {
-                    continue; // the worker "stalls": lease goes unrenewed
-                }
-                if send(&writer, &Msg::Heartbeat { lease }).is_err() {
-                    break;
-                }
-            }
-        })
-    };
-    let end = run_lease_inner(reader, writer, memory, &ctx, &fingerprint, &spec, &grid);
-    stop.store(true, Ordering::Relaxed);
-    beat.join().ok();
-    end
-}
-
-/// The lease body, split out so the heartbeat thread is always stopped
-/// and joined by the caller regardless of how delivery ends.
-fn run_lease_inner(
-    reader: &mut BufReader<TcpStream>,
-    writer: &Arc<Mutex<TcpStream>>,
-    memory: &mut WorkerMemory,
-    ctx: &LeaseCtx,
-    fingerprint: &str,
-    spec: &CampaignSpec,
-    grid: &[JobSpec],
-) -> Result<LeaseEnd, FleetError> {
     // Phase 1: re-send computed-but-unacked records for this lease's
     // jobs (resume from the last acknowledged record, no recompute).
     // The cache is fingerprint-keyed, so a record cached before a
@@ -422,7 +441,7 @@ fn run_lease_inner(
                 writer,
                 memory,
                 ctx,
-                fingerprint,
+                &fingerprint,
                 j,
                 &line,
                 &verify_failed,
@@ -455,7 +474,7 @@ fn run_lease_inner(
             writer,
             memory,
             ctx,
-            fingerprint,
+            &fingerprint,
             job,
             &line,
             &verify_failed,
@@ -476,7 +495,7 @@ fn run_lease_inner(
             }
         }
     };
-    execute_batch(spec, &fresh, &pool, ctx.retries, ctx.verify, &mut emit)?;
+    execute_batch(&spec, &fresh, &pool, ctx.retries, ctx.verify, &mut emit)?;
     delivery?;
     Ok(end)
 }
@@ -736,6 +755,80 @@ mod tests {
         }
         assert!(!memory.specs.contains_key(&first));
         assert!(memory.unacked.is_empty());
+    }
+
+    /// A stale `expired` ahead of a request's reply must not provoke a
+    /// second `request`: that request's reply would arrive inside the
+    /// next lease's ack wait, read as a lost connection there, and cost a
+    /// reconnect, a lease expiry and a recomputation.
+    #[test]
+    fn stale_expiry_ahead_of_a_lease_sends_no_second_request() {
+        use std::net::TcpListener;
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake dispatcher");
+        let opts = WorkerOptions {
+            addr: listener.local_addr().expect("local addr").to_string(),
+            name: "stale-probe".into(),
+            backoff_min_ms: 10,
+            backoff_max_ms: 10,
+            max_idle_ms: Some(2_000),
+            progress: false,
+        };
+        let worker = std::thread::spawn(move || run_worker(&opts));
+        let (stream, _) = listener.accept().expect("worker connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("read timeout");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut writer = stream;
+        let mut next = || {
+            read_msg(&mut reader)
+                .expect("worker line")
+                .expect("worker closed the connection")
+        };
+        assert!(matches!(next(), Msg::Hello { .. }));
+        assert_eq!(next(), Msg::Request);
+
+        let spec = CampaignSpec {
+            samples: 60,
+            yield_samples: 120,
+            calibration_samples: 120,
+            ..CampaignSpec::example()
+        };
+        write_msg(&mut writer, &Msg::Expired { lease: 99 }).expect("write expired");
+        write_msg(
+            &mut writer,
+            &Msg::Lease {
+                lease: 1,
+                campaign: 1,
+                spec: spec.to_json(),
+                jobs: vec![0],
+                deadline_ms: 10_000,
+                heartbeat_ms: 60_000,
+                retries: 0,
+                verify: false,
+            },
+        )
+        .expect("write lease");
+        match next() {
+            Msg::Result {
+                lease: 1, record, ..
+            } => {
+                assert_eq!(JobRecord::from_json_line(&record).expect("record").job, 0);
+            }
+            other => panic!("expected the lease's result, got {other:?}"),
+        }
+        write_msg(
+            &mut writer,
+            &Msg::Ack {
+                campaign: 1,
+                job: 0,
+            },
+        )
+        .expect("write ack");
+        assert_eq!(next(), Msg::Request);
+        write_msg(&mut writer, &Msg::Shutdown).expect("write shutdown");
+        worker.join().expect("worker thread").expect("worker run");
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //!   `dispatch.worker.stall`, `dispatch.lease.expire_early`,
 //!   `worker.result.torn`), each asserted to actually exercise its
 //!   recovery path via the lease log;
+//! * lease timing: a lease ends at its last ack rather than at the next
+//!   heartbeat, heartbeats still renew a lease that outlives its window,
+//!   and an outstanding request is answered with a lease on admission;
 //! * subprocess legs: `kill -9` of a worker mid-lease, and `kill -9` of
 //!   the dispatcher followed by a resumed re-submission.
 //!
@@ -451,6 +454,160 @@ fn torn_result_failpoint_is_rejected_and_resent() {
             expire_events(&journal) >= 1,
             "torn-result leg never expired a lease"
         );
+        cleanup(&journal);
+    });
+}
+
+/// A lease ends at its last ack.  With a 30 s heartbeat interval and one
+/// job per lease, a worker that waited out its heartbeat thread's sleep
+/// before requesting again would spend about 30 s per lease here.
+#[test]
+fn lease_ends_at_its_last_ack_not_at_the_next_heartbeat() {
+    psbi_fault::with_spec("", || {
+        let spec = quick_spec();
+        let (ref_bytes, ref_report) = reference(&spec, "prompt");
+        let journal = tmp("prompt");
+        let mut opts = serve_opts(true);
+        opts.lease_jobs = 1;
+        opts.lease_ms = 120_000;
+        opts.heartbeat_ms = 30_000;
+        let started = Instant::now();
+        distributed_run(&spec, &journal, 1, opts);
+        let elapsed = started.elapsed();
+        assert_matches_reference(&spec, &journal, &ref_bytes, &ref_report, "prompt leases");
+        assert!(
+            elapsed < Duration::from_secs(10),
+            "{} one-job leases took {elapsed:?} against a 30 s heartbeat interval",
+            spec.jobs().len()
+        );
+        cleanup(&journal);
+    });
+}
+
+/// Stopping the heartbeat thread promptly must not stop it early: a
+/// lease that outlives `lease_ms` on heartbeats alone never expires.
+/// Byte parity cannot catch lost renewals (re-dispatch recovers the same
+/// bytes), so this leg asserts on the lease log and the beat count.
+#[test]
+fn heartbeats_renew_a_lease_that_outlives_its_window() {
+    psbi_fault::with_spec("", || {
+        // One circuit, so one circuit-aligned lease carries every job.
+        let mut spec = slow_spec();
+        spec.name = "dispatch_renewal".into();
+        spec.circuits.truncate(1);
+        spec.sigma_factors = (0..9).map(|k| f64::from(k) * 0.25).collect();
+        let journal = tmp("renewal");
+        let mut opts = serve_opts(true);
+        opts.lease_ms = 200;
+        opts.heartbeat_ms = 20;
+        let heartbeats = psbi_obs::metrics::with_metrics(None, || {
+            distributed_run(&spec, &journal, 1, opts.clone());
+            psbi_obs::metrics::counter_value("dispatch.heartbeats")
+        });
+        assert_eq!(
+            expire_events(&journal),
+            0,
+            "a heartbeat-renewed lease expired"
+        );
+        // Beats are at least `heartbeat_ms` apart, and at most one can
+        // arrive after the lease ended, so this many prove the lease
+        // lived past its `lease_ms` window.
+        assert!(
+            heartbeats > opts.lease_ms / opts.heartbeat_ms + 1,
+            "the lease never outlived its {} ms window ({heartbeats} heartbeats)",
+            opts.lease_ms
+        );
+        cleanup(&journal);
+    });
+}
+
+/// An idle worker's request is held, not bounced: a raw-protocol worker
+/// whose `request` is outstanding when a campaign is admitted gets a
+/// lease as its reply, with no `wait` first.
+#[test]
+fn outstanding_request_is_answered_with_a_lease_on_admission() {
+    psbi_fault::with_spec("", || {
+        use psbi_fleet::proto::{read_msg, write_msg, Msg};
+        use std::io::BufReader;
+        use std::net::TcpStream;
+
+        let spec = quick_spec();
+        let (ref_bytes, ref_report) = reference(&spec, "longpoll");
+        let journal = tmp("longpoll");
+        let _ = std::fs::remove_file(&journal);
+        let (addr, handle, dispatcher) = spawn_dispatcher(serve_opts(false));
+        let connect = || {
+            let stream = TcpStream::connect(&addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("read timeout");
+            (
+                BufReader::new(stream.try_clone().expect("clone stream")),
+                stream,
+            )
+        };
+
+        // Raw worker: hello, then a heartbeat for an unknown lease whose
+        // `expired` reply shows the session is being served, then the
+        // request that stays outstanding.
+        let (mut worker_reader, mut worker_writer) = connect();
+        write_msg(
+            &mut worker_writer,
+            &Msg::Hello {
+                worker: "poller".into(),
+            },
+        )
+        .expect("hello");
+        write_msg(&mut worker_writer, &Msg::Heartbeat { lease: 999 }).expect("probe");
+        assert_eq!(
+            read_msg(&mut worker_reader).expect("probe reply"),
+            Some(Msg::Expired { lease: 999 })
+        );
+        write_msg(&mut worker_writer, &Msg::Request).expect("request");
+
+        // Raw submitter: once `accepted` arrives the campaign is
+        // admitted, and the request above is still unanswered.
+        let (mut submit_reader, mut submit_writer) = connect();
+        write_msg(
+            &mut submit_writer,
+            &Msg::Submit {
+                spec: spec.to_json(),
+                journal: journal.display().to_string(),
+                retries: 2,
+                verify: false,
+            },
+        )
+        .expect("submit");
+        assert!(matches!(
+            read_msg(&mut submit_reader).expect("admission"),
+            Some(Msg::Accepted { .. })
+        ));
+        match read_msg(&mut worker_reader).expect("request reply") {
+            Some(Msg::Lease { .. }) => {}
+            other => panic!("outstanding request answered with {other:?}, not a lease"),
+        }
+
+        // Hand the lease back (goodbye expires it at once) and let an
+        // honest worker finish the campaign.
+        write_msg(&mut worker_writer, &Msg::Goodbye).expect("goodbye");
+        let worker = spawn_worker(&addr, "finisher");
+        loop {
+            match read_msg(&mut submit_reader).expect("submitter read") {
+                Some(Msg::Progress { .. }) => {}
+                Some(Msg::Done { committed, .. }) => {
+                    assert_eq!(committed, spec.jobs().len());
+                    break;
+                }
+                other => panic!("unexpected submitter message {other:?}"),
+            }
+        }
+        handle.shutdown();
+        dispatcher
+            .join()
+            .expect("dispatcher thread")
+            .expect("dispatcher run");
+        worker.join().expect("worker thread").expect("worker run");
+        assert_matches_reference(&spec, &journal, &ref_bytes, &ref_report, "long-poll");
         cleanup(&journal);
     });
 }

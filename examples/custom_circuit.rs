@@ -44,6 +44,8 @@ fn build_pipeline() -> Circuit {
 }
 
 fn main() {
+    // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
+    let _obs = psbi::obs::flush_on_drop();
     // Either parse a .bench file from the command line or build in code.
     let circuit = match std::env::args().nth(1) {
         Some(path) => {

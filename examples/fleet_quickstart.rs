@@ -15,6 +15,8 @@
 use psbi::fleet::{run_campaign, CampaignReport, CampaignSpec, FleetOptions};
 
 fn main() {
+    // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
+    let _obs = psbi::obs::flush_on_drop();
     // A declarative campaign: two generated demo circuits, swept over the
     // aggressive (k = 0, ~50 % unbuffered yield) and relaxed (k = 2,
     // ~98 %) target periods.

@@ -10,6 +10,8 @@ use psbi::core::flow::{BufferInsertionFlow, FlowConfig, TargetPeriod};
 use psbi::netlist::bench_suite;
 
 fn main() {
+    // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
+    let _obs = psbi::obs::flush_on_drop();
     let circuit = bench_suite::small_demo(11);
     println!(
         "circuit {}: {} FFs / {} gates; sweeping grouping thresholds\n",

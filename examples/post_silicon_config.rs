@@ -15,6 +15,8 @@ use psbi::core::flow::{BufferInsertionFlow, FlowConfig, SampleRequest, TargetPer
 use psbi::netlist::bench_suite;
 
 fn main() {
+    // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
+    let _obs = psbi::obs::flush_on_drop();
     let circuit = bench_suite::small_demo(7);
     let cfg = FlowConfig {
         samples: 800,

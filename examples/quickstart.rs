@@ -9,6 +9,8 @@ use psbi::core::flow::{BufferInsertionFlow, FlowConfig, TargetPeriod};
 use psbi::netlist::bench_suite;
 
 fn main() {
+    // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
+    let _obs = psbi::obs::flush_on_drop();
     // A small generated benchmark: 80 flip-flops, 900 gates, clock skews
     // included by the flow.
     let circuit = bench_suite::small_demo(42);

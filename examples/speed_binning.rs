@@ -10,6 +10,8 @@ use psbi::core::flow::{BinningRequest, BufferInsertionFlow, FlowConfig, TargetPe
 use psbi::netlist::bench_suite;
 
 fn main() {
+    // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
+    let _obs = psbi::obs::flush_on_drop();
     let circuit = bench_suite::small_demo(21);
     let cfg = FlowConfig {
         samples: 800,

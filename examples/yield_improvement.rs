@@ -13,6 +13,8 @@ use psbi::core::flow::{BufferInsertionFlow, FlowConfig, TargetPeriod};
 use psbi::netlist::bench_suite;
 
 fn main() {
+    // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
+    let _obs = psbi::obs::flush_on_drop();
     let spec = bench_suite::by_name("s9234").expect("paper benchmark");
     let circuit = spec.generate();
     println!(
