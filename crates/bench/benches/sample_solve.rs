@@ -5,8 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psbi_core::solve::{
-    BufferSpace, ChipSolveState, PassDiagnostics, PushObjective, RegionMemo, SampleSolver,
-    SolveRequest, SolverOptions,
+    BufferSpace, PassDiagnostics, PushObjective, RegionMemo, SampleSolver, SolveRequest,
+    SolverOptions,
 };
 use psbi_liberty::Library;
 use psbi_netlist::bench_suite;
@@ -197,121 +197,10 @@ fn bench_pass_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// Warm-vs-cold re-solve of one pass over 512 chips: the incremental
-/// cross-pass path (per-chip `ChipSolveState`, primed by a first pass)
-/// against the cold re-derive baseline — the microbench behind the
-/// `incremental` section of `BENCH_sampling.json`.
-fn bench_pass_resolve_warm_vs_cold(c: &mut Criterion) {
-    const SAMPLES: usize = 512;
-    const CHUNK: usize = 64;
-    let circuit = bench_suite::small_demo(2);
-    let lib = Library::industry_like();
-    let model = VariationModel::paper_defaults();
-    let tg = TimingGraph::build(&circuit, &lib, &model).unwrap();
-    let sg = SequentialGraph::extract(&tg);
-    let skews = vec![0.0; sg.n_ffs];
-    let mut periods = Vec::new();
-    let mut st = SampleTiming::for_graph(&sg);
-    for k in 0..200 {
-        let (globals, mut rng) = chip_rng(5, k);
-        sample_canonical(&sg, &globals, &mut rng, &mut st);
-        periods.push(constraint::min_period(&sg, &st, &skews).period);
-    }
-    let period = psbi_variation::mean(&periods);
-    let step = period / 160.0;
-    let space = std::sync::Arc::new(BufferSpace::floating(sg.n_ffs, 20));
-    let opts = SolverOptions::default();
-    let sampler = CanonicalBatchSampler::new(&sg);
-
-    let run_pass = |solver: &mut SampleSolver,
-                    batch: &mut SampleBatch,
-                    cons: &mut ConstraintBatch,
-                    states: Option<&mut Vec<ChipSolveState>>,
-                    diag: &mut PassDiagnostics| {
-        let mut solved = 0usize;
-        let mut states = states;
-        let mut lo = 0usize;
-        while lo < SAMPLES {
-            let len = CHUNK.min(SAMPLES - lo);
-            batch.reset(&sg, len);
-            sampler.fill(9, lo as u64, batch);
-            cons.build_from(&sg, batch, &skews, period, step);
-            for row in 0..len {
-                let r = match states.as_deref_mut() {
-                    Some(states) => {
-                        let out = solver.solve(
-                            SolveRequest::shared(
-                                &sg,
-                                cons.view(row),
-                                &space,
-                                PushObjective::ToZero,
-                                &opts,
-                            )
-                            .state(&mut states[lo + row]),
-                        );
-                        diag.merge(&out.diag);
-                        out.result
-                    }
-                    None => {
-                        solver
-                            .solve(SolveRequest::new(
-                                &sg,
-                                cons.view(row),
-                                &space,
-                                PushObjective::ToZero,
-                                &opts,
-                            ))
-                            .result
-                    }
-                };
-                solved += usize::from(r.feasible);
-            }
-            lo += len;
-        }
-        solved
-    };
-
-    let mut group = c.benchmark_group("pass_resolve_warm_vs_cold");
-    group.sample_size(10);
-    group.bench_function("cold_rederive", |b| {
-        let mut solver = SampleSolver::new();
-        let mut batch = SampleBatch::new();
-        let mut cons = ConstraintBatch::new();
-        let mut diag = PassDiagnostics::default();
-        b.iter(|| run_pass(&mut solver, &mut batch, &mut cons, None, &mut diag))
-    });
-    group.bench_function("warm_replay", |b| {
-        let mut solver = SampleSolver::new();
-        let mut batch = SampleBatch::new();
-        let mut cons = ConstraintBatch::new();
-        let mut states: Vec<ChipSolveState> = Vec::new();
-        states.resize_with(SAMPLES, ChipSolveState::default);
-        let mut diag = PassDiagnostics::default();
-        // Prime the arena (the "previous pass"), then measure re-solves.
-        run_pass(
-            &mut solver,
-            &mut batch,
-            &mut cons,
-            Some(&mut states),
-            &mut diag,
-        );
-        b.iter(|| {
-            run_pass(
-                &mut solver,
-                &mut batch,
-                &mut cons,
-                Some(&mut states),
-                &mut diag,
-            )
-        })
-    });
-    group.finish();
-}
-
 /// Cross-chip memo hit versus cold search over one pass of 512 chips:
 /// the memoised side re-solves the identical chip population through a
-/// pre-warmed `RegionMemo` (every region system published, no per-chip
-/// state), so each region is a lookup + verified replay instead of a
+/// pre-warmed `RegionMemo` (every region system published), so each
+/// region is a lookup + verified replay instead of a
 /// branch-and-bound — the microbench behind the `cross_chip` section of
 /// `BENCH_sampling.json`.
 fn bench_region_memo_hit_vs_cold(c: &mut Criterion) {
@@ -332,7 +221,7 @@ fn bench_region_memo_hit_vs_cold(c: &mut Criterion) {
     }
     let period = psbi_variation::mean(&periods);
     let step = period / 160.0;
-    let space = std::sync::Arc::new(BufferSpace::floating(sg.n_ffs, 20));
+    let space = BufferSpace::floating(sg.n_ffs, 20);
     let opts = SolverOptions::default();
     let sampler = CanonicalBatchSampler::new(&sg);
 
@@ -350,7 +239,7 @@ fn bench_region_memo_hit_vs_cold(c: &mut Criterion) {
             cons.build_from(&sg, batch, &skews, period, step);
             for row in 0..len {
                 let mut req =
-                    SolveRequest::shared(&sg, cons.view(row), &space, PushObjective::ToZero, &opts);
+                    SolveRequest::new(&sg, cons.view(row), &space, PushObjective::ToZero, &opts);
                 if let Some(m) = memo {
                     req = req.memo(m);
                 }
@@ -391,7 +280,6 @@ criterion_group!(
     benches,
     bench_sample_solve,
     bench_pass_pipeline,
-    bench_pass_resolve_warm_vs_cold,
     bench_region_memo_hit_vs_cold
 );
 criterion_main!(benches);

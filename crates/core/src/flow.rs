@@ -38,8 +38,8 @@
 use crate::group::{group_buffers, BufferCandidate, Group, GroupConfig};
 use crate::prune::{prune, PruneConfig, PruneReport};
 use crate::solve::{
-    BufferSpace, ChipSolveState, PassDiagnostics, PushObjective, RegionMemo, SampleResult,
-    SampleSolver, SolveRequest, SolverOptions,
+    BufferSpace, PassDiagnostics, PushObjective, RegionMemo, SampleSolver, SolveRequest,
+    SolverOptions,
 };
 use crate::yield_eval::{Deployment, YieldReport};
 use psbi_liberty::Library;
@@ -119,21 +119,6 @@ pub struct FlowConfig {
     /// Record per-stage histograms for this many most-used buffers
     /// (regenerates the paper's Fig. 5).
     pub record_histograms: usize,
-    /// Carry per-chip solver state (region decompositions, support sets,
-    /// warm witnesses) across the A1→A3→B1→B2 passes and across
-    /// `run_target` calls.  Results are bit-identical either way — reuse
-    /// is a verified fast path (see [`crate::solve`]) — so this is purely
-    /// a performance knob.  The `PSBI_NO_INCREMENTAL=1` environment
-    /// variable force-disables it process-wide regardless of this flag.
-    pub incremental: bool,
-    /// Dedup identical region subproblems **across chips** through a
-    /// flow-level memo table keyed by the exact value of the
-    /// saturation-normalised region system (see
-    /// [`crate::solve::RegionMemo`]).  Like [`FlowConfig::incremental`]
-    /// this is purely a performance knob — a memo hit is a verified
-    /// replay of a pure function, so results are bit-identical either
-    /// way; `PSBI_NO_CROSSCHIP=1` force-disables it process-wide.
-    pub cross_chip: bool,
     /// Re-check the final [`InsertionResult`] with [`crate::verify`]: an
     /// independent pass that re-validates every sampled chip's claimed
     /// fixability and the reported yields against the raw un-elided
@@ -144,20 +129,14 @@ pub struct FlowConfig {
     /// Roughly doubles a run's cost (it re-solves both sample streams
     /// cold).  `PSBI_VERIFY=1` force-enables it process-wide.
     pub verify: bool,
-    /// Fan each chip's independent region searches out across a worker
-    /// pool sized like [`FlowConfig::threads`] (active only when that
-    /// width is ≥ 2).  Region searching is a pure function committed in
-    /// pinned region order (see [`crate::solve`]), so results are
-    /// bit-identical either way — purely a performance knob.
-    /// `PSBI_NO_REGION_PARALLEL=1` force-disables it process-wide.
-    pub region_parallel: bool,
-    /// Prune the per-region support search with dominance elimination,
-    /// symmetry breaking and bitset covering bounds (see
-    /// [`crate::solve`]'s search module).  Every rule provably preserves
-    /// the pinned tie-break order, so results are bit-identical either
-    /// way — purely a performance knob; `PSBI_NO_SEARCH_PRUNE=1`
-    /// force-disables it process-wide (the byte-parity reference mode).
-    pub search_prune: bool,
+    /// Reference mode: detach the cross-chip [`RegionMemo`] and run the
+    /// unpruned branch and bound — the byte-parity oracle tests and CI
+    /// compare the default flow against.  A memo hit is a verified replay
+    /// of a pure function and every pruning rule preserves the pinned
+    /// tie-break order, so canonical outputs are bit-identical either
+    /// way; reference mode only costs time.  `PSBI_REFERENCE=1`
+    /// force-enables it process-wide.
+    pub reference: bool,
 }
 
 impl Default for FlowConfig {
@@ -180,11 +159,8 @@ impl Default for FlowConfig {
             solver: SolverOptions::default(),
             skew: None,
             record_histograms: 0,
-            incremental: true,
-            cross_chip: true,
             verify: false,
-            region_parallel: true,
-            search_prune: true,
+            reference: false,
         }
     }
 }
@@ -194,78 +170,45 @@ impl FlowConfig {
     /// folded into the corresponding field — the one documented place
     /// the environment surface is read:
     ///
-    /// | Variable                 | Field                          | Polarity |
-    /// |--------------------------|--------------------------------|----------|
-    /// | `PSBI_NO_INCREMENTAL`    | [`FlowConfig::incremental`]    | disables |
-    /// | `PSBI_NO_CROSSCHIP`      | [`FlowConfig::cross_chip`]     | disables |
-    /// | `PSBI_NO_REGION_PARALLEL`| [`FlowConfig::region_parallel`]| disables |
-    /// | `PSBI_NO_SEARCH_PRUNE`   | [`FlowConfig::search_prune`]   | disables |
-    /// | `PSBI_VERIFY`            | [`FlowConfig::verify`]         | enables  |
+    /// | Variable         | Field                    |
+    /// |------------------|--------------------------|
+    /// | `PSBI_REFERENCE` | [`FlowConfig::reference`] |
+    /// | `PSBI_VERIFY`    | [`FlowConfig::verify`]    |
     ///
-    /// For the `PSBI_NO_*` hatches any value other than empty or `0`
-    /// counts as set; `PSBI_VERIFY` has the opposite polarity.  The same
-    /// toggles are *also* applied when a flow is built from a
-    /// hand-constructed configuration (each is read once per process, so
-    /// an escape hatch always wins over the corresponding field) — this
-    /// constructor just makes the env-derived values visible in the
-    /// config itself.
+    /// Any value other than empty or `0` counts as set, and a set toggle
+    /// force-enables its field.  The same toggles are *also* applied when
+    /// a flow is built from a hand-constructed configuration (each is
+    /// read once per process, so a set variable always wins over the
+    /// field) — this constructor just makes the env-derived values
+    /// visible in the config itself.
     pub fn from_env() -> Self {
         Self {
-            incremental: incremental_env_enabled(),
-            cross_chip: cross_chip_env_enabled(),
             verify: verify_env_enabled(),
-            region_parallel: region_parallel_env_enabled(),
-            search_prune: search_prune_env_enabled(),
+            reference: reference_env_enabled(),
             ..Self::default()
         }
     }
 }
 
-/// Process-wide `PSBI_NO_INCREMENTAL` escape hatch, read once (mirroring
-/// `PSBI_FORCE_SCALAR` in [`psbi_timing::simd`]): any value other than
-/// empty or `0` disables cross-pass solver-state reuse everywhere.
-fn incremental_env_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        !std::env::var("PSBI_NO_INCREMENTAL").is_ok_and(|v| !v.is_empty() && v != "0")
-    })
+/// Whether process switch `name` is set: any value other than empty or
+/// `0`.
+fn env_set(name: &str) -> bool {
+    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Process-wide `PSBI_NO_CROSSCHIP` escape hatch, read once: any value
-/// other than empty or `0` disables the cross-chip region memo
-/// everywhere.  Independent of `PSBI_NO_INCREMENTAL` — the per-chip
-/// arenas and the cross-chip memo are separate cache tiers.
-fn cross_chip_env_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| !std::env::var("PSBI_NO_CROSSCHIP").is_ok_and(|v| !v.is_empty() && v != "0"))
-}
-
-/// Process-wide `PSBI_NO_REGION_PARALLEL` escape hatch, read once: any
-/// value other than empty or `0` keeps every chip's region searches on
-/// the calling worker thread (see [`FlowConfig::region_parallel`]).
-fn region_parallel_env_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        !std::env::var("PSBI_NO_REGION_PARALLEL").is_ok_and(|v| !v.is_empty() && v != "0")
-    })
-}
-
-/// Process-wide `PSBI_NO_SEARCH_PRUNE` escape hatch, read once: any value
-/// other than empty or `0` reverts every region search to the unpruned
-/// reference branch and bound (see [`FlowConfig::search_prune`]).
-fn search_prune_env_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        !std::env::var("PSBI_NO_SEARCH_PRUNE").is_ok_and(|v| !v.is_empty() && v != "0")
-    })
-}
-
-/// Process-wide `PSBI_VERIFY` switch, read once.  Opposite polarity to the
-/// escape hatches above: any value other than empty or `0` force-*enables*
-/// the independent result verifier regardless of [`FlowConfig::verify`].
+/// Process-wide `PSBI_VERIFY` switch, read once (mirroring
+/// `PSBI_FORCE_SCALAR` in [`psbi_timing::simd`]): force-enables the
+/// independent result verifier regardless of [`FlowConfig::verify`].
 fn verify_env_enabled() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("PSBI_VERIFY").is_ok_and(|v| !v.is_empty() && v != "0"))
+    *ON.get_or_init(|| env_set("PSBI_VERIFY"))
+}
+
+/// Process-wide `PSBI_REFERENCE` switch, read once: force-enables the
+/// reference mode regardless of [`FlowConfig::reference`].
+fn reference_env_enabled() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| env_set("PSBI_REFERENCE"))
 }
 
 /// Errors raised when building a flow.
@@ -323,12 +266,11 @@ pub struct RuntimeBreakdown {
     pub pass_b2_s: f64,
 }
 
-/// Per-pass incremental-cache counters of one flow run (see
-/// [`PassDiagnostics`]).  Deterministic for a fixed flow/arena history but
-/// **non-canonical**: the counters differ between incremental and
-/// `PSBI_NO_INCREMENTAL=1` runs (and, across a fleet sweep, with the
-/// order targets reached a shared flow), so they are quarantined from
-/// journals and canonical reports exactly like wall-clock times.
+/// Per-pass solver counters of one flow run (see [`PassDiagnostics`]).
+/// **Non-canonical**: the cache counters differ between the default and
+/// the reference mode (and, across a fleet sweep, with the order targets
+/// reached a shared flow), so they are quarantined from journals and
+/// canonical reports exactly like wall-clock times.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FlowDiagnostics {
     /// The A1 min-count pass.
@@ -340,17 +282,8 @@ pub struct FlowDiagnostics {
     /// The B2 concentrate pass.
     pub b2: PassDiagnostics,
     /// Distinct region systems in this flow's cross-chip memo table at
-    /// the end of the run (0 when the memo is disabled).
+    /// the end of the run (0 in reference mode, which detaches the memo).
     pub memo_entries: u64,
-    /// Pool-wide chip-state slots resident after this run parked its
-    /// arenas — what a campaign pays to keep this pool's warm state.
-    pub resident_states: u64,
-    /// Pool-wide peak of [`FlowDiagnostics::resident_states`] so far —
-    /// with per-circuit reclamation (see
-    /// [`BufferInsertionFlow::release_solver_state`]) this stays capped
-    /// at the concurrently active flows instead of growing with every
-    /// circuit a campaign ever touched.
-    pub peak_resident_states: u64,
     /// Report of the independent result verifier, when it ran
     /// ([`FlowConfig::verify`] or `PSBI_VERIFY=1`).  Like every other
     /// diagnostic it never feeds back into canonical outputs.
@@ -453,7 +386,7 @@ pub struct InsertionResult {
     pub snapshots: Vec<BufferSnapshot>,
     /// Wall-clock times.
     pub runtime: RuntimeBreakdown,
-    /// Incremental-cache counters per pass (non-canonical, like
+    /// Solver counters per pass (non-canonical, like
     /// [`InsertionResult::runtime`] — see [`FlowDiagnostics`]).
     pub diagnostics: FlowDiagnostics,
 }
@@ -480,69 +413,20 @@ pub(crate) struct Workspace {
     gls: Option<GateLevelSampler>,
 }
 
-/// Chip-indexed arena of persistent [`ChipSolveState`]s — the incremental
-/// cache one `run_target` call threads through its four sampling passes,
-/// and (via the [`WorkspacePool`]) across adjacent targets of a sweep.
-///
-/// Access follows the same disjoint-slot discipline as [`DisjointSlots`]:
-/// a pass's chunk `c` exclusively owns states `c·SAMPLE_CHUNK ..`, chunks
-/// are claimed by exactly one worker, and passes run sequentially, so no
-/// state is ever touched by two threads at once.  Unlike worker
-/// workspaces, arenas are *owner-keyed*: an arena checked out by flow `F`
-/// is only ever handed back to flow `F`, so a cached region can never be
-/// replayed against a different circuit's graph — the per-chip
-/// invalidation keys (see [`crate::solve`]) then cover everything that can
-/// change within one flow.
-pub struct SolveStateArena {
-    /// The flow instance this arena belongs to.
-    owner: u64,
-    states: Vec<UnsafeCell<ChipSolveState>>,
-}
-
-// SAFETY: callers uphold the chunk-ownership contract documented above —
-// no state index is accessed by more than one thread at a time.
-unsafe impl Sync for SolveStateArena {}
-
-impl SolveStateArena {
-    fn new(owner: u64) -> Self {
-        Self {
-            owner,
-            states: Vec::new(),
-        }
-    }
-
-    /// Grows the arena to at least `n` chip slots (states persist).
-    fn ensure(&mut self, n: usize) {
-        if self.states.len() < n {
-            self.states.resize_with(n, UnsafeCell::default);
-        }
-    }
-
-    /// Mutable access to chip `i`'s state.
-    ///
-    /// # Safety
-    /// `i` must be owned exclusively by the calling worker for the
-    /// duration of the borrow (the chunk-ownership contract).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn state_mut(&self, i: usize) -> &mut ChipSolveState {
-        unsafe { &mut *self.states[i].get() }
-    }
-}
-
 /// Lock-protected free list of [`Workspace`]s shared by all passes — and,
-/// when shared via [`BufferInsertionFlow::with_shared_pool`], by all flows
-/// of a multi-circuit campaign (workspaces are resized on checkout, so one
-/// pool serves circuits of different sizes).  The pool also parks the
-/// flows' per-chip [`SolveStateArena`]s between `run_target` calls, which
-/// is what carries incremental solver state across adjacent targets of a
-/// campaign sweep.
+/// when shared via [`FlowBuilder::pool`], by all flows of a multi-circuit
+/// campaign (workspaces are resized on checkout, so one pool serves
+/// circuits of different sizes).  The pool also holds each flow's
+/// cross-chip [`RegionMemo`] between `run_target` calls, which is what
+/// carries solver work across the passes of a target and across adjacent
+/// targets of a campaign sweep.
 ///
 /// Checkout order is unspecified (workers race for the list), which is
 /// safe because workspaces carry no chip-dependent state that affects
 /// results — solver scratch is overwritten per chip and the warm-start
-/// witness cache is only ever *validated*, never trusted.  State arenas
-/// are different: they *are* chip-keyed, so they are owner-keyed to one
-/// flow and their contents only ever enable verified replays.  This
+/// witness cache is only ever *validated*, never trusted.  Memos are
+/// different: their keys hold FF indices, so each is owner-keyed to one
+/// flow, and their contents only ever enable exact-key replays.  This
 /// free-list lock is the one remaining `Mutex` on the chunk path; it
 /// guards *checkout*, not result merging (chunk results are written to
 /// pre-sized per-index slots or folded in chunk order — see
@@ -550,21 +434,14 @@ impl SolveStateArena {
 #[derive(Default)]
 pub struct WorkspacePool {
     free: Mutex<Vec<Workspace>>,
-    /// Parked incremental-state arenas, checked out per `run_target` call.
-    state_arenas: Mutex<Vec<SolveStateArena>>,
     /// Cross-chip region memo tables, one per owner flow.  `Arc`-shared
     /// (not checked out): concurrent `run_target` calls of one flow read
     /// and publish into the same table.
     region_memos: Mutex<Vec<(u64, Arc<RegionMemo>)>>,
-    /// Chip-state slots currently resident in this pool's arenas
-    /// (parked or checked out) — the memory-cap observability counter.
-    resident_states: AtomicU64,
-    /// All-time peak of `resident_states`.
-    peak_resident_states: AtomicU64,
 }
 
 /// Recovers a poisoned pool lock.  Pool locks only guard checkout of
-/// self-contained values (free lists, parked arenas, memo handles) — a
+/// self-contained values (free lists, memo handles) — a
 /// worker that panicked *while holding* one of them can at worst have
 /// popped an entry that is now lost, never leave one half-updated — so
 /// the data is consistent and the campaign can keep draining jobs
@@ -601,32 +478,6 @@ impl WorkspacePool {
         result
     }
 
-    /// Checks out `owner`'s parked state arena (or a fresh one), sized for
-    /// `samples` chips.  Concurrent `run_target` calls on one flow simply
-    /// get distinct arenas — warm-state hit rates may vary with
-    /// scheduling, results never do.
-    fn checkout_state_arena(&self, owner: u64, samples: usize) -> SolveStateArena {
-        let mut parked = recover(self.state_arenas.lock());
-        let mut arena = parked
-            .iter()
-            .position(|a| a.owner == owner)
-            .map(|i| parked.swap_remove(i))
-            .unwrap_or_else(|| SolveStateArena::new(owner));
-        drop(parked);
-        let grown = samples.saturating_sub(arena.states.len()) as u64;
-        arena.ensure(samples);
-        if grown > 0 {
-            let now = self.resident_states.fetch_add(grown, Ordering::Relaxed) + grown;
-            self.peak_resident_states.fetch_max(now, Ordering::Relaxed);
-        }
-        arena
-    }
-
-    /// Parks an arena for the next `run_target` call of its owner flow.
-    fn return_state_arena(&self, arena: SolveStateArena) {
-        recover(self.state_arenas.lock()).push(arena);
-    }
-
     /// The shared cross-chip memo table of `owner` (created on first use).
     fn checkout_region_memo(&self, owner: u64) -> Arc<RegionMemo> {
         let mut memos = recover(self.region_memos.lock());
@@ -640,39 +491,12 @@ impl WorkspacePool {
         }
     }
 
-    /// Frees every incremental artefact parked for arena owner
-    /// `arena_owner` — its per-chip state arenas *and* its cross-chip
-    /// memo epoch.  Campaign runners call this (via
-    /// [`BufferInsertionFlow::release_solver_state`]) once a flow's last
-    /// sweep target has committed, capping the pool's peak resident
-    /// state at the concurrently active flows.  Must not race a
-    /// `run_target` call of the same flow: a concurrent call would park
-    /// its arena *after* the release and resurrect the state.
-    fn release_owner(&self, arena_owner: u64) {
-        let mut freed = 0u64;
-        let mut parked = recover(self.state_arenas.lock());
-        parked.retain(|a| {
-            let owned = a.owner == 2 * arena_owner || a.owner == 2 * arena_owner + 1;
-            if owned {
-                freed += a.states.len() as u64;
-            }
-            !owned
-        });
-        drop(parked);
-        if freed > 0 {
-            self.resident_states.fetch_sub(freed, Ordering::Relaxed);
-        }
-        recover(self.region_memos.lock()).retain(|(id, _)| *id != arena_owner);
-    }
-
-    /// Chip-state slots currently resident in this pool's arenas.
-    pub fn resident_states(&self) -> u64 {
-        self.resident_states.load(Ordering::Relaxed)
-    }
-
-    /// All-time peak of [`WorkspacePool::resident_states`].
-    pub fn peak_resident_states(&self) -> u64 {
-        self.peak_resident_states.load(Ordering::Relaxed)
+    /// Frees the cross-chip memo of flow `owner`.  Campaign runners call
+    /// this (via [`BufferInsertionFlow::release_solver_state`]) once a
+    /// flow's last sweep target has committed, capping the pool's memory
+    /// at the concurrently active flows.
+    fn release_owner(&self, owner: u64) {
+        recover(self.region_memos.lock()).retain(|(id, _)| *id != owner);
     }
 }
 
@@ -729,7 +553,7 @@ pub struct BufferInsertionFlow<'a> {
     /// Flattened canonical coefficients for the batch sampling kernel.
     canon: CanonicalBatchSampler,
     /// Reusable worker workspaces, shared across all passes (and across
-    /// flows when constructed with [`BufferInsertionFlow::with_shared_pool`]).
+    /// flows when built with [`FlowBuilder::pool`]).
     pool: Arc<WorkspacePool>,
     /// Cached µT/σT calibration: it depends only on the circuit and seed,
     /// so one calibration serves every target-period sweep point.
@@ -737,14 +561,9 @@ pub struct BufferInsertionFlow<'a> {
     /// Explicit thread pool when [`FlowConfig::threads`] > 0; `None` uses
     /// the global default (respecting `RAYON_NUM_THREADS`).
     thread_pool: Option<rayon::ThreadPool>,
-    /// Pool the sampling passes fan region searches out on — present only
-    /// when [`FlowConfig::region_parallel`] is on (and not overridden by
-    /// `PSBI_NO_REGION_PARALLEL`) and the worker width is ≥ 2, so a
-    /// single-threaded flow never pays fan-out overhead.
-    region_pool: Option<rayon::ThreadPool>,
-    /// Unique flow identity keying this flow's state arenas in the pool
-    /// (see [`SolveStateArena`]): state never migrates between flows.
-    arena_id: u64,
+    /// Unique flow identity keying this flow's memo in the pool: memo
+    /// entries never migrate between flows.
+    id: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -762,7 +581,7 @@ struct PassOutput {
     max_k: Vec<i64>,
     infeasible: u64,
     inexact: u64,
-    /// Incremental-cache counters (all zero when the cache is disabled).
+    /// Solver counters of the pass.
     diag: PassDiagnostics,
     /// Tuning value per (buffered slot, sample); recorded when requested.
     columns: Option<Vec<Vec<f32>>>,
@@ -777,9 +596,7 @@ struct PassOutput {
 pub(crate) const NONE: u32 = u32::MAX;
 
 /// Chainable constructor for [`BufferInsertionFlow`] — the single place a
-/// flow is assembled, replacing the former
-/// `new` / `with_library` / `with_shared_pool` / `with_library_and_pool`
-/// constructor ladder (which survives as deprecated one-line forwards).
+/// flow is assembled.
 ///
 /// ```
 /// use psbi_core::{BufferInsertionFlow, FlowConfig};
@@ -879,25 +696,7 @@ impl<'a> FlowBuilder<'a> {
         } else {
             None
         };
-        // The region fan-out pool exists only when it can actually help:
-        // knob on, no process-wide escape hatch, and ≥ 2 workers — a
-        // single-threaded flow runs every search inline, no setup cost.
-        let width = if cfg.threads > 0 {
-            cfg.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        };
-        let region_pool = if cfg.region_parallel && region_parallel_env_enabled() && width >= 2 {
-            Some(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(width)
-                    .build()
-                    .map_err(|e| FlowError::Config(format!("region pool: {e}")))?,
-            )
-        } else {
-            None
-        };
-        static NEXT_ARENA_ID: AtomicU64 = AtomicU64::new(0);
+        static NEXT_FLOW_ID: AtomicU64 = AtomicU64::new(0);
         Ok(BufferInsertionFlow {
             circuit,
             cfg,
@@ -911,8 +710,7 @@ impl<'a> FlowBuilder<'a> {
             pool,
             calibration: OnceLock::new(),
             thread_pool,
-            region_pool,
-            arena_id: NEXT_ARENA_ID.fetch_add(1, Ordering::Relaxed),
+            id: NEXT_FLOW_ID.fetch_add(1, Ordering::Relaxed),
         })
     }
 }
@@ -968,102 +766,11 @@ impl<'a> BufferInsertionFlow<'a> {
         FlowBuilder::new(circuit, cfg)
     }
 
-    /// Builds a flow with the default industry-like library and the paper's
-    /// variation model.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the circuit is malformed, has no sequential paths, or the
-    /// configuration is invalid.
-    #[deprecated(note = "use `BufferInsertionFlow::builder(..).build()`")]
-    pub fn new(circuit: &'a Circuit, cfg: FlowConfig) -> Result<Self, FlowError> {
-        FlowBuilder::new(circuit, cfg).build()
-    }
-
-    /// Builds a flow with an explicit library and variation model.
-    ///
-    /// # Errors
-    ///
-    /// As [`FlowBuilder::build`].
-    #[deprecated(note = "use `BufferInsertionFlow::builder(..).library(..).model(..).build()`")]
-    pub fn with_library(
-        circuit: &'a Circuit,
-        cfg: FlowConfig,
-        lib: Library,
-        model: VariationModel,
-    ) -> Result<Self, FlowError> {
-        FlowBuilder::new(circuit, cfg)
-            .library(lib)
-            .model(model)
-            .build()
-    }
-
-    /// Builds a flow that checks worker workspaces out of an externally
-    /// owned pool.
-    ///
-    /// # Errors
-    ///
-    /// As [`FlowBuilder::build`].
-    #[deprecated(note = "use `BufferInsertionFlow::builder(..).pool(..).build()`")]
-    pub fn with_shared_pool(
-        circuit: &'a Circuit,
-        cfg: FlowConfig,
-        pool: Arc<WorkspacePool>,
-    ) -> Result<Self, FlowError> {
-        FlowBuilder::new(circuit, cfg).pool(pool).build()
-    }
-
-    /// Builds a flow with an explicit library, variation model and
-    /// workspace pool.
-    ///
-    /// # Errors
-    ///
-    /// As [`FlowBuilder::build`].
-    #[deprecated(
-        note = "use `BufferInsertionFlow::builder(..).library(..).model(..).pool(..).build()`"
-    )]
-    pub fn with_library_and_pool(
-        circuit: &'a Circuit,
-        cfg: FlowConfig,
-        lib: Library,
-        model: VariationModel,
-        pool: Arc<WorkspacePool>,
-    ) -> Result<Self, FlowError> {
-        FlowBuilder::new(circuit, cfg)
-            .library(lib)
-            .model(model)
-            .pool(pool)
-            .build()
-    }
-
-    /// Whether this flow's sampling passes carry incremental solver state
-    /// ([`FlowConfig::incremental`] gated by `PSBI_NO_INCREMENTAL`).
-    /// Observability only — results are bit-identical either way.
-    pub fn incremental_enabled(&self) -> bool {
-        self.cfg.incremental && incremental_env_enabled()
-    }
-
-    /// Whether this flow's sampling passes dedup region solves across
-    /// chips ([`FlowConfig::cross_chip`] gated by `PSBI_NO_CROSSCHIP`).
-    /// Observability only — results are bit-identical either way.
-    pub fn cross_chip_enabled(&self) -> bool {
-        self.cfg.cross_chip && cross_chip_env_enabled()
-    }
-
-    /// Whether this flow's sampling passes fan region searches out across
-    /// a worker pool ([`FlowConfig::region_parallel`] gated by
-    /// `PSBI_NO_REGION_PARALLEL`, and only with ≥ 2 workers).
-    /// Observability only — results are bit-identical either way.
-    pub fn region_parallel_enabled(&self) -> bool {
-        self.region_pool.is_some()
-    }
-
-    /// Whether this flow's region searches run with pruning (dominance,
-    /// symmetry, bitset bounds) enabled ([`FlowConfig::search_prune`]
-    /// gated by `PSBI_NO_SEARCH_PRUNE`).  Observability only — results
-    /// are bit-identical either way.
-    pub fn search_prune_enabled(&self) -> bool {
-        self.cfg.search_prune && search_prune_env_enabled()
+    /// Whether this flow runs in reference mode ([`FlowConfig::reference`]
+    /// or the `PSBI_REFERENCE` environment switch): memo detached, unpruned
+    /// search.  Canonical outputs are bit-identical either way.
+    pub fn reference_enabled(&self) -> bool {
+        self.cfg.reference || reference_env_enabled()
     }
 
     /// Whether `run_target` re-checks its result with the independent
@@ -1075,23 +782,18 @@ impl<'a> BufferInsertionFlow<'a> {
         self.cfg.verify || verify_env_enabled()
     }
 
-    /// Frees this flow's incremental solver state from the shared pool:
-    /// the per-chip state arenas parked between `run_target` calls and
-    /// the cross-chip memo table.  Purely a memory-reclamation knob —
-    /// subsequent `run_target` calls simply start cold (and re-create
-    /// state lazily).  Campaign runners call this once a circuit's last
-    /// sweep target has committed so a many-circuit campaign holds warm
-    /// state only for the flows still in flight; callers must not invoke
-    /// it concurrently with a `run_target` call on the same flow
-    /// (released state would be resurrected when that call parks its
-    /// arenas).
+    /// Frees this flow's cross-chip memo table from the shared pool.
+    /// Purely a memory-reclamation knob — a later `run_target` call
+    /// simply starts with an empty memo.  Campaign runners call this once
+    /// a circuit's last sweep target has committed, so a many-circuit
+    /// campaign holds memos only for the flows still in flight.
     pub fn release_solver_state(&self) {
-        self.pool.release_owner(self.arena_id);
+        self.pool.release_owner(self.id);
     }
 
     /// The workspace pool this flow draws workers' scratch from — hand it
-    /// to further flows ([`BufferInsertionFlow::with_shared_pool`]) to
-    /// share solver workspaces across a campaign.
+    /// to further flows ([`FlowBuilder::pool`]) to share solver
+    /// workspaces across a campaign.
     pub fn workspace_pool(&self) -> Arc<WorkspacePool> {
         Arc::clone(&self.pool)
     }
@@ -1141,17 +843,6 @@ impl<'a> BufferInsertionFlow<'a> {
         )
     }
 
-    /// Classifies fresh evaluation chips into speed bins.
-    #[deprecated(note = "build a `BinningRequest` and call `BufferInsertionFlow::speed_bins`")]
-    pub fn evaluate_speed_bins(
-        &self,
-        deployment: &crate::yield_eval::Deployment,
-        periods: &[f64],
-        step: f64,
-    ) -> crate::binning::BinningReport {
-        self.speed_bins(BinningRequest::new(deployment, periods, step))
-    }
-
     /// Builds the integer constraints of one chip from a named sample
     /// stream — lets examples and tests replay exact chips (e.g. the
     /// post-silicon configuration example replays the yield stream).
@@ -1170,19 +861,6 @@ impl<'a> BufferInsertionFlow<'a> {
         let mut ic = IntegerConstraints::for_graph(&self.sg);
         ic.build(&self.sg, &st, &self.skews, req.period, req.step);
         ic
-    }
-
-    /// Builds the integer constraints of one chip from a named sample
-    /// stream.
-    #[deprecated(note = "build a `SampleRequest` and call `BufferInsertionFlow::chip_constraints`")]
-    pub fn sample_constraints(
-        &self,
-        stream: &str,
-        index: u64,
-        period: f64,
-        step: f64,
-    ) -> IntegerConstraints {
-        self.chip_constraints(SampleRequest::new(stream, index, period, step))
     }
 
     /// Runs `f` under this flow's worker-thread cap: the explicit pool
@@ -1226,7 +904,7 @@ impl<'a> BufferInsertionFlow<'a> {
     }
 
     /// Draws one chip into a standalone [`SampleTiming`] — the replay path
-    /// used by speed binning, [`BufferInsertionFlow::sample_constraints`]
+    /// used by speed binning, [`BufferInsertionFlow::chip_constraints`]
     /// and the examples.  Chips produced here are bit-identical to the
     /// ones the batched passes evaluate (it draws through the same batch
     /// kernel), so replaying an evaluated chip reproduces it exactly.
@@ -1310,20 +988,13 @@ impl<'a> BufferInsertionFlow<'a> {
         )
     }
 
-    /// One parallel sampling pass over the insertion stream.
-    ///
-    /// `space` is this pass's **space epoch**: the flow wraps the working
-    /// [`BufferSpace`] in a fresh `Arc` whenever it mutates it (after the
-    /// prune, after window assignment), so passes sharing an unchanged
-    /// space also share the `Arc` and the per-chip cache revalidation hits
-    /// its `ptr_eq` fast path.  When `arena` is set, chip `k`'s
-    /// [`ChipSolveState`] is threaded through the solve under the
-    /// disjoint-chunk discipline.
+    /// One parallel sampling pass over the insertion stream: every chip is
+    /// solved against `space`, replaying region outcomes from `memo` (the
+    /// flow's cross-chip table, `None` in reference mode).
     #[allow(clippy::too_many_arguments)]
     fn run_pass(
         &self,
-        space: &Arc<BufferSpace>,
-        arena: Option<&SolveStateArena>,
+        space: &BufferSpace,
         memo: Option<&RegionMemo>,
         push: Push,
         targets: Option<&[f64]>,
@@ -1334,6 +1005,7 @@ impl<'a> BufferInsertionFlow<'a> {
         let stream = stream_seed(self.cfg.seed, "insert");
         let n_ffs = self.sg.n_ffs;
         let samples = self.cfg.samples;
+        let prune = !self.reference_enabled();
 
         // Slot map for the tuning matrix.
         let mut slot_of_ff = vec![NONE; n_ffs];
@@ -1390,60 +1062,23 @@ impl<'a> BufferInsertionFlow<'a> {
                     PushObjective::ToTargets(targets.expect("targets provided for ToTargets"))
                 }
             };
-            // Split borrows: the sessions hold this chunk's constraint
-            // views (shared) while the solver executes their searches
-            // (exclusive).
-            let solver = &mut ws.solver;
-            let cons = &ws.cons;
-            // One session per chip, driven to completion in chip order:
-            // chips with no violations (or a provably unfixable one)
-            // conclude inside `begin`; the rest plan their region
-            // decomposition and fan the fresh searches out on the region
-            // pool (when present), committing each round in pinned
-            // region order.  Chips stay sequential so a chip's memo
-            // publishes land before the next chip plans — the
-            // within-chunk cross-chip replay path the memo tier exists
-            // for — while the parallelism lives inside each round's
-            // independent `RegionTask`s.
-            let mut results: Vec<Option<SampleResult>> = vec![None; len];
-            for (row, slot) in results.iter_mut().enumerate() {
-                // SAFETY: rows lo..lo + len belong exclusively to this
-                // chunk (fixed boundaries, each chunk claimed by exactly
-                // one worker) and passes run sequentially, so no other
-                // thread can touch these chip states while we hold them.
-                let chip_state = arena.map(|arena| unsafe { arena.state_mut(lo + row) });
-                let mut req = SolveRequest::shared(
+            // Chips are solved in chip order, so a chip's memo publishes
+            // land before the next chip of the chunk looks them up.
+            for row in 0..len {
+                let mut req = SolveRequest::new(
                     &self.sg,
-                    cons.view(row),
+                    ws.cons.view(row),
                     space,
                     objective,
                     &self.cfg.solver,
                 )
-                .search_prune(self.search_prune_enabled());
+                .search_prune(prune);
                 if let Some(m) = memo {
                     req = req.memo(m);
                 }
-                if let Some(st) = chip_state {
-                    req = req.state(st);
-                }
-                let mut session = solver.begin(req);
-                while !session.is_done() {
-                    let tasks = session.plan(solver);
-                    let outcomes = solver.execute(
-                        &tasks,
-                        space,
-                        &self.cfg.solver,
-                        self.region_pool.as_ref(),
-                        session.search_prune(),
-                    );
-                    session.commit(solver, &outcomes);
-                }
-                let out = session.finish();
+                let out = ws.solver.solve(req);
                 local.diag.merge(&out.diag);
-                *slot = Some(out.result);
-            }
-            for (row, slot) in results.into_iter().enumerate() {
-                let r = slot.expect("every chip concluded");
+                let r = out.result;
                 // SAFETY: row `lo + row` belongs to this chunk alone.
                 unsafe { feasible_ref.write(lo + row, r.feasible) };
                 if !r.feasible {
@@ -1565,52 +1200,23 @@ impl<'a> BufferInsertionFlow<'a> {
         let step = tau / self.cfg.steps as f64;
         let calibration_s = t0.elapsed().as_secs_f64();
 
-        // The incremental state arenas for this target run: parked in the
-        // pool between calls, so adjacent targets of a sweep start from
-        // each other's decompositions (verified per chip before reuse).
-        // Two arenas, one per space-epoch class: the A1 pass always runs
-        // the floating space, so its arena survives from target to target
-        // (cross-target reuse hinges only on the violated fingerprint),
-        // while the post-prune passes would otherwise clobber it with
-        // windowed-epoch state every target.
-        let incremental = self.incremental_enabled();
-        let a1_arena_owned = incremental.then(|| {
-            self.pool
-                .checkout_state_arena(2 * self.arena_id, self.cfg.samples)
-        });
-        let step_arena_owned = incremental.then(|| {
-            self.pool
-                .checkout_state_arena(2 * self.arena_id + 1, self.cfg.samples)
-        });
-        let a1_arena = a1_arena_owned.as_ref();
-        let arena = step_arena_owned.as_ref();
-        // The cross-chip memo table: shared (not checked out), so a fleet
+        // The cross-chip memo table: shared (not checked out), so it
+        // carries region outcomes across this target's passes and a fleet
         // sweeping several targets of this circuit concurrently deduples
-        // across the whole job group.
-        let memo_owned = self
-            .cross_chip_enabled()
-            .then(|| self.pool.checkout_region_memo(self.arena_id));
+        // across the whole job group.  Reference mode detaches it (and
+        // runs the unpruned search).
+        let memo_owned =
+            (!self.reference_enabled()).then(|| self.pool.checkout_region_memo(self.id));
         let memo = memo_owned.as_deref();
 
         // ---- Step 1 ----
         let t1 = Instant::now();
         let mut space = BufferSpace::floating(n_ffs, steps);
-        // First space epoch: the floating windows.
-        let space_a1 = Arc::new(space.clone());
         let tp = Instant::now();
         let a1 = {
             let _span = psbi_obs::Span::enter("flow.pass.a1");
             let _timer = psbi_obs::metrics::timer("flow.pass.a1");
-            self.run_pass(
-                &space_a1,
-                a1_arena,
-                memo,
-                Push::CountOnly,
-                None,
-                false,
-                period,
-                step,
-            )
+            self.run_pass(&space, memo, Push::CountOnly, None, false, period, step)
         };
         let pass_a1_s = tp.elapsed().as_secs_f64();
         let prune_report = prune(
@@ -1625,13 +1231,11 @@ impl<'a> BufferInsertionFlow<'a> {
         } else {
             Push::CountOnly
         };
-        // Second epoch: the prune changed `has_buffer`.
-        let space_a3 = Arc::new(space.clone());
         let tp = Instant::now();
         let a3 = {
             let _span = psbi_obs::Span::enter("flow.pass.a3");
             let _timer = psbi_obs::metrics::timer("flow.pass.a3");
-            self.run_pass(&space_a3, arena, memo, a3_push, None, false, period, step)
+            self.run_pass(&space, memo, a3_push, None, false, period, step)
         };
         let pass_a3_s = tp.elapsed().as_secs_f64();
         // Window assignment (III-A4): most-covering window containing 0.
@@ -1650,24 +1254,14 @@ impl<'a> BufferInsertionFlow<'a> {
         // ---- Step 2 ----
         let t2 = Instant::now();
         let refit_ran = miss_fraction >= self.cfg.skip_refit_threshold;
-        // Third epoch: the assigned windows.  B1 and B2 share it (same
-        // `Arc`), which is what lets B2 replay B1's search outcomes.
-        let space_b = Arc::new(space.clone());
+        // B1 and B2 run on the same assigned windows, which is what lets
+        // B2 replay B1's search outcomes from the memo.
         let (b1, pass_b1_s) = if refit_ran {
             let tp = Instant::now();
             let b1 = {
                 let _span = psbi_obs::Span::enter("flow.pass.b1");
                 let _timer = psbi_obs::metrics::timer("flow.pass.b1");
-                self.run_pass(
-                    &space_b,
-                    arena,
-                    memo,
-                    Push::CountOnly,
-                    None,
-                    false,
-                    period,
-                    step,
-                )
+                self.run_pass(&space, memo, Push::CountOnly, None, false, period, step)
             };
             (b1, tp.elapsed().as_secs_f64())
         } else {
@@ -1709,26 +1303,10 @@ impl<'a> BufferInsertionFlow<'a> {
         let b2 = {
             let _span = psbi_obs::Span::enter("flow.pass.b2");
             let _timer = psbi_obs::metrics::timer("flow.pass.b2");
-            self.run_pass(
-                &space_b,
-                arena,
-                memo,
-                b2_push,
-                Some(&targets),
-                true,
-                period,
-                step,
-            )
+            self.run_pass(&space, memo, b2_push, Some(&targets), true, period, step)
         };
         let pass_b2_s = tp.elapsed().as_secs_f64();
         let step2_s = t2.elapsed().as_secs_f64();
-        // Park the arenas for the next target of the sweep.
-        if let Some(arena) = a1_arena_owned {
-            self.pool.return_state_arena(arena);
-        }
-        if let Some(arena) = step_arena_owned {
-            self.pool.return_state_arena(arena);
-        }
         let memo_entries = memo.map_or(0, |m| m.len() as u64);
 
         // ---- Step 3 ----
@@ -1841,15 +1419,14 @@ impl<'a> BufferInsertionFlow<'a> {
                 b1: b1.diag,
                 b2: b2.diag,
                 memo_entries,
-                resident_states: self.pool.resident_states(),
-                peak_resident_states: self.pool.peak_resident_states(),
                 verify: None,
             },
         };
         if self.verify_enabled() {
+            let space_floating = BufferSpace::floating(n_ffs, steps);
             let claims = crate::verify::PassClaims {
-                space_floating: &space_a1,
-                space_b: &space_b,
+                space_floating: &space_floating,
+                space_b: &space,
                 a1_feasible: &a1.feasible,
                 b2_feasible: &b2.feasible,
                 b2_columns: b2.columns.as_deref(),
@@ -2002,8 +1579,8 @@ mod tests {
         }
     }
 
-    /// Wall-clock times legitimately differ between runs, and the cache
-    /// counters legitimately differ with the arena's warm-up history —
+    /// Wall-clock times legitimately differ between runs, and the solver
+    /// counters legitimately differ with the memo's warm-up history —
     /// both are non-canonical by contract.
     fn no_runtime(mut r: InsertionResult) -> InsertionResult {
         r.runtime = Default::default();
@@ -2013,41 +1590,42 @@ mod tests {
 
     #[test]
     fn incremental_state_is_bit_identical_to_cold_solves() {
-        // A warm flow swept over adjacent targets (carrying its state
-        // arena from target to target) must reproduce a cold
-        // (`incremental = false`) flow bit-exactly at every point — the
-        // in-process form of the `PSBI_NO_INCREMENTAL` contract.
+        // A default flow swept over adjacent targets (its memo carried
+        // from pass to pass and target to target) must reproduce a
+        // reference-mode flow (memo detached, unpruned search) bit-exactly
+        // at every point — the in-process form of the `PSBI_REFERENCE`
+        // contract.
         let c = bench_suite::tiny_demo(21);
         let warm_flow = BufferInsertionFlow::builder(&c, quick_cfg())
             .build()
             .unwrap();
-        assert!(warm_flow.incremental_enabled());
         let mut cold_cfg = quick_cfg();
-        cold_cfg.incremental = false;
+        cold_cfg.reference = true;
         let cold_flow = BufferInsertionFlow::builder(&c, cold_cfg).build().unwrap();
-        assert!(!cold_flow.incremental_enabled());
-        let mut total_reused = 0u64;
+        assert!(cold_flow.reference_enabled());
+        let mut memo_hits = 0u64;
         for k in [0.0, 0.25, 0.5] {
             let warm = warm_flow.run_target(TargetPeriod::SigmaFactor(k));
             let cold = cold_flow.run_target(TargetPeriod::SigmaFactor(k));
-            // Cold runs must never reuse state, but they still report the
-            // workload counters (regions_total / regions_saturated stay
-            // observable with the cache off).
+            // Reference runs never consult a memo, but they still report
+            // the workload counters.
             let cold_totals = cold.diagnostics.total();
-            assert_eq!(cold_totals.regions_reused, 0, "cold run reused state");
-            assert_eq!(cold_totals.supports_rehit, 0, "cold run replayed a support");
+            assert_eq!(cold_totals.cross_chip_hits, 0, "reference run hit a memo");
+            assert_eq!(cold.diagnostics.memo_entries, 0);
             assert_eq!(
                 cold_totals.regions_total,
                 warm.diagnostics.total().regions_total,
-                "warm and cold must process the same regions"
+                "default and reference must process the same regions"
             );
-            total_reused +=
-                warm.diagnostics.total().regions_reused + warm.diagnostics.total().supports_rehit;
+            memo_hits += warm.diagnostics.total().cross_chip_hits;
             assert_eq!(no_runtime(warm), no_runtime(cold), "k = {k}");
         }
-        // The parity above must not be vacuous: the warm sweep actually
-        // replayed state (B1/B2 share A3's decompositions at minimum).
-        assert!(total_reused > 0, "warm sweep never reused any state");
+        // The parity above must not be vacuous: the default sweep replayed
+        // memo entries (B1/B2 share A3's region systems at minimum) unless
+        // `PSBI_REFERENCE=1` put both flows in reference mode.
+        if !warm_flow.reference_enabled() {
+            assert!(memo_hits > 0, "default sweep never replayed the memo");
+        }
     }
 
     #[test]

@@ -54,9 +54,7 @@
 //! (`BufferInsertionFlow::builder(..).library(..).pool(..).build()`), and
 //! the per-sample solver is driven through a single request-shaped entry
 //! point ([`solve::SolveRequest`] → [`solve::SampleSolver::solve`]) whose
-//! optional cache tiers and region-parallel execution are fields of the
-//! request rather than separate entry points — see [`solve`] for the
-//! plan/execute session underneath.
+//! optional cross-chip memo is a field of the request — see [`solve`].
 //!
 //! # Example
 //!
@@ -89,8 +87,7 @@ pub use flow::{
     InsertionResult, SampleRequest, TargetPeriod, WorkspacePool,
 };
 pub use solve::{
-    BufferSpace, ChipSolveState, PassDiagnostics, PushObjective, RegionMemo, RegionOutcome,
-    RegionTask, SampleResult, SampleSolver, SolveOutcome, SolveRequest, SolveSession,
-    SolverOptions,
+    BufferSpace, PassDiagnostics, PushObjective, RegionMemo, SampleResult, SampleSolver,
+    SolveOutcome, SolveRequest, SolverOptions,
 };
 pub use verify::VerifyReport;

@@ -84,39 +84,32 @@ pub fn summary(r: &InsertionResult) -> String {
     )
 }
 
-/// Per-pass incremental-cache and saturation counters as a small Markdown
-/// table — the observability surface for cache efficacy and `region_cap`
-/// saturation.  Non-canonical (like wall times): the counters legitimately
-/// differ between incremental and `PSBI_NO_INCREMENTAL=1` runs.
+/// Per-pass memo and saturation counters as a small Markdown table — the
+/// observability surface for cache efficacy and `region_cap` saturation.
+/// Non-canonical (like wall times): the counters legitimately differ
+/// between the default and the reference mode (`PSBI_REFERENCE=1`).
 pub fn solver_diagnostics(r: &InsertionResult) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "| pass | regions | saturated (region_cap) | regions reused | supports rehit | cross-chip hits |"
+        "| pass | regions | saturated (region_cap) | cross-chip hits |"
     );
-    let _ = writeln!(out, "|---|---:|---:|---:|---:|---:|");
+    let _ = writeln!(out, "|---|---:|---:|---:|");
     let d = &r.diagnostics;
-    for (pass, p) in [("A1", &d.a1), ("A3", &d.a3), ("B1", &d.b1), ("B2", &d.b2)] {
+    let total = d.total();
+    for (pass, p) in [
+        ("A1", &d.a1),
+        ("A3", &d.a3),
+        ("B1", &d.b1),
+        ("B2", &d.b2),
+        ("total", &total),
+    ] {
         let _ = writeln!(
             out,
-            "| {pass} | {} | {} | {} | {} | {} |",
-            p.regions_total,
-            p.regions_saturated,
-            p.regions_reused,
-            p.supports_rehit,
-            p.cross_chip_hits
+            "| {pass} | {} | {} | {} |",
+            p.regions_total, p.regions_saturated, p.cross_chip_hits
         );
     }
-    let total = d.total();
-    let _ = writeln!(
-        out,
-        "| total | {} | {} | {} | {} | {} |",
-        total.regions_total,
-        total.regions_saturated,
-        total.regions_reused,
-        total.supports_rehit,
-        total.cross_chip_hits
-    );
     out
 }
 
@@ -209,10 +202,10 @@ mod tests {
         for pass in ["A1", "A3", "B1", "B2", "total"] {
             assert!(table.contains(&format!("| {pass} |")), "missing {pass}");
         }
-        // The default flow runs incrementally, so the table is not all
-        // zeros: at minimum B1/B2 replay A3's decompositions.
+        // The default flow carries its memo across passes, so the table is
+        // not all zeros: at minimum B1/B2 replay A3's region systems.
         let totals = r.diagnostics.total();
-        assert!(totals.regions_reused + totals.supports_rehit > 0);
+        assert!(totals.cross_chip_hits > 0);
     }
 
     #[test]

@@ -22,51 +22,25 @@
 //!   and a matching over still-uncovered violated constraints gives a
 //!   vertex-cover lower bound.  Tie-breaking in the search is pinned (see
 //!   `search`), so the returned support is a pure function of the region
-//!   system — the property incremental replay relies on.
+//!   system — the property memo replay relies on.
 //! * **Value concentration.** With the budget fixed, `min Σ|x_i − a_i|` is
 //!   solved as a MILP ([`psbi_milp`]) with indicator constraints — the
 //!   exact formulation of the paper's eqs. (14)–(21) — on the small region,
-//!   warm-started with the search's known-feasible witness (identically in
-//!   cold and incremental runs, so the warm start is result-neutral
-//!   between the two modes).
+//!   warm-started with the search's known-feasible witness (identically
+//!   for fresh and replayed outcomes, so the warm start is result-neutral).
 //!
-//! # Incremental cross-pass state
+//! # Entry surface and the memo tier
 //!
-//! Region *discovery* (violation collection, BFS region growth, constraint
-//! attachment) is split from region *solving* so a [`ChipSolveState`] can
-//! carry decompositions, optimal support sets and warm witnesses from one
-//! pass to the next — and, through the flow's state arena, across adjacent
-//! targets of a fleet sweep.  Every reuse is guarded by an exact value
-//! comparison of the inputs the cached artefact was derived from (the
-//! invalidation keys are tabulated in [`state`]'s docs); a mismatch falls
-//! back to the cold path, so results are bit-identical with the cache on,
-//! off (`PSBI_NO_INCREMENTAL=1`), or partially hitting.
-//!
-//! # Entry surface: request in, plan/execute underneath
-//!
-//! Everything above is driven through **one** entry point:
-//! [`SampleSolver::solve`] takes a [`SolveRequest`] carrying the
-//! constraint view, the buffer space, the push objective, the limits and
-//! the optional cache tiers (per-chip [`ChipSolveState`], cross-chip
-//! [`RegionMemo`]) as fields — replacing the former
-//! `solve_view` / `solve_view_with_diag` / `solve_view_cached` /
-//! `solve_view_memo` ladder, which survives only as deprecated wrappers.
-//!
-//! Underneath, a solve is an explicit plan/execute loop:
-//! [`SampleSolver::begin`] returns a [`SolveSession`];
-//! [`SolveSession::plan`] resolves the round's regions against the cache
-//! tiers and yields the ones that still need searching as self-contained
-//! [`RegionTask`]s; [`SampleSolver::execute`] searches a batch of tasks —
-//! inline, or fanned out across a rayon pool when one is supplied — and
-//! [`SolveSession::commit`] applies the outcomes **in pinned region
-//! order**, never completion order.  Region searching is a pure function
-//! of each task (warm-state independent, pinned tie-breaking — the same
-//! properties the memo tier relies on), so fan-out changes only the wall
-//! clock, never a byte of any result.  Callers that also hold a
-//! cross-chip [`RegionMemo`] (the flow's sample chunks) drive one session
-//! per chip to completion in chip order — so each chip's memo publishes
-//! land before the next chip plans — and fan out only within a round's
-//! independent tasks.
+//! [`SampleSolver::solve`] is the single entry point: it takes a
+//! [`SolveRequest`] carrying the constraint view, the buffer space, the
+//! push objective, the limits and, optionally, the flow-level
+//! [`RegionMemo`].  Region *discovery* (violation collection, BFS region
+//! growth, constraint attachment) is split from region *solving*: each
+//! discovered region's saturation-normalised system is looked up in the
+//! memo, and only a miss runs the support search (publishing its outcome
+//! for every later chip, pass and sweep target of the flow).  A hit is an
+//! exact-key replay of a pure function, so results are bit-identical with
+//! the memo attached or not.
 //!
 //! The generic big-M MILP formulation of the whole problem is also
 //! available ([`SampleSolver::solve_reference_milp`]) and is used by tests
@@ -77,20 +51,16 @@ use psbi_timing::feasibility::{Arc as FeasArc, DiffSolver};
 use psbi_timing::{
     ConstraintKind, ConstraintsView, IntegerConstraints, SequentialGraph, Violation,
 };
-use rayon::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 mod memo;
 mod search;
-mod state;
 #[cfg(test)]
 mod tests;
 
-use memo::MemoKey;
-pub use memo::RegionMemo;
+use memo::{CachedOutcome, MemoKey};
+pub use memo::{PassDiagnostics, RegionMemo};
 use search::{run_support_search, PruneScratch, SearchPhase, SearchStats, SupportSearch};
-use state::{CachedOutcome, CachedRegion};
-pub use state::{ChipSolveState, PassDiagnostics};
 
 /// One solver stage's observability guards: a trace span plus a
 /// wall-clock histogram timer under the same `solve.stage.*` name.  Both
@@ -209,6 +179,15 @@ impl SampleResult {
     pub fn count(&self) -> usize {
         self.tunings.len()
     }
+
+    /// A chip that needs no tuning (`feasible`) or cannot be tuned at all.
+    fn untuned(feasible: bool) -> Self {
+        Self {
+            feasible,
+            exact: true,
+            tunings: Vec::new(),
+        }
+    }
 }
 
 /// Normalised constraint `k(a) − k(b) ≤ bound` with FF endpoints.
@@ -225,10 +204,9 @@ pub(crate) struct RegCons {
 /// scratch, the branch-and-bound's per-node buffers and the saturation
 /// screen's arc/bound arrays — lives in this struct and is reused across
 /// chips, so a steady-state pass performs no per-chip allocation outside
-/// the result vectors themselves.  Cross-*pass* state, by contrast, lives
-/// in per-chip [`ChipSolveState`]s owned by the caller: workspaces are
-/// checked out racily per chunk, so anything keyed to a chip identity
-/// must not live here.
+/// the result vectors themselves.  Workspaces are checked out racily per
+/// chunk, so nothing keyed to a chip identity lives here; what carries
+/// across chips and passes is the caller's [`RegionMemo`].
 #[derive(Debug, Default)]
 pub struct SampleSolver {
     /// The warm-started SPFA solver of the whole-chip saturation screen.
@@ -249,11 +227,8 @@ pub struct SampleSolver {
     fx_vars: Vec<u32>,
     fx_arcs: Vec<FeasArc>,
     fx_bounds: Vec<(i64, i64)>,
-    /// The inline region-search workspace (sequential `execute` path).
+    /// The region-search workspace.
     search: SearchScratch,
-    /// Extra search workspaces, minted on demand when a task batch fans
-    /// out across a thread pool and parked here between batches.
-    extra: Mutex<Vec<SearchScratch>>,
 }
 
 const NONE: u32 = u32::MAX;
@@ -266,13 +241,10 @@ struct RoundAcc {
 }
 
 /// Reusable workspace of one region search: a difference-constraint
-/// solver plus the per-node buffers every feasibility probe shares.  One
-/// lives inline in each [`SampleSolver`] (the sequential `execute` path);
-/// extras are minted on demand when a task batch fans out across a thread
-/// pool, so concurrent searches never share mutable scratch.  Searches
-/// are warm-state independent by contract (the memo tier relies on
-/// exactly that purity), so which scratch instance a task lands on can
-/// never change its outcome.
+/// solver plus the per-node buffers every feasibility probe shares.
+/// Searches are warm-state independent by contract (the memo relies on
+/// exactly that purity), so what an earlier search left here can never
+/// change an outcome.
 #[derive(Debug, Default)]
 struct SearchScratch {
     diff: DiffSolver,
@@ -292,8 +264,7 @@ impl SearchScratch {
     /// function of (region FFs, materialised constraints, tuning windows,
     /// limits).  The outcome is push-independent — what makes it cacheable
     /// across passes with different objectives — and warm-state
-    /// independent, what makes it safe to run on any scratch from any
-    /// thread.
+    /// independent.
     fn search_region(
         &mut self,
         ffs: &[u32],
@@ -343,9 +314,8 @@ impl SearchScratch {
         // deterministic per region system + prune mode, unlike wall time.
         psbi_obs::metrics::counter_add("solve.search.nodes", stats.nodes);
         psbi_obs::metrics::counter_add("solve.search.pruned.bound", stats.pruned_bound);
-        psbi_obs::metrics::counter_add("solve.search.pruned.dominance", stats.pruned_dominance);
         psbi_obs::metrics::counter_add("solve.search.pruned.symmetry", stats.pruned_symmetry);
-        // Return the per-node scratch before the next task needs it.
+        // Return the per-node scratch before the next search needs it.
         let (sv, ssl, sa, sb, sp) = search.into_scratch();
         self.ss_vars = sv;
         self.ss_slot = ssl;
@@ -378,33 +348,23 @@ impl SearchScratch {
 
 /// One sample solve, fully described: the chip's constraint system, the
 /// buffer space, the push objective, the solver limits, and the optional
-/// cache / execution tiers.
+/// cross-chip memo.
 ///
-/// Build with [`SolveRequest::new`] (plain space) or
-/// [`SolveRequest::shared`] (a shared `Arc` space epoch — required for
-/// per-chip state), then chain [`SolveRequest::memo`],
-/// [`SolveRequest::state`] and [`SolveRequest::pool`] as needed.  Every
-/// tier is a field of the request instead of a separate entry point; the
-/// result is bit-identical for any combination of attached tiers.
+/// Build with [`SolveRequest::new`], then chain [`SolveRequest::memo`]
+/// and [`SolveRequest::search_prune`] as needed.  The result is
+/// bit-identical with or without the memo.
 pub struct SolveRequest<'a> {
     sg: &'a SequentialGraph,
     ic: ConstraintsView<'a>,
     space: &'a BufferSpace,
-    /// The `Arc` identity of `space` when the caller solves against a
-    /// shared space epoch — what per-chip state revalidation keys on.
-    epoch: Option<&'a Arc<BufferSpace>>,
     push: PushObjective<'a>,
     opts: &'a SolverOptions,
     memo: Option<&'a RegionMemo>,
-    state: Option<&'a mut ChipSolveState>,
-    pool: Option<&'a rayon::ThreadPool>,
     search_prune: bool,
 }
 
 impl<'a> SolveRequest<'a> {
-    /// A request against a plain (unshared) buffer space.  Per-chip state
-    /// cannot ride such a request — revalidation needs the space's `Arc`
-    /// identity; use [`SolveRequest::shared`] for that.
+    /// A request without a memo, searching with pruning on.
     pub fn new(
         sg: &'a SequentialGraph,
         ic: ConstraintsView<'a>,
@@ -416,65 +376,28 @@ impl<'a> SolveRequest<'a> {
             sg,
             ic,
             space,
-            epoch: None,
             push,
             opts,
             memo: None,
-            state: None,
-            pool: None,
             search_prune: true,
         }
     }
 
-    /// A request against a shared space epoch (the flow's per-pass
-    /// `Arc<BufferSpace>`), enabling [`SolveRequest::state`].
-    pub fn shared(
-        sg: &'a SequentialGraph,
-        ic: ConstraintsView<'a>,
-        space: &'a Arc<BufferSpace>,
-        push: PushObjective<'a>,
-        opts: &'a SolverOptions,
-    ) -> Self {
-        let mut req = Self::new(sg, ic, space.as_ref(), push, opts);
-        req.epoch = Some(space);
-        req
-    }
-
-    /// Attaches the flow-level cross-chip [`RegionMemo`] tier.
+    /// Attaches the flow-level cross-chip [`RegionMemo`].
     #[must_use]
     pub fn memo(mut self, memo: &'a RegionMemo) -> Self {
         self.memo = Some(memo);
         self
     }
 
-    /// Attaches the chip's persistent cross-pass [`ChipSolveState`] tier.
-    /// Requires a request built with [`SolveRequest::shared`].
-    #[must_use]
-    pub fn state(mut self, state: &'a mut ChipSolveState) -> Self {
-        debug_assert!(
-            self.epoch.is_some(),
-            "per-chip state rides a shared space epoch; build with SolveRequest::shared"
-        );
-        self.state = Some(state);
-        self
-    }
-
-    /// Fans region searches out on `pool` instead of running them inline
-    /// on the calling thread.  Results are bit-identical either way.
-    #[must_use]
-    pub fn pool(mut self, pool: &'a rayon::ThreadPool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Enables or disables the search's dominance / symmetry / bitset
-    /// pruning rules (see [`solve::search`](self) module docs).  On by
-    /// default; both modes return bit-identical results — the off mode is
-    /// the byte-parity reference the `PSBI_NO_SEARCH_PRUNE=1` flow hatch
-    /// maps to.  Deliberately **not** part of [`SolverOptions`]: the
-    /// options struct keys every region-memo entry, and two prune modes
-    /// of the same region system produce the same outcome, so keying on
-    /// the mode would only split the memo for nothing.
+    /// Enables or disables the search's symmetry / bitset / cascade
+    /// pruning rules (see the `search` module docs).  On by default; both
+    /// modes return bit-identical results — the off mode is the
+    /// byte-parity oracle the flow's reference mode runs.  Deliberately
+    /// **not** part of [`SolverOptions`]: the options struct keys every
+    /// region-memo entry, and two prune modes of the same region system
+    /// produce the same outcome, so keying on the mode would only split
+    /// the memo for nothing.
     #[must_use]
     pub fn search_prune(mut self, on: bool) -> Self {
         self.search_prune = on;
@@ -493,365 +416,6 @@ pub struct SolveOutcome {
     pub diag: PassDiagnostics,
 }
 
-/// One region search, detached from its session: the region's FFs (pinned
-/// BFS order) and its materialised constraint system — the exact inputs
-/// of the pure search function.  Tasks own their data so a batch of them
-/// can fan out across threads while their sessions stay behind.
-#[derive(Debug, Clone)]
-pub struct RegionTask {
-    ffs: Vec<u32>,
-    cons: Vec<RegCons>,
-}
-
-/// One executed region search, opaque to callers: produced (in task
-/// order) by [`SampleSolver::execute`], consumed by
-/// [`SolveSession::commit`].  Carries the search's node/prune counters
-/// so `commit` can fold them into [`PassDiagnostics`] — replayed and
-/// memo-hit regions never reach `execute` and correctly contribute zero
-/// nodes.
-#[derive(Debug, Clone)]
-pub struct RegionOutcome {
-    out: Arc<CachedOutcome>,
-    stats: SearchStats,
-}
-
-/// How one planned region obtains its outcome at commit time.
-enum Slot {
-    /// Replayed from the chip's own history: the outcome is already in
-    /// the cached region, nothing to record.
-    Replay,
-    /// Cross-chip memo hit, recorded into the chip state at commit.
-    Hit(Arc<CachedOutcome>),
-    /// Fresh search: the outcome arrives from [`SampleSolver::execute`]
-    /// at this task index and is published under the captured memo key.
-    Fresh(usize, Option<MemoKey>),
-}
-
-/// An in-flight sample solve, split at the region boundary.
-///
-/// [`SampleSolver::begin`] runs violation discovery and the whole-chip
-/// screen and returns a session; then, until [`SolveSession::is_done`],
-/// [`SolveSession::plan`] yields the current round's outstanding searches
-/// as [`RegionTask`]s, [`SampleSolver::execute`] runs them (inline or on
-/// a pool), and [`SolveSession::commit`] applies the outcomes **in pinned
-/// region order** — which keeps results bit-identical regardless of the
-/// order tasks actually completed in.  [`SolveSession::finish`] yields
-/// the [`SolveOutcome`].
-///
-/// The split exists so a caller driving many chips at once (the flow's
-/// sample chunks) can aggregate the tasks of several sessions into one
-/// batch and fan the whole batch out together; [`SampleSolver::solve`] is
-/// the single-chip loop over the same pieces.
-pub struct SolveSession<'a> {
-    req: SolveRequest<'a>,
-    /// Violated constraints of the chip (taken from the solver's scratch
-    /// at begin, returned when the session concludes).
-    violated: Vec<Violation>,
-    diag: PassDiagnostics,
-    radius: usize,
-    round: usize,
-    planned: bool,
-    /// Cold-path decomposition of the current round.
-    cold_regions: Vec<Region>,
-    /// Cached-path round entry index in the chip state.
-    entry: usize,
-    /// Materialised constraint system per region, in region order.
-    cons: Vec<Vec<RegCons>>,
-    /// Outcome source per region, in region order.
-    slots: Vec<Slot>,
-    n_tasks: usize,
-    done: Option<SampleResult>,
-}
-
-/// Resolves one non-replayable region against the cross-chip memo tier:
-/// a hit (exact key equality) becomes an immediate outcome; a miss (or no
-/// memo) appends a [`RegionTask`] for `execute`.
-fn plan_slot(
-    region: &Region,
-    cons: &[RegCons],
-    space: &BufferSpace,
-    opts: &SolverOptions,
-    memo: Option<&RegionMemo>,
-    diag: &mut PassDiagnostics,
-    tasks: &mut Vec<RegionTask>,
-) -> Slot {
-    if let Some(memo) = memo {
-        let key = MemoKey::capture(region, cons, space, opts);
-        if let Some(hit) = memo.lookup(&key) {
-            diag.cross_chip_hits += 1;
-            psbi_obs::metrics::counter_add("solve.memo.hit", 1);
-            let outcome = if psbi_fault::failpoint!("memo.replay.corrupt") {
-                // Injected cache corruption: a claimed-feasible outcome
-                // whose support is empty.  Downstream this yields a chip
-                // "fixed" with no tunings — exactly the class of silent
-                // wrong answer the independent verifier must flag.
-                Arc::new(CachedOutcome::Feasible {
-                    count: 0,
-                    support: Vec::new(),
-                    witness: Vec::new(),
-                    exact: true,
-                })
-            } else {
-                hit
-            };
-            return Slot::Hit(outcome);
-        }
-        psbi_obs::metrics::counter_add("solve.memo.miss", 1);
-        tasks.push(RegionTask {
-            ffs: region.ffs.clone(),
-            cons: cons.to_vec(),
-        });
-        Slot::Fresh(tasks.len() - 1, Some(key))
-    } else {
-        tasks.push(RegionTask {
-            ffs: region.ffs.clone(),
-            cons: cons.to_vec(),
-        });
-        Slot::Fresh(tasks.len() - 1, None)
-    }
-}
-
-/// Publishes a freshly searched outcome to the cross-chip memo, when both
-/// the memo tier and a captured key are present.
-fn publish(memo: Option<&RegionMemo>, key: Option<MemoKey>, outcome: &Arc<CachedOutcome>) {
-    if let (Some(memo), Some(key)) = (memo, key) {
-        memo.publish(key, Arc::clone(outcome));
-        psbi_obs::metrics::counter_add("solve.memo.publish", 1);
-    }
-}
-
-impl<'a> SolveSession<'a> {
-    /// Whether the solve has produced its final result.
-    pub fn is_done(&self) -> bool {
-        self.done.is_some()
-    }
-
-    /// The buffer space this session solves against.
-    pub fn space(&self) -> &'a BufferSpace {
-        self.req.space
-    }
-
-    /// The solver limits this session runs under.
-    pub fn opts(&self) -> &'a SolverOptions {
-        self.req.opts
-    }
-
-    /// The thread pool attached to the request, if any.
-    pub fn pool(&self) -> Option<&'a rayon::ThreadPool> {
-        self.req.pool
-    }
-
-    /// Whether this session's fresh searches run with pruning enabled
-    /// (see [`SolveRequest::search_prune`]).
-    pub fn search_prune(&self) -> bool {
-        self.req.search_prune
-    }
-
-    /// Plans the current round: builds (or replays) the region
-    /// decomposition, resolves every region against the cache tiers, and
-    /// returns the regions that still need a fresh search as
-    /// self-contained [`RegionTask`]s.  Must be followed by exactly one
-    /// [`SolveSession::commit`] carrying the executed outcomes.
-    pub fn plan(&mut self, solver: &mut SampleSolver) -> Vec<RegionTask> {
-        assert!(!self.is_done(), "plan on a finished session");
-        debug_assert!(!self.planned, "plan called twice without a commit");
-        let _span = psbi_obs::Span::enter("solve.region.plan");
-        self.cons.clear();
-        self.slots.clear();
-        self.cold_regions.clear();
-        let sg = self.req.sg;
-        let ic = self.req.ic;
-        let space = self.req.space;
-        let opts = self.req.opts;
-        let memo = self.req.memo;
-        let radius = self.radius;
-        let mut tasks = Vec::new();
-        match self.req.state.as_deref_mut() {
-            Some(st) => {
-                let entry = match st.round_index(radius) {
-                    Some(i) => {
-                        self.diag.regions_reused += st.rounds[i].regions.len() as u64;
-                        i
-                    }
-                    None => {
-                        let regions = {
-                            let _obs = stage_obs("solve.stage.discovery");
-                            solver.collect_regions(sg, space, &self.violated, radius)
-                        };
-                        let cached = regions.into_iter().map(CachedRegion::new).collect();
-                        st.insert_round(radius, opts.region_radius, cached)
-                    }
-                };
-                self.entry = entry;
-                for cr in st.rounds[entry].regions.iter_mut() {
-                    self.diag.regions_total += 1;
-                    if cr.region.ffs.len() > opts.region_cap {
-                        self.diag.regions_saturated += 1;
-                    }
-                    let cons = materialize_cons(&cr.region, ic, space);
-                    if cr.outcome_replayable(&cons, space) {
-                        // Count only replayed *supports*: an Infeasible
-                        // replay skips the search too, but there is no
-                        // support set in it.
-                        if matches!(cr.outcome.as_deref(), Some(CachedOutcome::Feasible { .. })) {
-                            self.diag.supports_rehit += 1;
-                        }
-                        self.slots.push(Slot::Replay);
-                    } else {
-                        self.slots.push(plan_slot(
-                            &cr.region,
-                            &cons,
-                            space,
-                            opts,
-                            memo,
-                            &mut self.diag,
-                            &mut tasks,
-                        ));
-                    }
-                    self.cons.push(cons);
-                }
-            }
-            None => {
-                let regions = {
-                    let _obs = stage_obs("solve.stage.discovery");
-                    solver.collect_regions(sg, space, &self.violated, radius)
-                };
-                for region in &regions {
-                    self.diag.regions_total += 1;
-                    if region.ffs.len() > opts.region_cap {
-                        self.diag.regions_saturated += 1;
-                    }
-                    let cons = materialize_cons(region, ic, space);
-                    self.slots.push(plan_slot(
-                        region,
-                        &cons,
-                        space,
-                        opts,
-                        memo,
-                        &mut self.diag,
-                        &mut tasks,
-                    ));
-                    self.cons.push(cons);
-                }
-                self.cold_regions = regions;
-            }
-        }
-        self.n_tasks = tasks.len();
-        self.planned = true;
-        tasks
-    }
-
-    /// Commits one executed round: outcomes are recorded into the cache
-    /// tiers, published to the memo and applied **in pinned region
-    /// order** (never completion order), then the round accumulator
-    /// decides growth — the session either concludes or re-arms for the
-    /// next round at the grown radius (a region's optimal count exceeding
-    /// the radius provably fits within radius = count; two rounds
-    /// suffice, a third guards the node-capped inexact case).
-    pub fn commit(&mut self, solver: &mut SampleSolver, outcomes: &[RegionOutcome]) {
-        assert!(self.planned, "commit without a plan");
-        assert_eq!(
-            outcomes.len(),
-            self.n_tasks,
-            "commit needs exactly one outcome per planned task"
-        );
-        for o in outcomes {
-            self.diag.search_nodes += o.stats.nodes;
-            self.diag.search_pruned_bound += o.stats.pruned_bound;
-            self.diag.search_pruned_dominance += o.stats.pruned_dominance;
-            self.diag.search_pruned_symmetry += o.stats.pruned_symmetry;
-        }
-        let space = self.req.space;
-        let push = self.req.push;
-        let opts = self.req.opts;
-        let memo = self.req.memo;
-        let radius = self.radius;
-        let mut acc = RoundAcc {
-            tunings: Vec::new(),
-            exact: true,
-            need_radius: radius,
-        };
-        match self.req.state.as_deref_mut() {
-            Some(st) => {
-                for (i, cr) in st.rounds[self.entry].regions.iter_mut().enumerate() {
-                    let cons = &self.cons[i];
-                    let outcome = match std::mem::replace(&mut self.slots[i], Slot::Replay) {
-                        Slot::Replay => {
-                            Arc::clone(cr.outcome.as_ref().expect("replayable slot has an outcome"))
-                        }
-                        Slot::Hit(hit) => {
-                            cr.record(cons, space, Arc::clone(&hit));
-                            hit
-                        }
-                        Slot::Fresh(task, key) => {
-                            let fresh = Arc::clone(&outcomes[task].out);
-                            cr.record(cons, space, Arc::clone(&fresh));
-                            publish(memo, key, &fresh);
-                            fresh
-                        }
-                    };
-                    // `cr` borrows the state arena slot, `solver` owns the
-                    // push scratch — disjoint, so the objective runs in
-                    // place.
-                    solver.apply_outcome(
-                        &cr.region, cons, &outcome, space, push, opts, radius, &mut acc,
-                    );
-                }
-            }
-            None => {
-                for (i, region) in self.cold_regions.iter().enumerate() {
-                    let cons = &self.cons[i];
-                    let outcome = match std::mem::replace(&mut self.slots[i], Slot::Replay) {
-                        Slot::Replay => unreachable!("cold rounds never replay"),
-                        Slot::Hit(hit) => hit,
-                        Slot::Fresh(task, key) => {
-                            let fresh = Arc::clone(&outcomes[task].out);
-                            publish(memo, key, &fresh);
-                            fresh
-                        }
-                    };
-                    solver
-                        .apply_outcome(region, cons, &outcome, space, push, opts, radius, &mut acc);
-                }
-            }
-        }
-        self.planned = false;
-        if acc.need_radius == radius || self.round == 2 {
-            let exact = acc.exact && acc.need_radius == radius;
-            self.conclude(
-                solver,
-                SampleResult {
-                    feasible: true,
-                    exact,
-                    tunings: acc.tunings,
-                },
-            );
-        } else {
-            self.radius = acc.need_radius;
-            self.round += 1;
-        }
-    }
-
-    /// The final outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`SolveSession::is_done`].
-    pub fn finish(self) -> SolveOutcome {
-        SolveOutcome {
-            result: self.done.expect("finish on an unfinished session"),
-            diag: self.diag,
-        }
-    }
-
-    /// Concludes the session with `result`, returning the violation
-    /// scratch to the solver.
-    fn conclude(&mut self, solver: &mut SampleSolver, result: SampleResult) {
-        solver.violated = std::mem::take(&mut self.violated);
-        self.done = Some(result);
-    }
-}
-
 impl SampleSolver {
     /// Creates a solver with empty workspaces.
     pub fn new() -> Self {
@@ -859,296 +423,158 @@ impl SampleSolver {
     }
 
     /// Solves one sample end to end: minimum buffer count, then
-    /// (optionally) value concentration, with whichever cache and
-    /// execution tiers the request carries.  This is the solver's single
-    /// entry point; [`SampleSolver::begin`] / [`SolveSession::plan`] /
-    /// [`SampleSolver::execute`] / [`SolveSession::commit`] are the same
-    /// pipeline exposed at the region boundary, for callers interleaving
-    /// several chips' searches in one batch.
+    /// (optionally) value concentration, replaying region outcomes from
+    /// the request's memo where it has them.
     pub fn solve(&mut self, req: SolveRequest<'_>) -> SolveOutcome {
-        let pool = req.pool;
-        let mut session = self.begin(req);
-        while !session.is_done() {
-            let tasks = session.plan(self);
-            let outcomes = self.execute(
-                &tasks,
-                session.space(),
-                session.opts(),
-                pool,
-                session.search_prune(),
-            );
-            session.commit(self, &outcomes);
-        }
-        session.finish()
-    }
-
-    /// Starts a sample solve: violation discovery, chip-state
-    /// revalidation and the whole-chip saturation screen.  The returned
-    /// session has either concluded already (no violations, or provably
-    /// unfixable) or awaits plan/execute/commit rounds.
-    pub fn begin<'a>(&mut self, mut req: SolveRequest<'a>) -> SolveSession<'a> {
-        let n = req.sg.n_ffs;
-        debug_assert_eq!(req.space.has_buffer.len(), n);
-
+        debug_assert_eq!(req.space.has_buffer.len(), req.sg.n_ffs);
         // 1. Violated constraints at x = 0 — the chip's fingerprint
-        // (reused scratch, returned when the session concludes).
+        // (reused scratch).
         let mut violated = std::mem::take(&mut self.violated);
         {
             let _obs = stage_obs("solve.stage.discovery");
             req.ic.collect_violations(req.sg, &mut violated);
         }
-        // Chip-level revalidation clears any cached decomposition whose
-        // invalidation keys no longer match; everything that survives is
-        // safe to replay in `plan`.
-        if let Some(st) = req.state.as_deref_mut() {
-            let epoch = req
-                .epoch
-                .expect("per-chip state rides a shared space epoch");
-            st.revalidate(req.sg, epoch, req.opts, &violated);
-        }
-        let radius = req.opts.region_radius;
-        let mut session = SolveSession {
-            req,
-            violated,
-            diag: PassDiagnostics::default(),
-            radius,
-            round: 0,
-            planned: false,
-            cold_regions: Vec::new(),
-            entry: 0,
-            cons: Vec::new(),
-            slots: Vec::new(),
-            n_tasks: 0,
-            done: None,
-        };
+        let mut diag = PassDiagnostics::default();
+        let result = self.solve_violated(&req, &violated, &mut diag);
+        self.violated = violated;
+        SolveOutcome { result, diag }
+    }
 
-        if session.violated.is_empty() {
-            session.conclude(
-                self,
-                SampleResult {
-                    feasible: true,
-                    exact: true,
-                    tunings: Vec::new(),
-                },
-            );
-            return session;
+    /// Everything after violation discovery: the unfixable-pair check,
+    /// the whole-chip saturation screen, then the region growth rounds.
+    fn solve_violated(
+        &mut self,
+        req: &SolveRequest<'_>,
+        violated: &[Violation],
+        diag: &mut PassDiagnostics,
+    ) -> SampleResult {
+        if violated.is_empty() {
+            return SampleResult::untuned(true);
         }
         // A violated constraint between two bufferless FFs is unfixable.
-        for i in 0..session.violated.len() {
-            let v = session.violated[i];
-            if !session.req.space.has_buffer[v.a as usize]
-                && !session.req.space.has_buffer[v.b as usize]
-            {
-                session.conclude(
-                    self,
-                    SampleResult {
-                        feasible: false,
-                        exact: true,
-                        tunings: Vec::new(),
-                    },
-                );
-                return session;
-            }
+        let has = &req.space.has_buffer;
+        if violated
+            .iter()
+            .any(|v| !has[v.a as usize] && !has[v.b as usize])
+        {
+            return SampleResult::untuned(false);
         }
-
         // 2. Infeasibility screen at full saturation: if the chip cannot be
         // configured even with *every* buffer free, no region growth can
         // help (a negative cycle stays negative), so decide this once with
-        // a single SPFA instead of growing regions toward it.  The
-        // carried per-chip witness seeds the solver's warm slot; it is
-        // fully re-validated there, so importing never changes the verdict.
+        // a single SPFA instead of growing regions toward it.
         let fixable = {
             let _obs = stage_obs("solve.stage.screen");
-            if let Some(st) = session.req.state.as_deref_mut() {
-                if st.fixable_ok {
-                    self.diff.import_witness(&st.fixable_witness);
-                }
-            }
-            let fixable = self.chip_fixable(session.req.sg, session.req.ic, session.req.space);
-            if let Some(st) = session.req.state.as_deref_mut() {
-                if fixable {
-                    if let Some(w) = self.diff.export_witness() {
-                        st.fixable_witness.clear();
-                        st.fixable_witness.extend_from_slice(w);
-                        st.fixable_ok = true;
-                    }
-                }
-            }
-            fixable
+            self.chip_fixable(req.sg, req.ic, req.space)
         };
         if !fixable {
-            session.conclude(
-                self,
-                SampleResult {
-                    feasible: false,
-                    exact: true,
-                    tunings: Vec::new(),
-                },
-            );
+            return SampleResult::untuned(false);
         }
-        session
-    }
-
-    /// Runs a batch of planned region searches and returns their outcomes
-    /// **in task order**.  With a pool attached and at least two tasks the
-    /// batch fans out across the pool's workers, each task on its own
-    /// [`SearchScratch`] (minted on demand, parked between batches);
-    /// otherwise the batch runs inline on the solver's own scratch.
-    /// Searches are pure, so the two paths are bit-identical.
-    ///
-    /// Tasks from several sessions may be aggregated into one call — an
-    /// outcome belongs to whichever session planned the task, at the same
-    /// index within that session's slice of the batch.
-    pub fn execute(
-        &mut self,
-        tasks: &[RegionTask],
-        space: &BufferSpace,
-        opts: &SolverOptions,
-        pool: Option<&rayon::ThreadPool>,
-        prune: bool,
-    ) -> Vec<RegionOutcome> {
-        if tasks.is_empty() {
-            return Vec::new();
-        }
-        let _obs = stage_obs("solve.stage.search");
-        match pool {
-            Some(pool) if tasks.len() >= 2 => {
-                let extra = &self.extra;
-                pool.install(|| {
-                    (0..tasks.len())
-                        .into_par_iter()
-                        .map(|i| {
-                            let _span = psbi_obs::Span::enter("solve.region.task");
-                            let t = &tasks[i];
-                            let mut scratch = extra
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .pop()
-                                .unwrap_or_default();
-                            let (out, stats) =
-                                scratch.search_region(&t.ffs, &t.cons, space, opts, prune);
-                            extra
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .push(scratch);
-                            RegionOutcome {
-                                out: Arc::new(out),
-                                stats,
-                            }
-                        })
-                        .collect()
-                })
+        // 3. Region rounds.  A region's optimal count exceeding the radius
+        // provably fits within radius = count, so two rounds suffice; a
+        // third guards the node-capped inexact case.
+        let mut radius = req.opts.region_radius;
+        let mut round = 0;
+        loop {
+            let acc = self.solve_round(req, violated, radius, diag);
+            if acc.need_radius == radius || round == 2 {
+                return SampleResult {
+                    feasible: true,
+                    exact: acc.exact && acc.need_radius == radius,
+                    tunings: acc.tunings,
+                };
             }
-            _ => tasks
-                .iter()
-                .map(|t| {
-                    let _span = psbi_obs::Span::enter("solve.region.task");
-                    let (out, stats) = self
-                        .search
-                        .search_region(&t.ffs, &t.cons, space, opts, prune);
-                    RegionOutcome {
-                        out: Arc::new(out),
-                        stats,
-                    }
-                })
-                .collect(),
+            radius = acc.need_radius;
+            round += 1;
         }
     }
 
-    /// Solves one sample from a borrowed constraint view (an
-    /// [`IntegerConstraints`] or one row of a
-    /// [`psbi_timing::ConstraintBatch`]), without cross-pass state.
-    #[deprecated(note = "build a `SolveRequest` and call `SampleSolver::solve`")]
-    pub fn solve_view(
+    /// One growth round: discovers the regions at `radius` and solves each
+    /// in pinned region order.
+    fn solve_round(
         &mut self,
-        sg: &SequentialGraph,
-        ic: ConstraintsView<'_>,
-        space: &BufferSpace,
-        push: PushObjective<'_>,
-        opts: &SolverOptions,
-    ) -> SampleResult {
-        self.solve(SolveRequest::new(sg, ic, space, push, opts))
-            .result
-    }
-
-    /// As the plain solve, accumulating the *workload* counters
-    /// (`regions_total`, `regions_saturated`) into `diag`.
-    #[deprecated(note = "build a `SolveRequest` and call `SampleSolver::solve`")]
-    pub fn solve_view_with_diag(
-        &mut self,
-        sg: &SequentialGraph,
-        ic: ConstraintsView<'_>,
-        space: &BufferSpace,
-        push: PushObjective<'_>,
-        opts: &SolverOptions,
+        req: &SolveRequest<'_>,
+        violated: &[Violation],
+        radius: usize,
         diag: &mut PassDiagnostics,
-    ) -> SampleResult {
-        let out = self.solve(SolveRequest::new(sg, ic, space, push, opts));
-        diag.merge(&out.diag);
-        out.result
-    }
-
-    /// Solves one sample with persistent per-chip state (see
-    /// [`SolveRequest::state`]).
-    #[deprecated(
-        note = "build a `SolveRequest::shared(..).state(..)` and call `SampleSolver::solve`"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_view_cached(
-        &mut self,
-        sg: &SequentialGraph,
-        ic: ConstraintsView<'_>,
-        space: &Arc<BufferSpace>,
-        push: PushObjective<'_>,
-        opts: &SolverOptions,
-        solve_state: &mut ChipSolveState,
-        diag: &mut PassDiagnostics,
-    ) -> SampleResult {
-        let out = self.solve(SolveRequest::shared(sg, ic, space, push, opts).state(solve_state));
-        diag.merge(&out.diag);
-        out.result
-    }
-
-    /// The full shared-state entry point: per-chip incremental state
-    /// (optional) plus a flow-level cross-chip [`RegionMemo`] (optional).
-    #[deprecated(
-        note = "build a `SolveRequest` with `.memo(..)` / `.state(..)` and call `SampleSolver::solve`"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_view_memo(
-        &mut self,
-        sg: &SequentialGraph,
-        ic: ConstraintsView<'_>,
-        space: &Arc<BufferSpace>,
-        push: PushObjective<'_>,
-        opts: &SolverOptions,
-        memo: Option<&RegionMemo>,
-        solve_state: Option<&mut ChipSolveState>,
-        diag: &mut PassDiagnostics,
-    ) -> SampleResult {
-        let mut req = SolveRequest::shared(sg, ic, space, push, opts);
-        if let Some(m) = memo {
-            req = req.memo(m);
+    ) -> RoundAcc {
+        let regions = {
+            let _obs = stage_obs("solve.stage.discovery");
+            self.collect_regions(req.sg, req.space, violated, radius)
+        };
+        let mut acc = RoundAcc {
+            tunings: Vec::new(),
+            exact: true,
+            need_radius: radius,
+        };
+        for region in &regions {
+            diag.regions_total += 1;
+            if region.ffs.len() > req.opts.region_cap {
+                diag.regions_saturated += 1;
+            }
+            let cons = materialize_cons(region, req.ic, req.space);
+            let outcome = self.region_outcome(req, region, &cons, diag);
+            self.apply_outcome(req, region, &cons, &outcome, radius, &mut acc);
         }
-        if let Some(st) = solve_state {
-            req = req.state(st);
+        acc
+    }
+
+    /// The region's push-independent search outcome: replayed from the
+    /// memo on an exact key match, otherwise searched fresh and published.
+    fn region_outcome(
+        &mut self,
+        req: &SolveRequest<'_>,
+        region: &Region,
+        cons: &[RegCons],
+        diag: &mut PassDiagnostics,
+    ) -> Arc<CachedOutcome> {
+        let entry = req
+            .memo
+            .map(|memo| (memo, MemoKey::capture(region, cons, req.space, req.opts)));
+        if let Some((memo, key)) = &entry {
+            if let Some(hit) = memo.lookup(key) {
+                diag.cross_chip_hits += 1;
+                psbi_obs::metrics::counter_add("solve.memo.hit", 1);
+                if psbi_fault::failpoint!("memo.replay.corrupt") {
+                    // Injected cache corruption: a claimed-feasible outcome
+                    // whose support is empty.  Downstream this yields a chip
+                    // "fixed" with no tunings — exactly the class of silent
+                    // wrong answer the independent verifier must flag.
+                    return Arc::new(CachedOutcome::Feasible {
+                        count: 0,
+                        support: Vec::new(),
+                        witness: Vec::new(),
+                        exact: true,
+                    });
+                }
+                return hit;
+            }
+            psbi_obs::metrics::counter_add("solve.memo.miss", 1);
         }
-        let out = self.solve(req);
-        diag.merge(&out.diag);
-        out.result
+        let (outcome, stats) = {
+            let _obs = stage_obs("solve.stage.search");
+            self.search
+                .search_region(&region.ffs, cons, req.space, req.opts, req.search_prune)
+        };
+        diag.search_nodes += stats.nodes;
+        diag.search_pruned_bound += stats.pruned_bound;
+        diag.search_pruned_symmetry += stats.pruned_symmetry;
+        let outcome = Arc::new(outcome);
+        if let Some((memo, key)) = entry {
+            memo.publish(key, Arc::clone(&outcome));
+            psbi_obs::metrics::counter_add("solve.memo.publish", 1);
+        }
+        outcome
     }
 
     /// Applies one region's search outcome to the round accumulator:
-    /// growth bookkeeping plus the pass's push objective.
-    #[allow(clippy::too_many_arguments)]
+    /// growth bookkeeping plus the request's push objective.
     fn apply_outcome(
         &mut self,
+        req: &SolveRequest<'_>,
         region: &Region,
         cons: &[RegCons],
         outcome: &CachedOutcome,
-        space: &BufferSpace,
-        push: PushObjective<'_>,
-        opts: &SolverOptions,
         radius: usize,
         acc: &mut RoundAcc,
     ) {
@@ -1164,7 +590,9 @@ impl SampleSolver {
                 }
                 let tunings = {
                     let _obs = stage_obs("solve.stage.milp");
-                    self.finish_region(region, cons, space, *count, support, witness, push, opts)
+                    self.finish_region(
+                        region, cons, req.space, *count, support, witness, req.push, req.opts,
+                    )
                 };
                 acc.tunings.extend(tunings);
                 acc.exact &= exact;
@@ -1182,10 +610,9 @@ impl SampleSolver {
     /// One SPFA over the whole circuit with every buffer free: can this
     /// chip be configured at all?
     ///
-    /// Uses the warm-started solver: the witness carried for this chip
-    /// (incremental mode) or left by the previous chip (workspace reuse)
-    /// usually still fits, in which case this is a single `O(edges)`
-    /// validation sweep with no graph build at all.
+    /// Uses the warm-started solver: the witness left by the previous
+    /// chip (workspace reuse) usually still fits, in which case this is a
+    /// single `O(edges)` validation sweep with no graph build at all.
     fn chip_fixable(
         &mut self,
         sg: &SequentialGraph,
@@ -1267,8 +694,7 @@ impl SampleSolver {
     /// constraint endpoint, split into connected components.
     ///
     /// This is the region-*discovery* half of the solve — a pure function
-    /// of (`has_buffer`, ordered violated endpoints, `radius`, graph), the
-    /// exact triple the decomposition cache keys on.
+    /// of (`has_buffer`, ordered violated endpoints, `radius`, graph).
     fn collect_regions(
         &mut self,
         sg: &SequentialGraph,
@@ -1426,8 +852,8 @@ impl SampleSolver {
     ///
     /// The MILP is warm-started with the search witness — a verified
     /// feasible point supplied identically whether the witness came from a
-    /// fresh search or an incremental replay, so the warm start never
-    /// distinguishes the two modes.
+    /// fresh search or a memo replay, so the warm start never
+    /// distinguishes the two.
     #[allow(clippy::too_many_arguments)]
     fn concentrate(
         &mut self,
@@ -1663,11 +1089,10 @@ impl SampleSolver {
 /// of those bounds are vacuous).  Violated bounds are negative and caps
 /// never are, so every violated constraint survives exactly.
 ///
-/// Normalisation is applied identically on the cold and incremental
-/// paths (it is part of the materialisation, not the cache), and it
-/// makes the materialised system — and therefore the outcome-replay and
-/// cross-chip memo fingerprints — invariant to slack drift on
-/// non-binding constraints.  That is what lets adjacent sweep targets,
+/// Normalisation is applied identically with and without the memo (it is
+/// part of the materialisation, not the cache), and it makes the
+/// materialised system — and therefore the memo key — invariant to slack
+/// drift on non-binding constraints.  That is what lets adjacent sweep targets,
 /// whose period shift perturbs every non-critical bound by a step or
 /// two, still replay each other's search outcomes for chips whose
 /// *binding* structure is unchanged.

@@ -1,21 +1,21 @@
-//! The cross-chip region-solve memo table.
+//! The cross-chip region-solve memo table — the solver's one cache tier.
 //!
 //! Monte-Carlo chips drawn from one variation model concentrate onto a
 //! small number of distinct violated-endpoint patterns, and the
 //! saturation-normalised materialisation (see
 //! [`materialize_cons`](super::materialize_cons)) collapses their
 //! non-binding slack drift on top — so one flow re-derives the *same*
-//! region subproblem hundreds of times across chips.  The per-chip
-//! [`ChipSolveState`](super::ChipSolveState) arenas can only replay a
-//! chip's **own** history; this module dedups across chips (and, through
-//! the shared [`WorkspacePool`](crate::flow::WorkspacePool), across the
-//! concurrently running sweep targets of one circuit's fleet job group).
+//! region subproblem hundreds of times: across chips of one pass, across
+//! the passes of one chip (A1 → A3 → B1 → B2 share most region systems),
+//! and, through the shared [`WorkspacePool`](crate::flow::WorkspacePool),
+//! across the sweep targets of one circuit's fleet job group.  One table
+//! keyed by the exact region system dedups all three.
 //!
 //! # Correctness model
 //!
 //! A region search outcome is a **pure function** of the saturation-
-//! normalised region system — the pinned tie-breaking introduced with the
-//! incremental layer (see [`super::search`]) makes the returned support a
+//! normalised region system — the pinned tie-breaking of the support
+//! search (see [`super::search`]) makes the returned support a
 //! deterministic function of exactly the inputs captured in [`MemoKey`]:
 //!
 //! * the region's flip-flops in pinned BFS order (the search's slot
@@ -33,7 +33,7 @@
 //! A memo hit therefore returns a bit-identical outcome regardless of
 //! which worker computed it first, which is what keeps flow results and
 //! fleet journals byte-identical for any worker count and with the table
-//! disabled (`PSBI_NO_CROSSCHIP=1`).
+//! detached (reference mode, `PSBI_REFERENCE=1`).
 //!
 //! # Concurrency
 //!
@@ -44,20 +44,102 @@
 //! would have inserted bit for bit.  Outcomes are stored (and handed
 //! out) behind `Arc`, so a hit never copies the support/witness vectors.
 
-use super::state::CachedOutcome;
-use super::{RegCons, Region, SolverOptions};
-use crate::solve::BufferSpace;
+use super::{BufferSpace, RegCons, Region, SolverOptions};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
+
+/// Workload and cache-efficacy counters of one sampling pass, aggregated
+/// over chips.
+///
+/// The workload counters are deterministic (order-free sums over
+/// per-chip events).  [`PassDiagnostics::cross_chip_hits`] — and, through
+/// it, [`PassDiagnostics::search_nodes`] — is **not** with more than one
+/// worker: whether a chip hits the shared memo table depends on which
+/// racing worker published the key first.  None of it is part of any
+/// canonical output surface — the counters differ between the default
+/// and the reference mode (`PSBI_REFERENCE=1`), so journals and canonical
+/// reports must never embed them.
+///
+/// Per-stage wall times live in the `psbi_obs` metrics histograms
+/// (`solve.stage.discovery` / `.screen` / `.search` / `.milp`), recorded
+/// only when the registry is armed, so the disarmed solve pays no clock
+/// reads at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct PassDiagnostics {
+    /// Regions processed (counted once per round they participate in).
+    pub regions_total: u64,
+    /// Regions larger than [`SolverOptions::region_cap`], solved by the
+    /// inexact sparsified-witness fallback.
+    pub regions_saturated: u64,
+    /// Always 0: the per-chip cache tier that counted decomposition
+    /// replays is gone.  Kept only because the benchmark ledger still
+    /// reads it; its next change drops the field.
+    pub regions_reused: u64,
+    /// Always 0, for the same reason as
+    /// [`PassDiagnostics::regions_reused`].
+    pub supports_rehit: u64,
+    /// Regions whose search outcome was replayed from the flow-level memo
+    /// table — published by any chip of any pass, this chip's own earlier
+    /// passes included.  Schedule-dependent with more than one worker;
+    /// results never are.
+    pub cross_chip_hits: u64,
+    /// Branch-and-bound nodes visited by fresh region searches.  Each
+    /// search's count is a deterministic function of its region system
+    /// and the prune mode, but the *sum* inherits the memo caveat above:
+    /// a racy memo hit skips a search entirely.  Single-worker runs are
+    /// exactly reproducible (what the perf gate pins).
+    pub search_nodes: u64,
+    /// Subtrees cut by the covering/matching/cascade lower bounds.
+    pub search_pruned_bound: u64,
+    /// `In` branches skipped by symmetry breaking (lower-slot
+    /// interchangeable twin already explored).
+    pub search_pruned_symmetry: u64,
+}
+
+impl PassDiagnostics {
+    /// Accumulates another pass/chunk worth of counters.
+    pub fn merge(&mut self, other: &Self) {
+        self.regions_total += other.regions_total;
+        self.regions_saturated += other.regions_saturated;
+        self.regions_reused += other.regions_reused;
+        self.supports_rehit += other.supports_rehit;
+        self.cross_chip_hits += other.cross_chip_hits;
+        self.search_nodes += other.search_nodes;
+        self.search_pruned_bound += other.search_pruned_bound;
+        self.search_pruned_symmetry += other.search_pruned_symmetry;
+    }
+}
+
+/// Push-independent search outcome of one region (the part of a region
+/// solve that [`PushObjective`](super::PushObjective) does not
+/// influence) — what the memo stores, behind `Arc` so publishing or
+/// replaying an outcome never copies the support/witness vectors.
+#[derive(Debug, Clone)]
+pub(crate) enum CachedOutcome {
+    /// The region (at this radius) admits no feasible support.
+    Infeasible,
+    /// A support was found.
+    Feasible {
+        /// Support size (the paper's per-chip `n_k` contribution).
+        count: usize,
+        /// The support FFs, in pinned search order.
+        support: Vec<u32>,
+        /// Witness tuning per support entry.
+        witness: Vec<i64>,
+        /// Whether the search proved optimality.
+        exact: bool,
+    },
+}
 
 /// Shard count: enough to make cross-worker contention rare at realistic
 /// core counts while keeping the empty table's footprint trivial.
 const SHARDS: usize = 64;
 
 /// The exact value of one saturation-normalised region system — the full
-/// read set of [`SampleSolver::search_region`](super::SampleSolver), and
-/// therefore the complete invalidation key of its outcome.
+/// read set of the region search, and therefore the complete invalidation
+/// key of its outcome.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct MemoKey {
     /// Region FFs in pinned BFS order (global indices; the table is
@@ -118,13 +200,12 @@ impl MemoKey {
 /// search outcomes, keyed by the exact saturation-normalised region
 /// system (see the module docs).
 ///
-/// One table serves **one** flow — like the per-chip state arenas it is
-/// owner-keyed in the [`WorkspacePool`](crate::flow::WorkspacePool), so a
-/// cached region can never be replayed against a different circuit's
-/// graph.  Unlike the arenas it is shared (`Arc`) rather than checked out
-/// exclusively: concurrent `run_target` calls of one flow — a fleet
-/// sweeping several sigma targets of one circuit in parallel — all read
-/// and publish into the same table.
+/// One table serves **one** flow — it is owner-keyed in the
+/// [`WorkspacePool`](crate::flow::WorkspacePool), so a cached region can
+/// never be replayed against a different circuit's graph.  It is shared
+/// (`Arc`) rather than checked out exclusively: concurrent `run_target`
+/// calls of one flow — a fleet sweeping several sigma targets of one
+/// circuit in parallel — all read and publish into the same table.
 #[derive(Default)]
 pub struct RegionMemo {
     shards: Vec<Mutex<HashMap<MemoKey, Arc<CachedOutcome>>>>,

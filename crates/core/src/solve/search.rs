@@ -3,9 +3,9 @@
 //! Split out of the orchestration layer ([`super`]) so region *solving* is
 //! a pure function of its inputs: the region's flip-flops, the
 //! materialised constraint bounds, the tuning windows and the solver
-//! limits.  Nothing here reads or writes cross-pass state — incremental
-//! reuse happens one level up by *replaying* a cached outcome after an
-//! exact input comparison, never by steering this search.
+//! limits.  Nothing here reads or writes cross-chip state — memo reuse
+//! happens one level up by *replaying* a cached outcome after an exact
+//! key comparison, never by steering this search.
 //!
 //! # Pinned tie-breaking
 //!
@@ -21,22 +21,23 @@
 //!   first optimal-count support reached in that order is the one
 //!   returned.
 //!
-//! This is what lets the incremental layer cache a region's outcome and
-//! replay it later: re-running the search on identical inputs provably
-//! reproduces the cached support bit for bit.  (Seeding the search with a
-//! cached incumbent instead was considered and rejected: under
+//! This is what lets the memo cache a region's outcome and replay it
+//! later: re-running the search on identical inputs provably reproduces
+//! the cached support bit for bit.  (Seeding the search with a cached
+//! incumbent instead was considered and rejected: under
 //! [`SolverOptions::bb_node_cap`](super::SolverOptions::bb_node_cap) a
 //! seeded search can exhaust its node budget at a different point than an
 //! unseeded one and return an observably different fallback, breaking the
-//! `PSBI_NO_INCREMENTAL` bit-identity contract.)
+//! bit identity between cached and uncached runs.)
 //!
 //! # Pruning (node elimination that preserves the pin)
 //!
-//! With `prune` enabled (the default; `PSBI_NO_SEARCH_PRUNE=1` reverts to
-//! the reference search) three rules cut the node count.  Each one is
-//! chosen so the *returned* `(count, support, witness, exact)` is provably
-//! the one the reference search returns — the pinned tie-break order above
-//! is preserved, not re-pinned:
+//! With `prune` enabled (the default; the flow's reference mode,
+//! `PSBI_REFERENCE=1`, runs the reference search) three rules cut the
+//! node count.  Each one is chosen so the *returned*
+//! `(count, support, witness, exact)` is provably the one the reference
+//! search returns — the pinned tie-break order above is preserved, not
+//! re-pinned:
 //!
 //! 1. **Bitset covering bounds.**  A support must contain an endpoint of
 //!    every violated constraint (both endpoints untuned ⇒ `0 ≤ bound < 0`
@@ -62,15 +63,7 @@
 //!    on whatever slot the pinned rule picks; interchangeable slots have
 //!    equal coverage scores, so the class's lowest slot is branched first
 //!    and acts as the representative.
-//! 3. **Dominance elimination.**  Slot `v` is *dominated* by `u` when the
-//!    swap maps the constraint multiset onto itself and `v`'s window is a
-//!    strict subset of `u`'s (the wider-window twin can do anything the
-//!    narrower one can).  Rule: skip `v`'s `In` branch whenever `u` is
-//!    `Out` — the same swap argument applies; the witness value moved
-//!    from `v` to `u` stays inside `u`'s wider window.  (Folding dominated
-//!    slots away at the root instead is unsound: a support may need *both*
-//!    twins.)
-//! 4. **Cascade lower bound.**  Once every violated constraint is covered
+//! 3. **Cascade lower bound.**  Once every violated constraint is covered
 //!    the covering bounds go blind, yet supports must often keep growing
 //!    because tuning one flip-flop violates the *tight non-violated*
 //!    constraints next to it — the regime where the reference search
@@ -89,8 +82,8 @@
 //! [`SolverOptions::bb_node_cap`](super::SolverOptions::bb_node_cap):
 //! a region that exhausts the cap only in reference mode returns its
 //! greedy fallback there and the proven optimum here.  The CI parity
-//! legs (`PSBI_NO_SEARCH_PRUNE=1` determinism / fleet `cmp`) pin that
-//! the shipped workloads stay on the agreeing side.
+//! legs (`PSBI_REFERENCE=1` determinism / fleet `cmp`) pin that the
+//! shipped workloads stay on the agreeing side.
 
 use super::{RegCons, NONE};
 use psbi_timing::feasibility::{Arc, DiffSolver};
@@ -106,7 +99,7 @@ pub(crate) enum Decision {
 /// fixed region system and prune mode (the search is a pure function);
 /// aggregated into [`PassDiagnostics`](super::PassDiagnostics) and the
 /// armed-only obs counters `solve.search.nodes` /
-/// `solve.search.pruned.{bound,dominance,symmetry}`.
+/// `solve.search.pruned.{bound,symmetry}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct SearchStats {
     /// Branch-and-bound nodes visited (recursion entries).
@@ -114,9 +107,6 @@ pub(crate) struct SearchStats {
     /// Subtrees cut by the covering/matching lower bounds (including the
     /// trivial incumbent bound — also counted in reference mode).
     pub(crate) pruned_bound: u64,
-    /// `In` branches skipped because a dominating wider-window twin was
-    /// `Out`.
-    pub(crate) pruned_dominance: u64,
     /// `In` branches skipped because a lower-slot interchangeable twin
     /// was `Out`.
     pub(crate) pruned_symmetry: u64,
@@ -126,7 +116,7 @@ impl SearchStats {
     /// Total subtrees eliminated by any rule.
     #[cfg(test)]
     pub(crate) fn pruned_total(&self) -> u64 {
-        self.pruned_bound + self.pruned_dominance + self.pruned_symmetry
+        self.pruned_bound + self.pruned_symmetry
     }
 }
 
@@ -149,7 +139,7 @@ pub(crate) enum SearchPhase {
 
 /// Reusable buffers of the pruning machinery: coverage bitsets, the
 /// incremental uncovered mask with its save/restore stack, and the
-/// symmetry/dominance guard links.  Owned by the per-thread
+/// symmetry guard links.  Owned by the per-thread
 /// `SearchScratch` and taken for each region, so a steady-state pass
 /// allocates nothing here.
 #[derive(Debug, Default)]
@@ -166,9 +156,9 @@ pub(crate) struct PruneScratch {
     mask_stack: Vec<u64>,
     /// Per violated constraint: its endpoints' local slots (or `NONE`).
     vio_ends: Vec<(u32, u32)>,
-    /// Flattened guard links: `(guard slot, is_symmetry)` — when the
-    /// guard is `Out`, the owning slot's `In` branch is skipped.
-    pub(crate) links: Vec<(u32, bool)>,
+    /// Flattened symmetry guard links: when a guard slot is `Out`, the
+    /// owning slot's `In` branch is skipped.
+    pub(crate) links: Vec<u32>,
     /// `links` range of slot `v` is `link_start[v] .. link_start[v + 1]`.
     pub(crate) link_start: Vec<u32>,
     /// Per-node scratch: undecided slots' uncovered-coverage popcounts.
@@ -275,8 +265,8 @@ pub(crate) struct SupportSearch<'a> {
     pub(crate) best: Option<(usize, Vec<u32>, Vec<i64>)>,
     pub(crate) node_cap: usize,
     pub(crate) exact: bool,
-    /// Dominance/symmetry/bitset pruning on (the production default) or
-    /// off (the byte-parity reference mode, `PSBI_NO_SEARCH_PRUNE=1`).
+    /// Symmetry/bitset/cascade pruning on (the production default) or
+    /// off (the byte-parity reference mode, `PSBI_REFERENCE=1`).
     pub(crate) prune: bool,
     pub(crate) stats: SearchStats,
     /// Per-node scratch, borrowed from [`super::SampleSolver`] for the
@@ -467,8 +457,7 @@ impl SupportSearch<'_> {
     }
 
     /// One-time pruning setup for a region that will branch: coverage
-    /// bitsets, the root uncovered mask, and the symmetry/dominance
-    /// guard links.  Only runs with `prune` on, after the root relaxation
+    /// bitsets, the root uncovered mask, and the symmetry guard links.  Only runs with `prune` on, after the root relaxation
     /// check, for regions within `region_cap` (≤ 48 slots by default, so
     /// the pairwise twin scan is small).
     pub(crate) fn prepare_prune(&mut self) {
@@ -550,25 +539,16 @@ impl SupportSearch<'_> {
         }
 
         // Guard links.  For every slot v (ascending — `link_start` is a
-        // prefix index) find the twins whose `Out` makes v's `In` branch
-        // redundant: lower interchangeable slots (symmetry, lowest slot
-        // is the class representative) and strictly-wider-window twins
-        // (dominance, either slot order — any `Out` guard was branched
-        // at an ancestor with its `In` subtree fully explored first).
+        // prefix index) find the lower interchangeable slots whose `Out`
+        // makes v's `In` branch redundant (the lowest slot is the class
+        // representative).
         ps.links.clear();
         ps.link_start.clear();
         ps.link_start.push(0);
         for v in 0..m {
             let wv = bounds[region_ffs[v] as usize];
-            for u in 0..m {
-                if u == v {
-                    continue;
-                }
-                let wu = bounds[region_ffs[u] as usize];
-                let equal = wu == wv;
-                let wider = wu.0 <= wv.0 && wu.1 >= wv.1 && !equal;
-                let sym = equal && u < v;
-                if !sym && !wider {
+            for u in 0..v {
+                if bounds[region_ffs[u] as usize] != wv {
                     continue;
                 }
                 // Degree prefilter: a swap maps v's row onto u's.
@@ -610,7 +590,7 @@ impl SupportSearch<'_> {
                 ps.pair_orig.sort_unstable();
                 ps.pair_swap.sort_unstable();
                 if ps.pair_orig == ps.pair_swap {
-                    ps.links.push((u as u32, sym));
+                    ps.links.push(u as u32);
                 }
             }
             ps.link_start.push(ps.links.len() as u32);
@@ -768,15 +748,14 @@ impl SupportSearch<'_> {
         }
     }
 
-    /// Whether the pinned rules let `v`'s `In` branch be skipped at the
-    /// current state: `Some(is_symmetry)` when a guard twin is `Out`.
-    fn in_skip(&self, v: usize, state: &[Decision]) -> Option<bool> {
+    /// Whether the symmetry rule lets `v`'s `In` branch be skipped at the
+    /// current state: some lower interchangeable twin is `Out`.
+    fn in_skip(&self, v: usize, state: &[Decision]) -> bool {
         let s = self.ps.link_start[v] as usize;
         let e = self.ps.link_start[v + 1] as usize;
         self.ps.links[s..e]
             .iter()
-            .find(|(u, _)| state[*u as usize] == Decision::Out)
-            .map(|&(_, sym)| sym)
+            .any(|&u| state[u as usize] == Decision::Out)
     }
 
     /// Bitset lower bound on *additional* support slots: the max of the
@@ -959,32 +938,25 @@ impl SupportSearch<'_> {
         let Some(v) = pick else {
             return; // everything decided yet infeasible with In
         };
-        let skip_in = if self.prune {
-            self.in_skip(v, state)
+        if self.prune && self.in_skip(v, state) {
+            self.stats.pruned_symmetry += 1;
         } else {
-            None
-        };
-        match skip_in {
-            Some(true) => self.stats.pruned_symmetry += 1,
-            Some(false) => self.stats.pruned_dominance += 1,
-            None => {
-                state[v] = Decision::In;
-                if self.prune {
-                    let words = self.ps.words;
-                    let base = self.ps.mask_stack.len();
-                    for w in 0..words {
-                        let cur = self.ps.uncovered[w];
-                        self.ps.mask_stack.push(cur);
-                        self.ps.uncovered[w] = cur & !self.ps.cov[v * words + w];
-                    }
-                    self.recurse(state, true);
-                    for w in 0..words {
-                        self.ps.uncovered[w] = self.ps.mask_stack[base + w];
-                    }
-                    self.ps.mask_stack.truncate(base);
-                } else {
-                    self.recurse(state, true);
+            state[v] = Decision::In;
+            if self.prune {
+                let words = self.ps.words;
+                let base = self.ps.mask_stack.len();
+                for w in 0..words {
+                    let cur = self.ps.uncovered[w];
+                    self.ps.mask_stack.push(cur);
+                    self.ps.uncovered[w] = cur & !self.ps.cov[v * words + w];
                 }
+                self.recurse(state, true);
+                for w in 0..words {
+                    self.ps.uncovered[w] = self.ps.mask_stack[base + w];
+                }
+                self.ps.mask_stack.truncate(base);
+            } else {
+                self.recurse(state, true);
             }
         }
         state[v] = Decision::Out;

@@ -1,11 +1,11 @@
 //! Independent re-verification of a finished [`InsertionResult`].
 //!
-//! The flow's four-layer cache stack (warm witnesses, per-chip
-//! [`crate::solve::ChipSolveState`], the cross-chip
-//! [`crate::solve::RegionMemo`], saturation elision) is proven correct by
-//! parity tests, but a long-running campaign wants a *runtime* check: an
-//! answer that can be re-derived from the raw inputs, with none of the
-//! caches in the loop.  This module is that check.
+//! The flow's fast paths (warm witnesses, the cross-chip
+//! [`crate::solve::RegionMemo`], saturation elision, search pruning) are
+//! proven correct by parity tests against the reference mode, but a
+//! long-running campaign wants a *runtime* check: an answer that can be
+//! re-derived from the raw inputs, with none of the fast paths in the
+//! loop.  This module is that check.
 //!
 //! [`verify_insertion`] re-draws every sampled chip of the insertion and
 //! yield streams through the scalar single-chip path
@@ -84,9 +84,9 @@ impl std::fmt::Display for VerifyReport {
 /// What the flow's passes claimed, handed to the verifier by
 /// `run_target` (borrowed straight from the pass outputs).
 pub(crate) struct PassClaims<'a> {
-    /// The A1 space epoch: every FF buffered, floating bounds.
+    /// The A1 buffer space: every FF buffered, floating bounds.
     pub(crate) space_floating: &'a BufferSpace,
-    /// The B-pass space epoch: pruned buffers, assigned windows.
+    /// The B-pass buffer space: pruned buffers, assigned windows.
     pub(crate) space_b: &'a BufferSpace,
     /// Per-chip A1 feasibility verdicts.
     pub(crate) a1_feasible: &'a [bool],

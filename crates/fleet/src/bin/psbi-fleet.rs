@@ -7,8 +7,6 @@
 //! psbi-fleet run    --spec campaign.json --journal c.journal
 //!                   [--workers N] [--max-jobs K] [--report out.json]
 //!                   [--with-timings] [--quiet] [--progress]
-//!                   [--no-incremental] [--no-cross-chip]
-//!                   [--no-region-parallel] [--no-search-prune]
 //!                   [--retries N] [--verify] [--trace trace.json]
 //! psbi-fleet report --spec campaign.json --journal c.journal
 //!                   [--json out.json] [--with-timings]
@@ -101,8 +99,6 @@ fn usage() -> ExitCode {
          \x20 psbi-fleet run    --spec campaign.json --journal c.journal\n\
          \x20                   [--workers N] [--max-jobs K] [--report out.json]\n\
          \x20                   [--with-timings] [--quiet] [--progress]\n\
-         \x20                   [--no-incremental] [--no-cross-chip]\n\
-         \x20                   [--no-region-parallel] [--no-search-prune]\n\
          \x20                   [--retries N] [--verify] [--trace trace.json]\n\
          \x20 psbi-fleet report --spec campaign.json --journal c.journal\n\
          \x20                   [--json out.json] [--with-timings]\n\
@@ -226,13 +222,6 @@ fn cmd_run(args: &Args) -> Result<(), FleetError> {
         max_jobs: args.get("max-jobs"),
         // On by default; --quiet silences it, --progress overrides --quiet.
         progress: args.has("progress") || !args.has("quiet"),
-        // Results are bit-identical either way; --no-incremental (like
-        // PSBI_NO_INCREMENTAL=1) and --no-cross-chip (like
-        // PSBI_NO_CROSSCHIP=1) exist for debugging and A/B timing.
-        incremental: !args.has("no-incremental"),
-        cross_chip: !args.has("no-cross-chip"),
-        region_parallel: !args.has("no-region-parallel"),
-        search_prune: !args.has("no-search-prune"),
         retries: args.get("retries").unwrap_or(2),
         // PSBI_VERIFY=1 force-enables verification inside the flow even
         // without the flag.

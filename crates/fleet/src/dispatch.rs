@@ -1059,10 +1059,17 @@ fn handle_worker(
     update_gauges(&t);
     drop(t);
     state.wake.notify_all();
-    if let Err(e) = &outcome {
-        eprintln!("psbi-fleet: serve: worker `{worker_name}` session ended: {e}");
+    match outcome {
+        // Once shutdown has begun, `initiate_shutdown` closes every worker
+        // socket, so a reply racing it (the last `ack`, a `wait`) fails
+        // with a broken pipe.  That is normal teardown, not a lost worker.
+        Err(_) if state.shutdown.load(Ordering::SeqCst) => Ok(()),
+        Err(e) => {
+            eprintln!("psbi-fleet: serve: worker `{worker_name}` session ended: {e}");
+            Err(e)
+        }
+        Ok(()) => Ok(()),
     }
-    outcome
 }
 
 fn worker_session(
@@ -1220,6 +1227,31 @@ mod tests {
 
     fn tmp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("psbi_dispatch_test_{tag}_{}", std::process::id()))
+    }
+
+    #[test]
+    fn session_error_after_once_shutdown_is_normal_teardown() {
+        // A `once` dispatcher shuts down as soon as its campaign ends, and
+        // a worker session can be mid-reply at that moment: the reply
+        // hits a socket `initiate_shutdown` already closed.  Replay that
+        // order deterministically with a raw worker whose heartbeat is
+        // answered after shutdown began and after its write half closed.
+        let dispatcher = Dispatcher::bind(ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            once: true,
+            ..ServeOptions::default()
+        })
+        .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut worker = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        write_msg(&mut worker, &Msg::Heartbeat { lease: 7 }).unwrap();
+        initiate_shutdown(&dispatcher.state);
+        conn.shutdown(Shutdown::Write).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let writer = Arc::new(Mutex::new(conn));
+        let outcome = handle_worker(&dispatcher.state, &mut reader, &writer, "raw");
+        assert!(outcome.is_ok(), "teardown reported as failure: {outcome:?}");
     }
 
     #[test]

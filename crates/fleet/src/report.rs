@@ -50,20 +50,16 @@ pub struct CampaignReport {
     pub records: Vec<JobRecord>,
     /// Per-job wall seconds (`None` when resumed or unavailable).
     pub job_wall_s: Vec<Option<f64>>,
-    /// Per-job incremental-cache counters (`None` when resumed or
-    /// unavailable).  Non-canonical, exactly like the wall times: they
-    /// vary with worker scheduling and the `PSBI_NO_INCREMENTAL` escape
-    /// hatch, so they live outside the canonical byte surface.
+    /// Per-job solver counters (`None` when resumed or unavailable).
+    /// Non-canonical, exactly like the wall times: they vary with worker
+    /// scheduling and the `PSBI_REFERENCE` switch, so they live outside
+    /// the canonical byte surface.
     ///
     /// Resumed jobs are always `None`: diagnostics are quarantined from
     /// the journal by design, so a resumed campaign only reports the
     /// jobs *this* invocation executed (the tables and the
     /// `solver_cache` section say so explicitly).
     pub job_diagnostics: Vec<Option<FlowDiagnostics>>,
-    /// Peak chip-state slots resident in the shared pool during the
-    /// producing invocation (`None` when rendered from a journal).
-    /// Non-canonical, like the wall times.
-    pub peak_resident_states: Option<u64>,
     /// Wall time of the producing invocation, when known.
     pub wall_s: Option<f64>,
 }
@@ -78,7 +74,6 @@ impl CampaignReport {
             records: outcome.records.clone(),
             job_wall_s: outcome.job_wall_s.clone(),
             job_diagnostics: outcome.job_diagnostics.clone(),
-            peak_resident_states: Some(outcome.peak_resident_states),
             wall_s: Some(outcome.wall_s),
         }
     }
@@ -92,14 +87,13 @@ impl CampaignReport {
             total_jobs: total,
             job_wall_s: vec![None; total],
             job_diagnostics: vec![None; total],
-            peak_resident_states: None,
             records,
             wall_s: None,
         }
     }
 
-    /// Incremental-cache counters summed over the jobs this invocation
-    /// executed, when any were recorded.
+    /// Solver counters summed over the jobs this invocation executed,
+    /// when any were recorded.
     pub fn solver_cache_totals(&self) -> Option<psbi_core::solve::PassDiagnostics> {
         let mut any = false;
         let mut total = psbi_core::solve::PassDiagnostics::default();
@@ -235,20 +229,9 @@ impl CampaignReport {
             let _ = writeln!(
                 out,
                 "solver cache (executed jobs; resumed jobs' counters stay in the \
-                 journal-quarantined past): {} regions reused, {} supports rehit, \
-                 {} cross-chip memo hits, {} of {} regions saturated region_cap",
-                cache.regions_reused,
-                cache.supports_rehit,
-                cache.cross_chip_hits,
-                cache.regions_saturated,
-                cache.regions_total
-            );
-        }
-        if let Some(peak) = self.peak_resident_states {
-            let _ = writeln!(
-                out,
-                "peak resident solver state: {peak} chip slots (arenas freed as \
-                 each circuit's job group completed)"
+                 journal-quarantined past): {} cross-chip memo hits, {} of {} regions \
+                 saturated region_cap",
+                cache.cross_chip_hits, cache.regions_saturated, cache.regions_total
             );
         }
         if let Some(wall) = self.wall_s {
@@ -329,10 +312,9 @@ impl CampaignReport {
                 self.wall_s
                     .map_or_else(|| "null".to_string(), |v| format!("{v:.6}"))
             );
-            // The incremental-solver counters ride in the same
-            // non-canonical section as the wall times: both vary with
-            // scheduling and the PSBI_NO_INCREMENTAL escape hatch while
-            // the canonical results do not.
+            // The solver counters ride in the same non-canonical section
+            // as the wall times: both vary with scheduling and the
+            // PSBI_REFERENCE switch while the canonical results do not.
             match self.solver_cache_totals() {
                 Some(cache) => {
                     let _ = writeln!(out, "  }},");
@@ -343,15 +325,7 @@ impl CampaignReport {
                         "    \"regions_saturated\": {},",
                         cache.regions_saturated
                     );
-                    let _ = writeln!(out, "    \"regions_reused\": {},", cache.regions_reused);
-                    let _ = writeln!(out, "    \"supports_rehit\": {},", cache.supports_rehit);
-                    let _ = writeln!(out, "    \"cross_chip_hits\": {},", cache.cross_chip_hits);
-                    let _ = writeln!(
-                        out,
-                        "    \"peak_resident_states\": {}",
-                        self.peak_resident_states
-                            .map_or_else(|| "null".to_string(), |v| v.to_string())
-                    );
+                    let _ = writeln!(out, "    \"cross_chip_hits\": {}", cache.cross_chip_hits);
                     let _ = writeln!(out, "  }}");
                 }
                 None => {

@@ -58,33 +58,6 @@ pub struct FleetOptions {
     /// lifecycle.  Canonical outputs are byte-identical with tracing on
     /// or off (`tests/obs.rs` pins this).
     pub trace: Option<PathBuf>,
-    /// Carry incremental solver state across the passes of each job and
-    /// across adjacent sweep targets of one circuit (see
-    /// `psbi_core::solve`).  Results are bit-identical either way — this
-    /// is a performance knob, which is why it lives here and not in the
-    /// fingerprinted [`CampaignSpec`].  `PSBI_NO_INCREMENTAL=1` overrides
-    /// it process-wide.
-    pub incremental: bool,
-    /// Dedup identical region subproblems across chips — and, because
-    /// the memo table is shared per circuit, across the concurrently
-    /// running sweep targets of one circuit's job group (see
-    /// `psbi_core::solve::RegionMemo`).  A memo hit is a verified replay
-    /// of a pure function, so results are bit-identical either way;
-    /// `PSBI_NO_CROSSCHIP=1` overrides it process-wide.
-    pub cross_chip: bool,
-    /// Fan each chip's independent region searches out on the flow's
-    /// region pool (see `psbi_core::solve::SolveRequest::pool`).  Region
-    /// results commit in pinned region order, so results are
-    /// bit-identical either way; `PSBI_NO_REGION_PARALLEL=1` overrides
-    /// it process-wide.
-    pub region_parallel: bool,
-    /// Prune the per-region support search (dominance, symmetry classes,
-    /// bitset covering and cascade bounds — see
-    /// `psbi_core::solve::SolveRequest::search_prune`).  The shipped
-    /// workloads are bit-identical either way, so this is a performance
-    /// knob outside the fingerprinted [`CampaignSpec`];
-    /// `PSBI_NO_SEARCH_PRUNE=1` overrides it process-wide.
-    pub search_prune: bool,
     /// How many times a panicking job is re-executed before it is
     /// quarantined.  Retries are deterministic: job `i` always re-runs
     /// the same pure function, so a retry either reproduces the panic
@@ -105,10 +78,6 @@ impl Default for FleetOptions {
             max_jobs: None,
             progress: false,
             trace: None,
-            incremental: true,
-            cross_chip: true,
-            region_parallel: true,
-            search_prune: true,
             retries: 2,
             verify: false,
         }
@@ -129,29 +98,21 @@ pub struct CampaignOutcome {
     /// Per-job wall time in seconds; `None` for jobs that were resumed
     /// from the journal (or not yet run).  Indexed by job.
     pub job_wall_s: Vec<Option<f64>>,
-    /// Per-job incremental-cache counters; `None` for resumed jobs.
+    /// Per-job solver counters; `None` for resumed jobs.
     /// Non-canonical, like [`CampaignOutcome::job_wall_s`]: the counters
-    /// depend on which targets warmed a flow's state arena first, which
-    /// races with worker scheduling — results never do.
+    /// depend on which targets warmed a flow's memo first, which races
+    /// with worker scheduling — results never do.
     ///
     /// Jobs **resumed from the journal are `None` by design**: the
     /// journal carries only the canonical byte surface, and these
-    /// counters are quarantined from it (they differ between cache
-    /// modes while the results do not), so an interrupted-and-resumed
+    /// counters are quarantined from it (they differ between the default
+    /// and the reference mode while the results do not), so an
+    /// interrupted-and-resumed
     /// campaign cannot recover the diagnostics of jobs a previous
     /// process executed.  Aggregations label themselves "executed jobs"
     /// accordingly (`resumed_diagnostics_quarantined` in the runner
     /// tests pins this contract).
     pub job_diagnostics: Vec<Option<psbi_core::flow::FlowDiagnostics>>,
-    /// Peak chip-state slots resident in the shared workspace pool over
-    /// this invocation.  With per-circuit reclamation (arenas and the
-    /// cross-chip memo are freed when a circuit's last sweep target
-    /// commits) this is capped at the concurrently active circuits
-    /// instead of the whole campaign.  Non-canonical.
-    pub peak_resident_states: u64,
-    /// Chip-state slots still resident when this invocation returned
-    /// (0 once every circuit's job group completed).  Non-canonical.
-    pub final_resident_states: u64,
     /// Wall time of this invocation.
     pub wall_s: f64,
 }
@@ -397,8 +358,6 @@ pub fn run_campaign(
             total_jobs: total,
             job_wall_s,
             job_diagnostics,
-            peak_resident_states: 0,
-            final_resident_states: 0,
             wall_s: t_start.elapsed().as_secs_f64(),
         });
     }
@@ -423,10 +382,6 @@ pub fn run_campaign(
         .collect::<Result<_, _>>()?;
     let pool = Arc::new(WorkspacePool::new());
     let mut cfg = spec.flow_config();
-    cfg.incremental = opts.incremental;
-    cfg.cross_chip = opts.cross_chip;
-    cfg.region_parallel = opts.region_parallel;
-    cfg.search_prune = opts.search_prune;
     cfg.verify = opts.verify;
     let flows: Vec<Option<BufferInsertionFlow>> = circuits
         .iter()
@@ -443,9 +398,9 @@ pub fn run_campaign(
         .collect::<Result<_, _>>()?;
 
     // Pending jobs per circuit in this invocation's window: the worker
-    // finishing a circuit's last job releases that flow's solver state
-    // (per-chip arenas + cross-chip memo) from the shared pool, capping
-    // campaign peak memory at the circuits still in flight.
+    // finishing a circuit's last job releases that flow's cross-chip memo
+    // from the shared pool, capping campaign peak memory at the circuits
+    // still in flight.
     let mut circuit_pending: Vec<usize> = vec![0; spec.circuits.len()];
     for job in &jobs[resumed..end] {
         circuit_pending[job.circuit_index] += 1;
@@ -643,8 +598,6 @@ pub fn run_campaign(
         total_jobs: total,
         job_wall_s: state.job_wall_s,
         job_diagnostics: state.job_diagnostics,
-        peak_resident_states: pool.peak_resident_states(),
-        final_resident_states: pool.resident_states(),
         wall_s: t_start.elapsed().as_secs_f64(),
     })
 }
@@ -652,6 +605,7 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psbi_core::flow::FlowConfig;
     use std::path::PathBuf;
 
     fn tmp_path(tag: &str) -> PathBuf {
@@ -743,43 +697,35 @@ mod tests {
     }
 
     #[test]
-    fn arena_reclamation_caps_resident_state_at_active_circuits() {
-        // 2 circuits × 2 targets, 1 worker, circuit-major grid: each
-        // circuit's arenas (2 per flow, `samples` chip slots each) must
-        // be freed when its second target commits, so the pool's peak is
-        // ONE circuit's worth — not the whole campaign's — and nothing
-        // stays resident at the end.
+    fn released_solver_state_matches_a_fresh_flow() {
+        // A flow's memo outlives `run_target` so the next sweep target
+        // can replay it; `release_solver_state` must free it, so the next
+        // target starts exactly as empty as a fresh flow's.
         let spec = quick_spec();
-        let path = tmp_path("reclaim");
-        let _ = std::fs::remove_file(&path);
-        let outcome = run_campaign(
-            &spec,
-            &path,
-            &FleetOptions {
-                workers: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(outcome.complete());
-        let per_circuit = 2 * spec.samples as u64; // A1 + post-prune arena
+        let circuit = spec.circuits[0].materialize().unwrap();
+        let cfg = FlowConfig {
+            threads: 1,
+            ..spec.flow_config()
+        };
+        let pool = Arc::new(WorkspacePool::new());
+        let flow = BufferInsertionFlow::builder(&circuit, cfg.clone())
+            .pool(Arc::clone(&pool))
+            .build()
+            .unwrap();
+        let k1 = TargetPeriod::SigmaFactor(1.0);
+        let first = flow.run_target(TargetPeriod::SigmaFactor(0.0));
+        assert!(first.diagnostics.memo_entries > 0, "k=0 published nothing");
+        flow.release_solver_state();
+        let released = flow.run_target(k1);
+        let fresh = BufferInsertionFlow::builder(&circuit, cfg)
+            .pool(pool)
+            .build()
+            .unwrap()
+            .run_target(k1);
         assert_eq!(
-            outcome.peak_resident_states, per_circuit,
-            "peak must be capped at one in-flight circuit"
+            released.diagnostics.memo_entries, fresh.diagnostics.memo_entries,
+            "a released memo must not carry k=0 entries into k=1"
         );
-        assert_eq!(
-            outcome.final_resident_states, 0,
-            "every circuit's state must be reclaimed after its last job"
-        );
-        // The cross-chip memo actually fired while it was alive.
-        let hits: u64 = outcome
-            .job_diagnostics
-            .iter()
-            .flatten()
-            .map(|d| d.total().cross_chip_hits)
-            .sum();
-        assert!(hits > 0, "campaign never hit the cross-chip memo");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

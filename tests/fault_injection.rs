@@ -222,9 +222,10 @@ fn memo_corruption_is_detected_by_the_verifier() {
     // re-checks each claimed-feasible chip against the raw constraint
     // system (no memo, no warm state) and must catch the lie.
     //
-    // Memo hits come from *cross-target* sharing (the memo is flow-wide,
-    // warmed by earlier sweep targets), so both legs sweep several
-    // targets on one flow — exactly how a fleet job group uses it.
+    // Memo hits come from cross-pass and cross-target sharing (the memo
+    // is flow-wide, warmed by earlier passes and sweep targets), so both
+    // legs sweep several targets on one flow — exactly how a fleet job
+    // group uses it.
     use psbi::core::flow::TargetPeriod;
     let circuit = bench_suite::tiny_demo(2);
     let cfg = FlowConfig {
@@ -232,8 +233,6 @@ fn memo_corruption_is_detected_by_the_verifier() {
         yield_samples: 120,
         calibration_samples: 120,
         seed: 42,
-        incremental: false, // passes must consult the memo, not warm state
-        cross_chip: true,
         verify: true,
         ..FlowConfig::default()
     };
@@ -292,7 +291,6 @@ fn campaign_verify_failure_surfaces_as_exit_class_verify() {
             &path,
             &FleetOptions {
                 workers: 2,
-                incremental: false,
                 verify: true,
                 ..FleetOptions::default()
             },

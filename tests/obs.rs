@@ -185,8 +185,6 @@ fn trace_is_valid_json_with_nested_spans_and_covers_every_layer() {
         "solve.stage.screen",
         "solve.stage.search",
         "solve.stage.milp",
-        "solve.region.plan",
-        "solve.region.task",
     ] {
         assert!(
             names.iter().any(|n| n == required),
