@@ -60,12 +60,15 @@ mod tests;
 
 use memo::{CachedOutcome, MemoKey};
 pub use memo::{PassDiagnostics, RegionMemo};
-use search::{run_support_search, PruneScratch, SearchPhase, SearchStats, SupportSearch};
+use search::{
+    run_support_search, ComponentScratch, PruneScratch, SearchPhase, SearchStats, SupportSearch,
+};
 
 /// One solver stage's observability guards: a trace span plus a
-/// wall-clock histogram timer under the same `solve.stage.*` name.  Both
-/// are single-relaxed-load no-ops while disarmed — the solve reads no
-/// clock at all unless the obs registry or trace sink is armed.
+/// wall-clock histogram timer under the same name (`solve.stage.*`, and
+/// `solve.search.fallback` nested inside the search stage).  Both are
+/// single-relaxed-load no-ops while disarmed — the solve reads no clock
+/// at all unless the obs registry or trace sink is armed.
 struct StageObs {
     _span: psbi_obs::Span,
     _timer: psbi_obs::metrics::Timer,
@@ -191,7 +194,7 @@ impl SampleResult {
 }
 
 /// Normalised constraint `k(a) − k(b) ≤ bound` with FF endpoints.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RegCons {
     a: u32,
     b: u32,
@@ -257,6 +260,8 @@ struct SearchScratch {
     ss_bounds: Vec<(i64, i64)>,
     /// Pruning-machinery buffers (coverage bitsets, guard links).
     ss_prune: PruneScratch,
+    /// Greedy-fallback buffers (constraint components and their buckets).
+    ss_comps: ComponentScratch,
 }
 
 impl SearchScratch {
@@ -288,7 +293,7 @@ impl SearchScratch {
             .collect();
 
         // Branch and bound over supports.  The per-node buffers (variable
-        // maps, arc and bound arrays) come from this scratch, so
+        // maps, arc and bound arrays) are borrowed from this scratch, so
         // thousands of feasibility probes share four allocations.
         let mut search = SupportSearch {
             solver: &mut self.diff,
@@ -302,26 +307,22 @@ impl SearchScratch {
             exact: true,
             prune,
             stats: SearchStats::default(),
-            vars_scratch: std::mem::take(&mut self.ss_vars),
-            slot_scratch: std::mem::take(&mut self.ss_slot),
-            arcs_scratch: std::mem::take(&mut self.ss_arcs),
-            bounds_scratch: std::mem::take(&mut self.ss_bounds),
-            ps: std::mem::take(&mut self.ss_prune),
+            vars_scratch: &mut self.ss_vars,
+            slot_scratch: &mut self.ss_slot,
+            arcs_scratch: &mut self.ss_arcs,
+            bounds_scratch: &mut self.ss_bounds,
+            ps: &mut self.ss_prune,
+            comps: &mut self.ss_comps,
         };
         let phase = run_support_search(&mut search, m, opts.region_cap);
         let stats = search.stats;
-        // Armed-only observability (byte-neutral): node counts are
-        // deterministic per region system + prune mode, unlike wall time.
+        // Armed-only observability (byte-neutral): node and probe counts
+        // are deterministic per region system + prune mode, unlike wall
+        // time.
         psbi_obs::metrics::counter_add("solve.search.nodes", stats.nodes);
+        psbi_obs::metrics::counter_add("solve.search.fallback.probes", stats.fallback_probes);
         psbi_obs::metrics::counter_add("solve.search.pruned.bound", stats.pruned_bound);
         psbi_obs::metrics::counter_add("solve.search.pruned.symmetry", stats.pruned_symmetry);
-        // Return the per-node scratch before the next search needs it.
-        let (sv, ssl, sa, sb, sp) = search.into_scratch();
-        self.ss_vars = sv;
-        self.ss_slot = ssl;
-        self.ss_arcs = sa;
-        self.ss_bounds = sb;
-        self.ss_prune = sp;
         let outcome = match phase {
             SearchPhase::Infeasible => CachedOutcome::Infeasible,
             SearchPhase::Fallback { support, witness } => CachedOutcome::Feasible {

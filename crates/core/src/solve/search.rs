@@ -84,6 +84,14 @@
 //! greedy fallback there and the proven optimum here.  The CI parity
 //! legs (`PSBI_REFERENCE=1` determinism / fleet `cmp`) pin that the
 //! shipped workloads stay on the agreeing side.
+//!
+//! # The greedy fallback
+//!
+//! Regions over `region_cap`, and node-capped regions without an
+//! incumbent, take the greedy support of [`SupportSearch::sparsify`]
+//! instead.  It drops tunings one constraint component at a time; its
+//! docs show why that returns the whole-region greedy's bytes.  Both
+//! paths probe through the one routine, [`SupportSearch::feasible_support`].
 
 use super::{RegCons, NONE};
 use psbi_timing::feasibility::{Arc, DiffSolver};
@@ -110,6 +118,10 @@ pub(crate) struct SearchStats {
     /// `In` branches skipped because a lower-slot interchangeable twin
     /// was `Out`.
     pub(crate) pruned_symmetry: u64,
+    /// Feasibility probes of the greedy fallback (drop walk plus the
+    /// final whole-support probe); armed-only obs counter
+    /// `solve.search.fallback.probes`.
+    pub(crate) fallback_probes: u64,
 }
 
 impl SearchStats {
@@ -140,7 +152,7 @@ pub(crate) enum SearchPhase {
 /// Reusable buffers of the pruning machinery: coverage bitsets, the
 /// incremental uncovered mask with its save/restore stack, and the
 /// symmetry guard links.  Owned by the per-thread
-/// `SearchScratch` and taken for each region, so a steady-state pass
+/// `SearchScratch` and borrowed for each region, so a steady-state pass
 /// allocates nothing here.
 #[derive(Debug, Default)]
 pub(crate) struct PruneScratch {
@@ -196,6 +208,169 @@ pub(crate) struct PruneScratch {
     dense_arcs: Vec<Arc>,
 }
 
+/// Reusable buffers of the greedy fallback: the connected components of
+/// the region's surviving constraint graph and the per-component buckets
+/// its drop walk reads.  Owned by the per-thread `SearchScratch` like
+/// [`PruneScratch`], so a steady-state pass allocates nothing here.
+#[derive(Debug, Default)]
+pub(crate) struct ComponentScratch {
+    /// Union-find parent per slot; every root is its set's lowest slot.
+    parent: Vec<u32>,
+    /// Per slot: its component label, or `NONE` when no constraint
+    /// touches it.  Labels ascend with each component's lowest slot.
+    label: Vec<u32>,
+    /// Component `k`'s slots, ascending: `slots[slot_start[k]..slot_start[k + 1]]`.
+    slot_start: Vec<u32>,
+    slots: Vec<u32>,
+    /// Component `k`'s constraints, in region order (same indexing).
+    cons_start: Vec<u32>,
+    cons: Vec<RegCons>,
+    /// Component `k`'s drop candidates, in the pinned drop order.
+    cand_start: Vec<u32>,
+    cands: Vec<u32>,
+    /// The region's drop candidates before bucketing.
+    order: Vec<u32>,
+    /// Bucket fill cursors.
+    cursor: Vec<u32>,
+}
+
+impl ComponentScratch {
+    /// Labels the connected components of the region's surviving
+    /// constraint graph and buckets the region's slots, its constraints
+    /// and its drop candidates by component.  A constraint joins two
+    /// components only when both of its endpoints are region slots;
+    /// `local` maps an FF to its slot.  The candidates are the touched
+    /// slots the relaxation witness tunes, each bucket in the pinned
+    /// order: |value| ascending, ties to the lower slot.  Returns the
+    /// component count.
+    fn split(
+        &mut self,
+        cons: &[RegCons],
+        full_witness: &[i64],
+        local: impl Fn(u32) -> Option<usize>,
+    ) -> usize {
+        fn find(parent: &mut [u32], mut x: u32) -> u32 {
+            while parent[x as usize] != x {
+                let up = parent[parent[x as usize] as usize];
+                parent[x as usize] = up;
+                x = up;
+            }
+            x
+        }
+        let m = full_witness.len();
+        self.parent.clear();
+        self.parent.extend(0..m as u32);
+        self.label.clear();
+        self.label.resize(m, NONE);
+        for c in cons {
+            let (la, lb) = (local(c.a), local(c.b));
+            for l in [la, lb].into_iter().flatten() {
+                self.label[l] = 0; // touched; labelled below
+            }
+            if let (Some(a), Some(b)) = (la, lb) {
+                let (ra, rb) = (
+                    find(&mut self.parent, a as u32),
+                    find(&mut self.parent, b as u32),
+                );
+                self.parent[ra.max(rb) as usize] = ra.min(rb);
+            }
+        }
+        // Ascending slots meet each component's root (its lowest slot)
+        // before any other member.
+        let mut k = 0u32;
+        for s in 0..m {
+            if self.label[s] == NONE {
+                continue;
+            }
+            let r = find(&mut self.parent, s as u32) as usize;
+            self.label[s] = if r == s {
+                k += 1;
+                k - 1
+            } else {
+                self.label[r]
+            };
+        }
+        let k = k as usize;
+        let label = &self.label;
+        bucket(
+            0..m as u32,
+            |s| label[s as usize],
+            k,
+            &mut self.slot_start,
+            &mut self.cursor,
+            &mut self.slots,
+        );
+        bucket(
+            cons.iter().copied(),
+            |c| local(c.a).or(local(c.b)).map_or(NONE, |l| label[l]),
+            k,
+            &mut self.cons_start,
+            &mut self.cursor,
+            &mut self.cons,
+        );
+        self.order.clear();
+        self.order.extend(
+            (0..m as u32).filter(|&i| full_witness[i as usize] != 0 && label[i as usize] != NONE),
+        );
+        self.order
+            .sort_unstable_by_key(|&i| (full_witness[i as usize].abs(), i));
+        bucket(
+            self.order.iter().copied(),
+            |i| label[i as usize],
+            k,
+            &mut self.cand_start,
+            &mut self.cursor,
+            &mut self.cands,
+        );
+        k
+    }
+
+    /// Component `k`'s `(candidates, slots, constraints)`.
+    fn component(&self, k: usize) -> (&[u32], &[u32], &[RegCons]) {
+        let range = |start: &[u32]| start[k] as usize..start[k + 1] as usize;
+        (
+            &self.cands[range(&self.cand_start)],
+            &self.slots[range(&self.slot_start)],
+            &self.cons[range(&self.cons_start)],
+        )
+    }
+}
+
+/// Stable counting sort of `items` into `k` buckets by `key` (`NONE`
+/// drops an item): bucket `b` is `out[start[b]..start[b + 1]]`, in input
+/// order.
+fn bucket<T: Copy + Default>(
+    items: impl Iterator<Item = T> + Clone,
+    key: impl Fn(T) -> u32,
+    k: usize,
+    start: &mut Vec<u32>,
+    cursor: &mut Vec<u32>,
+    out: &mut Vec<T>,
+) {
+    start.clear();
+    start.resize(k + 1, 0);
+    for x in items.clone() {
+        let b = key(x);
+        if b != NONE {
+            start[b as usize + 1] += 1;
+        }
+    }
+    for b in 0..k {
+        start[b + 1] += start[b];
+    }
+    cursor.clear();
+    cursor.extend_from_slice(&start[..k]);
+    out.clear();
+    out.resize(start[k] as usize, T::default());
+    for x in items {
+        let b = key(x);
+        if b != NONE {
+            out[cursor[b as usize] as usize] = x;
+            cursor[b as usize] += 1;
+        }
+    }
+}
+
 /// Drives one region's support search to a [`SearchPhase`].
 pub(crate) fn run_support_search(
     search: &mut SupportSearch<'_>,
@@ -204,7 +379,7 @@ pub(crate) fn run_support_search(
 ) -> SearchPhase {
     let mut state = vec![Decision::Undecided; m];
     // Quick relaxation check with everything allowed.
-    if !search.feasible_support(&state, true) {
+    if !search.feasible_support(&state, true, search.all_slots(), search.cons) {
         return SearchPhase::Infeasible;
     }
     let mut full_witness = Vec::new();
@@ -212,7 +387,7 @@ pub(crate) fn run_support_search(
     if m > region_cap {
         // Region too large for exact search: sparsify the full witness
         // greedily (drop small tunings while feasibility holds).
-        let (support, witness) = search.sparsify(&full_witness);
+        let (support, witness) = search.sparsify(&mut state, &full_witness);
         return SearchPhase::Fallback { support, witness };
     }
     if search.prune {
@@ -229,7 +404,7 @@ pub(crate) fn run_support_search(
         None if !search.exact => {
             // Node cap exhausted with no incumbent: fall back to the
             // sparsified relaxation witness.
-            let (support, witness) = search.sparsify(&full_witness);
+            let (support, witness) = search.sparsify(&mut state, &full_witness);
             SearchPhase::Fallback { support, witness }
         }
         None => SearchPhase::Infeasible,
@@ -271,64 +446,61 @@ pub(crate) struct SupportSearch<'a> {
     pub(crate) stats: SearchStats,
     /// Per-node scratch, borrowed from [`super::SampleSolver`] for the
     /// region's lifetime and reused by every feasibility probe.
-    pub(crate) vars_scratch: Vec<u32>,
-    pub(crate) slot_scratch: Vec<u32>,
-    pub(crate) arcs_scratch: Vec<Arc>,
-    pub(crate) bounds_scratch: Vec<(i64, i64)>,
-    pub(crate) ps: PruneScratch,
+    pub(crate) vars_scratch: &'a mut Vec<u32>,
+    pub(crate) slot_scratch: &'a mut Vec<u32>,
+    pub(crate) arcs_scratch: &'a mut Vec<Arc>,
+    pub(crate) bounds_scratch: &'a mut Vec<(i64, i64)>,
+    pub(crate) ps: &'a mut PruneScratch,
+    pub(crate) comps: &'a mut ComponentScratch,
 }
 
 impl SupportSearch<'_> {
-    /// Returns the scratch buffers to their owner.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_scratch(
-        self,
-    ) -> (Vec<u32>, Vec<u32>, Vec<Arc>, Vec<(i64, i64)>, PruneScratch) {
-        (
-            self.vars_scratch,
-            self.slot_scratch,
-            self.arcs_scratch,
-            self.bounds_scratch,
-            self.ps,
-        )
-    }
-
-    /// Greedy fallback for oversized regions: start from the all-variables
-    /// witness and drop tunings (smallest magnitude first) while the system
-    /// stays feasible.  Returns `(support, witness values)`.
+    /// Greedy fallback for regions the branch and bound does not solve
+    /// (over `region_cap`, or node-capped with no incumbent).  Starts
+    /// from the relaxation witness's nonzero slots and drops tunings,
+    /// smallest |value| first (ties to the lower slot), while the
+    /// region's system stays feasible.  Returns `(support, witness
+    /// values)`; the witness is that of one final whole-support probe.
     ///
-    /// Drops are batched: the whole candidate run is dropped with one
-    /// probe, bisecting on failure down to the reference one-at-a-time
-    /// greedy.  Support-set feasibility is monotone (a support's witness
-    /// stays valid when more variables are freed), so a batch that probes
-    /// feasible would also have been dropped element by element — the
-    /// batched walk provably returns the byte-identical support, it just
-    /// probes ~log instead of ~n times on the common all-droppable runs.
-    fn sparsify(&mut self, full_witness: &[i64]) -> (Vec<u32>, Vec<i64>) {
-        let m = self.region_ffs.len();
-        let mut state: Vec<Decision> = (0..m)
-            .map(|i| {
-                if full_witness[i] != 0 {
-                    Decision::In
-                } else {
-                    Decision::Out
-                }
-            })
-            .collect();
-        // Candidates ordered by |value| ascending: cheap drops first.
-        // The order is part of the pinned fallback result — batching
-        // must not reorder it.
-        let mut order: Vec<usize> = (0..m).filter(|&i| full_witness[i] != 0).collect();
-        order.sort_by_key(|&i| full_witness[i].abs());
-        self.drop_batch(&mut state, &order);
+    /// The walk runs one connected component of the surviving constraint
+    /// graph at a time, and it returns the support the region-wide
+    /// one-at-a-time greedy returns, byte for byte.  Components share
+    /// only the root, and a simple negative cycle passes the root at
+    /// most once, so it lies inside one component: the region's system
+    /// is feasible exactly when every component's is.  The walk starts
+    /// from a feasible state and keeps it feasible, so each region-wide
+    /// drop verdict is the verdict of the dropped slot's own component,
+    /// which only earlier drops in that component have changed.  Keeping
+    /// the pinned order within each component therefore reproduces every
+    /// verdict.  A slot no surviving constraint touches is its own
+    /// empty component: dropping it always succeeds, so it drops with no
+    /// probe.
+    fn sparsify(&mut self, state: &mut [Decision], full_witness: &[i64]) -> (Vec<u32>, Vec<i64>) {
+        let _obs = super::stage_obs("solve.search.fallback");
+        let mut cs = std::mem::take(self.comps);
+        let k = cs.split(self.cons, full_witness, |ff| self.local_of(ff));
+        for ((d, &w), &label) in state.iter_mut().zip(full_witness).zip(&cs.label) {
+            // An untouched slot drops with no probe.
+            *d = if w != 0 && label != NONE {
+                Decision::In
+            } else {
+                Decision::Out
+            };
+        }
+        for c in 0..k {
+            let (cands, slots, cons) = cs.component(c);
+            self.drop_batch(state, cands, slots, cons);
+        }
+        *self.comps = cs;
         let support: Vec<u32> = state
             .iter()
             .enumerate()
             .filter(|(_, d)| **d == Decision::In)
             .map(|(i, _)| self.region_ffs[i])
             .collect();
+        self.stats.fallback_probes += 1;
         assert!(
-            self.feasible_support(&state, false),
+            self.feasible_support(state, false, self.all_slots(), self.cons),
             "sparsify only removes while feasibility holds"
         );
         let mut witness = Vec::new();
@@ -336,57 +508,85 @@ impl SupportSearch<'_> {
         (support, witness)
     }
 
-    /// Drops a run of sparsify candidates with one probe when the whole
-    /// run drops cleanly, recursing into halves on failure.  Equivalent
-    /// to the sequential greedy by induction: a feasible whole-run drop
-    /// implies (monotonicity) every one-at-a-time drop succeeds too, and
-    /// the left half is always settled before the right — exactly the
-    /// sequential prefix order.
-    fn drop_batch(&mut self, state: &mut [Decision], batch: &[usize]) {
+    /// Drops a run of one component's candidates with one probe of that
+    /// component (`slots`, `cons`) when the whole run drops cleanly, and
+    /// bisects on failure.  This returns what dropping the run one slot
+    /// at a time returns.  Support-set feasibility is monotone: a
+    /// support's witness stays valid when more slots are freed.  So a
+    /// run that drops cleanly would also drop slot by slot, and the left
+    /// half is always settled before the right, which is the sequential
+    /// order.  All-droppable runs cost one probe instead of one per slot.
+    fn drop_batch(
+        &mut self,
+        state: &mut [Decision],
+        batch: &[u32],
+        slots: &[u32],
+        cons: &[RegCons],
+    ) {
         if batch.is_empty() {
             return;
         }
         for &i in batch {
-            state[i] = Decision::Out;
+            state[i as usize] = Decision::Out;
         }
-        if self.feasible_support(state, false) {
+        self.stats.fallback_probes += 1;
+        if self.feasible_support(state, false, slots.iter().copied(), cons) {
             return;
         }
         if batch.len() == 1 {
-            state[batch[0]] = Decision::In;
+            state[batch[0] as usize] = Decision::In;
             return;
         }
         for &i in batch {
-            state[i] = Decision::In;
+            state[i as usize] = Decision::In;
         }
         let (left, right) = batch.split_at(batch.len() / 2);
-        self.drop_batch(state, left);
-        self.drop_batch(state, right);
+        self.drop_batch(state, left, slots, cons);
+        self.drop_batch(state, right, slots, cons);
     }
 
-    /// Feasibility with support = In (or In ∪ Undecided when `relaxed`).
+    /// Every region slot, ascending: the whole-region probe scope.
+    fn all_slots(&self) -> std::ops::Range<u32> {
+        0..self.region_ffs.len() as u32
+    }
+
+    /// The search's one feasibility probe: is support = In (or In ∪
+    /// Undecided when `relaxed`) feasible for the constraints `cons`
+    /// over the slots `scope`?  `scope` must hold every region slot that
+    /// `cons` touches.  The branch and bound probes the whole region
+    /// ([`Self::all_slots`], all constraints), the fallback one
+    /// component.  Excluded slots and FFs outside the region are pinned
+    /// to zero as the root.
     ///
     /// Builds the subsystem in the reusable scratch buffers; the witness of
     /// a feasible check can be read back with `solver.copy_witness` (the
-    /// variable order is the support order).
-    fn feasible_support(&mut self, state: &[Decision], relaxed: bool) -> bool {
+    /// variables are the included slots in `scope` order).
+    fn feasible_support(
+        &mut self,
+        state: &[Decision],
+        relaxed: bool,
+        scope: impl IntoIterator<Item = u32>,
+        cons: &[RegCons],
+    ) -> bool {
         self.vars_scratch.clear();
-        self.slot_scratch.clear();
         self.slot_scratch.resize(state.len(), NONE);
-        for (i, d) in state.iter().enumerate() {
-            let included = match d {
+        for i in scope {
+            let i = i as usize;
+            let included = match state[i] {
                 Decision::In => true,
                 Decision::Undecided => relaxed,
                 Decision::Out => false,
             };
-            if included {
-                self.slot_scratch[i] = self.vars_scratch.len() as u32;
+            self.slot_scratch[i] = if included {
                 self.vars_scratch.push(self.region_ffs[i]);
-            }
+                self.vars_scratch.len() as u32 - 1
+            } else {
+                NONE
+            };
         }
         let root = self.vars_scratch.len() as u32;
         self.arcs_scratch.clear();
-        for c in self.cons {
+        for c in cons {
             let la = self.local_of(c.a);
             let lb = self.local_of(c.b);
             let slot = &self.slot_scratch;
@@ -406,8 +606,8 @@ impl SupportSearch<'_> {
             .extend(self.vars_scratch.iter().map(|&ff| self.bounds[ff as usize]));
         self.solver.decide_bounded(
             self.vars_scratch.len(),
-            &self.arcs_scratch,
-            &self.bounds_scratch,
+            self.arcs_scratch,
+            self.bounds_scratch,
         )
     }
 
@@ -477,7 +677,7 @@ impl SupportSearch<'_> {
             }
         };
         let words = nv.div_ceil(64);
-        let ps = &mut self.ps;
+        let ps = &mut *self.ps;
         ps.words = words;
         ps.cov.clear();
         ps.cov.resize(m * words, 0);
@@ -910,7 +1110,8 @@ impl SupportSearch<'_> {
                 }
             }
             // Is In alone already enough?
-            if !in_only_settled && self.feasible_support(state, false) {
+            if !in_only_settled && self.feasible_support(state, false, self.all_slots(), self.cons)
+            {
                 self.record_incumbent(state);
                 return;
             }
@@ -918,16 +1119,16 @@ impl SupportSearch<'_> {
             // the parent's included set (In ∪ Undecided) unchanged, so
             // the parent's feasible verdict carries over probe-free —
             // as does a cascade round that saw a feasible completion.
-            if !relaxed_known && !self.feasible_support(state, true) {
+            if !relaxed_known && !self.feasible_support(state, true, self.all_slots(), self.cons) {
                 return;
             }
         } else {
             // Relaxation: can anything still work?
-            if !relaxed_ok && !self.feasible_support(state, true) {
+            if !relaxed_ok && !self.feasible_support(state, true, self.all_slots(), self.cons) {
                 return;
             }
             // Is In alone already enough?
-            if self.feasible_support(state, false) {
+            if self.feasible_support(state, false, self.all_slots(), self.cons) {
                 self.record_incumbent(state);
                 return;
             }

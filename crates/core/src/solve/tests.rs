@@ -519,6 +519,136 @@ mod prop {
             }
         }
     }
+
+    /// The greedy the per-component walk replaced: drop one slot at a
+    /// time in the pinned order (|value| ascending, ties to the lower
+    /// slot), probing the whole region each time.  Returns `None` when
+    /// the relaxation is infeasible.
+    fn whole_region_greedy(
+        ffs: &[u32],
+        cons: &[RegCons],
+        space: &BufferSpace,
+    ) -> Option<(Vec<u32>, Vec<i64>)> {
+        use psbi_timing::feasibility::Feasibility;
+        let m = ffs.len();
+        let probe = |included: &[bool]| -> Option<Vec<i64>> {
+            let vars: Vec<usize> = (0..m).filter(|&i| included[i]).collect();
+            let root = vars.len() as u32;
+            let var = |ff: u32| {
+                vars.iter()
+                    .position(|&i| ffs[i] == ff)
+                    .map_or(root, |v| v as u32)
+            };
+            let mut arcs = Vec::new();
+            for c in cons {
+                let (va, vb) = (var(c.a), var(c.b));
+                if va == root && vb == root {
+                    if c.bound < 0 {
+                        return None;
+                    }
+                    continue;
+                }
+                arcs.push(FeasArc::new(vb, va, c.bound));
+            }
+            let bounds: Vec<(i64, i64)> = vars
+                .iter()
+                .map(|&i| space.bounds[ffs[i] as usize])
+                .collect();
+            match DiffSolver::new().solve_bounded(vars.len(), &arcs, &bounds) {
+                Feasibility::Feasible(witness) => Some(witness),
+                Feasibility::Infeasible => None,
+            }
+        };
+        let full = probe(&vec![true; m])?;
+        let mut included: Vec<bool> = full.iter().map(|&w| w != 0).collect();
+        let mut order: Vec<usize> = (0..m).filter(|&i| full[i] != 0).collect();
+        order.sort_by_key(|&i| full[i].abs());
+        for i in order {
+            included[i] = false;
+            if probe(&included).is_none() {
+                included[i] = true;
+            }
+        }
+        let witness = probe(&included).expect("the greedy only drops while feasible");
+        let support = (0..m).filter(|&i| included[i]).map(|i| ffs[i]).collect();
+        Some((support, witness))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The per-component drop walk of an oversized region returns the
+        /// whole-region greedy's support and witness bit for bit.  Each
+        /// region holds several clusters, each seeded with one violated
+        /// constraint plus random constraints inside it and to FFs
+        /// outside the region, and some slots no constraint touches.
+        /// Slots are shuffled so components interleave in slot order.
+        #[test]
+        fn component_walk_matches_whole_region_greedy(
+            sizes in proptest::collection::vec(2usize..6, 2..5),
+            seeds in proptest::collection::vec(1i64..4, 4),
+            raw_cons in proptest::collection::vec((0usize..64, 0usize..64, -2i64..9), 0..24),
+            outside in proptest::collection::vec((0usize..64, 0u32..3, -2i64..7), 0..6),
+            isolated in 0usize..6,
+            keys in proptest::collection::vec(0u32..1_000_000, 26),
+            windows in proptest::collection::vec((1i64..4, 1i64..4), 26),
+        ) {
+            // Cluster `c` owns FFs `start[c] .. start[c] + sizes[c]`; the
+            // isolated FFs follow, then three FFs outside the region.
+            let mut start = vec![0usize];
+            for s in &sizes {
+                start.push(start.last().unwrap() + s);
+            }
+            let clustered = *start.last().unwrap();
+            let m = clustered + isolated;
+            let mut cons: Vec<RegCons> = Vec::new();
+            for (c, &size) in sizes.iter().enumerate() {
+                let a = start[c] as u32;
+                cons.push(RegCons { a, b: a + 1, bound: -seeds[c] });
+                for &(x, y, bound) in &raw_cons {
+                    if x % sizes.len() != c {
+                        continue;
+                    }
+                    let (a, b) = (start[c] + x / sizes.len() % size, start[c] + y % size);
+                    if a != b {
+                        cons.push(RegCons { a: a as u32, b: b as u32, bound });
+                    }
+                }
+            }
+            for &(x, o, bound) in &outside {
+                let (inner, outer) = ((x % clustered) as u32, (m as u32) + o);
+                cons.push(if x % 2 == 0 {
+                    RegCons { a: inner, b: outer, bound }
+                } else {
+                    RegCons { a: outer, b: inner, bound }
+                });
+            }
+            let mut space = BufferSpace::floating(m + 3, 5);
+            for (ff, &(lo, hi)) in windows.iter().enumerate().take(m) {
+                space.bounds[ff] = (-lo, hi);
+            }
+            let mut ffs: Vec<u32> = (0..m as u32).collect();
+            ffs.sort_by_key(|&ff| keys[ff as usize]);
+            let opts = SolverOptions { region_cap: 1, ..SolverOptions::default() };
+
+            // One scratch for both orders, so the second search runs on
+            // buffers the first one left behind.
+            let mut scratch = SearchScratch::default();
+            let reversed: Vec<u32> = ffs.iter().rev().copied().collect();
+            for region in [&reversed, &ffs] {
+                let (outcome, _) = scratch.search_region(region, &cons, &space, &opts, true);
+                match (outcome, whole_region_greedy(region, &cons, &space)) {
+                    (CachedOutcome::Infeasible, None) => {}
+                    (CachedOutcome::Feasible { count, support, witness, exact }, Some(want)) => {
+                        prop_assert!(!exact, "an oversized region is never exact");
+                        prop_assert_eq!(count, support.len());
+                        prop_assert_eq!((support, witness), want, "region {:?}, cons {:?}", region, cons);
+                    }
+                    (got, want) => prop_assert!(false, "feasibility diverged: {:?} vs {:?}", got, want),
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -914,11 +1044,12 @@ fn symmetry_guard_links_pin_the_lowest_slot_representative() {
         exact: true,
         prune: true,
         stats: search::SearchStats::default(),
-        vars_scratch: Vec::new(),
-        slot_scratch: Vec::new(),
-        arcs_scratch: Vec::new(),
-        bounds_scratch: Vec::new(),
-        ps: Default::default(),
+        vars_scratch: &mut Vec::new(),
+        slot_scratch: &mut Vec::new(),
+        arcs_scratch: &mut Vec::new(),
+        bounds_scratch: &mut Vec::new(),
+        ps: &mut Default::default(),
+        comps: &mut Default::default(),
     };
     s.prepare_prune();
     for v in 0..m {
@@ -980,6 +1111,7 @@ fn search_stats_pruned_total_sums_all_rules() {
         nodes: 10,
         pruned_bound: 3,
         pruned_symmetry: 1,
+        fallback_probes: 7,
     };
     assert_eq!(stats.pruned_total(), 4);
 }
@@ -987,9 +1119,9 @@ fn search_stats_pruned_total_sums_all_rules() {
 #[test]
 fn sparsified_fallback_support_is_pinned() {
     // Same fixture as `oversized_region_falls_back_to_sparsified_witness`
-    // but pinning the exact outcome: the batched drop pass in
-    // `sparsify_witness` must keep returning byte-identical tunings to
-    // the one-at-a-time reference it replaced.
+    // but pinning the exact outcome: the batched, per-component drop walk
+    // in `SupportSearch::sparsify` must keep returning byte-identical
+    // tunings to the one-at-a-time, whole-region greedy it replaced.
     let n = 12;
     let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
     let sg = graph(n, &edges);
@@ -1007,6 +1139,132 @@ fn sparsified_fallback_support_is_pinned() {
     assert!(r.feasible);
     assert!(!r.exact);
     assert_eq!(r.tunings, vec![(6, 3)], "fallback support drifted");
+}
+
+/// Two violated clusters inside one buffered chain.  Every bound other
+/// than the five listed is vacuous under saturation, so the chain's one
+/// region splits into two constraint components, `{2, 3, 4}` and
+/// `{7, 8, 9, 10}`, and the rest of its slots touch no surviving
+/// constraint.  `region_cap` 2 forces the greedy fallback.
+fn two_component_chain() -> (
+    SequentialGraph,
+    IntegerConstraints,
+    BufferSpace,
+    SolverOptions,
+) {
+    let n = 16;
+    let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
+    let sg = graph(n, &edges);
+    let mut setup = vec![30i64; n - 1];
+    let mut hold = vec![30i64; n - 1];
+    setup[2] = -3;
+    setup[3] = 1;
+    hold[7] = 3;
+    setup[8] = -4;
+    setup[9] = 2;
+    let ic = constraints(&setup, &hold);
+    let space = BufferSpace::floating(n, 10);
+    let opts = SolverOptions {
+        region_cap: 2,
+        ..SolverOptions::default()
+    };
+    (sg, ic, space, opts)
+}
+
+#[test]
+fn component_fallback_support_is_pinned() {
+    // Expected tunings recorded from the whole-region drop walk the
+    // per-component walk replaced.  `None` reports the greedy support
+    // and witness as they are; `ToZero` concentrates on that support.
+    let (sg, ic, space, opts) = two_component_chain();
+    let mut s = SampleSolver::new();
+    let raw = solve_plain(&mut s, &sg, &ic, &space, PushObjective::None, &opts);
+    assert!(raw.feasible && !raw.exact);
+    assert_eq!(
+        raw.tunings,
+        vec![(3, 10), (4, 10), (9, 10), (10, 10)],
+        "fallback support or witness drifted"
+    );
+    let pushed = solve_plain(&mut s, &sg, &ic, &space, PushObjective::ToZero, &opts);
+    assert!(pushed.feasible && !pushed.exact);
+    assert_eq!(pushed.tunings, vec![(2, -3), (8, -4)]);
+    check_valid(&sg, &ic, &space, &pushed);
+}
+
+#[test]
+fn fallback_obs_nests_in_the_search_stage_and_is_byte_neutral() {
+    // Other tests of this binary may solve while the sinks are armed, so
+    // the assertions hold for any interleaving: counts are only required
+    // to be live, and nesting is checked on this thread's track only.
+    let _gate = psbi_obs::test_lock();
+    struct Disarm;
+    impl Drop for Disarm {
+        fn drop(&mut self) {
+            psbi_obs::trace::disarm();
+            psbi_obs::metrics::disarm();
+        }
+    }
+    let _disarm = Disarm;
+    let (sg, ic, space, opts) = two_component_chain();
+    let solve = || {
+        let mut s = SampleSolver::new();
+        solve_plain(&mut s, &sg, &ic, &space, PushObjective::ToZero, &opts)
+    };
+    let cold = solve();
+    let path =
+        std::env::temp_dir().join(format!("psbi_fallback_trace_{}.json", std::process::id()));
+    psbi_obs::metrics::arm(None);
+    psbi_obs::trace::arm(&path);
+    let armed = {
+        // Marks this thread's track: a span another thread entered
+        // before arming leaves its nested spans parentless there.
+        let _mine = psbi_obs::Span::enter("test.fallback_obs");
+        solve()
+    };
+    let snap = psbi_obs::metrics::snapshot();
+    psbi_obs::trace::flush().expect("trace flush");
+    assert_eq!(armed, cold, "armed obs changed the result");
+    assert!(
+        snap.counter("solve.search.fallback.probes").unwrap_or(0) > 0,
+        "fallback probes were not counted"
+    );
+    let timed = snap
+        .histogram("solve.search.fallback")
+        .map_or(0, |h| h.count);
+    assert!(timed > 0, "the fallback timer never recorded");
+
+    let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let field = |line: &str, key: &str| -> String {
+        let at = line.find(&format!("\"{key}\":")).expect("field present") + key.len() + 3;
+        let rest = line[at..].trim_start_matches('"');
+        rest[..rest.find([',', '"', '}']).unwrap()].to_string()
+    };
+    let events: Vec<&str> = text.lines().filter(|l| l.contains("\"ph\":")).collect();
+    let mine = events
+        .iter()
+        .find(|l| field(l, "name") == "test.fallback_obs")
+        .map(|l| field(l, "tid"))
+        .expect("marker span traced");
+    let mut stack: Vec<String> = Vec::new();
+    let mut spans = 0;
+    for line in events.into_iter().filter(|l| field(l, "tid") == mine) {
+        let name = field(line, "name");
+        if field(line, "ph") == "B" {
+            if name == "solve.search.fallback" {
+                spans += 1;
+                assert_eq!(
+                    stack.last().map(String::as_str),
+                    Some("solve.stage.search"),
+                    "the fallback span must open directly inside the search stage"
+                );
+            }
+            stack.push(name);
+        } else {
+            stack.pop();
+        }
+    }
+    assert!(spans > 0, "no fallback span was traced");
 }
 
 #[test]
