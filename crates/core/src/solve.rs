@@ -873,6 +873,7 @@ impl SampleSolver {
         // the MILP and keep the witness values.
         const PUSH_SUPPORT_CAP: usize = 48;
         if !over_supports && support.len() > PUSH_SUPPORT_CAP {
+            psbi_obs::metrics::counter_add("solve.milp.push_cap_skips", 1);
             return support
                 .iter()
                 .zip(witness)
@@ -943,6 +944,16 @@ impl SampleSolver {
         }
         model.set_warm_start(warm);
         let sol = model.solve();
+        // Armed-only observability (byte-neutral).  This runs for every
+        // region, replayed or searched, so the counts are deterministic.
+        // A `Feasible` status is a node-limit stop: the values are kept
+        // but their optimality is unproven.
+        psbi_obs::metrics::counter_add("solve.milp.lp_nodes", sol.nodes as u64);
+        psbi_obs::metrics::counter_add("solve.milp.bound_stops", sol.bound_stop as u64);
+        psbi_obs::metrics::counter_add(
+            "solve.milp.node_limit",
+            (sol.status == Status::Feasible) as u64,
+        );
         if matches!(sol.status, Status::Optimal | Status::Feasible) {
             active
                 .iter()

@@ -2,7 +2,9 @@
 //!
 //! Depth-first search with most-fractional branching.  Each node carries
 //! its own bound vectors (the per-region problems are small, so cloning
-//! bounds is cheaper than maintaining a reversible trail).
+//! bounds is cheaper than maintaining a reversible trail).  The search
+//! may stop early at the hull bound certificate described on
+//! [`Model::solve`].
 
 use crate::model::{Model, Solution, Status};
 use crate::simplex::LpOutcome;
@@ -18,8 +20,28 @@ struct BbNode {
     parent_bound: f64,
 }
 
-/// Solves `model` to proven optimality (or node limit).
-pub fn solve_branch_and_bound(model: &Model) -> Solution {
+/// The hull bound of `model` over the root bounds `lo`/`hi`, or `−∞` when
+/// the model is not eligible or the bound LP does not solve.  `root_bound`
+/// is the root relaxation's objective, which *is* the bound when no cut
+/// applies.
+fn hull_bound(model: &Model, lo: &[f64], hi: &[f64], root_bound: f64) -> f64 {
+    match model.chord_cuts() {
+        None => f64::NEG_INFINITY,
+        Some(cuts) if cuts.is_empty() => root_bound,
+        Some(cuts) => {
+            let (lp, constant) = model.to_dense_lp(lo, hi, &cuts);
+            match lp.solve() {
+                LpOutcome::Optimal { objective, .. } => objective + constant,
+                LpOutcome::Infeasible | LpOutcome::Unbounded => f64::NEG_INFINITY,
+            }
+        }
+    }
+}
+
+/// Solves `model` to proven optimality (or node limit).  With `certify`
+/// the search stops at the hull bound ([`Model::solve`]); without it the
+/// search is exhaustive, which is the oracle the tests compare against.
+pub(crate) fn solve_branch_and_bound(model: &Model, certify: bool) -> Solution {
     let root_lo: Vec<f64> = model.vars.iter().map(|v| v.lo).collect();
     let root_hi: Vec<f64> = model.vars.iter().map(|v| v.hi).collect();
 
@@ -40,6 +62,10 @@ pub fn solve_branch_and_bound(model: &Model) -> Solution {
         parent_bound: f64::NEG_INFINITY,
     }];
     let mut limit_hit = false;
+    // Set at the first branching node; a search that never branches
+    // needs no certificate.
+    let mut hull: Option<f64> = None;
+    let mut bound_stop = false;
 
     while let Some(node) = stack.pop() {
         if nodes >= model.node_limit {
@@ -50,7 +76,7 @@ pub fn solve_branch_and_bound(model: &Model) -> Solution {
         if node.parent_bound >= best_obj - OBJ_TOL {
             continue; // dominated before solving
         }
-        let (lp, constant) = model.to_dense_lp(&node.lo, &node.hi);
+        let (lp, constant) = model.to_dense_lp(&node.lo, &node.hi, &[]);
         let (x, bound) = match lp.solve() {
             LpOutcome::Optimal { x, objective } => {
                 let xs: Vec<f64> = x.iter().enumerate().map(|(i, y)| y + node.lo[i]).collect();
@@ -65,6 +91,7 @@ pub fn solve_branch_and_bound(model: &Model) -> Solution {
                     values: vec![],
                     objective: f64::NEG_INFINITY,
                     nodes,
+                    bound_stop: false,
                 };
             }
         };
@@ -95,9 +122,23 @@ pub fn solve_branch_and_bound(model: &Model) -> Solution {
                 if bound < best_obj - OBJ_TOL {
                     best_obj = bound;
                     best_x = Some(snapped);
+                    if hull.is_some_and(|h| best_obj <= h + OBJ_TOL / 2.0) {
+                        bound_stop = true;
+                        break;
+                    }
                 }
             }
             Some(i) => {
+                if certify && hull.is_none() {
+                    // Only the root can branch first (a root that does not
+                    // branch ends the search), so this node is the root.
+                    let h = hull_bound(model, &node.lo, &node.hi, bound);
+                    hull = Some(h);
+                    if best_obj <= h + OBJ_TOL / 2.0 {
+                        bound_stop = true;
+                        break;
+                    }
+                }
                 let xi = x[i];
                 // Down branch: x_i <= floor(xi).
                 let lo_d = node.lo.clone();
@@ -147,6 +188,7 @@ pub fn solve_branch_and_bound(model: &Model) -> Solution {
             values,
             objective: best_obj,
             nodes,
+            bound_stop,
         },
         None => Solution {
             status: if limit_hit {
@@ -157,12 +199,14 @@ pub fn solve_branch_and_bound(model: &Model) -> Solution {
             values: vec![],
             objective: f64::INFINITY,
             nodes,
+            bound_stop,
         },
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::solve_branch_and_bound;
     use crate::model::{Model, Op, Status};
 
     #[test]
@@ -284,6 +328,65 @@ mod tests {
         assert_eq!((s.int_value(x), s.int_value(y)), (3, 2));
     }
 
+    #[test]
+    fn chord_bound_certifies_a_half_integer_target() {
+        // min |x − 0.5| over integer x ∈ [−2, 2].  The LP relaxation puts
+        // x at 0.5 with bound 0; the chord cut z ≥ 0.5 lifts the bound to
+        // the optimum, so the first incumbent ends the search.
+        let mut m = Model::new();
+        let x = m.add_var("x", -2.0, 2.0, 0.0, true);
+        m.add_abs_deviation(x, 0.5, 1.0);
+        assert!(m.solve_lp().objective.abs() < 1e-9);
+        let s = m.solve();
+        let exhaustive = solve_branch_and_bound(&m, false);
+        assert_eq!(s.status, Status::Optimal);
+        assert!((s.objective - 0.5).abs() < 1e-9, "obj={}", s.objective);
+        assert!(s.bound_stop && !exhaustive.bound_stop);
+        assert_eq!(s.values, exhaustive.values);
+        assert!(
+            s.nodes < exhaustive.nodes,
+            "{} vs {}",
+            s.nodes,
+            exhaustive.nodes
+        );
+    }
+
+    #[test]
+    fn a_near_tied_warm_start_is_not_certified() {
+        // min |x − 0.4998|: the warm start x = 1 costs 0.5002, 4e-4 above
+        // the chord bound and the optimum x = 0.  The certificate accepts
+        // an incumbent only within half the acceptance tolerance, so the
+        // search must go on and find x = 0.
+        let mut m = Model::new();
+        let x = m.add_var("x", -2.0, 2.0, 0.0, true);
+        m.add_abs_deviation(x, 0.4998, 1.0);
+        m.set_warm_start(vec![1.0, 0.5002]);
+        let s = m.solve();
+        assert_eq!(s.status, Status::Optimal);
+        assert_eq!(s.int_value(x), 0);
+        assert!((s.objective - 0.4998).abs() < 1e-9, "obj={}", s.objective);
+        assert!(s.bound_stop);
+    }
+
+    #[test]
+    fn models_with_uncovered_integers_are_not_certified() {
+        // An indicator model: the binary carries no deviation term, so the
+        // search stays exhaustive although the root bound (2, with an
+        // integer target) already matches the first incumbent.
+        let mut m = Model::new();
+        let x = m.add_var("x", -3.0, 3.0, 0.0, true);
+        let c = m.add_binary("c", 0.0);
+        m.add_indicator(x, c, 3.0);
+        m.add_cons(vec![(x, 1.0)], Op::Ge, 2.0);
+        m.add_abs_deviation(x, 0.0, 1.0);
+        let s = m.solve();
+        let exhaustive = solve_branch_and_bound(&m, false);
+        assert_eq!(s.status, Status::Optimal);
+        assert!((s.objective - 2.0).abs() < 1e-9, "obj={}", s.objective);
+        assert!(!s.bound_stop);
+        assert_eq!(s.nodes, exhaustive.nodes);
+    }
+
     mod prop {
         use super::*;
         use proptest::prelude::*;
@@ -362,6 +465,161 @@ mod tests {
                                 .map(|(v, c)| got.value(*v) * *c as f64).sum();
                             prop_assert!(s <= *b as f64 + 1e-6);
                         }
+                    }
+                }
+            }
+        }
+
+        /// A small concentration model: `min Σ|k_i − a_i|` over integer
+        /// tunings in windows that contain 0, under difference constraints
+        /// `k_i − k_j ≤ w` (a unary `k_i ≤ w` when `i = j`), optionally with
+        /// big-M indicator binaries and a budget on their sum.
+        #[derive(Debug, Clone)]
+        struct Concentration {
+            windows: Vec<(i64, i64)>,
+            cons: Vec<(usize, usize, i64)>,
+            targets: Vec<f64>,
+            budget: Option<usize>,
+        }
+
+        impl Concentration {
+            fn feasible(&self, k: &[i64]) -> bool {
+                let diffs = self.cons.iter().all(|&(i, j, w)| {
+                    let lhs = if i == j { k[i] } else { k[i] - k[j] };
+                    lhs <= w
+                });
+                diffs
+                    && self
+                        .budget
+                        .is_none_or(|b| k.iter().filter(|v| **v != 0).count() <= b)
+            }
+
+            fn cost(&self, k: &[i64]) -> f64 {
+                k.iter()
+                    .zip(&self.targets)
+                    .map(|(v, a)| (*v as f64 - a).abs())
+                    .sum()
+            }
+
+            /// Every feasible integer point, in lexicographic order.
+            fn feasible_points(&self) -> Vec<Vec<i64>> {
+                let mut out = Vec::new();
+                let mut k: Vec<i64> = self.windows.iter().map(|w| w.0).collect();
+                loop {
+                    if self.feasible(&k) {
+                        out.push(k.clone());
+                    }
+                    let mut i = 0;
+                    while i < k.len() && k[i] == self.windows[i].1 {
+                        k[i] = self.windows[i].0;
+                        i += 1;
+                    }
+                    if i == k.len() {
+                        return out;
+                    }
+                    k[i] += 1;
+                }
+            }
+
+            /// The model in `concentrate`'s variable order (tunings,
+            /// binaries, deviations), warm-started at `warm` if given.
+            fn model(&self, warm: Option<&[i64]>) -> Model {
+                let mut m = Model::new();
+                let ks: Vec<_> = self
+                    .windows
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(lo, hi))| {
+                        m.add_var(format!("k{i}"), lo as f64, hi as f64, 0.0, true)
+                    })
+                    .collect();
+                if let Some(budget) = self.budget {
+                    let mut cterms = Vec::new();
+                    for (i, &(lo, hi)) in self.windows.iter().enumerate() {
+                        let c = m.add_binary(format!("c{i}"), 0.0);
+                        m.add_indicator(ks[i], c, (lo.abs().max(hi.abs()) as f64).max(1.0));
+                        cterms.push((c, 1.0));
+                    }
+                    m.add_cons(cterms, Op::Le, budget as f64);
+                }
+                for &(i, j, w) in &self.cons {
+                    let terms = if i == j {
+                        vec![(ks[i], 1.0)]
+                    } else {
+                        vec![(ks[i], 1.0), (ks[j], -1.0)]
+                    };
+                    m.add_cons(terms, Op::Le, w as f64);
+                }
+                for (&k, &a) in ks.iter().zip(&self.targets) {
+                    m.add_abs_deviation(k, a, 1.0);
+                }
+                if let Some(k) = warm {
+                    let mut point: Vec<f64> = k.iter().map(|v| *v as f64).collect();
+                    if self.budget.is_some() {
+                        point.extend(k.iter().map(|v| if *v != 0 { 1.0 } else { 0.0 }));
+                    }
+                    point.extend(
+                        k.iter()
+                            .zip(&self.targets)
+                            .map(|(v, a)| (*v as f64 - a).abs()),
+                    );
+                    m.set_warm_start(point);
+                }
+                m
+            }
+        }
+
+        prop_compose! {
+            fn concentration()(
+                windows in proptest::collection::vec((-3i64..=0, 0i64..=3), 1..5),
+                cons in proptest::collection::vec((0usize..4, 0usize..4, -3i64..=3), 0..6),
+                // Integer, half-integer, near-tied (the two roundings of
+                // 0.4998 differ by 4e-4) and generic fractional targets.
+                targets in proptest::collection::vec(
+                    (-3i64..=3, prop_oneof![Just(0.0), Just(0.5), Just(0.4998), 0.05f64..0.95]),
+                    4,
+                ),
+                budget in prop_oneof![Just(None), (0usize..4).prop_map(Some)],
+            ) -> Concentration {
+                let n = windows.len();
+                Concentration {
+                    cons: cons.into_iter().filter(|c| c.0 < n && c.1 < n).collect(),
+                    targets: targets[..n].iter().map(|(t, f)| *t as f64 + f).collect(),
+                    windows,
+                    budget,
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn certified_search_matches_the_exhaustive_search(
+                problem in concentration(),
+                warm in prop_oneof![Just(None), (0usize..10_000).prop_map(Some)],
+            ) {
+                let points = problem.feasible_points();
+                let warm = warm.filter(|_| !points.is_empty()).map(|w| &points[w % points.len()]);
+                let m = problem.model(warm.map(|k| k.as_slice()));
+                let got = m.solve();
+                let want = solve_branch_and_bound(&m, false);
+                prop_assert_eq!(got.status, want.status);
+                prop_assert_eq!(got.objective.to_bits(), want.objective.to_bits());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got.values), bits(&want.values));
+                if problem.budget.is_some() {
+                    prop_assert!(!got.bound_stop, "indicator models are not certified");
+                }
+                let brute = points
+                    .iter()
+                    .map(|k| problem.cost(k))
+                    .min_by(|a, b| a.total_cmp(b));
+                match brute {
+                    None => prop_assert_eq!(got.status, Status::Infeasible),
+                    Some(best) => {
+                        prop_assert_eq!(got.status, Status::Optimal);
+                        prop_assert!((got.objective - best).abs() < 1e-6,
+                            "got {} want {best} for {problem:?}", got.objective);
                     }
                 }
             }

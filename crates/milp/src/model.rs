@@ -48,6 +48,9 @@ pub struct Solution {
     pub objective: f64,
     /// Branch-and-bound nodes explored.
     pub nodes: usize,
+    /// The search stopped early because the incumbent met the hull bound
+    /// (see [`Model::solve`]); `status` is then `Optimal`.
+    pub bound_stop: bool,
 }
 
 impl Solution {
@@ -79,6 +82,14 @@ pub(crate) struct ConsDef {
     pub rhs: f64,
 }
 
+/// One `z ≥ |x − target|` term added by [`Model::add_abs_deviation`].
+#[derive(Debug, Clone)]
+pub(crate) struct Deviation {
+    pub z: VarId,
+    pub x: VarId,
+    pub target: f64,
+}
+
 /// A mixed-integer linear program.
 ///
 /// All variables must have finite bounds — the flows this crate serves
@@ -91,6 +102,8 @@ pub struct Model {
     pub node_limit: usize,
     /// Optional warm-start point (see [`Model::set_warm_start`]).
     pub(crate) warm: Option<Vec<f64>>,
+    /// Every deviation term, in insertion order (for the hull bound).
+    pub(crate) deviations: Vec<Deviation>,
 }
 
 impl Model {
@@ -101,6 +114,7 @@ impl Model {
             cons: Vec::new(),
             node_limit: 200_000,
             warm: None,
+            deviations: Vec::new(),
         }
     }
 
@@ -216,6 +230,13 @@ impl Model {
     /// Adds `z ≥ |x − target|` and returns `z` (with objective weight
     /// `weight`).  Minimising `z` therefore minimises the absolute
     /// deviation — the linearisation used by the paper's eqs. (15)/(19).
+    ///
+    /// The model gets exactly these two rows.  The term is also recorded
+    /// for [`Model::solve`]'s hull bound: when `x` is integer and `target`
+    /// fractional, the bound LP adds the chord cut through the two integer
+    /// points around the target, `z ≥ f + (1 − 2f)(x − ⌊target⌋)` with
+    /// `f = target − ⌊target⌋`.  The cut holds at every integer `x`, so it
+    /// bounds the MILP without changing it.
     pub fn add_abs_deviation(&mut self, x: VarId, target: f64, weight: f64) -> VarId {
         let (lo, hi) = (self.vars[x.0].lo, self.vars[x.0].hi);
         let zhi = (lo - target).abs().max((hi - target).abs());
@@ -223,7 +244,39 @@ impl Model {
         // z - x >= -target  and  z + x >= target.
         self.add_cons(vec![(z, 1.0), (x, -1.0)], Op::Ge, -target);
         self.add_cons(vec![(z, 1.0), (x, 1.0)], Op::Ge, target);
+        self.deviations.push(Deviation { z, x, target });
         z
+    }
+
+    /// The chord cuts of the hull bound, or `None` when some integer
+    /// variable carries no deviation term.  Big-M binaries are such
+    /// variables, and the chord bound stays weak while they are fractional.
+    /// An empty list means no integer term has a fractional target: the
+    /// bound is then the plain LP relaxation.
+    pub(crate) fn chord_cuts(&self) -> Option<Vec<ConsDef>> {
+        let mut covered = vec![false; self.vars.len()];
+        for d in &self.deviations {
+            covered[d.x.0] = true;
+        }
+        if self.vars.iter().zip(&covered).any(|(v, c)| v.integer && !c) {
+            return None;
+        }
+        let cuts = self
+            .deviations
+            .iter()
+            .filter(|d| self.vars[d.x.0].integer)
+            .filter_map(|d| {
+                let base = d.target.floor();
+                let f = d.target - base;
+                // z − (1 − 2f)·x ≥ f − (1 − 2f)·⌊target⌋.
+                (f > 0.0).then(|| ConsDef {
+                    terms: vec![(d.z, 1.0), (d.x, -(1.0 - 2.0 * f))],
+                    op: Op::Ge,
+                    rhs: f - (1.0 - 2.0 * f) * base,
+                })
+            })
+            .collect();
+        Some(cuts)
     }
 
     /// Adds the big-M indicator pair `x ≤ c·M` and `−x ≤ c·M` (paper's
@@ -234,15 +287,21 @@ impl Model {
         self.add_cons(vec![(x, -1.0), (c, -big_m)], Op::Le, 0.0);
     }
 
-    /// Builds the LP relaxation in shifted computational form
-    /// (`y = x − lo ≥ 0`) together with the objective constant.
-    pub(crate) fn to_dense_lp(&self, lo_override: &[f64], hi_override: &[f64]) -> (DenseLp, f64) {
+    /// Builds the LP relaxation plus the `extra` rows in shifted
+    /// computational form (`y = x − lo ≥ 0`) together with the objective
+    /// constant.
+    pub(crate) fn to_dense_lp(
+        &self,
+        lo_override: &[f64],
+        hi_override: &[f64],
+        extra: &[ConsDef],
+    ) -> (DenseLp, f64) {
         let n = self.vars.len();
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(self.cons.len() + n);
+        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(self.cons.len() + extra.len() + n);
         let mut ops: Vec<RowOp> = Vec::new();
         let mut rhs: Vec<f64> = Vec::new();
 
-        for c in &self.cons {
+        for c in self.cons.iter().chain(extra) {
             let mut row = vec![0.0; n];
             let mut shift = 0.0;
             for (v, coef) in &c.terms {
@@ -291,32 +350,52 @@ impl Model {
     pub fn solve_lp(&self) -> Solution {
         let lo: Vec<f64> = self.vars.iter().map(|v| v.lo).collect();
         let hi: Vec<f64> = self.vars.iter().map(|v| v.hi).collect();
-        let (lp, constant) = self.to_dense_lp(&lo, &hi);
+        let (lp, constant) = self.to_dense_lp(&lo, &hi, &[]);
         match lp.solve() {
             LpOutcome::Optimal { x, objective } => Solution {
                 status: Status::Optimal,
                 values: x.iter().enumerate().map(|(i, y)| y + lo[i]).collect(),
                 objective: objective + constant,
                 nodes: 1,
+                bound_stop: false,
             },
             LpOutcome::Infeasible => Solution {
                 status: Status::Infeasible,
                 values: vec![],
                 objective: f64::INFINITY,
                 nodes: 1,
+                bound_stop: false,
             },
             LpOutcome::Unbounded => Solution {
                 status: Status::Unbounded,
                 values: vec![],
                 objective: f64::NEG_INFINITY,
                 nodes: 1,
+                bound_stop: false,
             },
         }
     }
 
     /// Solves the MILP by branch and bound.
+    ///
+    /// When every integer variable carries a deviation term (see
+    /// [`Model::add_abs_deviation`]), the first node that has to branch
+    /// also solves the *hull bound*: the LP relaxation of this model plus
+    /// one chord cut per integer term with a fractional target.  The
+    /// search stops, `Optimal` and with [`Solution::bound_stop`] set, as
+    /// soon as the incumbent (possibly the warm start) is within half the
+    /// acceptance tolerance of that bound.
+    ///
+    /// The returned point is the one the exhaustive search returns.  The
+    /// tree, branching order, warm start and incumbent rule are unchanged,
+    /// so the stopped search is a prefix of the exhaustive one.  The cut
+    /// holds at every integer point, so every leaf left unexplored is at
+    /// or above the bound, and the incumbent rule accepts only leaves
+    /// better than the incumbent by the full tolerance.  Only the status
+    /// can differ: an exhaustive search that hits `node_limit` reports
+    /// `Feasible` where the stopped one has proven `Optimal`.
     pub fn solve(&self) -> Solution {
-        solve_branch_and_bound(self)
+        solve_branch_and_bound(self, true)
     }
 }
 

@@ -222,6 +222,7 @@ fn deterministic_counters_and_gauges_are_worker_count_invariant() {
         "fleet.jobs.executed",
         "fleet.jobs.committed",
         "fleet.journal.writes",
+        "solve.milp.lp_nodes",
     ] {
         let a = one.counter(counter);
         let b = eight.counter(counter);
