@@ -31,9 +31,8 @@
 //! campaign (sampling batches, flow passes, solver stages, job
 //! lifecycle) — load it at <https://ui.perfetto.dev>.  Unless `--quiet`,
 //! progress goes to stderr as one line per finished job plus a periodic
-//! summary (jobs committed / total, quarantines, elapsed, ETA) read from
-//! the `psbi_obs` metrics registry; `--progress` re-enables it over
-//! `--quiet`.  Neither changes a single canonical byte (`PSBI_TRACE` /
+//! summary (jobs committed / total, quarantines, elapsed, ETA) from the
+//! campaign engine; `--progress` re-enables it over `--quiet`.  Neither changes a single canonical byte (`PSBI_TRACE` /
 //! `PSBI_METRICS` in the README).
 //!
 //! `run` resumes automatically: jobs already present in the journal are

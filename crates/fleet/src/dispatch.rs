@@ -1,15 +1,14 @@
-//! The campaign dispatcher behind `psbi-fleet serve`.
+//! The campaign dispatcher behind `psbi-fleet serve`: a TCP front over
+//! the transport-free campaign [`engine`].
 //!
 //! One long-running process owns the journals.  Submitters hand it
 //! campaigns ([`crate::proto::Msg::Submit`]); workers connect, request
 //! work and receive **leases** — contiguous-by-circuit slices of the job
 //! grid with a deadline.  Completed [`crate::JobRecord`]s come back over
-//! the wire (checksummed end to end), pass through the same reorder
-//! buffer the single-process runner uses, and are appended to the same
-//! append-only v2 journal **in job-index order** — which is the whole
-//! determinism argument: every record is a pure function of (spec, job
-//! index), and the journal only ever sees them in grid order, so its
-//! bytes cannot depend on worker count, join/leave order or kill pattern.
+//! the wire (checksummed end to end) and are committed by the engine,
+//! the same core `psbi-fleet run` drives with local consumers — one
+//! reorder buffer, one journal append, so a served journal is
+//! byte-identical to a local one by construction.
 //!
 //! # Failure model
 //!
@@ -35,9 +34,12 @@
 //!   restart with cached results for an *old* campaign that shared the
 //!   id can never graft foreign bytes into the new campaign's journal.
 //! * **No worker ever connects** — after `inline_grace_ms` the
-//!   dispatcher degrades to inline execution in-process (same
-//!   [`crate::runner::execute_batch`] core the workers use), so a
-//!   campaign always completes.
+//!   dispatcher degrades to inline execution in-process: the engine's
+//!   lease-consumer loop over the same batch executor the workers use,
+//!   so a campaign always completes.
+//! * **A commit panics** — the engine catches it and fails the campaign
+//!   with the worker-crash class (exit code 8); the journal keeps its
+//!   valid prefix and a resubmission resumes from it.
 //!
 //! Campaigns multiplex over one shared [`WorkspacePool`]; leases are
 //! granted round-robin across active campaigns so no submitter starves.
@@ -45,19 +47,21 @@
 //! answered the moment a lease can be granted, or `wait {ms: 0}` after
 //! at most one second.
 
+pub(crate) mod engine;
+
 use crate::error::FleetError;
-use crate::journal::{JobRecord, Journal};
-use crate::proto::{read_msg, write_msg, Msg};
+use crate::journal::JobRecord;
+use crate::proto::{read_msg, send, write_msg, Msg};
 use crate::runner::execute_batch;
-use crate::spec::{CampaignSpec, JobSpec};
+use crate::spec::CampaignSpec;
+use engine::{consume_leases, report_progress, Campaign, Engine, Finished, Grant, LeaseLog, Table};
 use psbi_core::flow::WorkspacePool;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, Write as _};
+use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
@@ -103,8 +107,7 @@ pub struct ServeOptions {
     /// Exit after the first submitted campaign completes (broadcasting
     /// `shutdown` to connected workers).
     pub once: bool,
-    /// Per-campaign progress lines on stderr, driven by the metrics
-    /// registry (a path-less registry is armed if none is).
+    /// Per-campaign progress lines on stderr.
     pub progress: bool,
     /// Write the bound address (one line) here once listening — how
     /// scripts discover a port-0 dispatcher.
@@ -128,192 +131,28 @@ impl Default for ServeOptions {
     }
 }
 
-/// Advisory append-only log of lease lifecycle events, next to the
-/// journal (`<journal>.leases`).  The journal alone is the source of
-/// truth for *results*; this log exists so a dispatcher restarted after
-/// `kill -9` can tell (and report) which leases the crash orphaned, and
-/// so post-mortems can reconstruct the grant/expire/redispatch history.
-/// Parsing is tolerant: a torn tail line is simply ignored.
-struct LeaseLog {
-    file: File,
-}
-
-impl LeaseLog {
-    /// Opens (creating if absent) and scans the log: returns the handle,
-    /// the number of orphaned leases (granted, never done/expired — the
-    /// signature of a dispatcher crash) and the highest lease id seen.
-    fn open(path: &Path) -> Result<(Self, usize, u64), FleetError> {
-        let mut open_leases = HashSet::new();
-        let mut max_lease = 0u64;
-        if let Ok(bytes) = std::fs::read(path) {
-            for line in String::from_utf8_lossy(&bytes).lines() {
-                let Ok(v) = crate::json::Json::parse(line) else {
-                    continue; // torn tail from a crash mid-append
-                };
-                let lease = v.get("lease").and_then(crate::json::Json::as_u64);
-                match (v.get("ev").and_then(crate::json::Json::as_str), lease) {
-                    (Some("grant"), Some(l)) => {
-                        open_leases.insert(l);
-                        max_lease = max_lease.max(l);
-                    }
-                    (Some("done" | "expire"), Some(l)) => {
-                        open_leases.remove(&l);
-                        max_lease = max_lease.max(l);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok((Self { file }, open_leases.len(), max_lease))
-    }
-
-    /// Best-effort append (the log is advisory — a full disk must not
-    /// fail the campaign whose journal still writes fine).
-    fn ev(&mut self, line: &str) {
-        let _ = self
-            .file
-            .write_all(format!("{line}\n").as_bytes())
-            .and_then(|()| self.file.flush());
-    }
-
-    fn grant(&mut self, lease: u64, conn: u64, jobs: &BTreeSet<usize>) {
-        let jobs: Vec<String> = jobs.iter().map(usize::to_string).collect();
-        self.ev(&format!(
-            "{{\"ev\":\"grant\",\"lease\":{lease},\"conn\":{conn},\"jobs\":[{}]}}",
-            jobs.join(",")
-        ));
-    }
-
-    fn done(&mut self, lease: u64) {
-        self.ev(&format!("{{\"ev\":\"done\",\"lease\":{lease}}}"));
-    }
-
-    fn expire(&mut self, lease: u64, reason: &str) {
-        self.ev(&format!(
-            "{{\"ev\":\"expire\",\"lease\":{lease},\"reason\":\"{}\"}}",
-            crate::json::escape(reason)
-        ));
-    }
-}
-
-/// One outstanding lease.  `jobs` holds only the *unreturned* jobs — a
-/// returned job leaves the set immediately, so expiry never re-dispatches
-/// work that already reached the reorder buffer.
-struct Lease {
-    jobs: BTreeSet<usize>,
-    deadline: Instant,
-    /// Owning connection (0 = the dispatcher's inline executor).
-    conn: u64,
-}
-
-/// One active campaign: the dispatcher-side mirror of the runner's
-/// `CommitState`, plus the lease bookkeeping.
-struct Campaign {
-    spec: CampaignSpec,
-    /// Canonical spec text embedded in every lease (identical bytes on
-    /// both sides ⇒ identical fingerprint and grid).
-    spec_text: String,
-    /// [`CampaignSpec::fingerprint`] of `spec_text` — every incoming
-    /// result must present it, so a record computed for a different
-    /// campaign that happens to share this campaign's id (ids restart
-    /// on dispatcher restart) can never reach the journal.
-    fingerprint: String,
-    jobs: Vec<JobSpec>,
-    journal: Journal,
-    journal_path: PathBuf,
-    lease_log: LeaseLog,
-    total: usize,
-    /// Next job index to commit (resumed prefix already behind it).
-    next: usize,
-    resumed: usize,
-    /// Completed jobs waiting for their predecessors.
-    parked: BTreeMap<usize, JobRecord>,
-    /// Uncommitted, unparked, unleased job indices.
-    pending: BTreeSet<usize>,
-    leases: HashMap<u64, Lease>,
-    retries: usize,
-    verify: bool,
-    quarantined: u64,
-    verify_failures: Vec<(usize, String)>,
-    /// Campaign-fatal error (journal write failure): exit-code class and
-    /// message for the submitter.
-    failed: Option<(u8, String)>,
-}
-
-impl Campaign {
-    fn done(&self) -> bool {
-        self.next == self.total
-    }
-
-    /// Commits every parked record that has become next-in-line — the
-    /// same reorder-buffer discipline as the single-process runner, which
-    /// is what keeps the journal byte-identical to it.
-    fn drain(&mut self) {
-        while let Some(record) = self.parked.remove(&self.next) {
-            let _span = psbi_obs::Span::enter_with("fleet.commit", &[("job", self.next as u64)]);
-            if let Err(e) = self.journal.append(&record) {
-                self.failed = Some((e.code(), e.to_string()));
-                // Stop granting: pending work is pointless once the
-                // journal cannot take records.
-                self.pending.clear();
-                return;
-            }
-            if record.quarantined {
-                self.quarantined += 1;
-            }
-            psbi_obs::metrics::counter_add("fleet.jobs.committed", 1);
-            self.next += 1;
-        }
-    }
-
-    /// Returns a lease's unreturned jobs to the pending set.
-    fn expire_lease(&mut self, lease_id: u64, reason: &str) {
-        if let Some(lease) = self.leases.remove(&lease_id) {
-            let _span = psbi_obs::Span::enter_with(
-                "dispatch.redispatch",
-                &[("lease", lease_id), ("jobs", lease.jobs.len() as u64)],
-            );
-            psbi_obs::metrics::counter_add("dispatch.leases.expired", 1);
-            psbi_obs::metrics::counter_add("dispatch.jobs.redispatched", lease.jobs.len() as u64);
-            self.pending.extend(lease.jobs.iter().copied());
-            self.lease_log.expire(lease_id, reason);
-        }
-    }
-}
-
-/// Everything behind the table mutex.
-struct Table {
-    campaigns: BTreeMap<u64, Campaign>,
-    next_campaign: u64,
-    next_lease: u64,
-    /// Round-robin cursor so lease grants rotate across campaigns.
-    rr: u64,
-    /// Writer halves of connected worker sessions (for the shutdown
-    /// broadcast and to interleave replies line-atomically).
-    conns: HashMap<u64, Arc<Mutex<TcpStream>>>,
-    next_conn: u64,
-    workers: u64,
-    /// Set once any worker has ever said hello (gates inline fallback).
-    saw_worker: bool,
-    started: Instant,
-}
-
+/// The serve process: the campaign engine plus its TCP sessions.
 struct ServeState {
     opts: ServeOptions,
-    table: Mutex<Table>,
-    wake: Condvar,
+    engine: Engine,
+    /// Writer halves of connected worker sessions (for the shutdown
+    /// broadcast and to interleave replies line-atomically).
+    conns: Mutex<HashMap<u64, Arc<Mutex<TcpStream>>>>,
+    /// Next worker connection id.  Ids start at 1, so a value above 1
+    /// means a worker has said hello (which ends the inline fallback).
+    next_conn: AtomicU64,
+    started: Instant,
     shutdown: AtomicBool,
     pool: Arc<WorkspacePool>,
     local_addr: SocketAddr,
 }
 
-fn lock_table(state: &ServeState) -> MutexGuard<'_, Table> {
-    state.table.lock().unwrap_or_else(PoisonError::into_inner)
+fn lock_conns(state: &ServeState) -> MutexGuard<'_, HashMap<u64, Arc<Mutex<TcpStream>>>> {
+    state.conns.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn update_gauges(t: &Table) {
-    psbi_obs::metrics::gauge_set("dispatch.workers.connected", t.workers);
+fn update_gauges(state: &ServeState, t: &Table) {
+    psbi_obs::metrics::gauge_set("dispatch.workers.connected", lock_conns(state).len() as u64);
     psbi_obs::metrics::gauge_set(
         "dispatch.leases.outstanding",
         t.campaigns.values().map(|c| c.leases.len() as u64).sum(),
@@ -346,15 +185,15 @@ fn initiate_shutdown(state: &ServeState) {
     if state.shutdown.swap(true, Ordering::SeqCst) {
         return;
     }
-    {
-        let t = lock_table(state);
-        for conn in t.conns.values() {
-            let mut w = conn.lock().unwrap_or_else(PoisonError::into_inner);
-            let _ = write_msg(&mut *w, &Msg::Shutdown);
-            let _ = w.shutdown(Shutdown::Both);
-        }
+    for conn in lock_conns(state).values() {
+        let mut w = conn.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = write_msg(&mut *w, &Msg::Shutdown);
+        let _ = w.shutdown(Shutdown::Both);
     }
-    state.wake.notify_all();
+    // Taking the engine lock orders the flag before any waiter's next
+    // check, so none of them sleeps through the broadcast.
+    drop(state.engine.lock());
+    state.engine.wake.notify_all();
     // Unblock the accept loop.
     let _ = TcpStream::connect(state.local_addr);
 }
@@ -384,9 +223,6 @@ impl Dispatcher {
     /// [`FleetError::Dispatch`] when the address cannot be bound;
     /// [`FleetError::Io`] when the addr file cannot be written.
     pub fn bind(opts: ServeOptions) -> Result<Self, FleetError> {
-        if opts.progress && !psbi_obs::metrics::enabled() {
-            psbi_obs::metrics::arm(None);
-        }
         let listener = TcpListener::bind(&opts.addr)
             .map_err(|e| FleetError::Dispatch(format!("cannot bind `{}`: {e}", opts.addr)))?;
         let local_addr = listener.local_addr()?;
@@ -395,18 +231,10 @@ impl Dispatcher {
         }
         let state = Arc::new(ServeState {
             opts,
-            table: Mutex::new(Table {
-                campaigns: BTreeMap::new(),
-                next_campaign: 1,
-                next_lease: 1,
-                rr: 0,
-                conns: HashMap::new(),
-                next_conn: 1,
-                workers: 0,
-                saw_worker: false,
-                started: Instant::now(),
-            }),
-            wake: Condvar::new(),
+            engine: Engine::new(),
+            conns: Mutex::new(HashMap::new()),
+            next_conn: AtomicU64::new(1),
+            started: Instant::now(),
             shutdown: AtomicBool::new(false),
             pool: Arc::new(WorkspacePool::new()),
             local_addr,
@@ -439,7 +267,9 @@ impl Dispatcher {
             scope.spawn(|| reaper_loop(state));
             scope.spawn(|| inline_loop(state));
             if state.opts.progress {
-                scope.spawn(|| progress_loop(state));
+                scope.spawn(|| {
+                    report_progress(&state.engine, || state.shutdown.load(Ordering::SeqCst))
+                });
             }
             for stream in self.listener.incoming() {
                 if state.shutdown.load(Ordering::SeqCst) {
@@ -460,7 +290,7 @@ impl Dispatcher {
                 }
             }
             // Unblock anything still waiting (queued submitters).
-            state.wake.notify_all();
+            state.engine.wake.notify_all();
         });
         Ok(())
     }
@@ -477,25 +307,17 @@ fn reaper_loop(state: &Arc<ServeState>) {
     while !state.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(tick);
         {
-            let mut t = lock_table(state);
+            let mut t = state.engine.lock();
             let now = Instant::now();
             for c in t.campaigns.values_mut() {
-                let overdue: Vec<u64> = c
-                    .leases
-                    .iter()
-                    .filter(|(id, lease)| {
-                        lease.deadline < now
-                            || psbi_fault::failpoint!("dispatch.lease.expire_early", "lease" = **id)
-                    })
-                    .map(|(id, _)| *id)
-                    .collect();
-                for id in overdue {
-                    c.expire_lease(id, "deadline");
-                }
+                c.expire_leases("deadline", |id, lease| {
+                    lease.deadline < now
+                        || psbi_fault::failpoint!("dispatch.lease.expire_early", "lease" = id)
+                });
             }
-            update_gauges(&t);
+            update_gauges(state, &t);
         }
-        state.wake.notify_all();
+        state.engine.wake.notify_all();
         if last_flush.elapsed() >= Duration::from_secs(5) {
             last_flush = Instant::now();
             if let Err(e) = psbi_obs::trace::flush() {
@@ -508,232 +330,84 @@ fn reaper_loop(state: &Arc<ServeState>) {
     }
 }
 
-/// Inline degradation: when no worker is connected (and none has been
-/// seen since `inline_grace_ms`), the dispatcher claims leases itself and
-/// executes them in-process over the shared pool — same `execute_batch`
-/// core, same commit path, so a worker-less serve is just a slow fleet.
+/// Inline degradation: when no worker has connected within
+/// `inline_grace_ms`, the dispatcher runs the engine's lease-consumer
+/// loop itself, executing each lease in-process over the shared pool with
+/// the workers' batch executor — so a worker-less serve is just a slow
+/// fleet.
 fn inline_loop(state: &Arc<ServeState>) {
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
+    let grace = Duration::from_millis(state.opts.inline_grace_ms);
+    let stopped = || state.shutdown.load(Ordering::SeqCst);
+    while !stopped() {
         std::thread::sleep(Duration::from_millis(40));
-        let grace = Duration::from_millis(state.opts.inline_grace_ms);
-        let claim = {
-            let mut t = lock_table(state);
-            if t.workers > 0 || t.saw_worker || t.started.elapsed() < grace {
+        consume_leases(
+            &state.engine,
+            |t| {
                 // Workers own the grid (or may still show up).  After a
                 // worker has ever connected, recovery is the lease
                 // machinery's job — re-dispatch, not inline takeover.
-                continue;
-            }
-            grant_lease(&mut t, 0, state.opts.lease_ms, state.opts.lease_jobs)
-        };
-        let Some((lease_id, campaign_id, _spec_text, job_ids, retries, verify)) = claim else {
-            continue;
-        };
-        let (spec, jobs) = {
-            let t = lock_table(state);
-            let Some(c) = t.campaigns.get(&campaign_id) else {
-                continue;
-            };
-            let jobs: Vec<JobSpec> = job_ids.iter().map(|&j| c.jobs[j].clone()).collect();
-            (c.spec.clone(), jobs)
-        };
-        psbi_obs::metrics::counter_add("dispatch.jobs.inline", job_ids.len() as u64);
-        let state2 = Arc::clone(state);
-        let mut emit =
-            |record: JobRecord, verify_failed: Option<String>| -> Result<bool, FleetError> {
-                let mut t = lock_table(&state2);
-                let Some(c) = t.campaigns.get_mut(&campaign_id) else {
-                    return Ok(false);
-                };
-                // Renew our own lease so the reaper's expiry (or the
-                // `expire_early` failpoint) at worst re-dispatches jobs this
-                // batch has not reached — never one already committed.
-                if let Some(lease) = c.leases.get_mut(&lease_id) {
-                    lease.deadline = Instant::now() + Duration::from_millis(state2.opts.lease_ms);
+                if stopped()
+                    || state.next_conn.load(Ordering::SeqCst) > 1
+                    || state.started.elapsed() < grace
+                {
+                    return None;
                 }
-                let keep_going = c.failed.is_none();
-                accept_record(c, lease_id, record, verify_failed);
-                state2.wake.notify_all();
-                Ok(keep_going && !state2.shutdown.load(Ordering::SeqCst))
-            };
-        let batch = execute_batch(&spec, &jobs, &state.pool, retries, verify, &mut emit);
-        let mut t = lock_table(state);
-        if let Some(c) = t.campaigns.get_mut(&campaign_id) {
-            if let Err(e) = batch {
-                // Inline execution failing to even build the flow is
-                // campaign-fatal (a worker would hit the same wall —
-                // the spec names an unbuildable circuit).
-                c.failed.get_or_insert((e.code(), e.to_string()));
-                c.pending.clear();
-            }
-            if let Some(lease) = c.leases.remove(&lease_id) {
-                c.pending.extend(lease.jobs.iter().copied());
-                c.lease_log.done(lease_id);
-            }
-        }
-        update_gauges(&t);
-        drop(t);
-        state.wake.notify_all();
+                let grant = grant(state, t, 0)?;
+                psbi_obs::metrics::counter_add("dispatch.jobs.inline", grant.jobs.len() as u64);
+                Some(grant)
+            },
+            stopped,
+            |lease, emit| {
+                execute_batch(
+                    &lease.spec,
+                    &lease.jobs,
+                    &state.pool,
+                    lease.retries,
+                    lease.verify,
+                    emit,
+                )
+            },
+        );
     }
 }
 
-/// Per-campaign progress lines: aggregate load from the metrics registry
-/// gauges, per-campaign counts from the table.
-fn progress_loop(state: &Arc<ServeState>) {
-    while !state.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(500));
-        let snap = psbi_obs::metrics::snapshot();
-        let workers = snap.gauge("dispatch.workers.connected").unwrap_or(0);
-        let t = lock_table(state);
-        for (id, c) in &t.campaigns {
-            eprintln!(
-                "psbi-fleet: serve: campaign {id} `{}` {}/{} committed \
-                 ({} quarantined), {} worker(s), {} lease(s) outstanding",
-                c.spec.name,
-                c.next,
-                c.total,
-                c.quarantined,
-                workers,
-                c.leases.len()
-            );
-        }
-    }
-}
-
-/// A granted lease: lease id, campaign id, spec text, job indices and the
-/// campaign's retry/verify settings.
-type Grant = (u64, u64, String, Vec<usize>, usize, bool);
-
-/// Grants one lease to `conn` (0 = inline): the lowest pending job's
-/// circuit, up to `lease_jobs` of its pending jobs (0 = all of them),
-/// rotating round-robin across active campaigns.
-fn grant_lease(t: &mut Table, conn: u64, lease_ms: u64, lease_jobs: usize) -> Option<Grant> {
-    let ids: Vec<u64> = t
-        .campaigns
-        .iter()
-        .filter(|(_, c)| c.failed.is_none() && !c.pending.is_empty())
-        .map(|(id, _)| *id)
-        .collect();
-    if ids.is_empty() {
-        return None;
-    }
-    let picked = ids[(t.rr as usize) % ids.len()];
-    t.rr = t.rr.wrapping_add(1);
-    let lease_id = t.next_lease;
-    t.next_lease += 1;
-    let c = t.campaigns.get_mut(&picked)?;
+/// Grants a lease to connection `conn` (0 = the inline consumer) under
+/// serve's lease settings.
+fn grant(state: &ServeState, t: &mut Table, conn: u64) -> Option<Grant> {
+    let grant = t.grant_lease(conn, state.opts.lease_ms, state.opts.lease_jobs)?;
     let _span = psbi_obs::Span::enter_with(
         "dispatch.lease",
-        &[("lease", lease_id), ("campaign", picked)],
-    );
-    let first = *c.pending.iter().next()?;
-    let circuit = c.jobs[first].circuit_index;
-    let cap = if lease_jobs == 0 {
-        usize::MAX
-    } else {
-        lease_jobs
-    };
-    let jobs: BTreeSet<usize> = c
-        .pending
-        .iter()
-        .copied()
-        .filter(|&j| c.jobs[j].circuit_index == circuit)
-        .take(cap)
-        .collect();
-    for j in &jobs {
-        c.pending.remove(j);
-    }
-    let job_list: Vec<usize> = jobs.iter().copied().collect();
-    c.lease_log.grant(lease_id, conn, &jobs);
-    c.leases.insert(
-        lease_id,
-        Lease {
-            jobs,
-            deadline: Instant::now() + Duration::from_millis(lease_ms),
-            conn,
-        },
+        &[("lease", grant.lease), ("campaign", grant.campaign)],
     );
     psbi_obs::metrics::counter_add("dispatch.leases.granted", 1);
-    let grant = (
-        lease_id,
-        picked,
-        c.spec_text.clone(),
-        job_list,
-        c.retries,
-        c.verify,
-    );
-    update_gauges(t);
+    update_gauges(state, t);
     Some(grant)
 }
 
 /// Long-polls a worker's `request`: grants a lease as soon as one can be
-/// granted, or returns `None` on shutdown or after [`LONG_POLL`].
-/// `state.wake` is notified on every event that can make work grantable
-/// — admission, accepted results, lease expiry, disconnects — and on
-/// shutdown, so an idle worker is answered the moment work appears
-/// instead of after a client-side back-off.
-fn await_grant(state: &ServeState, conn_id: u64) -> Option<Grant> {
+/// granted, or returns `None` on shutdown or after [`LONG_POLL`].  The
+/// engine's `wake` is notified on every event that can make work
+/// grantable — admission, accepted results, lease expiry, disconnects —
+/// and on shutdown, so an idle worker is answered the moment work
+/// appears instead of after a client-side back-off.  A grant comes with
+/// its campaign's canonical spec text.
+fn await_grant(state: &ServeState, conn_id: u64) -> Option<(Grant, String)> {
     let deadline = Instant::now() + LONG_POLL;
-    let mut t = lock_table(state);
+    let mut t = state.engine.lock();
     loop {
         if state.shutdown.load(Ordering::SeqCst) {
             return None;
         }
-        let grant = grant_lease(&mut t, conn_id, state.opts.lease_ms, state.opts.lease_jobs);
+        if let Some(g) = grant(state, &mut t, conn_id) {
+            let spec_text = t.campaigns[&g.campaign].spec_text.clone();
+            return Some((g, spec_text));
+        }
         let left = deadline.saturating_duration_since(Instant::now());
-        if grant.is_some() || left.is_zero() {
-            return grant;
+        if left.is_zero() {
+            return None;
         }
-        t = state
-            .wake
-            .wait_timeout(t, left)
-            .unwrap_or_else(PoisonError::into_inner)
-            .0;
+        t = state.engine.wait(t, left);
     }
-}
-
-/// Feeds one verified record into a campaign's reorder buffer.  A job
-/// already committed or parked is a duplicate (first-committed-wins) and
-/// is discarded; everything else is accepted, whether it arrives under a
-/// live lease, a stale lease or no lease at all (a "late" result from a
-/// worker whose lease expired is still a perfectly good pure-function
-/// result).
-fn accept_record(
-    c: &mut Campaign,
-    lease_id: u64,
-    record: JobRecord,
-    verify_failed: Option<String>,
-) {
-    let job = record.job;
-    // Whichever lease currently holds the job releases it — including a
-    // *different* lease after a re-dispatch, whose worker's eventual copy
-    // then lands in the duplicate path below.
-    let mut emptied = None;
-    for (&id, lease) in c.leases.iter_mut() {
-        if lease.jobs.remove(&job) && lease.jobs.is_empty() {
-            emptied = Some(id);
-        }
-    }
-    if let Some(id) = emptied {
-        c.leases.remove(&id);
-        c.lease_log.done(id);
-    }
-    let duplicate = job < c.next || c.parked.contains_key(&job);
-    if duplicate {
-        psbi_obs::metrics::counter_add("dispatch.results.duplicate", 1);
-        return;
-    }
-    c.pending.remove(&job);
-    if let Some(report) = verify_failed {
-        c.verify_failures.push((job, report));
-    }
-    psbi_obs::metrics::counter_add("dispatch.results.accepted", 1);
-    let _ = lease_id; // correlation is by job index; the lease id is diagnostics
-    c.parked.insert(job, record);
-    c.drain();
 }
 
 /// Dispatches one accepted connection by its first message.
@@ -756,28 +430,19 @@ fn handle_conn(state: &Arc<ServeState>, stream: TcpStream) -> Result<(), FleetEr
     }
 }
 
-fn send(writer: &Arc<Mutex<TcpStream>>, msg: &Msg) -> Result<(), FleetError> {
-    let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-    write_msg(&mut *w, msg).map_err(FleetError::Io)
-}
-
-/// Admits a campaign (queueing behind `max_campaigns`) and returns its id.
+/// Admits a campaign (queueing behind `max_campaigns`) and returns its
+/// id, grid size and resumed-record count.
 fn admit_campaign(
     state: &Arc<ServeState>,
     spec_text: &str,
     journal_path: &str,
     retries: usize,
     verify: bool,
-) -> Result<u64, FleetError> {
+) -> Result<(u64, usize, usize), FleetError> {
     let spec = CampaignSpec::from_json(spec_text)?;
     spec.validate()?;
-    // Re-render: leases must carry the *canonical* spec bytes so worker
-    // and dispatcher compute identical fingerprints and grids.
-    let spec_text = spec.to_json();
-    let jobs = spec.jobs();
-    let total = jobs.len();
     let path = PathBuf::from(journal_path);
-    let mut t = lock_table(state);
+    let mut t = state.engine.lock();
     loop {
         if state.shutdown.load(Ordering::SeqCst) {
             return Err(FleetError::Dispatch("dispatcher is shutting down".into()));
@@ -790,15 +455,12 @@ fn admit_campaign(
         if t.campaigns.len() < state.opts.max_campaigns.max(1) {
             break;
         }
-        let (guard, _) = state
-            .wake
-            .wait_timeout(t, Duration::from_millis(200))
-            .unwrap_or_else(PoisonError::into_inner);
-        t = guard;
+        t = state.engine.wait(t, Duration::from_millis(200));
     }
-    let (journal, existing) = Journal::open(&path, &spec)?;
-    let resumed = existing.len();
-    let quarantined = existing.iter().filter(|r| r.quarantined).count() as u64;
+    // The campaign keeps the *canonical* re-rendered spec text, which its
+    // leases carry, so worker and dispatcher compute identical
+    // fingerprints and grids.
+    let mut campaign = Campaign::open(spec, path.clone(), None, retries, verify)?;
     let (lease_log, orphans, max_lease) =
         LeaseLog::open(&PathBuf::from(format!("{}.leases", path.display())))?;
     if orphans > 0 {
@@ -809,42 +471,14 @@ fn admit_campaign(
         );
     }
     t.next_lease = t.next_lease.max(max_lease + 1);
-    let id = t.next_campaign;
-    t.next_campaign += 1;
-    t.campaigns.insert(
-        id,
-        Campaign {
-            fingerprint: spec.fingerprint(),
-            spec,
-            spec_text,
-            jobs,
-            journal,
-            journal_path: path,
-            lease_log,
-            total,
-            next: resumed,
-            resumed,
-            parked: BTreeMap::new(),
-            pending: (resumed..total).collect(),
-            leases: HashMap::new(),
-            retries,
-            verify,
-            quarantined,
-            verify_failures: Vec::new(),
-            failed: None,
-        },
-    );
+    campaign.lease_log = Some(lease_log);
+    let (total, resumed) = (campaign.total, campaign.resumed);
+    let id = t.admit(campaign);
     psbi_obs::metrics::counter_add("dispatch.campaigns.submitted", 1);
-    update_gauges(&t);
+    update_gauges(state, &t);
     drop(t);
-    state.wake.notify_all();
-    Ok(id)
-}
-
-/// What the submit loop observed a campaign end as.
-enum CampaignEnd {
-    Done { committed: usize, quarantined: u64 },
-    Failed { code: u8, message: String },
+    state.engine.wake.notify_all();
+    Ok((id, total, resumed))
 }
 
 /// Serves one submitter: admit, stream progress, report the end state,
@@ -857,23 +491,13 @@ fn handle_submitter(
     retries: usize,
     verify: bool,
 ) -> Result<(), FleetError> {
-    let id = match admit_campaign(state, spec_text, journal_path, retries, verify) {
-        Ok(id) => id,
+    let (id, total, resumed) = match admit_campaign(state, spec_text, journal_path, retries, verify)
+    {
+        Ok(admitted) => admitted,
         Err(e) => {
-            let _ = send(
-                writer,
-                &Msg::Error {
-                    code: e.code(),
-                    message: e.to_string(),
-                },
-            );
+            let _ = send(writer, &Msg::error(&e));
             return Err(e);
         }
-    };
-    let (total, resumed) = {
-        let t = lock_table(state);
-        let c = &t.campaigns[&id];
-        (c.total, c.resumed)
     };
     let _span = psbi_obs::Span::enter_with(
         "dispatch.campaign",
@@ -891,51 +515,29 @@ fn handle_submitter(
     )
     .is_ok();
     let mut last_progress = (resumed, Instant::now());
+    // The loop ends with the submitter's terminal message.
     let end = loop {
-        let mut t = lock_table(state);
-        let table = &mut *t;
-        let c = table
-            .campaigns
-            .get_mut(&id)
-            .expect("only this thread retires the campaign");
-        if let Some((code, message)) = c.failed.clone() {
-            // Outstanding leases are expired (`campaign-failed`) during
-            // retirement below, so the advisory lease log closes every
-            // grant; a late result for the retired campaign is acked as
-            // a duplicate.
-            break CampaignEnd::Failed { code, message };
+        let t = state.engine.lock();
+        // Only this thread retires the campaign.  Outstanding leases of a
+        // failed campaign are expired (`campaign-failed`) during
+        // retirement below, so the advisory lease log closes every grant;
+        // a late result for the retired campaign is acked as a duplicate.
+        let c = &t.campaigns[&id];
+        if let Some(e) = &c.failed {
+            break Msg::error(e);
         }
         if c.done() {
-            break if c.verify_failures.is_empty() {
-                CampaignEnd::Done {
+            break match c.verify_error() {
+                Some(e) => Msg::error(&e),
+                None => Msg::Done {
+                    campaign: id,
                     committed: c.next,
-                    quarantined: c.quarantined,
-                }
-            } else {
-                let detail: Vec<String> = c
-                    .verify_failures
-                    .iter()
-                    .map(|(job, report)| format!("job {job}: {report}"))
-                    .collect();
-                CampaignEnd::Failed {
-                    code: 9,
-                    message: format!(
-                        "{} of {} job(s) failed independent verification — {}",
-                        c.verify_failures.len(),
-                        c.total,
-                        detail.join("; ")
-                    ),
-                }
+                    quarantined: c.quarantined(),
+                },
             };
         }
-        let progress = (c.next, c.quarantined, table.workers);
-        drop(
-            state
-                .wake
-                .wait_timeout(t, Duration::from_millis(200))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0,
-        );
+        let progress = (c.next, c.quarantined(), lock_conns(state).len() as u64);
+        drop(state.engine.wait(t, Duration::from_millis(200)));
         if submitter_alive
             && (progress.0 > last_progress.0 || last_progress.1.elapsed().as_secs() >= 2)
         {
@@ -960,49 +562,26 @@ fn handle_submitter(
     // handle (and its advisory lock) before announcing the result, so a
     // submitter chaining a `report` or a follow-up campaign never races
     // the lock.
+    let done = matches!(end, Msg::Done { .. });
     {
-        let mut t = lock_table(state);
+        let mut t = state.engine.lock();
         if let Some(c) = t.campaigns.get_mut(&id) {
-            let reason = match &end {
-                CampaignEnd::Done { .. } => "campaign-done",
-                CampaignEnd::Failed { .. } => "campaign-failed",
+            let reason = if done {
+                "campaign-done"
+            } else {
+                "campaign-failed"
             };
-            for lid in c.leases.keys().copied().collect::<Vec<u64>>() {
-                c.expire_lease(lid, reason);
-            }
+            c.expire_leases(reason, |_, _| true);
         }
         t.campaigns.remove(&id);
-        update_gauges(&t);
+        update_gauges(state, &t);
     }
-    state.wake.notify_all();
-    match &end {
-        CampaignEnd::Done {
-            committed,
-            quarantined,
-        } => {
-            psbi_obs::metrics::counter_add("dispatch.campaigns.completed", 1);
-            if submitter_alive {
-                let _ = send(
-                    writer,
-                    &Msg::Done {
-                        campaign: id,
-                        committed: *committed,
-                        quarantined: *quarantined,
-                    },
-                );
-            }
-        }
-        CampaignEnd::Failed { code, message } => {
-            if submitter_alive {
-                let _ = send(
-                    writer,
-                    &Msg::Error {
-                        code: *code,
-                        message: message.clone(),
-                    },
-                );
-            }
-        }
+    state.engine.wake.notify_all();
+    if done {
+        psbi_obs::metrics::counter_add("dispatch.campaigns.completed", 1);
+    }
+    if submitter_alive {
+        let _ = send(writer, &end);
     }
     if state.opts.once {
         initiate_shutdown(state);
@@ -1019,16 +598,9 @@ fn handle_worker(
     writer: &Arc<Mutex<TcpStream>>,
     worker_name: &str,
 ) -> Result<(), FleetError> {
-    let conn_id = {
-        let mut t = lock_table(state);
-        let id = t.next_conn;
-        t.next_conn += 1;
-        t.workers += 1;
-        t.saw_worker = true;
-        t.conns.insert(id, Arc::clone(writer));
-        update_gauges(&t);
-        id
-    };
+    let conn_id = state.next_conn.fetch_add(1, Ordering::SeqCst);
+    lock_conns(state).insert(conn_id, Arc::clone(writer));
+    update_gauges(state, &state.engine.lock());
     // A worker that says nothing for several lease periods is gone even
     // if its TCP connection lingers (e.g. a stalled process): time the
     // read out and let the cleanup below expire its leases.
@@ -1038,27 +610,14 @@ fn handle_worker(
             state.opts.lease_ms.max(500) * 4,
         )));
     let outcome = worker_session(state, reader, writer, conn_id);
-    let mut t = lock_table(state);
-    t.workers -= 1;
-    t.conns.remove(&conn_id);
-    let held: Vec<(u64, u64)> = t
-        .campaigns
-        .iter()
-        .flat_map(|(cid, c)| {
-            c.leases
-                .iter()
-                .filter(|(_, lease)| lease.conn == conn_id)
-                .map(|(lid, _)| (*cid, *lid))
-        })
-        .collect();
-    for (cid, lid) in held {
-        if let Some(c) = t.campaigns.get_mut(&cid) {
-            c.expire_lease(lid, "conn-closed");
-        }
+    lock_conns(state).remove(&conn_id);
+    let mut t = state.engine.lock();
+    for c in t.campaigns.values_mut() {
+        c.expire_leases("conn-closed", |_, lease| lease.conn == conn_id);
     }
-    update_gauges(&t);
+    update_gauges(state, &t);
     drop(t);
-    state.wake.notify_all();
+    state.engine.wake.notify_all();
     match outcome {
         // Once shutdown has begun, `initiate_shutdown` closes every worker
         // socket, so a reply racing it (the last `ack`, a `wait`) fails
@@ -1086,17 +645,17 @@ fn worker_session(
         };
         match msg {
             Msg::Request => match await_grant(state, conn_id) {
-                Some((lease, campaign, spec, jobs, retries, verify)) => send(
+                Some((grant, spec)) => send(
                     writer,
                     &Msg::Lease {
-                        lease,
-                        campaign,
+                        lease: grant.lease,
+                        campaign: grant.campaign,
                         spec,
-                        jobs,
-                        deadline_ms: state.opts.lease_ms,
+                        jobs: grant.jobs.iter().map(|j| j.index).collect(),
+                        deadline_ms: grant.lease_ms,
                         heartbeat_ms: state.opts.heartbeat_ms,
-                        retries,
-                        verify,
+                        retries: grant.retries,
+                        verify: grant.verify,
                     },
                 )?,
                 None if state.shutdown.load(Ordering::SeqCst) => {
@@ -1112,7 +671,7 @@ fn worker_session(
                 psbi_obs::metrics::counter_add("dispatch.heartbeats", 1);
                 let mut live = false;
                 {
-                    let mut t = lock_table(state);
+                    let mut t = state.engine.lock();
                     for c in t.campaigns.values_mut() {
                         if let Some(l) = c.leases.get_mut(&lease) {
                             l.deadline =
@@ -1126,7 +685,7 @@ fn worker_session(
                 }
             }
             Msg::Result {
-                lease,
+                lease: _,
                 campaign,
                 fingerprint,
                 record,
@@ -1155,7 +714,7 @@ fn worker_session(
                 };
                 let job = parsed.job;
                 {
-                    let mut t = lock_table(state);
+                    let mut t = state.engine.lock();
                     if let Some(c) = t.campaigns.get_mut(&campaign) {
                         // The record must be the pure function of (this
                         // campaign's spec, its job index) it claims to
@@ -1193,21 +752,22 @@ fn worker_session(
                                 expected.sigma_factor
                             )));
                         }
-                        accept_record(
-                            c,
-                            lease,
-                            parsed,
-                            (!verify_failed.is_empty()).then_some(verify_failed),
-                        );
+                        let verify_failed = (!verify_failed.is_empty()).then_some(verify_failed);
+                        let counter = if c.accept_record(Finished::remote(parsed, verify_failed)) {
+                            "dispatch.results.accepted"
+                        } else {
+                            "dispatch.results.duplicate"
+                        };
+                        psbi_obs::metrics::counter_add(counter, 1);
                     } else {
                         // Campaign already retired (completed while this
                         // result was in flight): the record is a
                         // duplicate by construction.
                         psbi_obs::metrics::counter_add("dispatch.results.duplicate", 1);
                     }
-                    update_gauges(&t);
+                    update_gauges(state, &t);
                 }
-                state.wake.notify_all();
+                state.engine.wake.notify_all();
                 send(writer, &Msg::Ack { campaign, job })?;
             }
             Msg::Goodbye => return Ok(()),
@@ -1223,7 +783,9 @@ fn worker_session(
 
 #[cfg(test)]
 mod tests {
+    use super::engine::Lease;
     use super::*;
+    use std::collections::BTreeSet;
 
     fn tmp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("psbi_dispatch_test_{tag}_{}", std::process::id()))
@@ -1284,55 +846,35 @@ mod tests {
     fn duplicate_and_late_results_discard_deterministically() {
         let spec = CampaignSpec::example();
         let jobs = spec.jobs();
-        let total = jobs.len();
         let journal_path = tmp("dup.journal");
         let lease_path = tmp("dup.journal.leases");
         for p in [&journal_path, &lease_path] {
             let _ = std::fs::remove_file(p);
         }
-        let (journal, _) = Journal::open(&journal_path, &spec).unwrap();
-        let (lease_log, _, _) = LeaseLog::open(&lease_path).unwrap();
-        let mut c = Campaign {
-            spec_text: spec.to_json(),
-            fingerprint: spec.fingerprint(),
-            jobs: jobs.clone(),
-            spec,
-            journal,
-            journal_path: journal_path.clone(),
-            lease_log,
-            total,
-            next: 0,
-            resumed: 0,
-            parked: BTreeMap::new(),
-            pending: (0..total).collect(),
-            leases: HashMap::new(),
-            retries: 0,
-            verify: false,
-            quarantined: 0,
-            verify_failures: Vec::new(),
-            failed: None,
-        };
-        let rec = |j: usize| JobRecord::quarantined(&jobs[j], "test".into());
+        let mut c = Campaign::open(spec, journal_path.clone(), None, 0, false).unwrap();
+        c.lease_log = Some(LeaseLog::open(&lease_path).unwrap().0);
+        let rec =
+            |j: usize| Finished::remote(JobRecord::quarantined(&jobs[j], "test".into()), None);
 
         // Out-of-order arrival parks; in-order commits and drains.
         c.pending.remove(&1);
-        accept_record(&mut c, 1, rec(1), None);
+        c.accept_record(rec(1));
         assert_eq!(c.next, 0);
         assert_eq!(c.parked.len(), 1);
         c.pending.remove(&0);
-        accept_record(&mut c, 2, rec(0), None);
+        c.accept_record(rec(0));
         assert_eq!(c.next, 2);
         assert!(c.parked.is_empty());
 
         // A duplicate of a committed job is discarded, not re-journaled.
         let bytes_before = std::fs::read(&journal_path).unwrap();
-        accept_record(&mut c, 3, rec(0), None);
+        c.accept_record(rec(0));
         assert_eq!(c.next, 2);
         assert_eq!(std::fs::read(&journal_path).unwrap(), bytes_before);
 
         // A "late" result with no live lease is accepted if uncommitted.
         c.pending.remove(&2);
-        accept_record(&mut c, 0, rec(2), None);
+        c.accept_record(rec(2));
         assert_eq!(c.next, 3);
 
         // A result releases its job from whatever lease holds it, and an
@@ -1346,7 +888,7 @@ mod tests {
             },
         );
         c.pending.remove(&3);
-        accept_record(&mut c, 9, rec(3), None);
+        c.accept_record(rec(3));
         assert!(c.leases.is_empty());
         assert!(c.done());
         for p in [&journal_path, &lease_path] {
@@ -1363,29 +905,9 @@ mod tests {
         for p in [&journal_path, &lease_path] {
             let _ = std::fs::remove_file(p);
         }
-        let (journal, _) = Journal::open(&journal_path, &spec).unwrap();
-        let (lease_log, _, _) = LeaseLog::open(&lease_path).unwrap();
-        let total = jobs.len();
-        let mut c = Campaign {
-            spec_text: spec.to_json(),
-            fingerprint: spec.fingerprint(),
-            jobs: jobs.clone(),
-            spec,
-            journal,
-            journal_path,
-            lease_log,
-            total,
-            next: 0,
-            resumed: 0,
-            parked: BTreeMap::new(),
-            pending: BTreeSet::new(),
-            leases: HashMap::new(),
-            retries: 0,
-            verify: false,
-            quarantined: 0,
-            verify_failures: Vec::new(),
-            failed: None,
-        };
+        let mut c = Campaign::open(spec, journal_path, None, 0, false).unwrap();
+        c.lease_log = Some(LeaseLog::open(&lease_path).unwrap().0);
+        c.pending.clear();
         c.leases.insert(
             5,
             Lease {
@@ -1395,13 +917,11 @@ mod tests {
             },
         );
         // Job 0 came back before the lease expired.
-        accept_record(
-            &mut c,
-            5,
+        c.accept_record(Finished::remote(
             JobRecord::quarantined(&jobs[0], "t".into()),
             None,
-        );
-        c.expire_lease(5, "deadline");
+        ));
+        c.end_lease(5, Some("deadline"));
         // Only job 1 is re-dispatched; job 0 is committed.
         assert_eq!(c.pending, BTreeSet::from([1]));
         assert_eq!(c.next, 1);

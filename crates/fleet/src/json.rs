@@ -14,6 +14,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts.  The parser
+/// recurses once per level and reads untrusted input (wire messages,
+/// journals, spec files); legitimate documents nest a few levels, so the
+/// cap keeps a short line of brackets from overflowing a thread's stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -40,7 +46,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -111,12 +117,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -213,7 +223,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -222,7 +232,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -235,7 +245,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -254,7 +264,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {pos}"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -348,6 +358,26 @@ mod tests {
         // An unpaired high surrogate degrades to U+FFFD, not an error.
         let v = Json::parse(r#"{"k": "\ud83dx"}"#).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some("\u{fffd}x"));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        // 100 000 levels recurse far past a 2 MiB stack — the stack every
+        // dispatcher connection thread parses its first line on.
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| Json::parse(&"[".repeat(100_000)))
+            .unwrap()
+            .join()
+            .expect("parsing must not overflow the stack");
+        assert!(deep.unwrap_err().contains("nesting"));
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}1{}", open.repeat(levels), close.repeat(levels))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            assert!(Json::parse(&nested(open, close, MAX_DEPTH)).is_ok());
+            assert!(Json::parse(&nested(open, close, MAX_DEPTH + 1)).is_err());
+        }
     }
 
     #[test]

@@ -12,28 +12,32 @@
 //! * **Deterministic job grids**: a spec expands circuit-major into jobs
 //!   identified by their global grid index, the same
 //!   seed-by-global-index discipline the flow applies to sample chunks.
-//! * **Sharded execution** ([`runner::run_campaign`]): a persistent worker
-//!   pool claims jobs work-stealing style; one flow per circuit serves the
-//!   whole sigma sweep (timing graph and µT/σT calibration built once) and
-//!   every flow shares one [`psbi_core::flow::WorkspacePool`].
+//! * **Sharded execution** ([`runner::run_campaign`]): the campaign is
+//!   admitted into a private copy of the dispatcher's campaign engine —
+//!   the only code that commits records — and `workers` local lease
+//!   consumers take one-job leases from the lowest pending job; one flow
+//!   per circuit serves the whole sigma sweep for all of them (timing
+//!   graph and µT/σT calibration built once) and every flow shares one
+//!   [`psbi_core::flow::WorkspacePool`].
 //! * **Checkpoint/resume** ([`journal::Journal`]): each completed job is
-//!   committed to an append-only journal *in job order* (a reorder buffer
-//!   holds early finishers back).  A killed campaign resumes from the
-//!   journal's valid prefix — re-running only the missing jobs — and the
-//!   resumed journal and report are **byte-identical** to an uninterrupted
-//!   run at any worker count (`tests/fleet_determinism.rs` pins this).
+//!   committed to an append-only journal *in job order* (the engine's
+//!   reorder buffer holds early finishers back).  A killed campaign
+//!   resumes from the journal's valid prefix — re-running only the
+//!   missing jobs — and the resumed journal and report are
+//!   **byte-identical** to an uninterrupted run at any worker count
+//!   (`tests/fleet_determinism.rs` pins this).
 //! * **Aggregated reporting** ([`report::CampaignReport`]): per-circuit /
 //!   per-k yield, buffer-count, area and wall-time tables, in
 //!   human-readable and JSON form; wall times are quarantined in a
 //!   non-canonical section so the canonical report stays deterministic.
 //!
 //! * **Distributed dispatch** ([`dispatch`], [`worker`], [`proto`]): a
-//!   long-running `psbi-fleet serve` dispatcher partitions the job grid
-//!   into deadline-carrying **leases** executed by `psbi-fleet worker`
-//!   processes over a line-delimited JSON TCP protocol, merging results
-//!   through the same reorder buffer into the same journal — byte-identical
-//!   to a single-process run for any worker count, join/leave order or
-//!   kill pattern (`crates/fleet/tests/dispatch_determinism.rs` pins this).
+//!   long-running `psbi-fleet serve` puts a TCP front on the same engine,
+//!   leasing deadline-carrying slices of the job grid to `psbi-fleet
+//!   worker` processes over a line-delimited JSON protocol and committing
+//!   their results through the engine `run` uses — byte-identical to a
+//!   single-process run for any worker count, join/leave order or kill
+//!   pattern (`crates/fleet/tests/dispatch_determinism.rs` pins this).
 //!
 //! The `psbi-fleet` binary wraps all of it:
 //!

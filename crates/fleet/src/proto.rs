@@ -272,6 +272,15 @@ impl Msg {
         }
     }
 
+    /// The terminal `error` message for a failed campaign: the failure's
+    /// exit-code class and text.
+    pub(crate) fn error(e: &FleetError) -> Msg {
+        Msg::Error {
+            code: e.code(),
+            message: e.to_string(),
+        }
+    }
+
     /// Parses one wire line.
     ///
     /// # Errors
@@ -391,6 +400,18 @@ pub fn write_msg<W: std::io::Write>(w: &mut W, msg: &Msg) -> std::io::Result<()>
     let line = format!("{}\n", msg.to_line());
     w.write_all(line.as_bytes())?;
     w.flush()
+}
+
+/// Writes one whole message line through a writer half shared between
+/// threads.
+pub(crate) fn send(
+    writer: &std::sync::Mutex<std::net::TcpStream>,
+    msg: &Msg,
+) -> Result<(), FleetError> {
+    let mut w = writer
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    write_msg(&mut *w, msg).map_err(FleetError::Io)
 }
 
 /// Reads one message; `Ok(None)` is a clean EOF (peer closed the
@@ -533,6 +554,30 @@ mod tests {
         ] {
             assert!(Msg::from_line(bad).is_err(), "`{bad}` should fail");
         }
+    }
+
+    #[test]
+    fn deeply_nested_line_is_a_protocol_error() {
+        // About 100 KB of brackets: before nesting was capped, parsing
+        // this on a 2 MiB connection thread aborted the whole process.
+        let line = format!("{{\"type\":\"submit\",\"spec\":{}\n", "[".repeat(100_000));
+        let (parsed, read) = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let parsed = Msg::from_line(&line);
+                (
+                    parsed,
+                    read_msg(&mut std::io::Cursor::new(line.into_bytes())),
+                )
+            })
+            .unwrap()
+            .join()
+            .expect("parsing must not overflow the stack");
+        assert!(parsed.unwrap_err().contains("nesting"));
+        assert!(matches!(
+            read,
+            Err(FleetError::Dispatch(m)) if m.contains("protocol violation")
+        ));
     }
 
     #[test]

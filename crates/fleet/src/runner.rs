@@ -1,37 +1,39 @@
-//! The sharded campaign executor.
+//! The campaign executor behind `psbi-fleet run`, and the job executor
+//! every campaign consumer shares.
 //!
-//! Jobs are claimed work-stealing style — a shared atomic cursor over the
-//! grid, idle workers taking the next unclaimed index — exactly the
-//! fixed-chunk discipline `psbi_core::flow` uses for sample chunks, lifted
-//! one level up.  Determinism comes from three ingredients:
+//! [`run_campaign`] admits its campaign into a private instance of the
+//! dispatcher's campaign engine and runs `workers` local lease consumers
+//! on it, with no socket in between: each takes a one-job lease from the
+//! lowest pending job, runs it on its circuit's flow and hands the record
+//! back for the engine to commit — through the same reorder buffer,
+//! quarantine and verify paths `psbi-fleet serve` uses.  Determinism
+//! comes from three ingredients:
 //!
 //! 1. every job's result is a pure function of (spec, job index) — the
 //!    flow is bit-reproducible for any thread count, and job `i` always
 //!    names the same (circuit, sigma factor) cell;
-//! 2. completed records pass through a reorder buffer and are committed to
-//!    the journal **in job-index order**, so the journal's bytes never
-//!    depend on completion order;
+//! 2. the engine commits records to the journal **in job-index order**,
+//!    so the journal's bytes never depend on completion order;
 //! 3. wall-clock times stay out of the journal (they live in
 //!    [`CampaignOutcome`]).
 //!
 //! Together: a campaign's journal and canonical report are byte-identical
 //! for any worker count, and a mid-campaign kill + resume reproduces the
 //! uninterrupted run exactly (pinned by `tests/fleet_determinism.rs`).
-//!
-//! Circuits of one campaign share a single
-//! [`psbi_core::flow::WorkspacePool`], and one flow per circuit serves the
-//! whole sigma sweep (calibration cached, timing graph built once).
 
+use crate::dispatch::engine::{consume_leases, report_progress, Campaign, Engine, Finished};
 use crate::error::FleetError;
-use crate::journal::{JobRecord, Journal};
+use crate::journal::JobRecord;
 use crate::spec::{CampaignSpec, JobSpec};
-use psbi_core::flow::{BufferInsertionFlow, InsertionResult, TargetPeriod, WorkspacePool};
+use psbi_core::flow::{
+    BufferInsertionFlow, FlowConfig, InsertionResult, TargetPeriod, WorkspacePool,
+};
 use psbi_netlist::Circuit;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Execution knobs for one `run_campaign` invocation.
@@ -47,9 +49,8 @@ pub struct FleetOptions {
     /// and incremental-run knob); `None` runs to completion.
     pub max_jobs: Option<usize>,
     /// Print per-job progress lines to stderr, plus a periodic summary
-    /// line (jobs done / total, quarantines, elapsed, ETA) driven by the
-    /// `psbi_obs` metrics registry — the runner arms a path-less registry
-    /// if one is not armed already.
+    /// line (jobs committed / total, quarantines, elapsed, ETA) from the
+    /// campaign engine's progress reporter.
     pub progress: bool,
     /// Arm span tracing for this campaign with the given flush
     /// destination (Chrome trace-event JSON — load in Perfetto).
@@ -124,58 +125,6 @@ impl CampaignOutcome {
     }
 }
 
-/// In-order commit state: the reorder buffer between racing workers and
-/// the append-only journal.
-struct CommitState {
-    journal: Journal,
-    /// Next job index to commit.
-    next: usize,
-    /// Completed jobs waiting for their predecessors (`None` diagnostics
-    /// for quarantined jobs — they produced no result).
-    parked: BTreeMap<usize, (JobRecord, f64, Option<psbi_core::flow::FlowDiagnostics>)>,
-    records: Vec<JobRecord>,
-    job_wall_s: Vec<Option<f64>>,
-    job_diagnostics: Vec<Option<psbi_core::flow::FlowDiagnostics>>,
-    /// Per-job verifier failures, accumulated in commit (= job) order.
-    verify_failures: Vec<(usize, String)>,
-    error: Option<FleetError>,
-}
-
-impl CommitState {
-    /// Commits every parked record that has become next-in-line.
-    fn drain(&mut self) -> Result<(), FleetError> {
-        while let Some((record, wall, diag)) = self.parked.remove(&self.next) {
-            let _span = psbi_obs::Span::enter_with("fleet.commit", &[("job", self.next as u64)]);
-            if psbi_fault::failpoint!("fleet.commit.before_write", "job" = self.next) {
-                // Simulate a crash in the window between claiming the
-                // commit slot and writing the record: the journal keeps
-                // its valid prefix and resume re-executes this job.
-                panic!("injected fault: fleet.commit.before_write");
-            }
-            self.journal.append(&record)?;
-            if let Some(report) = diag.as_ref().and_then(|d| d.verify.as_ref()) {
-                if !report.passed {
-                    self.verify_failures.push((self.next, report.to_string()));
-                }
-            }
-            self.records.push(record);
-            self.job_wall_s[self.next] = Some(wall);
-            self.job_diagnostics[self.next] = diag;
-            psbi_obs::metrics::counter_add("fleet.jobs.committed", 1);
-            self.next += 1;
-        }
-        Ok(())
-    }
-}
-
-/// Locks the commit state, recovering from poisoning: the state is a
-/// reorder buffer of already-complete values, so a panic while a worker
-/// held the lock (e.g. an injected commit fault) leaves it fully
-/// consistent — the remaining workers may keep committing.
-fn lock_commit<'a>(state: &'a Mutex<CommitState>) -> MutexGuard<'a, CommitState> {
-    state.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Best-effort human-readable panic payload (deterministic for string
 /// panics, which is all the fault harness and the flow ever raise).
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -224,30 +173,61 @@ pub(crate) fn execute_job(
     Err(fault)
 }
 
-/// Runs a batch of grid jobs sequentially, quarantining past the retry
-/// budget, handing each finished [`JobRecord`] to `emit` — the shared
-/// execution core of the dispatch worker and the dispatcher's inline
-/// fallback, which differ only in where records go (the wire vs the
-/// journal).  Jobs are grouped by circuit; each needed circuit is
-/// materialised once, served by one flow over the shared `pool`, and its
-/// solver state is released when its last batch job finishes.  `emit`'s
-/// second argument is the independent verifier's failure report when
-/// `verify` is set and the re-check failed (non-canonical — it never
-/// reaches the journal); `emit` returning `Ok(false)` stops the batch
-/// early (lease expired, connection lost) — remaining jobs are simply
-/// not run.
+/// Runs one job — retried, and quarantined past the retry budget — into
+/// the record the engine commits, with its wall time, solver counters
+/// and verifier verdict.
+fn run_job(flow: &BufferInsertionFlow, job: &JobSpec, retries: usize) -> Finished {
+    let _job_span = psbi_obs::Span::enter_with("fleet.job", &[("job", job.index as u64)]);
+    let t_job = Instant::now();
+    let executed = {
+        let _timer = psbi_obs::metrics::timer("fleet.job.wall");
+        execute_job(flow, job, retries)
+    };
+    let wall_s = Some(t_job.elapsed().as_secs_f64());
+    psbi_obs::metrics::counter_add("fleet.jobs.executed", 1);
+    match executed {
+        Ok(result) => Finished {
+            record: JobRecord::from_result(job, &result),
+            verify_failed: result
+                .diagnostics
+                .verify
+                .as_ref()
+                .filter(|report| !report.passed)
+                .map(ToString::to_string),
+            wall_s,
+            diagnostics: Some(result.diagnostics),
+        },
+        Err(fault) => {
+            psbi_obs::metrics::counter_add("fleet.jobs.quarantined", 1);
+            Finished {
+                record: JobRecord::quarantined(job, fault),
+                verify_failed: None,
+                wall_s,
+                diagnostics: None,
+            }
+        }
+    }
+}
+
+/// Runs one lease's jobs sequentially, handing each to `emit` — the
+/// executor of dispatch workers and of `serve`'s inline fallback, which
+/// differ only in where records go (the wire vs the engine).  Jobs are
+/// grouped by circuit; each needed circuit is materialised once, served
+/// by one flow over the shared `pool`, and its solver state is released
+/// when its last batch job finishes.  `emit` returning `false` stops the
+/// batch early (lease expired, connection lost, campaign failed) —
+/// remaining jobs are simply not run.
 ///
 /// # Errors
 ///
-/// Circuit materialisation / flow construction failures, and whatever
-/// `emit` raises.
+/// Circuit materialisation / flow construction failures.
 pub(crate) fn execute_batch(
     spec: &CampaignSpec,
     jobs: &[JobSpec],
     pool: &Arc<WorkspacePool>,
     retries: usize,
     verify: bool,
-    emit: &mut dyn FnMut(JobRecord, Option<String>) -> Result<bool, FleetError>,
+    emit: &mut dyn FnMut(Finished) -> bool,
 ) -> Result<(), FleetError> {
     let mut by_circuit: BTreeMap<usize, Vec<&JobSpec>> = BTreeMap::new();
     for job in jobs {
@@ -257,56 +237,73 @@ pub(crate) fn execute_batch(
     cfg.verify = verify;
     for jobs in by_circuit.into_values() {
         let circuit = jobs[0].circuit.materialize().map_err(FleetError::Circuit)?;
-        let flow = BufferInsertionFlow::builder(&circuit, cfg.clone())
-            .pool(Arc::clone(pool))
-            .build()
-            .map_err(|e| FleetError::Circuit(format!("{}: {e}", circuit.name)))?;
-        let mut stop = false;
-        for job in jobs {
-            let _job_span = psbi_obs::Span::enter_with("fleet.job", &[("job", job.index as u64)]);
-            let executed = {
-                let _timer = psbi_obs::metrics::timer("fleet.job.wall");
-                execute_job(&flow, job, retries)
-            };
-            let (record, verify_failed) = match executed {
-                Ok(result) => {
-                    let verify_failed = result
-                        .diagnostics
-                        .verify
-                        .as_ref()
-                        .filter(|report| !report.passed)
-                        .map(ToString::to_string);
-                    (JobRecord::from_result(job, &result), verify_failed)
-                }
-                Err(fault) => {
-                    psbi_obs::metrics::counter_add("fleet.jobs.quarantined", 1);
-                    (JobRecord::quarantined(job, fault), None)
-                }
-            };
-            psbi_obs::metrics::counter_add("fleet.jobs.executed", 1);
-            if !emit(record, verify_failed)? {
-                stop = true;
-                break;
-            }
-        }
+        let flow = build_flow(&circuit, &cfg, pool)?;
+        let finished = jobs
+            .into_iter()
+            .all(|job| emit(run_job(&flow, job, retries)));
         flow.release_solver_state();
-        if stop {
+        if !finished {
             break;
         }
     }
     Ok(())
 }
 
+/// Builds `circuit`'s flow over `pool`.
+fn build_flow<'c>(
+    circuit: &'c Circuit,
+    cfg: &FlowConfig,
+    pool: &Arc<WorkspacePool>,
+) -> Result<BufferInsertionFlow<'c>, FleetError> {
+    BufferInsertionFlow::builder(circuit, cfg.clone())
+        .pool(Arc::clone(pool))
+        .build()
+        .map_err(|e| FleetError::Circuit(format!("{}: {e}", circuit.name)))
+}
+
+/// The per-job progress line of a local run.
+fn print_job_line(f: &Finished, total: usize, retries: usize) {
+    let r = &f.record;
+    let verdict = if r.quarantined {
+        format!("QUARANTINED after {} attempts: {}", retries + 1, r.fault)
+    } else {
+        let (y0, y, wall) = (
+            r.yield_baseline,
+            r.yield_with_buffers,
+            f.wall_s.unwrap_or(0.0),
+        );
+        format!("Y {y0:.2}% -> {y:.2}% ({} buffers, {wall:.2}s)", r.nb)
+    };
+    let (job, circuit, k) = (r.job + 1, &r.circuit_id, r.sigma_factor);
+    eprintln!("psbi-fleet: job {job}/{total} {circuit} k={k} {verdict}");
+}
+
+/// The outcome of a campaign whose window is fully committed.
+fn outcome(c: Campaign, t_start: Instant) -> CampaignOutcome {
+    CampaignOutcome {
+        executed_jobs: c.records.len() - c.resumed,
+        resumed_jobs: c.resumed,
+        total_jobs: c.total,
+        records: c.records,
+        job_wall_s: c.job_wall_s,
+        job_diagnostics: c.job_diagnostics,
+        wall_s: t_start.elapsed().as_secs_f64(),
+    }
+}
+
 /// Runs (or resumes) `spec` against the journal at `journal_path`.
 ///
 /// Completed jobs found in the journal are never re-executed; the rest are
-/// sharded over the worker pool.  See the module docs for the determinism
-/// contract.
+/// run by `workers` local consumers of a private campaign engine.  See the
+/// module docs for the determinism contract.
 ///
 /// # Errors
 ///
 /// Spec validation, circuit materialisation / flow construction failures,
-/// journal mismatches and IO errors.
+/// journal mismatches and IO errors; [`FleetError::Worker`] when a panic
+/// escapes a job's retry harness (e.g. at commit time), and
+/// [`FleetError::Verify`] — after every record is journaled — when the
+/// independent verifier rejected a job.
 pub fn run_campaign(
     spec: &CampaignSpec,
     journal_path: &std::path::Path,
@@ -316,290 +313,135 @@ pub fn run_campaign(
     if let Some(path) = &opts.trace {
         psbi_obs::trace::arm(path.clone());
     }
-    if opts.progress && !psbi_obs::metrics::enabled() {
-        // The periodic progress line reads the metrics registry; arm a
-        // path-less one (in-process only, nothing written at flush) when
-        // the environment has not armed one already.
-        psbi_obs::metrics::arm(None);
-    }
     // Flush both obs sinks however this returns; a failed flush only
     // warns — the canonical journal is already safely on disk by then.
     let _flush_obs = psbi_obs::flush_on_drop();
     spec.validate()?;
-    let jobs = spec.jobs();
-    let total = jobs.len();
+    let total = spec.jobs().len();
     let _campaign_span = psbi_obs::Span::enter_with("fleet.campaign", &[("jobs", total as u64)]);
     psbi_obs::metrics::gauge_set("fleet.jobs.total", total as u64);
 
-    let (journal, existing) = Journal::open(journal_path, spec)?;
-    let resumed = existing.len();
-    // `Journal::open` refuses (FleetError::Corrupt) any journal holding
-    // more records than the spec's grid, so `resumed <= total` here; the
-    // guard stays as a cheap backstop against future replay changes.
-    if resumed > total {
-        return Err(FleetError::Corrupt {
-            record: total,
-            detail: format!("journal holds {resumed} records but the grid has {total} jobs"),
-        });
-    }
-    let end = match opts.max_jobs {
-        Some(k) => total.min(resumed + k),
-        None => total,
-    };
-    psbi_obs::metrics::counter_add("fleet.jobs.resumed", resumed as u64);
-
-    let job_wall_s = vec![None; total];
-    let job_diagnostics = vec![None; total];
-    if resumed >= end {
-        return Ok(CampaignOutcome {
-            records: existing,
-            resumed_jobs: resumed,
-            executed_jobs: 0,
-            total_jobs: total,
-            job_wall_s,
-            job_diagnostics,
-            wall_s: t_start.elapsed().as_secs_f64(),
-        });
+    let campaign = Campaign::open(
+        spec.clone(),
+        journal_path.to_path_buf(),
+        opts.max_jobs,
+        opts.retries,
+        opts.verify,
+    )?;
+    psbi_obs::metrics::counter_add("fleet.jobs.resumed", campaign.resumed as u64);
+    let pending = campaign.pending.len();
+    if pending == 0 {
+        return Ok(outcome(campaign, t_start));
     }
 
-    // Materialise each needed circuit once and build one flow per circuit
-    // (timing graph + canonical sampler built once; µT/σT calibration is
-    // computed on first use and cached for the rest of the sigma sweep).
-    // Every flow checks worker scratch out of one shared pool.
-    let mut needed = vec![false; spec.circuits.len()];
-    for job in &jobs[resumed..end] {
-        needed[job.circuit_index] = true;
+    // One flow per circuit with jobs in this window, built up front and
+    // shared by every consumer (timing graph and canonical sampler built
+    // once; µT/σT calibration computed on first use and cached for the
+    // rest of the sigma sweep), all checking worker scratch out of one
+    // pool.  `circuit_pending` counts each circuit's jobs down: the
+    // consumer finishing a circuit's last job releases that flow's
+    // cross-chip memo, capping peak memory at the circuits still in
+    // flight.
+    let mut circuit_pending = vec![0usize; spec.circuits.len()];
+    for job in &campaign.jobs[campaign.resumed..campaign.end] {
+        circuit_pending[job.circuit_index] += 1;
     }
+    let pool = Arc::new(WorkspacePool::new());
+    let mut cfg = spec.flow_config();
+    cfg.verify = opts.verify;
     let circuits: Vec<Option<Circuit>> = spec
         .circuits
         .iter()
-        .zip(&needed)
-        .map(|(c, need)| {
-            need.then(|| c.materialize())
+        .zip(&circuit_pending)
+        .map(|(circuit, &jobs)| {
+            (jobs > 0)
+                .then(|| circuit.materialize())
                 .transpose()
                 .map_err(FleetError::Circuit)
         })
         .collect::<Result<_, _>>()?;
-    let pool = Arc::new(WorkspacePool::new());
-    let mut cfg = spec.flow_config();
-    cfg.verify = opts.verify;
     let flows: Vec<Option<BufferInsertionFlow>> = circuits
         .iter()
-        .map(|c| {
-            c.as_ref()
-                .map(|circuit| {
-                    BufferInsertionFlow::builder(circuit, cfg.clone())
-                        .pool(Arc::clone(&pool))
-                        .build()
-                        .map_err(|e| FleetError::Circuit(format!("{}: {e}", circuit.name)))
-                })
-                .transpose()
-        })
+        .map(|c| c.as_ref().map(|c| build_flow(c, &cfg, &pool)).transpose())
         .collect::<Result<_, _>>()?;
-
-    // Pending jobs per circuit in this invocation's window: the worker
-    // finishing a circuit's last job releases that flow's cross-chip memo
-    // from the shared pool, capping campaign peak memory at the circuits
-    // still in flight.
-    let mut circuit_pending: Vec<usize> = vec![0; spec.circuits.len()];
-    for job in &jobs[resumed..end] {
-        circuit_pending[job.circuit_index] += 1;
-    }
     let circuit_pending: Vec<AtomicUsize> =
         circuit_pending.into_iter().map(AtomicUsize::new).collect();
-
-    let pending = end - resumed;
     let workers = match opts.workers {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
     }
-    .min(pending)
-    .max(1);
+    .min(pending);
 
-    let state = Mutex::new(CommitState {
-        journal,
-        next: resumed,
-        parked: BTreeMap::new(),
-        records: existing,
-        job_wall_s,
-        job_diagnostics,
-        verify_failures: Vec::new(),
-        error: None,
-    });
-    let cursor = AtomicUsize::new(resumed);
-    let failed = AtomicBool::new(false);
-    // Stop signal for the periodic progress reporter (set once every
-    // worker has been joined, so the final line reflects the last job).
-    let progress_done = AtomicBool::new(false);
-    // Registry baselines: the counters are process-cumulative, so a
-    // second campaign in one process must report its own deltas.
-    let committed0 = psbi_obs::metrics::counter_value("fleet.jobs.committed");
-    let quarantined0 = psbi_obs::metrics::counter_value("fleet.jobs.quarantined");
-
-    // The scope itself runs under `catch_unwind`: a panic that escapes a
-    // worker thread (possible only *outside* the per-job retry harness,
-    // e.g. an injected commit fault) must not abort the process — the
-    // journal's valid prefix is on disk and resume recovers it.  Workers
-    // are joined explicitly so the progress reporter can be told to stop
-    // before the scope would otherwise wait on it; a worker panic is
-    // re-raised after that signal, preserving the pre-reporter contract.
-    let scope_panic = catch_unwind(AssertUnwindSafe(|| {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                handles.push(scope.spawn(|| loop {
-                    if failed.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let j = cursor.fetch_add(1, Ordering::Relaxed);
-                    if j >= end {
-                        break;
-                    }
-                    let job = &jobs[j];
-                    let Some(flow) = flows[job.circuit_index].as_ref() else {
-                        let mut st = lock_commit(&state);
-                        st.error.get_or_insert(FleetError::Circuit(format!(
-                            "internal: no flow was built for circuit index {}",
-                            job.circuit_index
-                        )));
-                        failed.store(true, Ordering::Relaxed);
-                        break;
-                    };
-                    let _job_span = psbi_obs::Span::enter_with("fleet.job", &[("job", j as u64)]);
-                    let t_job = Instant::now();
-                    let executed = {
-                        let _timer = psbi_obs::metrics::timer("fleet.job.wall");
-                        execute_job(flow, job, opts.retries)
-                    };
-                    let wall = t_job.elapsed().as_secs_f64();
-                    psbi_obs::metrics::counter_add("fleet.jobs.executed", 1);
-                    // Last pending job of this circuit: reclaim the flow's
-                    // warm solver state.  Every `run_target` of the circuit
-                    // has returned by the time the counter hits zero, so the
-                    // release cannot race a park.  Purely a memory knob —
-                    // a resumed invocation simply starts this circuit cold.
+    let engine = Engine::new();
+    let id = engine.lock().admit(campaign);
+    let consumers_done = AtomicBool::new(false);
+    let consume = || {
+        consume_leases(
+            &engine,
+            // One-job leases from the lowest pending job: the grain and
+            // order of a shared job cursor.  No reaper runs here, so the
+            // lease deadline is never read.
+            |t| t.grant_lease(0, 0, 1),
+            || false,
+            |lease, emit| {
+                for job in &lease.jobs {
+                    let flow = flows[job.circuit_index]
+                        .as_ref()
+                        .expect("every circuit with jobs in the window has a flow");
+                    let finished = run_job(flow, job, opts.retries);
+                    // Every `run_target` of the circuit has returned by
+                    // the time its count hits zero, so the release cannot
+                    // race a park.  Purely a memory knob — a resumed
+                    // invocation simply starts this circuit cold.
                     if circuit_pending[job.circuit_index].fetch_sub(1, Ordering::Relaxed) == 1 {
                         flow.release_solver_state();
                     }
-                    let (record, diag) = match executed {
-                        Ok(result) => {
-                            let record = JobRecord::from_result(job, &result);
-                            (record, Some(result.diagnostics))
-                        }
-                        Err(fault) => {
-                            psbi_obs::metrics::counter_add("fleet.jobs.quarantined", 1);
-                            (JobRecord::quarantined(job, fault), None)
-                        }
-                    };
                     if opts.progress {
-                        if record.quarantined {
-                            eprintln!(
-                                "psbi-fleet: job {}/{} {} k={} QUARANTINED after {} attempts: {}",
-                                j + 1,
-                                total,
-                                record.circuit_id,
-                                record.sigma_factor,
-                                opts.retries + 1,
-                                record.fault
-                            );
-                        } else {
-                            eprintln!(
-                                "psbi-fleet: job {}/{} {} k={} Y {:.2}% -> {:.2}% ({} buffers, {:.2}s)",
-                                j + 1,
-                                total,
-                                record.circuit_id,
-                                record.sigma_factor,
-                                record.yield_baseline,
-                                record.yield_with_buffers,
-                                record.nb,
-                                wall
-                            );
-                        }
+                        print_job_line(&finished, total, opts.retries);
                     }
-                    let mut st = lock_commit(&state);
-                    st.parked.insert(j, (record, wall, diag));
-                    if let Err(e) = st.drain() {
-                        st.error.get_or_insert(e);
-                        failed.store(true, Ordering::Relaxed);
+                    if !emit(finished) {
                         break;
                     }
-                }));
-            }
+                }
+                Ok(())
+            },
+        );
+    };
+    // The scope runs under `catch_unwind`: a panic that escapes a
+    // consumer outside the per-job retry harness must not abort the
+    // process — the journal's valid prefix is on disk and resume recovers
+    // it.  Consumers are joined explicitly so the progress reporter can be
+    // told to stop before the scope would otherwise wait on it.
+    let scope_panic = catch_unwind(AssertUnwindSafe(|| {
+        std::thread::scope(|scope| {
+            let consumers: Vec<_> = (0..workers).map(|_| scope.spawn(consume)).collect();
             if opts.progress {
-                scope.spawn(|| {
-                    let mut last = Instant::now();
-                    while !progress_done.load(Ordering::Relaxed) {
-                        std::thread::sleep(std::time::Duration::from_millis(100));
-                        if last.elapsed().as_secs_f64() < 2.0 {
-                            continue;
-                        }
-                        last = Instant::now();
-                        let committed = psbi_obs::metrics::counter_value("fleet.jobs.committed")
-                            .saturating_sub(committed0);
-                        let quarantined =
-                            psbi_obs::metrics::counter_value("fleet.jobs.quarantined")
-                                .saturating_sub(quarantined0);
-                        let done = resumed + committed as usize;
-                        let elapsed = t_start.elapsed().as_secs_f64();
-                        if committed > 0 && done < end {
-                            let eta = (end - done) as f64 * elapsed / committed as f64;
-                            eprintln!(
-                                "psbi-fleet: progress {done}/{total} jobs committed \
-                                 ({quarantined} quarantined), {elapsed:.1}s elapsed, \
-                                 ETA {eta:.0}s"
-                            );
-                        } else {
-                            eprintln!(
-                                "psbi-fleet: progress {done}/{total} jobs committed \
-                                 ({quarantined} quarantined), {elapsed:.1}s elapsed"
-                            );
-                        }
-                    }
-                });
+                scope.spawn(|| report_progress(&engine, || consumers_done.load(Ordering::Relaxed)));
             }
-            let mut worker_panic = None;
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    worker_panic.get_or_insert(payload);
+            let mut consumer_panic = None;
+            for consumer in consumers {
+                if let Err(payload) = consumer.join() {
+                    consumer_panic.get_or_insert(payload);
                 }
             }
-            progress_done.store(true, Ordering::Relaxed);
-            if let Some(payload) = worker_panic {
+            consumers_done.store(true, Ordering::Relaxed);
+            if let Some(payload) = consumer_panic {
                 std::panic::resume_unwind(payload);
             }
         })
     }));
 
-    let mut state = state.into_inner().unwrap_or_else(PoisonError::into_inner);
-    if let Some(e) = state.error.take() {
+    let mut c = engine.lock().campaigns.remove(&id).expect("admitted above");
+    if let Some(e) = c.failed.take() {
         return Err(e);
     }
     if let Err(payload) = scope_panic {
         return Err(FleetError::Worker(panic_message(payload)));
     }
-    if !state.verify_failures.is_empty() {
-        let detail: Vec<String> = state
-            .verify_failures
-            .iter()
-            .map(|(job, report)| format!("job {job}: {report}"))
-            .collect();
-        return Err(FleetError::Verify(format!(
-            "{} of {} job(s) failed independent verification — {}",
-            state.verify_failures.len(),
-            state.records.len(),
-            detail.join("; ")
-        )));
+    if let Some(e) = c.verify_error() {
+        return Err(e);
     }
-    let executed = state.records.len() - resumed;
-    Ok(CampaignOutcome {
-        records: state.records,
-        resumed_jobs: resumed,
-        executed_jobs: executed,
-        total_jobs: total,
-        job_wall_s: state.job_wall_s,
-        job_diagnostics: state.job_diagnostics,
-        wall_s: t_start.elapsed().as_secs_f64(),
-    })
+    Ok(outcome(c, t_start))
 }
 
 #[cfg(test)]

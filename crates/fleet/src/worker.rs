@@ -3,9 +3,9 @@
 //! # Worker
 //!
 //! [`run_worker`] connects to a dispatcher, requests leases and executes
-//! them through the same [`crate::runner`] batch core the
-//! single-process runner and the dispatcher's inline fallback use — the
-//! determinism story needs exactly one implementation of "run job `i`".
+//! them through the same [`crate::runner`] job executor the local runner
+//! and the dispatcher's inline fallback use — the determinism story needs
+//! exactly one implementation of "run job `i`".
 //! The robustness machinery wraps around it:
 //!
 //! * **Capped exponential backoff** on connect/reconnect (reset after
@@ -50,9 +50,9 @@
 //! [`FleetError`] class (and exit code) a local `psbi-fleet run` would
 //! have produced.
 
+use crate::dispatch::engine::Finished;
 use crate::error::FleetError;
-use crate::journal::JobRecord;
-use crate::proto::{read_msg, write_msg, Msg};
+use crate::proto::{read_msg, send, write_msg, Msg};
 use crate::runner::execute_batch;
 use crate::spec::{CampaignSpec, JobSpec};
 use psbi_core::flow::WorkspacePool;
@@ -244,11 +244,6 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), FleetError> {
         std::thread::sleep(backoff);
         backoff = (backoff * 2).min(Duration::from_millis(opts.backoff_max_ms.max(1)));
     }
-}
-
-fn send(writer: &Arc<Mutex<TcpStream>>, msg: &Msg) -> Result<(), FleetError> {
-    let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-    write_msg(&mut *w, msg).map_err(FleetError::Io)
 }
 
 /// Applies the session IO timeouts — `lease_ms.max(500) * 4`, mirroring
@@ -461,10 +456,10 @@ fn run_lease(
     let mut end = LeaseEnd::Continue;
     let pool = Arc::clone(&memory.pool);
     let mut delivery: Result<(), FleetError> = Ok(());
-    let mut emit = |record: JobRecord, verify_failed: Option<String>| -> Result<bool, FleetError> {
-        let job = record.job;
-        let line = record.to_json_line();
-        let verify_failed = verify_failed.unwrap_or_default();
+    let mut emit = |finished: Finished| -> bool {
+        let job = finished.record.job;
+        let line = finished.record.to_json_line();
+        let verify_failed = finished.verify_failed.unwrap_or_default();
         memory.unacked.insert(
             (fingerprint.to_string(), job),
             (line.clone(), verify_failed.clone()),
@@ -479,19 +474,19 @@ fn run_lease(
             &line,
             &verify_failed,
         ) {
-            Ok(AckWait::Acked) => Ok(true),
-            Ok(AckWait::Abandon) => Ok(false),
+            Ok(AckWait::Acked) => true,
+            Ok(AckWait::Abandon) => false,
             Ok(AckWait::Shutdown) => {
                 end = LeaseEnd::Shutdown;
-                Ok(false)
+                false
             }
             Ok(AckWait::ConnLost) => {
                 end = LeaseEnd::ConnLost;
-                Ok(false)
+                false
             }
             Err(e) => {
                 delivery = Err(e);
-                Ok(false)
+                false
             }
         }
     };
@@ -711,6 +706,7 @@ pub fn submit_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JobRecord;
 
     fn fresh_memory() -> WorkerMemory {
         WorkerMemory {

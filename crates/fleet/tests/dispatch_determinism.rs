@@ -19,6 +19,9 @@
 //! * lease timing: a lease ends at its last ack rather than at the next
 //!   heartbeat, heartbeats still renew a lease that outlives its window,
 //!   and an outstanding request is answered with a lease on admission;
+//! * quarantined records computed by real workers, a panic at commit
+//!   time (the campaign fails with the worker-crash class and a
+//!   resubmission completes), and a hostile deeply nested first line;
 //! * subprocess legs: `kill -9` of a worker mid-lease, and `kill -9` of
 //!   the dispatcher followed by a resumed re-submission.
 //!
@@ -792,6 +795,126 @@ fn failed_campaign_retirement_closes_its_leases() {
             open_lease_ids(&journal),
             Vec::<u64>::new(),
             "failed campaign left open grants in the lease log"
+        );
+        cleanup(&journal);
+    });
+}
+
+/// Quarantined records travel the wire like any other: two real workers
+/// that panic on job 2 every attempt must journal the same quarantine
+/// record, in the same place, as `run_campaign` under the same fault.
+#[test]
+fn quarantined_records_over_the_wire_match_single_process() {
+    let spec = quick_spec();
+    psbi_fault::with_spec("fleet.job.panic@job=2", || {
+        let (ref_bytes, ref_report) = reference(&spec, "quarantine");
+        let journal = tmp("quarantine");
+        distributed_run(&spec, &journal, 2, serve_opts(true));
+        assert_matches_reference(&spec, &journal, &ref_bytes, &ref_report, "quarantine");
+        let records = Journal::replay(&journal, &spec).expect("replay");
+        let quarantined: Vec<usize> = records
+            .iter()
+            .filter(|r| r.quarantined)
+            .map(|r| r.job)
+            .collect();
+        assert_eq!(
+            quarantined,
+            vec![2],
+            "job 2, and only job 2, is quarantined"
+        );
+        cleanup(&journal);
+    });
+}
+
+/// A panic between claiming the commit slot and writing the record fails
+/// a served campaign with the worker-crash class (exit code 8), exactly
+/// as it fails a local run — it must not leave the campaign stalled on a
+/// record that is neither committed nor pending.  The journal keeps its
+/// valid prefix, and a resubmission completes byte-identically.
+#[test]
+fn commit_panic_fails_the_served_campaign_and_resubmission_completes() {
+    let spec = quick_spec();
+    let (ref_bytes, ref_report) = psbi_fault::with_spec("", || reference(&spec, "commitpanic"));
+    psbi_fault::with_spec("fleet.commit.before_write@job=1,times=1", || {
+        let journal = tmp("commitpanic");
+        cleanup(&journal);
+        let (addr, handle, dispatcher) = spawn_dispatcher(serve_opts(false));
+        let worker = spawn_worker(&addr, "committer");
+        let journal_arg = journal.display().to_string();
+        let err = submit_campaign(&spec.to_json(), &journal_arg, &submit_opts(&addr))
+            .expect_err("a commit-time panic must fail the campaign");
+        assert_eq!(err.code(), 8, "expected the worker-crash class, got: {err}");
+        let outcome = submit_campaign(&spec.to_json(), &journal_arg, &submit_opts(&addr))
+            .expect("resubmission completes");
+        assert_eq!(outcome.resumed, 1, "the valid prefix is job 0");
+        assert_eq!(outcome.committed, spec.jobs().len());
+        handle.shutdown();
+        dispatcher
+            .join()
+            .expect("dispatcher thread")
+            .expect("dispatcher run");
+        worker.join().expect("worker thread").expect("worker run");
+        assert_matches_reference(&spec, &journal, &ref_bytes, &ref_report, "commit panic");
+        assert_eq!(
+            open_lease_ids(&journal),
+            Vec::<u64>::new(),
+            "the failed campaign left open grants in the lease log"
+        );
+        cleanup(&journal);
+    });
+}
+
+/// One short line of nested brackets on a fresh connection costs the
+/// dispatcher that connection, not the process: the line is a protocol
+/// error, and a campaign served afterwards by the same dispatcher still
+/// matches the single-process bytes.
+#[test]
+fn deeply_nested_first_line_cannot_take_the_dispatcher_down() {
+    psbi_fault::with_spec("", || {
+        use psbi_fleet::proto::read_msg;
+        use std::io::{BufReader, Write as _};
+        use std::net::TcpStream;
+
+        let spec = quick_spec();
+        let (ref_bytes, ref_report) = reference(&spec, "nested");
+        let journal = tmp("nested");
+        cleanup(&journal);
+        let (addr, _handle, dispatcher) = spawn_dispatcher(serve_opts(true));
+        let mut hostile = TcpStream::connect(&addr).expect("hostile connect");
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        hostile
+            .write_all(format!("{}\n", "[".repeat(100_000)).as_bytes())
+            .expect("send nested line");
+        let mut reader = BufReader::new(hostile);
+        assert!(
+            matches!(read_msg(&mut reader), Ok(None) | Err(_)),
+            "the dispatcher must drop the hostile connection without a reply"
+        );
+        let workers: Vec<_> = (0..2)
+            .map(|i| spawn_worker(&addr, &format!("after-nested-{i}")))
+            .collect();
+        let outcome = submit_campaign(
+            &spec.to_json(),
+            &journal.display().to_string(),
+            &submit_opts(&addr),
+        )
+        .expect("submit after the hostile line");
+        assert_eq!(outcome.committed, spec.jobs().len());
+        dispatcher
+            .join()
+            .expect("dispatcher thread")
+            .expect("dispatcher run");
+        for w in workers {
+            w.join().expect("worker thread").expect("worker run");
+        }
+        assert_matches_reference(
+            &spec,
+            &journal,
+            &ref_bytes,
+            &ref_report,
+            "after nested line",
         );
         cleanup(&journal);
     });
