@@ -13,16 +13,16 @@
 //! carries a `simd` section — the chunked fill + extraction loop pinned
 //! to the fused scalar backend versus the active wide backend
 //! (AVX2/NEON/portable), which the `perf-gate` CI job tracks — a
-//! `cross_chip` section (a flow whose memo an adjacent target warmed
-//! versus a fresh flow at the same target, with the region-memo hit
-//! rate and distinct-key count), a `search_pruning` section (the default
-//! flow versus the reference mode, with exact B&B node counts), a
-//! `solver_stages` breakdown inside the `flow` section (discovery /
-//! saturation-screen / search / MILP seconds), and a `campaign` section:
-//! a small 2-circuit × 2-target fleet campaign timed against the same
-//! jobs as back-to-back `BufferInsertionFlow::run()` calls, plus the pure
-//! journal-replay (resume no-op) time — the fleet subsystem's overhead
-//! trajectory.
+//! `cross_chip` section (a flow whose memo and zero-pass table an
+//! adjacent target warmed versus a fresh flow at the same target, with
+//! the region-memo hit rate and distinct-key count), a `search_pruning`
+//! section (the default flow versus the reference mode, with exact B&B
+//! node counts), a `solver_stages` breakdown inside the `flow` section
+//! (discovery / saturation-screen / search / MILP seconds), and a
+//! `campaign` section: a small 2-circuit × 2-target fleet campaign timed
+//! against the same jobs as back-to-back `BufferInsertionFlow::run()`
+//! calls, plus the pure journal-replay (resume no-op) time — the fleet
+//! subsystem's overhead trajectory.
 
 use psbi_bench::Args;
 use psbi_core::flow::{BufferInsertionFlow, FlowConfig, TargetPeriod};
@@ -196,9 +196,10 @@ fn main() {
     };
 
     // Cross-chip trajectory: a flow in the adjacent-target regime — one
-    // flow swept to the next sweep point, its memo warmed by the previous
-    // target — against a fresh default flow at the same target (whose
-    // memo only carries that target's own passes).  Single-threaded so
+    // flow swept to the next sweep point, its memo and zero-pass table
+    // warmed by the previous target — against a fresh default flow at the
+    // same target (whose memo and table only carry that target's own
+    // passes).  Single-threaded so
     // the memo hit counters are deterministic (racing workers make them
     // vary, results never); each warm repeat builds a fresh flow so the
     // measured target is warmed by exactly one adjacent target, never by

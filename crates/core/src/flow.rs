@@ -34,12 +34,25 @@
 //! including `RAYON_NUM_THREADS=1` versus all cores.  The
 //! `deterministic_across_thread_counts` unit test and the
 //! `determinism` integration test pin this guarantee.
+//!
+//! Most chips meet every constraint with all buffers at zero, and a chip
+//! that does so at one period does so at every longer one (the proof is
+//! on `ZeroPassTable`).  Each flow therefore remembers, per chip of the
+//! insertion and yield streams, the smallest period at which it saw the
+//! chip pass untuned.  A pass draws and extracts only the chips of each
+//! chunk that this table cannot settle at its period, as one gathered
+//! batch; the rest get exactly the outcome a draw would have produced
+//! (no tuning needed, baseline and buffered pass) without a draw.  So
+//! later passes of a target and looser targets of a sweep skip most
+//! redraws.  The results never depend on what the table holds — only
+//! the work does.  Reference mode ignores the table and draws every chip
+//! in every pass.
 
 use crate::group::{group_buffers, BufferCandidate, Group, GroupConfig};
 use crate::prune::{prune, PruneConfig, PruneReport};
 use crate::solve::{
-    BufferSpace, PassDiagnostics, PushObjective, RegionMemo, SampleSolver, SolveRequest,
-    SolverOptions,
+    BufferSpace, PassDiagnostics, PushObjective, RegionMemo, SampleResult, SampleSolver,
+    SolveRequest, SolverOptions,
 };
 use crate::yield_eval::{Deployment, YieldReport};
 use psbi_liberty::Library;
@@ -129,13 +142,15 @@ pub struct FlowConfig {
     /// Roughly doubles a run's cost (it re-solves both sample streams
     /// cold).  `PSBI_VERIFY=1` force-enables it process-wide.
     pub verify: bool,
-    /// Reference mode: detach the cross-chip [`RegionMemo`] and run the
-    /// unpruned branch and bound — the byte-parity oracle tests and CI
-    /// compare the default flow against.  A memo hit is a verified replay
-    /// of a pure function and every pruning rule preserves the pinned
-    /// tie-break order, so canonical outputs are bit-identical either
-    /// way; reference mode only costs time.  `PSBI_REFERENCE=1`
-    /// force-enables it process-wide.
+    /// Reference mode: detach the cross-chip [`RegionMemo`], run the
+    /// unpruned branch and bound, and draw every chip in every pass
+    /// (ignoring the flow's zero-pass table) — the byte-parity oracle
+    /// tests and CI compare the default flow against.  A memo hit is a
+    /// verified replay of a pure function, every pruning rule preserves
+    /// the pinned tie-break order, and a settled chip gets exactly the
+    /// outcome its draw would give, so canonical outputs are
+    /// bit-identical either way; reference mode only costs time.
+    /// `PSBI_REFERENCE=1` force-enables it process-wide.
     pub reference: bool,
 }
 
@@ -405,6 +420,8 @@ impl InsertionResult {
 /// workspaces (one per concurrently active worker) serve the entire flow.
 #[derive(Default)]
 pub(crate) struct Workspace {
+    /// Stream indices of the chips in `batch` / `cons`, row by row.
+    chips: Vec<u64>,
     batch: SampleBatch,
     cons: ConstraintBatch,
     solver: SampleSolver,
@@ -538,6 +555,56 @@ impl<T: Default + Clone> DisjointSlots<T> {
     }
 }
 
+/// Per chip of one sample stream, the smallest clock period at which the
+/// flow has seen the chip meet every floored setup and hold bound with all
+/// buffers at zero, as `f64` bits.  Until then an entry holds all ones
+/// ([`UNSEEN`]), a NaN that settles no period, not even `+∞`.
+///
+/// **Lemma: passing untuned at `T` implies passing untuned at every
+/// `T' ≥ T`.**  A chip's draw depends only on its stream and index, and
+/// its bounds at period `T` (step `δ = T·range_fraction/steps`) are:
+///
+/// 1. The setup slack `((T + t_j) − t_i) − S_j − D̄_e` is a chain of IEEE
+///    round-to-nearest operations, each monotone in `T`, so it does not
+///    decrease as `T` grows.  The hold slack does not depend on `T`.
+/// 2. A bound `⌊slack · (1/δ)⌋` cast to `i64` is `≥ 0` iff the product is
+///    `≥ 0` or `−0.0` (a tiny negative slack whose product underflows).
+///    Both survive a larger `T`: a non-negative slack stays non-negative,
+///    and a negative one only shrinks in magnitude while `1/δ` shrinks
+///    too, so its rounded product stays `−0.0`.
+/// 3. So "every bound `≥ 0` at `T`" implies the same at every `T' ≥ T`.
+///    This holds on every kernel backend, since all of them are
+///    bit-identical to the scalar expression.
+///
+/// Entries are written only from a chip's extracted bounds
+/// ([`psbi_timing::ConstraintsView::feasible_at_zero`] on its row), never
+/// from a solver result.  Updates are a `fetch_min` on the bits —
+/// periods are positive, so bit order is numeric order — and relaxed
+/// ordering suffices: any value a reader sees is a period at which the
+/// chip really passed, so a stale read only costs a redraw.
+struct ZeroPassTable(Box<[AtomicU64]>);
+
+/// The entry of a chip not yet seen to pass: above every positive
+/// period's bits, so `fetch_min` replaces it with the first one.
+const UNSEEN: u64 = u64::MAX;
+
+impl ZeroPassTable {
+    /// A table of `chips` chips that have not been seen to pass yet.
+    fn new(chips: usize) -> Self {
+        Self((0..chips).map(|_| AtomicU64::new(UNSEEN)).collect())
+    }
+
+    /// Whether chip `k` is known to pass untuned at `period`.
+    fn settles(&self, k: usize, period: f64) -> bool {
+        f64::from_bits(self.0[k].load(Ordering::Relaxed)) <= period
+    }
+
+    /// Records that chip `k` passes untuned at `period`.
+    fn record(&self, k: usize, period: f64) {
+        self.0[k].fetch_min(period.to_bits(), Ordering::Relaxed);
+    }
+}
+
 /// The flow object: build once per circuit, run per target period.
 pub struct BufferInsertionFlow<'a> {
     circuit: &'a Circuit,
@@ -564,6 +631,10 @@ pub struct BufferInsertionFlow<'a> {
     /// Unique flow identity keying this flow's memo in the pool: memo
     /// entries never migrate between flows.
     id: u64,
+    /// Zero-pass periods of the insertion and yield streams' chips,
+    /// shared by every `run_target` call of this flow.
+    zero_insert: ZeroPassTable,
+    zero_yield: ZeroPassTable,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -697,6 +768,8 @@ impl<'a> FlowBuilder<'a> {
             None
         };
         static NEXT_FLOW_ID: AtomicU64 = AtomicU64::new(0);
+        let zero_insert = ZeroPassTable::new(cfg.samples);
+        let zero_yield = ZeroPassTable::new(cfg.yield_samples);
         Ok(BufferInsertionFlow {
             circuit,
             cfg,
@@ -711,6 +784,8 @@ impl<'a> FlowBuilder<'a> {
             calibration: OnceLock::new(),
             thread_pool,
             id: NEXT_FLOW_ID.fetch_add(1, Ordering::Relaxed),
+            zero_insert,
+            zero_yield,
         })
     }
 }
@@ -872,35 +947,57 @@ impl<'a> BufferInsertionFlow<'a> {
         }
     }
 
-    /// Fills `ws.batch` with chips `first .. first + len` of `stream`.
-    fn fill_batch(&self, ws: &mut Workspace, stream: u64, first: u64, len: usize) {
-        ws.batch.reset(&self.sg, len);
+    /// Draws the chips listed in `ws.chips` of `stream` into `ws.batch`,
+    /// one row per listed chip — the flow's one draw path.
+    fn fill_batch(&self, ws: &mut Workspace, stream: u64) {
+        ws.batch.reset(&self.sg, ws.chips.len());
         if self.cfg.gate_level_sampling {
             let gls = ws
                 .gls
                 .get_or_insert_with(|| GateLevelSampler::new(&self.tg));
             ws.batch
-                .fill_gate_level(&self.tg, &self.sg, gls, stream, first);
+                .fill_gate_level_gathered(&self.tg, &self.sg, gls, stream, &ws.chips);
         } else {
-            self.canon.fill(stream, first, &mut ws.batch);
+            self.canon.fill_gathered(stream, &ws.chips, &mut ws.batch);
         }
     }
 
-    /// Fills `ws.cons` with the integer bounds of chips
-    /// `first .. first + len` of `stream`: batch draw into the SoA buffers,
-    /// then one streaming constraint-extraction pass.
-    fn fill_cons_batch(
+    /// Lists in `ws.chips` the chips of `lo .. lo + len` that `zero`
+    /// cannot settle at `period` (all of them without a table), then
+    /// draws them as one gathered batch and extracts their bounds into
+    /// `ws.cons`: row `r` of `ws.cons` is chip `ws.chips[r]`.  Every drawn
+    /// chip that passes untuned is recorded in `zero`.
+    #[allow(clippy::too_many_arguments)]
+    fn fill_unsettled(
         &self,
         ws: &mut Workspace,
         stream: u64,
-        first: u64,
+        zero: Option<&ZeroPassTable>,
+        lo: usize,
         len: usize,
         period: f64,
         step: f64,
     ) {
-        self.fill_batch(ws, stream, first, len);
+        ws.chips.clear();
+        ws.chips.extend(
+            (lo..lo + len)
+                .filter(|&k| zero.is_none_or(|z| !z.settles(k, period)))
+                .map(|k| k as u64),
+        );
+        psbi_obs::metrics::counter_add("flow.chips.settled", (len - ws.chips.len()) as u64);
+        if ws.chips.is_empty() {
+            return;
+        }
+        self.fill_batch(ws, stream);
         ws.cons
             .build_from(&self.sg, &ws.batch, &self.skews, period, step);
+        if let Some(zero) = zero {
+            for (row, &k) in ws.chips.iter().enumerate() {
+                if ws.cons.view(row).feasible_at_zero() {
+                    zero.record(k as usize, period);
+                }
+            }
+        }
     }
 
     /// Draws one chip into a standalone [`SampleTiming`] — the replay path
@@ -968,7 +1065,9 @@ impl<'a> BufferInsertionFlow<'a> {
         let periods = DisjointSlots::<f64>::new(n);
         let hold_fails = AtomicU64::new(0);
         self.map_chunks(n, |ws, lo, len| {
-            self.fill_batch(ws, stream, lo as u64, len);
+            ws.chips.clear();
+            ws.chips.extend(lo as u64..(lo + len) as u64);
+            self.fill_batch(ws, stream);
             let mut chunk_hold_fails = 0u64;
             for row in 0..len {
                 let mp = constraint::min_period_view(&self.sg, ws.batch.view(row), &self.skews);
@@ -990,7 +1089,10 @@ impl<'a> BufferInsertionFlow<'a> {
 
     /// One parallel sampling pass over the insertion stream: every chip is
     /// solved against `space`, replaying region outcomes from `memo` (the
-    /// flow's cross-chip table, `None` in reference mode).
+    /// flow's cross-chip table, `None` in reference mode).  Chips the
+    /// zero-pass table settles at `period` are not drawn: they get the
+    /// solver's outcome for a chip without violations, untuned and
+    /// feasible.
     #[allow(clippy::too_many_arguments)]
     fn run_pass(
         &self,
@@ -1006,6 +1108,7 @@ impl<'a> BufferInsertionFlow<'a> {
         let n_ffs = self.sg.n_ffs;
         let samples = self.cfg.samples;
         let prune = !self.reference_enabled();
+        let zero = (!self.reference_enabled()).then_some(&self.zero_insert);
 
         // Slot map for the tuning matrix.
         let mut slot_of_ff = vec![NONE; n_ffs];
@@ -1045,7 +1148,7 @@ impl<'a> BufferInsertionFlow<'a> {
         }
 
         let locals: Vec<Local> = self.map_chunks(samples, |ws, lo, len| {
-            self.fill_cons_batch(ws, stream, lo as u64, len, period, step);
+            self.fill_unsettled(ws, stream, zero, lo, len, period, step);
             let mut local = Local {
                 counts: vec![0; n_ffs],
                 hist: vec![Histogram::new(); n_ffs],
@@ -1064,23 +1167,29 @@ impl<'a> BufferInsertionFlow<'a> {
             };
             // Chips are solved in chip order, so a chip's memo publishes
             // land before the next chip of the chunk looks them up.
-            for row in 0..len {
-                let mut req = SolveRequest::new(
-                    &self.sg,
-                    ws.cons.view(row),
-                    space,
-                    objective,
-                    &self.cfg.solver,
-                )
-                .search_prune(prune);
-                if let Some(m) = memo {
-                    req = req.memo(m);
-                }
-                let out = ws.solver.solve(req);
-                local.diag.merge(&out.diag);
-                let r = out.result;
-                // SAFETY: row `lo + row` belongs to this chunk alone.
-                unsafe { feasible_ref.write(lo + row, r.feasible) };
+            let mut drawn = ws.chips.iter().enumerate().peekable();
+            for k in lo..lo + len {
+                let r = match drawn.next_if(|&(_, &chip)| chip == k as u64) {
+                    Some((row, _)) => {
+                        let mut req = SolveRequest::new(
+                            &self.sg,
+                            ws.cons.view(row),
+                            space,
+                            objective,
+                            &self.cfg.solver,
+                        )
+                        .search_prune(prune);
+                        if let Some(m) = memo {
+                            req = req.memo(m);
+                        }
+                        let out = ws.solver.solve(req);
+                        local.diag.merge(&out.diag);
+                        out.result
+                    }
+                    None => SampleResult::untuned(true),
+                };
+                // SAFETY: row `k` belongs to this chunk alone.
+                unsafe { feasible_ref.write(k, r.feasible) };
                 if !r.feasible {
                     local.infeasible += 1;
                 } else {
@@ -1096,12 +1205,10 @@ impl<'a> BufferInsertionFlow<'a> {
                         if let Some(matrix) = matrix_ref {
                             let slot = slot_of_ff_ref[f];
                             if slot != NONE {
-                                // SAFETY: row `lo + row` belongs to this
-                                // chunk alone; untouched slots keep their
+                                // SAFETY: row `k` belongs to this chunk
+                                // alone; untouched slots keep their
                                 // pre-initialised 0.0 (no tuning).
-                                unsafe {
-                                    matrix.write(slot as usize * samples + lo + row, *kv as f32)
-                                };
+                                unsafe { matrix.write(slot as usize * samples + k, *kv as f32) };
                             }
                         }
                     }
@@ -1144,16 +1251,26 @@ impl<'a> BufferInsertionFlow<'a> {
         out
     }
 
-    /// Parallel yield evaluation on the fresh "yield" stream.
+    /// Parallel yield evaluation on the fresh "yield" stream.  When every
+    /// deployed window contains 0, a chip the zero-pass table settles at
+    /// `period` passes with and without buffers and is not drawn.
     fn evaluate_yield(&self, deployment: &Deployment, period: f64, step: f64) -> YieldReport {
         let _span = psbi_obs::Span::enter("flow.yield");
         let _timer = psbi_obs::metrics::timer("flow.yield");
         let stream = stream_seed(self.cfg.seed, "yield");
         let samples = self.cfg.yield_samples;
+        let zero_untuned = deployment
+            .bounds
+            .iter()
+            .all(|&(lo, hi)| (lo..=hi).contains(&0));
+        let zero = (zero_untuned && !self.reference_enabled()).then_some(&self.zero_yield);
         let reports = self.map_chunks(samples, |ws, lo, len| {
-            self.fill_cons_batch(ws, stream, lo as u64, len, period, step);
+            self.fill_unsettled(ws, stream, zero, lo, len, period, step);
             let mut report = YieldReport::default();
-            for row in 0..len {
+            for _ in ws.chips.len()..len {
+                report.record(true, true);
+            }
+            for row in 0..ws.chips.len() {
                 let cv = ws.cons.view(row);
                 let baseline = cv.feasible_at_zero();
                 let buffered =
@@ -1177,10 +1294,13 @@ impl<'a> BufferInsertionFlow<'a> {
     /// Runs the complete flow at an explicit target period — the per-job
     /// entry point for campaign runners sweeping several targets over one
     /// circuit: the flow (timing graph, canonical sampler, workspace pool,
-    /// µT/σT calibration) is built once and each call is an independent,
-    /// deterministic job whose result depends only on the circuit, the
-    /// configuration and `target` — never on which targets ran before it
-    /// or concurrently with it.
+    /// µT/σT calibration) is built once and each call is a deterministic
+    /// job whose result depends only on the circuit, the configuration
+    /// and `target` — never on which targets ran before it or
+    /// concurrently with it.  The *work* may: earlier and concurrent calls
+    /// on this flow share its cross-chip memo and its zero-pass table, so
+    /// a chip one of them saw pass untuned at a period no longer than
+    /// this target's is settled here without a draw.
     pub fn run_target(&self, target: TargetPeriod) -> InsertionResult {
         let _span =
             psbi_obs::Span::enter_with("flow.target", &[("samples", self.cfg.samples as u64)]);
@@ -1675,6 +1795,38 @@ mod tests {
         );
         assert_eq!(no_runtime(a), fresh);
         assert_eq!(no_runtime(b), fresh);
+    }
+
+    #[test]
+    fn yield_pass_draws_settled_chips_when_a_window_excludes_zero() {
+        // A chip that passed untuned at a shorter period must still be
+        // drawn when a deployed window excludes 0: pinning the buffers at
+        // alternating extreme tunings breaks chips that pass untuned.
+        let c = bench_suite::tiny_demo(10);
+        let flow = BufferInsertionFlow::builder(&c, quick_cfg())
+            .build()
+            .unwrap();
+        let r = flow.run_target(TargetPeriod::SigmaFactor(0.0));
+        let mut pinned = r.deployment.clone();
+        assert!(pinned.num_buffers() > 0);
+        for (g, window) in pinned.bounds.iter_mut().enumerate() {
+            let k = if g % 2 == 0 { 20 } else { -20 };
+            *window = (k, k);
+        }
+        let period = r.period + 0.5 * r.sigma_t;
+        let step = period * flow.cfg.range_fraction / flow.cfg.steps as f64;
+        let fresh = |deployment: &Deployment| {
+            BufferInsertionFlow::builder(&c, quick_cfg())
+                .build()
+                .unwrap()
+                .evaluate_yield(deployment, period, step)
+        };
+        assert_eq!(flow.evaluate_yield(&pinned, period, step), fresh(&pinned));
+        assert_eq!(
+            flow.evaluate_yield(&r.deployment, period, step),
+            fresh(&r.deployment)
+        );
+        assert!(fresh(&pinned).broken > 0, "pinned windows broke no chip");
     }
 
     #[test]

@@ -33,20 +33,22 @@
 //! # Execution engine and determinism
 //!
 //! Every Monte-Carlo stage runs on a batched, structure-of-arrays engine:
-//! the sample stream is cut into fixed-size chunks, each chunk is drawn
-//! into a reused [`psbi_timing::SampleBatch`], its constraints are
+//! the sample stream is cut into fixed-size chunks, the chips of each
+//! chunk that the flow's zero-pass table cannot settle (see [`flow`]) are
+//! drawn into a reused [`psbi_timing::SampleBatch`], their constraints are
 //! extracted into a [`psbi_timing::ConstraintBatch`], and the per-chip
 //! solves run from a pool of per-worker workspaces
-//! ([`solve::SampleSolver`] with persistent branch-and-bound scratch and a
-//! warm-started difference-constraint solver).  Chunks are scheduled onto
-//! a rayon-style work-stealing parallel iterator.
+//! ([`solve::SampleSolver`] with persistent branch-and-bound scratch and
+//! difference-constraint solvers).  Chunks are scheduled onto a
+//! rayon-style work-stealing parallel iterator.
 //!
 //! **Determinism guarantee:** chip `k` is seeded by `(stream, k)` alone,
-//! chunk boundaries are fixed constants, and chunk results merge in chunk
-//! order — so every flow result (ranges, deployment, yields) is
-//! bit-identical for any worker thread count, including
-//! `RAYON_NUM_THREADS=1` versus all cores.  The `determinism` integration
-//! test enforces this.
+//! chunk boundaries are fixed constants, chunk results merge in chunk
+//! order, and a settled chip gets exactly the outcome its draw would give
+//! — so every flow result (ranges, deployment, yields) is bit-identical
+//! for any worker thread count, including `RAYON_NUM_THREADS=1` versus all
+//! cores, and for any order of targets on one flow.  The `determinism` and
+//! `zero_pass` integration tests enforce this.
 //!
 //! # Entry surfaces
 //!

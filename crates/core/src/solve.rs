@@ -184,7 +184,7 @@ impl SampleResult {
     }
 
     /// A chip that needs no tuning (`feasible`) or cannot be tuned at all.
-    fn untuned(feasible: bool) -> Self {
+    pub(crate) fn untuned(feasible: bool) -> Self {
         Self {
             feasible,
             exact: true,
@@ -203,7 +203,7 @@ pub(crate) struct RegCons {
 
 /// Reusable per-sample solver (one per worker thread).
 ///
-/// Every workspace the per-chip pipeline needs — the SPFA solver, region
+/// Every workspace the per-chip pipeline needs — the SPFA solvers, region
 /// scratch, the branch-and-bound's per-node buffers and the saturation
 /// screen's arc/bound arrays — lives in this struct and is reused across
 /// chips, so a steady-state pass performs no per-chip allocation outside
@@ -212,7 +212,7 @@ pub(crate) struct RegCons {
 /// across chips and passes is the caller's [`RegionMemo`].
 #[derive(Debug, Default)]
 pub struct SampleSolver {
-    /// The warm-started SPFA solver of the whole-chip saturation screen.
+    /// The SPFA solver of the whole-chip saturation screen.
     diff: DiffSolver,
     /// Scratch: per-FF region id (or `NONE`).
     region_of: Vec<u32>,
@@ -611,45 +611,45 @@ impl SampleSolver {
     /// One SPFA over the whole circuit with every buffer free: can this
     /// chip be configured at all?
     ///
-    /// Uses the warm-started solver: the witness left by the previous
-    /// chip (workspace reuse) usually still fits, in which case this is a
-    /// single `O(edges)` validation sweep with no graph build at all.
+    /// The SPFA runs on the chip's live core only.  An arc whose bound is
+    /// at or above its saturation cap can never bind and is elided (the
+    /// same normalisation as [`materialize_cons`]), and only a buffered FF
+    /// that ends a live arc becomes a variable.  Every other buffered FF
+    /// is constrained by its window alone, which is satisfiable on its
+    /// own (`lo ≤ hi`), so leaving it out cannot change the verdict — and
+    /// the system shrinks from every buffered FF to the few around the
+    /// violations.
     fn chip_fixable(
         &mut self,
         sg: &SequentialGraph,
         ic: ConstraintsView<'_>,
         space: &BufferSpace,
     ) -> bool {
-        let n = sg.n_ffs;
         self.var_of.clear();
-        self.var_of.resize(n, NONE);
+        self.var_of.resize(sg.n_ffs, NONE);
         let mut vars = std::mem::take(&mut self.fx_vars);
         let mut arcs = std::mem::take(&mut self.fx_arcs);
         let mut bounds = std::mem::take(&mut self.fx_bounds);
         vars.clear();
         arcs.clear();
         bounds.clear();
-        for ff in 0..n {
-            if space.has_buffer[ff] {
-                self.var_of[ff] = vars.len() as u32;
-                vars.push(ff as u32);
+        // Arc endpoints are FF variables, or `NONE` for the root (a
+        // bufferless FF, pinned to 0) until the root's index — the final
+        // variable count — is known.
+        let mut var = |ff: u32, var_of: &mut [u32]| -> u32 {
+            if !space.has_buffer[ff as usize] {
+                return NONE;
             }
-        }
-        let root = vars.len() as u32;
-        let resolve = |ff: u32, var_of: &[u32]| -> u32 {
-            let v = var_of[ff as usize];
-            if v == NONE {
-                root
-            } else {
-                v
+            if var_of[ff as usize] == NONE {
+                var_of[ff as usize] = vars.len() as u32;
+                vars.push(ff);
             }
+            var_of[ff as usize]
         };
-        // Same saturation normalisation as [`materialize_cons`]: with
-        // `k(ff)` confined to its window (0 where bufferless), a bound at
-        // or above `hi(from) − lo(to)` can never bind, so the arc is
-        // elided — the verdict is unchanged and the SPFA graph shrinks to
-        // the near-critical core.  A root–root cap is 0, so an unfixable
-        // bufferless pair still trips the `bound < cap` test.
+        // With `k(ff)` confined to its window (0 where bufferless), a bound
+        // at or above `hi(from) − lo(to)` can never bind.  A root–root cap
+        // is 0, so an unfixable bufferless pair still trips the
+        // `bound < cap` test.
         let win = |ff: u32| -> (i64, i64) {
             if space.has_buffer[ff as usize] {
                 space.bounds[ff as usize]
@@ -659,14 +659,16 @@ impl SampleSolver {
         };
         let mut fixable = true;
         for (e, edge) in sg.edges.iter().enumerate() {
-            let vf = resolve(edge.from, &self.var_of);
-            let vt = resolve(edge.to, &self.var_of);
             let (lo_f, hi_f) = win(edge.from);
             let (lo_t, hi_t) = win(edge.to);
             // Setup: k_from − k_to ≤ sb → arc to→from.
             let sb = ic.setup_bound[e];
             if sb < hi_f - lo_t {
-                if vf == root && vt == root {
+                let (vf, vt) = (
+                    var(edge.from, &mut self.var_of),
+                    var(edge.to, &mut self.var_of),
+                );
+                if vf == NONE && vt == NONE {
                     fixable = false; // cap is 0, so sb < 0: dead pair
                     break;
                 }
@@ -674,7 +676,11 @@ impl SampleSolver {
             }
             let hb = ic.hold_bound[e];
             if hb < hi_t - lo_f {
-                if vf == root && vt == root {
+                let (vf, vt) = (
+                    var(edge.from, &mut self.var_of),
+                    var(edge.to, &mut self.var_of),
+                );
+                if vf == NONE && vt == NONE {
                     fixable = false;
                     break;
                 }
@@ -682,8 +688,17 @@ impl SampleSolver {
             }
         }
         if fixable {
+            let root = vars.len() as u32;
+            for arc in &mut arcs {
+                if arc.from == NONE {
+                    arc.from = root;
+                }
+                if arc.to == NONE {
+                    arc.to = root;
+                }
+            }
             bounds.extend(vars.iter().map(|&ff| space.bounds[ff as usize]));
-            fixable = self.diff.feasible_bounded_warm(vars.len(), &arcs, &bounds);
+            fixable = self.diff.decide_bounded(vars.len(), &arcs, &bounds);
         }
         self.fx_vars = vars;
         self.fx_arcs = arcs;

@@ -1296,3 +1296,115 @@ fn unfixable_cycle_detected_by_global_screen() {
     assert!(r.feasible, "zero-sum ring is fixable");
     check_valid(&sg, &ic, &space, &r);
 }
+
+/// The whole-chip screen's verdict over the full system: every buffered
+/// FF a variable, every setup and hold bound an arc.
+fn full_variable_screen(
+    sg: &SequentialGraph,
+    ic: &IntegerConstraints,
+    space: &BufferSpace,
+) -> bool {
+    let mut var_of = vec![NONE; sg.n_ffs];
+    let mut bounds = Vec::new();
+    for (ff, var) in var_of.iter_mut().enumerate() {
+        if space.has_buffer[ff] {
+            *var = bounds.len() as u32;
+            bounds.push(space.bounds[ff]);
+        }
+    }
+    let root = bounds.len() as u32;
+    let var = |ff: u32| match var_of[ff as usize] {
+        NONE => root,
+        v => v,
+    };
+    let mut arcs = Vec::new();
+    for (e, edge) in sg.edges.iter().enumerate() {
+        let (vf, vt) = (var(edge.from), var(edge.to));
+        for (from, to, bound) in [(vt, vf, ic.setup_bound[e]), (vf, vt, ic.hold_bound[e])] {
+            if from == root && to == root {
+                if bound < 0 {
+                    return false;
+                }
+            } else {
+                arcs.push(FeasArc::new(from, to, bound));
+            }
+        }
+    }
+    DiffSolver::new().decide_bounded(bounds.len(), &arcs, &bounds)
+}
+
+#[test]
+fn live_core_screen_matches_the_full_variable_system() {
+    // The screen gives variables only to buffered FFs that end a live
+    // arc; its verdict must equal the full system's on random chips —
+    // random small graphs, and chips sampled from a real circuit at
+    // tight periods — with random buffer masks and windows.  One solver
+    // serves every chip, as a pass's workspace does.
+    use psbi_timing::sample::{CanonicalBatchSampler, SampleBatch};
+    use psbi_timing::ConstraintBatch;
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let mut s = SampleSolver::new();
+    let mut verdicts = [0usize; 2];
+    let random_space = |rng: &mut rand::rngs::StdRng, n: usize| {
+        let mut space = BufferSpace::floating(n, 4);
+        for ff in 0..n {
+            space.has_buffer[ff] = rng.gen_bool(0.7);
+            let lo = rng.gen_range(-4i64..1);
+            space.bounds[ff] = (lo, lo + rng.gen_range(0i64..6));
+        }
+        space
+    };
+    for _ in 0..3000 {
+        let n = rng.gen_range(2usize..9);
+        let edges: Vec<(u32, u32)> = (0..rng.gen_range(1usize..14))
+            .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)))
+            .collect();
+        let sg = graph(n, &edges);
+        let setup: Vec<i64> = edges.iter().map(|_| rng.gen_range(-5i64..8)).collect();
+        let hold: Vec<i64> = edges.iter().map(|_| rng.gen_range(-3i64..8)).collect();
+        let ic = constraints(&setup, &hold);
+        let space = random_space(&mut rng, n);
+        let want = full_variable_screen(&sg, &ic, &space);
+        assert_eq!(
+            s.chip_fixable(&sg, ic.as_view(), &space),
+            want,
+            "edges {edges:?} setup {setup:?} hold {hold:?} space {space:?}"
+        );
+        verdicts[want as usize] += 1;
+    }
+    let circuit = psbi_netlist::bench_suite::tiny_demo(5);
+    let tg = psbi_timing::TimingGraph::build(
+        &circuit,
+        &psbi_liberty::Library::industry_like(),
+        &psbi_variation::VariationModel::paper_defaults(),
+    )
+    .unwrap();
+    let sg = SequentialGraph::extract(&tg);
+    let skews = vec![0.0; sg.n_ffs];
+    let mut batch = SampleBatch::new();
+    batch.reset(&sg, 64);
+    CanonicalBatchSampler::new(&sg).fill(11, 0, &mut batch);
+    let mut cons = ConstraintBatch::new();
+    let mut ic = IntegerConstraints::for_graph(&sg);
+    for period in [420.0, 460.0, 500.0] {
+        cons.build_from(&sg, &batch, &skews, period, period / 160.0);
+        for row in 0..batch.len() {
+            let view = cons.view(row);
+            ic.setup_bound.copy_from_slice(view.setup_bound);
+            ic.hold_bound.copy_from_slice(view.hold_bound);
+            let space = random_space(&mut rng, sg.n_ffs);
+            let want = full_variable_screen(&sg, &ic, &space);
+            assert_eq!(
+                s.chip_fixable(&sg, view, &space),
+                want,
+                "period {period} chip {row}"
+            );
+            verdicts[want as usize] += 1;
+        }
+    }
+    assert!(
+        verdicts[0] > 100 && verdicts[1] > 100,
+        "both verdicts must be exercised: {verdicts:?}"
+    );
+}

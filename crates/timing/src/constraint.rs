@@ -637,6 +637,163 @@ mod tests {
         }
     }
 
+    /// The flow's step at period `t`: `t · (1/8) / 20`, evaluated in the
+    /// flow's order, so `1/step` shrinks as `t` grows.
+    fn flow_step(t: f64) -> f64 {
+        t * (1.0 / 8.0) / 20.0
+    }
+
+    #[test]
+    fn passing_untuned_is_monotone_in_the_period() {
+        // The zero-pass lemma the flow's table relies on: a chip whose
+        // floored bounds are all >= 0 at period T has them all >= 0 at
+        // every T' >= T — on every kernel backend and on the scalar path.
+        use crate::sample::{CanonicalBatchSampler, SampleBatch};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let (mut implied, mut flipped) = (0usize, 0usize);
+        for circuit_seed in [3u64, 17, 29] {
+            let c = bench_suite::tiny_demo(circuit_seed);
+            let lib = Library::industry_like();
+            let model = VariationModel::paper_defaults();
+            let tg = TimingGraph::build(&c, &lib, &model).unwrap();
+            let sg = SequentialGraph::extract(&tg);
+            let skews: Vec<f64> = (0..sg.n_ffs).map(|_| rng.gen_range(-6.0..6.0)).collect();
+            let sampler = CanonicalBatchSampler::new(&sg);
+            let len = 24;
+            let mut batch = SampleBatch::new();
+            batch.reset(&sg, len);
+            sampler.fill(circuit_seed, 100, &mut batch);
+            let chips: Vec<SampleTiming> = (0..len)
+                .map(|row| {
+                    let mut st = SampleTiming::for_graph(&sg);
+                    sampler.fill_one(circuit_seed, 100 + row as u64, &mut st);
+                    st
+                })
+                .collect();
+            // Periods around the chips' own minimum periods, including
+            // each chip's exact threshold, paired with a later period
+            // from one ulp to far above.
+            let mut periods: Vec<f64> = (0..len)
+                .map(|row| min_period_view(&sg, batch.view(row), &skews).period)
+                .collect();
+            for _ in 0..16 {
+                let base = periods[rng.gen_range(0..len)];
+                periods.push(base * rng.gen_range(0.98..1.02));
+            }
+            for &t in &periods {
+                for t2 in [
+                    t,
+                    f64::from_bits(t.to_bits() + 1),
+                    t * (1.0 + rng.gen_range(0.0..1e-3)),
+                    t * 1.01,
+                    t + 100.0,
+                ] {
+                    let mut scalar = IntegerConstraints::for_graph(&sg);
+                    let mut scalar2 = IntegerConstraints::for_graph(&sg);
+                    for (row, chip) in chips.iter().enumerate() {
+                        scalar.build(&sg, chip, &skews, t, flow_step(t));
+                        scalar2.build(&sg, chip, &skews, t2, flow_step(t2));
+                        if scalar.feasible_at_zero() {
+                            implied += 1;
+                            assert!(
+                                scalar2.feasible_at_zero(),
+                                "scalar: row {row} passes at {t} but not at {t2}"
+                            );
+                        } else if scalar2.feasible_at_zero() {
+                            flipped += 1;
+                        }
+                    }
+                    for backend in crate::simd::Backend::available() {
+                        let mut at_t = ConstraintBatch::new();
+                        let mut at_t2 = ConstraintBatch::new();
+                        at_t.build_from_with(backend, &sg, &batch, &skews, t, flow_step(t));
+                        at_t2.build_from_with(backend, &sg, &batch, &skews, t2, flow_step(t2));
+                        for row in 0..len {
+                            assert!(
+                                !at_t.view(row).feasible_at_zero()
+                                    || at_t2.view(row).feasible_at_zero(),
+                                "backend {}: row {row} passes at {t} but not at {t2}",
+                                backend.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(implied > 0, "no chip passed untuned: the check is vacuous");
+        assert!(flipped > 0, "no chip started passing at a longer period");
+    }
+
+    #[test]
+    fn passing_untuned_is_monotone_at_rounding_edges() {
+        // One edge 0 → 1 whose setup slack is exactly 0 at T = 1000, and
+        // whose hold slack is the smallest negative subnormal: its product
+        // with 1/step rounds to −0.0, so the floored hold bound is 0 (a
+        // pass) at every period whose 1/step is below 1/2.
+        use crate::sample::{CanonicalBatchSampler, SampleBatch};
+        use crate::seq::SeqEdge;
+        use psbi_variation::CanonicalForm;
+        let tiny = f64::from_bits(1);
+        let sg = SequentialGraph::from_parts(
+            2,
+            vec![SeqEdge {
+                from: 0,
+                to: 1,
+                max_delay: CanonicalForm::constant(990.0),
+                min_delay: CanonicalForm::constant(tiny),
+            }],
+            vec![CanonicalForm::constant(10.0); 2],
+            vec![CanonicalForm::constant(2.0 * tiny); 2],
+        );
+        let skews = [0.0, 0.0];
+        let sampler = CanonicalBatchSampler::new(&sg);
+        let mut batch = SampleBatch::new();
+        batch.reset(&sg, 1);
+        sampler.fill(1, 0, &mut batch);
+        let v = batch.view(0);
+        let t = 1000.0;
+        assert_eq!(
+            t - v.setup[1] - v.edge_max[0],
+            0.0,
+            "setup slack is exactly 0"
+        );
+        let hold_slack = v.edge_min[0] - v.hold[1];
+        assert!(hold_slack < 0.0, "hold slack is negative");
+        assert_eq!(
+            (hold_slack * (1.0 / flow_step(t))).to_bits(),
+            (-0.0f64).to_bits()
+        );
+        let st = SampleTiming {
+            edge_max: v.edge_max.to_vec(),
+            edge_min: v.edge_min.to_vec(),
+            setup: v.setup.to_vec(),
+            hold: v.hold.to_vec(),
+        };
+        let later = [t, f64::from_bits(t.to_bits() + 1), 1000.5, 2000.0, 1e9];
+        let mut ic = IntegerConstraints::for_graph(&sg);
+        for &t2 in &later {
+            ic.build(&sg, &st, &skews, t2, flow_step(t2));
+            assert!(ic.feasible_at_zero(), "scalar fails at {t2}");
+            for backend in crate::simd::Backend::available() {
+                let mut cb = ConstraintBatch::new();
+                cb.build_from_with(backend, &sg, &batch, &skews, t2, flow_step(t2));
+                assert!(
+                    cb.view(0).feasible_at_zero(),
+                    "backend {} fails at {t2}",
+                    backend.name()
+                );
+            }
+        }
+        // Just below T the setup bound is violated, and at a short period
+        // (1/step above 1/2) the hold product no longer rounds to −0.0:
+        // both flip to a pass as the period grows, never back.
+        ic.build(&sg, &st, &skews, 999.0, flow_step(999.0));
+        assert!(ic.setup_bound[0] < 0);
+        ic.build(&sg, &st, &skews, 100.0, flow_step(100.0));
+        assert!(ic.hold_bound[0] < 0);
+    }
+
     #[test]
     fn violations_at_zero_enumerates_both_kinds() {
         let (sg, st, skews) = fixture();

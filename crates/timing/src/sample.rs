@@ -191,7 +191,9 @@ impl SampleBatch {
     }
 
     /// Fills the batch with chips `first..first + len` of `stream` by
-    /// exact gate-level propagation, reusing `sampler`'s workspaces.
+    /// exact gate-level propagation, reusing `sampler`'s workspaces — the
+    /// gathered fill ([`SampleBatch::fill_gate_level_gathered`]) over
+    /// consecutive indices.
     ///
     /// The batch must have been [`reset`](SampleBatch::reset) for the same
     /// graph the sampler was built from.
@@ -203,6 +205,46 @@ impl SampleBatch {
         stream: u64,
         first: u64,
     ) {
+        self.fill_gate_level_rows(tg, sg, sampler, stream, first, |row| first + row as u64);
+    }
+
+    /// Fills row `r` of the batch with chip `chips[r]` of `stream` by
+    /// exact gate-level propagation.  Each row holds exactly the chip a
+    /// contiguous fill containing that index would hold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch was not [`reset`](SampleBatch::reset) to
+    /// `chips.len()` rows of `sg`.
+    pub fn fill_gate_level_gathered(
+        &mut self,
+        tg: &TimingGraph<'_>,
+        sg: &SequentialGraph,
+        sampler: &mut GateLevelSampler,
+        stream: u64,
+        chips: &[u64],
+    ) {
+        assert_eq!(
+            self.len,
+            chips.len(),
+            "batch not reset for the gathered chips"
+        );
+        let first = chips.first().copied().unwrap_or(0);
+        self.fill_gate_level_rows(tg, sg, sampler, stream, first, |row| chips[row]);
+    }
+
+    /// The one gate-level fill loop: row `r` draws chip `chip(r)`, and
+    /// `first` (= `chip(0)`) keys the span and the batch's
+    /// [`first_index`](SampleBatch::first_index).
+    fn fill_gate_level_rows(
+        &mut self,
+        tg: &TimingGraph<'_>,
+        sg: &SequentialGraph,
+        sampler: &mut GateLevelSampler,
+        stream: u64,
+        first: u64,
+        chip: impl Fn(usize) -> u64,
+    ) {
         assert_eq!(self.n_edges, sg.edges.len(), "batch not reset for graph");
         let _span = psbi_obs::Span::enter_with(
             "sample.batch.gate_level",
@@ -212,7 +254,7 @@ impl SampleBatch {
         psbi_obs::metrics::counter_add("sample.chips", self.len as u64);
         self.first_index = first;
         for row in 0..self.len {
-            let (globals, mut rng) = chip_rng(stream, first + row as u64);
+            let (globals, mut rng) = chip_rng(stream, chip(row));
             let (edge_max, edge_min, setup, hold) = self.row_mut(row);
             sampler.sample_into(tg, sg, &globals, &mut rng, edge_max, edge_min, setup, hold);
         }
@@ -413,6 +455,9 @@ impl CanonicalBatchSampler {
     /// [`fill`](CanonicalBatchSampler::fill) on an explicit kernel
     /// backend.  Every backend produces bit-identical buffers; this
     /// entry point exists for parity tests and scalar-vs-SIMD benchmarks.
+    /// A contiguous fill is the gathered fill
+    /// ([`fill_gathered_with`](CanonicalBatchSampler::fill_gathered_with))
+    /// over consecutive indices.
     ///
     /// # Panics
     ///
@@ -423,6 +468,58 @@ impl CanonicalBatchSampler {
         backend: simd::Backend,
         stream: u64,
         first: u64,
+        batch: &mut SampleBatch,
+    ) {
+        self.fill_rows(backend, stream, first, |row| first + row as u64, batch);
+    }
+
+    /// Fills row `r` of `batch` with chip `chips[r]` of `stream` on the
+    /// process-wide kernel backend — the flow's passes draw only the
+    /// chips they cannot settle without a draw.  Each row holds exactly
+    /// the chip a contiguous [`fill`](CanonicalBatchSampler::fill)
+    /// containing that index would hold, and the batch's
+    /// [`first_index`](SampleBatch::first_index) is `chips[0]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch shape does not match this sampler's graph or
+    /// the batch was not reset to `chips.len()` rows.
+    pub fn fill_gathered(&self, stream: u64, chips: &[u64], batch: &mut SampleBatch) {
+        self.fill_gathered_with(simd::active(), stream, chips, batch);
+    }
+
+    /// [`fill_gathered`](CanonicalBatchSampler::fill_gathered) on an
+    /// explicit kernel backend (parity tests and benchmarks).
+    ///
+    /// # Panics
+    ///
+    /// As [`fill_gathered`](CanonicalBatchSampler::fill_gathered), or if
+    /// `backend` is not available on this host.
+    pub fn fill_gathered_with(
+        &self,
+        backend: simd::Backend,
+        stream: u64,
+        chips: &[u64],
+        batch: &mut SampleBatch,
+    ) {
+        assert_eq!(
+            batch.len,
+            chips.len(),
+            "batch not reset for the gathered chips"
+        );
+        let first = chips.first().copied().unwrap_or(0);
+        self.fill_rows(backend, stream, first, |row| chips[row], batch);
+    }
+
+    /// The one canonical fill loop: row `r` draws chip `chip(r)`, and
+    /// `first` (= `chip(0)`) keys the span, the `sample.batch.corrupt`
+    /// failpoint and the batch's [`first_index`](SampleBatch::first_index).
+    fn fill_rows(
+        &self,
+        backend: simd::Backend,
+        stream: u64,
+        first: u64,
+        chip: impl Fn(usize) -> u64,
         batch: &mut SampleBatch,
     ) {
         assert_eq!(
@@ -462,7 +559,7 @@ impl CanonicalBatchSampler {
                 let e0 = row * n_edges;
                 self.draw_chip_scalar(
                     stream,
-                    first + row as u64,
+                    chip(row),
                     &mut batch.edge_max[e0..e0 + n_edges],
                     &mut batch.edge_min[e0..e0 + n_edges],
                     &mut batch.setup[f0..f0 + n_ffs],
@@ -479,7 +576,7 @@ impl CanonicalBatchSampler {
                         backend,
                         scratch,
                         stream,
-                        first + row as u64,
+                        chip(row),
                         &mut batch.edge_max[e0..e0 + n_edges],
                         &mut batch.edge_min[e0..e0 + n_edges],
                         &mut batch.setup[f0..f0 + n_ffs],
@@ -930,6 +1027,50 @@ mod tests {
             assert_eq!(a.hold, b.hold);
         }
         assert_eq!(shifted.first_index(), 10);
+    }
+
+    #[test]
+    fn gathered_rows_match_contiguous_rows() {
+        // A gathered batch holds, row by row, exactly the chips a
+        // contiguous batch holds at those indices — on every backend, and
+        // for the gate-level sampler too.
+        let fx = Fixture::new(23);
+        let tg = TimingGraph::build(&fx.circuit, &fx.lib, &fx.model).unwrap();
+        let sg = SequentialGraph::extract(&tg);
+        let sampler = CanonicalBatchSampler::new(&sg);
+        let chips = [3u64, 4, 9, 17, 18, 19, 30];
+        let mut contiguous = SampleBatch::new();
+        contiguous.reset(&sg, 31);
+        sampler.fill_with(crate::simd::Backend::Scalar, 41, 0, &mut contiguous);
+        let same = |a: SampleView<'_>, b: SampleView<'_>| {
+            a.edge_max == b.edge_max
+                && a.edge_min == b.edge_min
+                && a.setup == b.setup
+                && a.hold == b.hold
+        };
+        for backend in crate::simd::Backend::available() {
+            let mut gathered = SampleBatch::new();
+            gathered.reset(&sg, chips.len());
+            sampler.fill_gathered_with(backend, 41, &chips, &mut gathered);
+            assert_eq!(gathered.first_index(), 3);
+            for (row, &k) in chips.iter().enumerate() {
+                assert!(
+                    same(gathered.view(row), contiguous.view(k as usize)),
+                    "backend {} chip {k}",
+                    backend.name()
+                );
+            }
+        }
+        let mut gls = GateLevelSampler::new(&tg);
+        contiguous.reset(&sg, 31);
+        contiguous.fill_gate_level(&tg, &sg, &mut gls, 41, 0);
+        let mut gathered = SampleBatch::new();
+        gathered.reset(&sg, chips.len());
+        gathered.fill_gate_level_gathered(&tg, &sg, &mut gls, 41, &chips);
+        assert_eq!(gathered.first_index(), 3);
+        for (row, &k) in chips.iter().enumerate() {
+            assert!(same(gathered.view(row), contiguous.view(k as usize)));
+        }
     }
 
     #[test]

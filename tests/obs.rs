@@ -12,12 +12,14 @@
 //!    passes, solver stages, fleet job lifecycle) are present.
 //! 3. **Metric determinism** — the deterministic counter/gauge subset is
 //!    identical for any worker count (schedule-dependent counters like
-//!    `solve.memo.*` are deliberately excluded).
+//!    `solve.memo.*` and the draw counters are deliberately excluded;
+//!    draws plus zero-pass settles are pinned instead).
 //!
 //! Arming is process-global, so every test serialises through
 //! [`psbi::obs::test_lock`] and arms/disarms manually (the `with_*`
 //! helpers take the same lock and would deadlock under it).
 
+use psbi::core::flow::FlowConfig;
 use psbi::fleet::{run_campaign, CampaignReport, CampaignSpec, FleetOptions};
 use psbi::obs;
 use std::collections::BTreeMap;
@@ -210,11 +212,12 @@ fn deterministic_counters_and_gauges_are_worker_count_invariant() {
 
     // Deterministic subset: pure functions of (spec, grid), independent
     // of which worker ran what.  `solve.memo.*` and
-    // `pool.workspace.created` are schedule-dependent and excluded.
+    // `pool.workspace.created` are schedule-dependent and excluded, and
+    // so are the draw counters `sample.batches`, `sample.chips` and
+    // `timing.extract.batches`: a flow's zero-pass table settles chips a
+    // finished target of the circuit already saw pass untuned, so what is
+    // drawn depends on which targets finished first.
     for counter in [
-        "sample.batches",
-        "sample.chips",
-        "timing.extract.batches",
         "flow.chunks",
         "flow.targets",
         "pool.checkouts",
@@ -230,6 +233,29 @@ fn deterministic_counters_and_gauges_are_worker_count_invariant() {
         assert!(
             a.unwrap_or(0) > 0,
             "counter `{counter}` never incremented — dead instrumentation"
+        );
+    }
+    for counter in ["sample.batches", "sample.chips", "timing.extract.batches"] {
+        assert!(
+            one.counter(counter).unwrap_or(0) > 0,
+            "counter `{counter}` never incremented — dead instrumentation"
+        );
+    }
+    // Every chip of every pass is either drawn or settled, so their sum
+    // stays a pure function of (spec, grid).
+    let drawn_or_settled = |snap: &obs::metrics::Snapshot| {
+        snap.counter("sample.chips").unwrap_or(0) + snap.counter("flow.chips.settled").unwrap_or(0)
+    };
+    assert_eq!(
+        drawn_or_settled(&one),
+        drawn_or_settled(&eight),
+        "drawn + settled chips vary with worker count"
+    );
+    // Reference mode (`PSBI_REFERENCE=1`) draws every chip.
+    if !FlowConfig::from_env().reference {
+        assert!(
+            one.counter("flow.chips.settled").unwrap_or(0) > 0,
+            "a 1-worker campaign settled no chip from the zero-pass table"
         );
     }
     assert_eq!(
