@@ -112,11 +112,10 @@ fn bench_sample_solve(c: &mut Criterion) {
 /// Batched-vs-scalar comparison over a whole mini-pass: sample, extract
 /// constraints and solve 512 chips around the median period (a realistic
 /// mix of clean and violated chips).  The batched side reuses one
-/// `SampleBatch`/`ConstraintBatch`/`SampleSolver` (with its warm-started
-/// `DiffSolver` and branch-and-bound scratch); the scalar side reuses its
-/// `SampleTiming`/`IntegerConstraints`/`SampleSolver` across chips as the
-/// pre-batch flow's worker loops did, but draws with the polar method and
-/// solves without the warm-start/scratch machinery.
+/// `SampleBatch`/`ConstraintBatch`/`SampleSolver`; the scalar side reuses
+/// its `SampleTiming`/`IntegerConstraints`/`SampleSolver` across chips as
+/// the pre-batch flow's worker loops did, but draws with the polar method
+/// and extracts one chip at a time.
 fn bench_pass_pipeline(c: &mut Criterion) {
     const SAMPLES: usize = 512;
     const CHUNK: usize = 64;

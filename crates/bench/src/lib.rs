@@ -35,14 +35,31 @@ impl Args {
         Self { raw }
     }
 
-    /// Value of `--key <value>`, parsed.
+    /// Value of `--key <value>`, parsed; `None` when the flag is absent.
+    /// A missing or malformed value is a usage error: it is reported on
+    /// stderr and the process exits with status 2.
     pub fn get<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        self.try_get(key).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// As [`Args::get`], but returns the usage error (naming the flag and
+    /// the value) instead of exiting.
+    pub fn try_get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
         let flag = format!("--{key}");
-        self.raw
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
+        let Some(i) = self.raw.iter().position(|a| a == &flag) else {
+            return Ok(None);
+        };
+        let value = self
+            .raw
+            .get(i + 1)
+            .ok_or_else(|| format!("{flag} needs a value"))?;
+        value
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("bad value `{value}` for {flag}"))
     }
 
     /// Presence of `--key`.
@@ -175,6 +192,23 @@ mod tests {
             Some(vec!["s9234".to_string(), "s13207".to_string()])
         );
         assert_eq!(a.get::<usize>("missing"), None);
+    }
+
+    #[test]
+    fn malformed_values_are_usage_errors() {
+        let a = Args::from_vec(vec![
+            "--samples".into(),
+            "10k".into(),
+            "--threads".into(),
+            "2".into(),
+            "--seed".into(),
+        ]);
+        let e = a.try_get::<usize>("samples").unwrap_err();
+        assert!(e.contains("--samples") && e.contains("10k"), "{e}");
+        let e = a.try_get::<u64>("seed").unwrap_err();
+        assert!(e.contains("--seed"), "{e}");
+        assert_eq!(a.try_get::<usize>("threads"), Ok(Some(2)));
+        assert_eq!(a.try_get::<usize>("missing"), Ok(None));
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! the tested period changes per bin, so all bins share the deployment's
 //! discretisation.
 
-use crate::yield_eval::Deployment;
-use psbi_timing::feasibility::DiffSolver;
+use crate::yield_eval::{ChipCheck, Deployment};
 use psbi_timing::sample::SampleTiming;
 use psbi_timing::{IntegerConstraints, SequentialGraph};
 use serde::{Deserialize, Serialize};
@@ -104,8 +103,7 @@ where
     );
     let mut st = SampleTiming::for_graph(sg);
     let mut ic = IntegerConstraints::for_graph(sg);
-    let mut solver = DiffSolver::new();
-    let mut arcs = Vec::new();
+    let mut check = ChipCheck::new();
     let mut report = BinningReport {
         periods: periods.to_vec(),
         baseline: vec![0; periods.len()],
@@ -126,7 +124,7 @@ where
             if base_bin.is_none() && ic.feasible_at_zero() {
                 base_bin = Some(i);
             }
-            if buf_bin.is_none() && deployment.chip_passes(sg, &ic, &mut solver, &mut arcs) {
+            if buf_bin.is_none() && deployment.chip_passes(sg, ic.as_view(), &mut check) {
                 buf_bin = Some(i);
             }
         }

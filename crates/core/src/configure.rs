@@ -33,7 +33,7 @@ pub fn configure_chip(
 ) -> Option<ChipConfiguration> {
     let mut solver = DiffSolver::new();
     let mut arcs: Vec<Arc> = Vec::new();
-    if !deployment.build_arcs(sg, ic, &mut arcs) {
+    if !deployment.build_arcs(sg, ic.as_view(), &mut arcs) {
         return None;
     }
     let n = deployment.num_buffers();

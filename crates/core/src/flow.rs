@@ -54,10 +54,9 @@ use crate::solve::{
     BufferSpace, PassDiagnostics, PushObjective, RegionMemo, SampleResult, SampleSolver,
     SolveRequest, SolverOptions,
 };
-use crate::yield_eval::{Deployment, YieldReport};
+use crate::yield_eval::{ChipCheck, Deployment, YieldReport};
 use psbi_liberty::Library;
 use psbi_netlist::{Circuit, NetlistError, Placement, SkewConfig};
-use psbi_timing::feasibility::{Arc as TimingArc, DiffSolver};
 use psbi_timing::graph::TimingGraph;
 use psbi_timing::sample::{CanonicalBatchSampler, GateLevelSampler, SampleBatch, SampleTiming};
 use psbi_timing::{constraint, ConstraintBatch, IntegerConstraints, SequentialGraph};
@@ -135,9 +134,8 @@ pub struct FlowConfig {
     /// Re-check the final [`InsertionResult`] with [`crate::verify`]: an
     /// independent pass that re-validates every sampled chip's claimed
     /// fixability and the reported yields against the raw un-elided
-    /// constraint system — no memo, no per-chip state, no saturation
-    /// elision, no warm witnesses.  The structured
-    /// [`crate::verify::VerifyReport`] lands in
+    /// constraint system — no memo, no zero-pass table, no saturation
+    /// elision.  The structured [`crate::verify::VerifyReport`] lands in
     /// [`FlowDiagnostics::verify`]; canonical outputs are untouched.
     /// Roughly doubles a run's cost (it re-solves both sample streams
     /// cold).  `PSBI_VERIFY=1` force-enables it process-wide.
@@ -415,7 +413,7 @@ impl InsertionResult {
 
 /// One worker's reusable state: SoA batches, constraint rows, the
 /// per-sample solver with its scratch, and the yield evaluator's
-/// warm-started feasibility solver.  Checked out of the flow's
+/// per-chip feasibility check.  Checked out of the flow's
 /// [`WorkspacePool`] per chunk and returned afterwards, so a handful of
 /// workspaces (one per concurrently active worker) serve the entire flow.
 #[derive(Default)]
@@ -425,12 +423,11 @@ pub(crate) struct Workspace {
     batch: SampleBatch,
     cons: ConstraintBatch,
     solver: SampleSolver,
-    diff: DiffSolver,
-    arcs: Vec<TimingArc>,
+    check: ChipCheck,
     gls: Option<GateLevelSampler>,
 }
 
-/// Lock-protected free list of [`Workspace`]s shared by all passes — and,
+/// Lock-protected free list of `Workspace`s shared by all passes — and,
 /// when shared via [`FlowBuilder::pool`], by all flows of a multi-circuit
 /// campaign (workspaces are resized on checkout, so one pool serves
 /// circuits of different sizes).  The pool also holds each flow's
@@ -439,15 +436,14 @@ pub(crate) struct Workspace {
 /// targets of a campaign sweep.
 ///
 /// Checkout order is unspecified (workers race for the list), which is
-/// safe because workspaces carry no chip-dependent state that affects
-/// results — solver scratch is overwritten per chip and the warm-start
-/// witness cache is only ever *validated*, never trusted.  Memos are
-/// different: their keys hold FF indices, so each is owner-keyed to one
-/// flow, and their contents only ever enable exact-key replays.  This
-/// free-list lock is the one remaining `Mutex` on the chunk path; it
-/// guards *checkout*, not result merging (chunk results are written to
-/// pre-sized per-index slots or folded in chunk order — see
-/// [`DisjointSlots`]).
+/// safe because workspaces hold no state that carries from one chip to
+/// the next: all of it is scratch, overwritten per chip, and every
+/// feasibility check is a cold solve.  Memos are different: their keys
+/// hold FF indices, so each is owner-keyed to one flow, and their contents
+/// only ever enable exact-key replays.  This free-list lock is the one
+/// remaining `Mutex` on the chunk path; it guards *checkout*, not result
+/// merging (chunk results are written to pre-sized per-index slots or
+/// folded in chunk order — see `DisjointSlots`).
 #[derive(Default)]
 pub struct WorkspacePool {
     free: Mutex<Vec<Workspace>>,
@@ -1273,8 +1269,7 @@ impl<'a> BufferInsertionFlow<'a> {
             for row in 0..ws.chips.len() {
                 let cv = ws.cons.view(row);
                 let baseline = cv.feasible_at_zero();
-                let buffered =
-                    deployment.chip_passes_view(&self.sg, cv, &mut ws.diff, &mut ws.arcs);
+                let buffered = deployment.chip_passes(&self.sg, cv, &mut ws.check);
                 report.record(baseline, buffered);
             }
             report

@@ -84,67 +84,6 @@ pub fn summary(r: &InsertionResult) -> String {
     )
 }
 
-/// Per-pass memo and saturation counters as a small Markdown table — the
-/// observability surface for cache efficacy and `region_cap` saturation.
-/// Non-canonical (like wall times): the counters legitimately differ
-/// between the default and the reference mode (`PSBI_REFERENCE=1`).
-pub fn solver_diagnostics(r: &InsertionResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "| pass | regions | saturated (region_cap) | cross-chip hits |"
-    );
-    let _ = writeln!(out, "|---|---:|---:|---:|");
-    let d = &r.diagnostics;
-    let total = d.total();
-    for (pass, p) in [
-        ("A1", &d.a1),
-        ("A3", &d.a3),
-        ("B1", &d.b1),
-        ("B2", &d.b2),
-        ("total", &total),
-    ] {
-        let _ = writeln!(
-            out,
-            "| {pass} | {} | {} | {} |",
-            p.regions_total, p.regions_saturated, p.cross_chip_hits
-        );
-    }
-    out
-}
-
-/// Solver-stage wall times (discovery / saturation screen / search /
-/// push-MILP) as a Markdown table, read from the process-wide obs
-/// histograms `solve.stage.*` — the observability surface behind
-/// `BENCH_sampling.json`'s `solver_stages` section.  Wall times are
-/// non-canonical by contract.  Requires the metrics registry to be
-/// armed (`PSBI_METRICS` or `psbi_obs::metrics::arm`) around the flow
-/// run; when disarmed every row renders as zero, because the solver
-/// reads no clock at all on the disarmed path.
-pub fn solver_stage_times() -> String {
-    let snap = psbi_obs::metrics::snapshot();
-    let secs = |name: &str| -> f64 {
-        snap.histogram(name)
-            .map(|h| h.sum as f64 / 1e9)
-            .unwrap_or(0.0)
-    };
-    let mut out = String::new();
-    let _ = writeln!(out, "| stage | wall (s) | calls |");
-    let _ = writeln!(out, "|---|---:|---:|");
-    let mut total_s = 0.0;
-    let mut total_calls = 0u64;
-    for stage in ["discovery", "screen", "search", "milp"] {
-        let name = format!("solve.stage.{stage}");
-        let s = secs(&name);
-        let calls = snap.histogram(&name).map(|h| h.count).unwrap_or(0);
-        total_s += s;
-        total_calls += calls;
-        let _ = writeln!(out, "| {stage} | {s:.4} | {calls} |");
-    }
-    let _ = writeln!(out, "| total | {total_s:.4} | {total_calls} |");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,48 +130,5 @@ mod tests {
         assert!(s.contains("tiny_demo"));
         assert!(s.contains("buffers"));
         assert!(s.contains("yield"));
-    }
-
-    #[test]
-    fn solver_diagnostics_renders_all_passes() {
-        let r = sample_result();
-        let table = solver_diagnostics(&r);
-        assert_eq!(table.lines().count(), 7); // header + sep + 4 passes + total
-        assert!(table.contains("cross-chip hits"));
-        for pass in ["A1", "A3", "B1", "B2", "total"] {
-            assert!(table.contains(&format!("| {pass} |")), "missing {pass}");
-        }
-        // The default flow carries its memo across passes, so the table is
-        // not all zeros: at minimum B1/B2 replay A3's region systems.
-        let totals = r.diagnostics.total();
-        assert!(totals.cross_chip_hits > 0);
-    }
-
-    #[test]
-    fn solver_stage_times_renders_all_stages() {
-        let table = psbi_obs::metrics::with_metrics(None, || {
-            let _ = sample_result();
-            solver_stage_times()
-        });
-        assert_eq!(table.lines().count(), 7); // header + sep + 4 stages + total
-        for stage in ["discovery", "screen", "search", "milp", "total"] {
-            assert!(table.contains(&format!("| {stage} |")), "missing {stage}");
-        }
-        // The flow solved real chips under an armed registry, so the
-        // screen stage ran (it is unconditional per chip per pass) and
-        // recorded a nonzero call count in its histogram row.
-        let screen_row = table
-            .lines()
-            .find(|l| l.starts_with("| screen |"))
-            .expect("screen row");
-        let calls: u64 = screen_row
-            .trim_end_matches('|')
-            .rsplit('|')
-            .next()
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap();
-        assert!(calls > 0, "screen stage never timed: {table}");
     }
 }

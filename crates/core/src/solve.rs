@@ -16,7 +16,7 @@
 //!   holds (or it saturates its connected component, proving
 //!   infeasibility).
 //! * **Support-set branch and bound.** Inside a region the search branches
-//!   on "buffer is adjusted / not adjusted" ([`search`] module).
+//!   on "buffer is adjusted / not adjusted" (the `search` module).
 //!   Feasibility of a candidate support is a bounded difference-constraint
 //!   system — [`psbi_timing::DiffSolver`] decides it in near-linear time —
 //!   and a matching over still-uncovered violated constraints gives a
@@ -46,6 +46,7 @@
 //! available ([`SampleSolver::solve_reference_milp`]) and is used by tests
 //! to cross-validate the specialised path.
 
+use crate::yield_eval::ChipCheck;
 use psbi_milp::{Model, Op, Status};
 use psbi_timing::feasibility::{Arc as FeasArc, DiffSolver};
 use psbi_timing::{
@@ -203,21 +204,19 @@ pub(crate) struct RegCons {
 
 /// Reusable per-sample solver (one per worker thread).
 ///
-/// Every workspace the per-chip pipeline needs — the SPFA solvers, region
-/// scratch, the branch-and-bound's per-node buffers and the saturation
-/// screen's arc/bound arrays — lives in this struct and is reused across
+/// Every workspace the per-chip pipeline needs — the saturation screen's
+/// feasibility check, region scratch and the branch-and-bound's SPFA
+/// solver and per-node buffers — lives in this struct and is reused across
 /// chips, so a steady-state pass performs no per-chip allocation outside
 /// the result vectors themselves.  Workspaces are checked out racily per
 /// chunk, so nothing keyed to a chip identity lives here; what carries
 /// across chips and passes is the caller's [`RegionMemo`].
 #[derive(Debug, Default)]
 pub struct SampleSolver {
-    /// The SPFA solver of the whole-chip saturation screen.
-    diff: DiffSolver,
+    /// The whole-chip saturation screen's feasibility check.
+    check: ChipCheck,
     /// Scratch: per-FF region id (or `NONE`).
     region_of: Vec<u32>,
-    /// Scratch: per-FF variable slot within the saturation screen.
-    var_of: Vec<u32>,
     /// Scratch: visited stamp for BFS.
     dist: Vec<u32>,
     /// Scratch: violated constraints of the current chip.
@@ -226,10 +225,6 @@ pub struct SampleSolver {
     edge_stamp: Vec<u32>,
     /// Current epoch for `edge_stamp`.
     epoch: u32,
-    /// Scratch for the whole-chip saturation screen.
-    fx_vars: Vec<u32>,
-    fx_arcs: Vec<FeasArc>,
-    fx_bounds: Vec<(i64, i64)>,
     /// The region-search workspace.
     search: SearchScratch,
 }
@@ -609,101 +604,23 @@ impl SampleSolver {
     }
 
     /// One SPFA over the whole circuit with every buffer free: can this
-    /// chip be configured at all?
-    ///
-    /// The SPFA runs on the chip's live core only.  An arc whose bound is
-    /// at or above its saturation cap can never bind and is elided (the
-    /// same normalisation as [`materialize_cons`]), and only a buffered FF
-    /// that ends a live arc becomes a variable.  Every other buffered FF
-    /// is constrained by its window alone, which is satisfiable on its
-    /// own (`lo ≤ hi`), so leaving it out cannot change the verdict — and
-    /// the system shrinks from every buffered FF to the few around the
-    /// violations.
+    /// chip be configured at all?  The shared [`ChipCheck`], with each
+    /// buffered FF its own variable, so it solves only the chip's live
+    /// core — the few FFs around the violations.
     fn chip_fixable(
         &mut self,
         sg: &SequentialGraph,
         ic: ConstraintsView<'_>,
         space: &BufferSpace,
     ) -> bool {
-        self.var_of.clear();
-        self.var_of.resize(sg.n_ffs, NONE);
-        let mut vars = std::mem::take(&mut self.fx_vars);
-        let mut arcs = std::mem::take(&mut self.fx_arcs);
-        let mut bounds = std::mem::take(&mut self.fx_bounds);
-        vars.clear();
-        arcs.clear();
-        bounds.clear();
-        // Arc endpoints are FF variables, or `NONE` for the root (a
-        // bufferless FF, pinned to 0) until the root's index — the final
-        // variable count — is known.
-        let mut var = |ff: u32, var_of: &mut [u32]| -> u32 {
-            if !space.has_buffer[ff as usize] {
-                return NONE;
-            }
-            if var_of[ff as usize] == NONE {
-                var_of[ff as usize] = vars.len() as u32;
-                vars.push(ff);
-            }
-            var_of[ff as usize]
-        };
-        // With `k(ff)` confined to its window (0 where bufferless), a bound
-        // at or above `hi(from) − lo(to)` can never bind.  A root–root cap
-        // is 0, so an unfixable bufferless pair still trips the
-        // `bound < cap` test.
-        let win = |ff: u32| -> (i64, i64) {
+        let var_of = |ff: u32| {
             if space.has_buffer[ff as usize] {
-                space.bounds[ff as usize]
+                ff
             } else {
-                (0, 0)
+                NONE
             }
         };
-        let mut fixable = true;
-        for (e, edge) in sg.edges.iter().enumerate() {
-            let (lo_f, hi_f) = win(edge.from);
-            let (lo_t, hi_t) = win(edge.to);
-            // Setup: k_from − k_to ≤ sb → arc to→from.
-            let sb = ic.setup_bound[e];
-            if sb < hi_f - lo_t {
-                let (vf, vt) = (
-                    var(edge.from, &mut self.var_of),
-                    var(edge.to, &mut self.var_of),
-                );
-                if vf == NONE && vt == NONE {
-                    fixable = false; // cap is 0, so sb < 0: dead pair
-                    break;
-                }
-                arcs.push(FeasArc::new(vt, vf, sb));
-            }
-            let hb = ic.hold_bound[e];
-            if hb < hi_t - lo_f {
-                let (vf, vt) = (
-                    var(edge.from, &mut self.var_of),
-                    var(edge.to, &mut self.var_of),
-                );
-                if vf == NONE && vt == NONE {
-                    fixable = false;
-                    break;
-                }
-                arcs.push(FeasArc::new(vf, vt, hb));
-            }
-        }
-        if fixable {
-            let root = vars.len() as u32;
-            for arc in &mut arcs {
-                if arc.from == NONE {
-                    arc.from = root;
-                }
-                if arc.to == NONE {
-                    arc.to = root;
-                }
-            }
-            bounds.extend(vars.iter().map(|&ff| space.bounds[ff as usize]));
-            fixable = self.diff.decide_bounded(vars.len(), &arcs, &bounds);
-        }
-        self.fx_vars = vars;
-        self.fx_arcs = arcs;
-        self.fx_bounds = bounds;
-        fixable
+        self.check.feasible(sg, ic, var_of, &space.bounds)
     }
 
     /// Builds regions: buffered FFs within `radius` hops of a violated

@@ -1,4 +1,5 @@
 use super::*;
+use crate::yield_eval::Deployment;
 use psbi_timing::seq::SeqEdge;
 use psbi_variation::CanonicalForm;
 
@@ -1338,14 +1339,20 @@ fn live_core_screen_matches_the_full_variable_system() {
     // The screen gives variables only to buffered FFs that end a live
     // arc; its verdict must equal the full system's on random chips —
     // random small graphs, and chips sampled from a real circuit at
-    // tight periods — with random buffer masks and windows.  One solver
-    // serves every chip, as a pass's workspace does.
+    // tight periods — with random buffer masks and windows.  Each chip is
+    // also checked through `Deployment::chip_passes` with a random grouped
+    // deployment: several FFs share one variable (so an edge inside a
+    // group, like a self-loop, reads `0 ≤ bound`) and windows may exclude
+    // 0 on either side; its oracle is the raw system, every arc solved
+    // cold.  One solver serves every chip, as a pass's workspace does.
     use psbi_timing::sample::{CanonicalBatchSampler, SampleBatch};
     use psbi_timing::ConstraintBatch;
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let mut s = SampleSolver::new();
+    let mut check = ChipCheck::new();
     let mut verdicts = [0usize; 2];
+    let mut grouped = [0usize; 2];
     let random_space = |rng: &mut rand::rngs::StdRng, n: usize| {
         let mut space = BufferSpace::floating(n, 4);
         for ff in 0..n {
@@ -1354,6 +1361,30 @@ fn live_core_screen_matches_the_full_variable_system() {
             space.bounds[ff] = (lo, lo + rng.gen_range(0i64..6));
         }
         space
+    };
+    let random_deployment = |rng: &mut rand::rngs::StdRng, n: usize| {
+        let groups = rng.gen_range(1u32..4);
+        let var_of_ff = (0..n)
+            .map(|_| {
+                if rng.gen_bool(0.25) {
+                    NONE
+                } else {
+                    rng.gen_range(0..groups)
+                }
+            })
+            .collect();
+        let bounds = (0..groups)
+            .map(|_| {
+                let lo = rng.gen_range(-4i64..3);
+                (lo, lo + rng.gen_range(0i64..5))
+            })
+            .collect();
+        Deployment { var_of_ff, bounds }
+    };
+    let raw_passes = |sg: &SequentialGraph, ic: ConstraintsView<'_>, dep: &Deployment| {
+        let mut arcs = Vec::new();
+        dep.build_arcs(sg, ic, &mut arcs)
+            && DiffSolver::new().decide_bounded(dep.num_buffers(), &arcs, &dep.bounds)
     };
     for _ in 0..3000 {
         let n = rng.gen_range(2usize..9);
@@ -1372,6 +1403,14 @@ fn live_core_screen_matches_the_full_variable_system() {
             "edges {edges:?} setup {setup:?} hold {hold:?} space {space:?}"
         );
         verdicts[want as usize] += 1;
+        let dep = random_deployment(&mut rng, n);
+        let want = raw_passes(&sg, ic.as_view(), &dep);
+        assert_eq!(
+            dep.chip_passes(&sg, ic.as_view(), &mut check),
+            want,
+            "edges {edges:?} setup {setup:?} hold {hold:?} deployment {dep:?}"
+        );
+        grouped[want as usize] += 1;
     }
     let circuit = psbi_netlist::bench_suite::tiny_demo(5);
     let tg = psbi_timing::TimingGraph::build(
@@ -1401,10 +1440,22 @@ fn live_core_screen_matches_the_full_variable_system() {
                 "period {period} chip {row}"
             );
             verdicts[want as usize] += 1;
+            let dep = random_deployment(&mut rng, sg.n_ffs);
+            let want = raw_passes(&sg, view, &dep);
+            assert_eq!(
+                dep.chip_passes(&sg, view, &mut check),
+                want,
+                "period {period} chip {row} deployment {dep:?}"
+            );
+            grouped[want as usize] += 1;
         }
     }
     assert!(
         verdicts[0] > 100 && verdicts[1] > 100,
         "both verdicts must be exercised: {verdicts:?}"
+    );
+    assert!(
+        grouped[0] > 100 && grouped[1] > 100,
+        "both grouped verdicts must be exercised: {grouped:?}"
     );
 }

@@ -1,17 +1,18 @@
 //! Independent re-verification of a finished [`InsertionResult`].
 //!
-//! The flow's fast paths (warm witnesses, the cross-chip
-//! [`crate::solve::RegionMemo`], saturation elision, search pruning) are
+//! The flow's fast paths (the cross-chip [`crate::solve::RegionMemo`],
+//! the zero-pass table, saturation elision in the solver's regions and in
+//! the per-chip [`crate::yield_eval::ChipCheck`], search pruning) are
 //! proven correct by parity tests against the reference mode, but a
 //! long-running campaign wants a *runtime* check: an answer that can be
 //! re-derived from the raw inputs, with none of the fast paths in the
 //! loop.  This module is that check.
 //!
-//! [`verify_insertion`] re-draws every sampled chip of the insertion and
-//! yield streams through the scalar single-chip path
-//! ([`BufferInsertionFlow::fill_sample`] — bit-identical to the batch
-//! kernels by pinned test), rebuilds its un-elided integer constraint
-//! system from scratch, and re-validates:
+//! `verify_insertion` re-draws every sampled chip of the insertion and
+//! yield streams through the scalar single-chip path (the flow's
+//! `fill_sample` — bit-identical to the batch kernels by pinned test),
+//! rebuilds its un-elided integer constraint system from scratch (every
+//! raw arc, [`Deployment::build_arcs`]), and re-validates:
 //!
 //! * **structural consistency** — `nb`, the deployment tables, group
 //!   windows, the `ab` average;
@@ -42,7 +43,7 @@ use serde::{Deserialize, Serialize};
 /// cover everything).
 const MAX_FAILURES: usize = 12;
 
-/// Outcome of one [`verify_insertion`] run.
+/// Outcome of one verifier run (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct VerifyReport {
     /// All checks passed.
@@ -148,7 +149,8 @@ fn singleton_deployment(space: &BufferSpace) -> Deployment {
 }
 
 /// Per-chunk scratch for the re-verification solves — allocated fresh per
-/// chunk so nothing warm leaks in from the flow's pooled workspaces.
+/// chunk, so the verifier shares no scratch with the flow's pooled
+/// workspaces.
 struct ColdKit {
     st: SampleTiming,
     gls: Option<GateLevelSampler>,
@@ -184,12 +186,13 @@ impl ColdKit {
             .build(&flow.sg, &self.st, &flow.skews, claims.period, claims.step);
     }
 
-    /// Cold feasibility of the chip under `dep` (no warm witness).
+    /// Cold feasibility of the chip under `dep`: every raw arc, nothing
+    /// elided.
     fn cold_feasible(&mut self, flow: &BufferInsertionFlow<'_>, dep: &Deployment) -> bool {
-        dep.build_arcs(&flow.sg, &self.ic, &mut self.arcs)
+        dep.build_arcs(&flow.sg, self.ic.as_view(), &mut self.arcs)
             && self
                 .diff
-                .feasible_bounded(dep.num_buffers(), &self.arcs, &dep.bounds)
+                .decide_bounded(dep.num_buffers(), &self.arcs, &dep.bounds)
     }
 }
 

@@ -1,24 +1,132 @@
-//! Yield evaluation on fresh Monte-Carlo samples.
+//! Yield evaluation on fresh Monte-Carlo samples, and the one per-chip
+//! feasibility check behind it.
 //!
-//! A manufactured chip passes at clock period `T` iff the difference-
-//! constraint system over the deployed (possibly grouped) buffers is
-//! feasible.  Without buffers that reduces to "every floored slack is
-//! non-negative".  Feasibility per chip is decided by
-//! [`psbi_timing::DiffSolver`] in near-linear time, so yield evaluation
-//! needs no ILP at all.
+//! A manufactured chip passes at clock period `T` iff its buffers can be
+//! set so that every floored setup and hold bound holds: a bounded
+//! difference-constraint system over the tuning variables.  Without
+//! buffers that reduces to "every floored slack is non-negative".
+//! [`ChipCheck`] decides it cold, one SPFA per chip on the chip's live
+//! core, so yield evaluation needs no ILP at all.  The same check serves
+//! the per-sample solver's whole-chip screen (each buffered FF its own
+//! variable), [`Deployment::chip_passes`] (the grouped deployment, used by
+//! the flow's yield pass) and speed binning.
 //!
-//! The evaluator is batch-friendly: [`Deployment::chip_passes_view`] takes
-//! a borrowed [`ConstraintsView`] (one row of a
-//! [`psbi_timing::ConstraintBatch`]) and leans on the solver's warm-start
-//! path — consecutive chips usually validate against the previous chip's
-//! witness in a single `O(arcs)` sweep.
+//! [`Deployment::build_arcs`] keeps the raw form — every arc, nothing
+//! elided — for post-silicon configuration and the independent verifier,
+//! which stays a separate check of the elision.
 
 use crate::group::Grouping;
 use psbi_timing::feasibility::{Arc, DiffSolver};
-use psbi_timing::{ConstraintsView, IntegerConstraints, SequentialGraph};
+use psbi_timing::{ConstraintsView, SequentialGraph};
 use serde::{Deserialize, Serialize};
 
 const NONE: u32 = u32::MAX;
+
+/// The per-chip feasibility check: can the chip's tuning variables be set,
+/// each inside its window, so that every setup and hold bound holds?
+///
+/// Only the chip's live core is solved.  With `k(ff)` confined to its
+/// variable's window (0 where the FF is pinned), the left-hand side of
+/// `k(a) − k(b) ≤ bound` never exceeds `hi(a) − lo(b)`, so a bound at or
+/// above that saturation cap can never bind and its arc is left out; an
+/// arc whose two ends share a variable (both pinned, or one group) reads
+/// `0 ≤ bound`.  Only a variable that ends a live arc enters the solve.
+/// Every other variable is limited by its own window alone, which is
+/// satisfiable on its own (`lo ≤ hi`), so leaving it out cannot change the
+/// verdict — and the system shrinks from every variable to the few around
+/// the chip's tight bounds.
+///
+/// The fields are scratch, reused from chip to chip; every call is a cold
+/// solve, so no verdict depends on an earlier chip.
+#[derive(Debug, Default)]
+pub struct ChipCheck {
+    diff: DiffSolver,
+    /// Per tuning variable: its index in the live core, or `NONE`.
+    slot: Vec<u32>,
+    arcs: Vec<Arc>,
+    /// Window per live-core variable.
+    windows: Vec<(i64, i64)>,
+}
+
+impl ChipCheck {
+    /// Creates a check with empty scratch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Decides one chip.  `var_of(ff)` is FF `ff`'s tuning variable, or
+    /// `u32::MAX` when the FF is pinned to 0; `windows[v]` is variable
+    /// `v`'s inclusive window in steps (it need not contain 0).
+    pub fn feasible(
+        &mut self,
+        sg: &SequentialGraph,
+        ic: ConstraintsView<'_>,
+        var_of: impl Fn(u32) -> u32,
+        windows: &[(i64, i64)],
+    ) -> bool {
+        self.slot.clear();
+        self.slot.resize(windows.len(), NONE);
+        self.arcs.clear();
+        self.windows.clear();
+        let window = |v: u32| {
+            if v == NONE {
+                (0, 0)
+            } else {
+                windows[v as usize]
+            }
+        };
+        for (e, edge) in sg.edges.iter().enumerate() {
+            let (vf, vt) = (var_of(edge.from), var_of(edge.to));
+            let ((lo_f, hi_f), (lo_t, hi_t)) = (window(vf), window(vt));
+            // Setup `k_from − k_to ≤ sb` is the arc to → from, hold
+            // `k_to − k_from ≤ hb` the arc from → to.
+            let setup = (ic.setup_bound[e], hi_f - lo_t);
+            let hold = (ic.hold_bound[e], hi_t - lo_f);
+            for (is_setup, (bound, cap)) in [(true, setup), (false, hold)] {
+                if bound >= cap {
+                    continue;
+                }
+                if vf == vt {
+                    if bound < 0 {
+                        return false;
+                    }
+                    continue;
+                }
+                let (sf, st) = (self.slot_of(vf, windows), self.slot_of(vt, windows));
+                self.arcs.push(if is_setup {
+                    Arc::new(st, sf, bound)
+                } else {
+                    Arc::new(sf, st, bound)
+                });
+            }
+        }
+        // Pinned ends are the root, whose index is the live-core size.
+        let root = self.windows.len() as u32;
+        for arc in &mut self.arcs {
+            if arc.from == NONE {
+                arc.from = root;
+            }
+            if arc.to == NONE {
+                arc.to = root;
+            }
+        }
+        self.diff
+            .decide_bounded(self.windows.len(), &self.arcs, &self.windows)
+    }
+
+    /// Live-core index of variable `v` (entering it on first use), or
+    /// `NONE` for a pinned end.
+    fn slot_of(&mut self, v: u32, windows: &[(i64, i64)]) -> u32 {
+        if v == NONE {
+            return NONE;
+        }
+        if self.slot[v as usize] == NONE {
+            self.slot[v as usize] = self.windows.len() as u32;
+            self.windows.push(windows[v as usize]);
+        }
+        self.slot[v as usize]
+    }
+}
 
 /// The final buffer deployment: which FFs share which physical buffer and
 /// the buffer windows (in steps).
@@ -57,22 +165,13 @@ impl Deployment {
         self.bounds.len()
     }
 
-    /// Builds the constraint arcs of one sample.  Returns `false` when a
-    /// constraint between two bufferless FFs is violated (chip dead).
+    /// Builds the raw constraint arcs of one sample: every setup and hold
+    /// bound, nothing elided.  Returns `false` when a constraint between
+    /// two bufferless FFs is violated (chip dead).
     ///
     /// `k(a) − k(b) ≤ w` becomes an arc `b → a` of weight `w`; the root
     /// variable is `self.num_buffers()`.
     pub fn build_arcs(
-        &self,
-        sg: &SequentialGraph,
-        ic: &IntegerConstraints,
-        arcs: &mut Vec<Arc>,
-    ) -> bool {
-        self.build_arcs_view(sg, ic.as_view(), arcs)
-    }
-
-    /// As [`Deployment::build_arcs`], from a borrowed constraint view.
-    pub fn build_arcs_view(
         &self,
         sg: &SequentialGraph,
         ic: ConstraintsView<'_>,
@@ -109,34 +208,15 @@ impl Deployment {
         true
     }
 
-    /// Decides whether one sample chip can be configured.
+    /// Decides whether one sample chip can be configured with this
+    /// deployment: the [`ChipCheck`] over its (possibly grouped) buffers.
     pub fn chip_passes(
         &self,
         sg: &SequentialGraph,
-        ic: &IntegerConstraints,
-        solver: &mut DiffSolver,
-        arcs: &mut Vec<Arc>,
-    ) -> bool {
-        self.chip_passes_view(sg, ic.as_view(), solver, arcs)
-    }
-
-    /// As [`Deployment::chip_passes`], from a borrowed constraint view.
-    ///
-    /// Uses the solver's warm-start path: the witness that configured the
-    /// previous chip is validated first and the SPFA only runs when that
-    /// check fails, which makes evaluating a long stream of similar chips
-    /// substantially cheaper than cold per-chip solves.
-    pub fn chip_passes_view(
-        &self,
-        sg: &SequentialGraph,
         ic: ConstraintsView<'_>,
-        solver: &mut DiffSolver,
-        arcs: &mut Vec<Arc>,
+        check: &mut ChipCheck,
     ) -> bool {
-        if !self.build_arcs_view(sg, ic, arcs) {
-            return false;
-        }
-        solver.feasible_bounded_warm(self.num_buffers(), arcs, &self.bounds)
+        check.feasible(sg, ic, |ff| self.var_of_ff[ff as usize], &self.bounds)
     }
 }
 
@@ -205,6 +285,7 @@ mod tests {
     use super::*;
     use crate::group::Group;
     use psbi_timing::seq::SeqEdge;
+    use psbi_timing::IntegerConstraints;
     use psbi_variation::CanonicalForm;
 
     fn graph(n: usize, edges: &[(u32, u32)]) -> SequentialGraph {
@@ -235,11 +316,10 @@ mod tests {
     fn no_buffers_chip_passes_iff_bounds_nonnegative() {
         let sg = graph(2, &[(0, 1)]);
         let dep = Deployment::none(2);
-        let mut solver = DiffSolver::new();
-        let mut arcs = Vec::new();
-        assert!(dep.chip_passes(&sg, &ic(&[0], &[0]), &mut solver, &mut arcs));
-        assert!(!dep.chip_passes(&sg, &ic(&[-1], &[0]), &mut solver, &mut arcs));
-        assert!(!dep.chip_passes(&sg, &ic(&[3], &[-2]), &mut solver, &mut arcs));
+        let mut check = ChipCheck::new();
+        assert!(dep.chip_passes(&sg, ic(&[0], &[0]).as_view(), &mut check));
+        assert!(!dep.chip_passes(&sg, ic(&[-1], &[0]).as_view(), &mut check));
+        assert!(!dep.chip_passes(&sg, ic(&[3], &[-2]).as_view(), &mut check));
     }
 
     #[test]
@@ -257,12 +337,11 @@ mod tests {
             merged_pairs: 0,
         };
         let dep = Deployment::from_grouping(2, &grouping);
-        let mut solver = DiffSolver::new();
-        let mut arcs = Vec::new();
+        let mut check = ChipCheck::new();
         // k0 − k1 ≤ −3: buffer on FF1 with window up to +5 fixes it.
-        assert!(dep.chip_passes(&sg, &ic(&[-3], &[9]), &mut solver, &mut arcs));
+        assert!(dep.chip_passes(&sg, ic(&[-3], &[9]).as_view(), &mut check));
         // But −7 is beyond the window.
-        assert!(!dep.chip_passes(&sg, &ic(&[-7], &[9]), &mut solver, &mut arcs));
+        assert!(!dep.chip_passes(&sg, ic(&[-7], &[9]).as_view(), &mut check));
     }
 
     #[test]
@@ -281,10 +360,9 @@ mod tests {
             merged_pairs: 1,
         };
         let dep = Deployment::from_grouping(2, &grouping);
-        let mut solver = DiffSolver::new();
-        let mut arcs = Vec::new();
-        assert!(!dep.chip_passes(&sg, &ic(&[-1], &[9]), &mut solver, &mut arcs));
-        assert!(dep.chip_passes(&sg, &ic(&[0], &[9]), &mut solver, &mut arcs));
+        let mut check = ChipCheck::new();
+        assert!(!dep.chip_passes(&sg, ic(&[-1], &[9]).as_view(), &mut check));
+        assert!(dep.chip_passes(&sg, ic(&[0], &[9]).as_view(), &mut check));
     }
 
     #[test]
@@ -305,12 +383,11 @@ mod tests {
             merged_pairs: 0,
         };
         let dep = Deployment::from_grouping(2, &grouping);
-        let mut solver = DiffSolver::new();
-        let mut arcs = Vec::new();
+        let mut check = ChipCheck::new();
         let c = ic(&[9], &[2]);
-        let baseline = Deployment::none(2).chip_passes(&sg, &c, &mut solver, &mut arcs);
+        let baseline = Deployment::none(2).chip_passes(&sg, c.as_view(), &mut check);
         assert!(baseline);
-        assert!(!dep.chip_passes(&sg, &c, &mut solver, &mut arcs));
+        assert!(!dep.chip_passes(&sg, c.as_view(), &mut check));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 
 use psbi_core::group::{Group, Grouping};
 use psbi_core::solve::{BufferSpace, PushObjective, SampleSolver, SolveRequest, SolverOptions};
-use psbi_core::yield_eval::Deployment;
-use psbi_timing::feasibility::DiffSolver;
+use psbi_core::yield_eval::{ChipCheck, Deployment};
 use psbi_timing::seq::SeqEdge;
 use psbi_timing::{IntegerConstraints, SequentialGraph};
 use psbi_variation::CanonicalForm;
@@ -61,10 +60,9 @@ fn feasible_chip_is_not_reported_dead() {
         merged_pairs: 0,
     };
     let dep = Deployment::from_grouping(3, &grouping);
-    let mut solver = DiffSolver::new();
-    let mut arcs = Vec::new();
+    let mut check = ChipCheck::new();
     // k = (-1, -2, 0) satisfies every constraint, so this chip passes.
-    assert!(dep.chip_passes(&sg, &ic, &mut solver, &mut arcs));
+    assert!(dep.chip_passes(&sg, ic.as_view(), &mut check));
 }
 
 #[test]

@@ -58,6 +58,38 @@ struct Args {
     raw: Vec<String>,
 }
 
+/// A command's failure: a malformed command line (exit 2, like
+/// [`usage`]) or a campaign error with its own exit code.
+#[derive(Debug)]
+enum CliError {
+    Usage(String),
+    Fleet(FleetError),
+}
+
+impl CliError {
+    fn code(&self) -> u8 {
+        match self {
+            CliError::Usage(_) => 2,
+            CliError::Fleet(e) => e.code(),
+        }
+    }
+}
+
+impl From<FleetError> for CliError {
+    fn from(e: FleetError) -> Self {
+        CliError::Fleet(e)
+    }
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Usage(m) => write!(f, "usage error: {m}"),
+            CliError::Fleet(e) => e.fmt(f),
+        }
+    }
+}
+
 impl Args {
     fn from_env() -> Self {
         Self::from_vec(std::env::args().skip(2).collect())
@@ -67,13 +99,21 @@ impl Args {
         Self { raw }
     }
 
-    fn get<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+    /// Value of `--key <value>`, parsed; `None` when the flag is absent.
+    /// A missing or malformed value is a usage error naming both.
+    fn get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
         let flag = format!("--{key}");
-        self.raw
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
+        let Some(i) = self.raw.iter().position(|a| a == &flag) else {
+            return Ok(None);
+        };
+        let value = self
+            .raw
+            .get(i + 1)
+            .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
+        value
+            .parse()
+            .map(Some)
+            .map_err(|_| CliError::Usage(format!("bad value `{value}` for {flag}")))
     }
 
     fn has(&self, key: &str) -> bool {
@@ -81,9 +121,10 @@ impl Args {
         self.raw.iter().any(|a| a == &flag)
     }
 
-    fn list(&self, key: &str) -> Option<Vec<String>> {
-        self.get::<String>(key)
-            .map(|s| s.split(',').map(|x| x.trim().to_string()).collect())
+    fn list(&self, key: &str) -> Result<Option<Vec<String>>, CliError> {
+        Ok(self
+            .get::<String>(key)?
+            .map(|s| s.split(',').map(|x| x.trim().to_string()).collect()))
     }
 }
 
@@ -122,9 +163,9 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn load_spec(args: &Args) -> Result<CampaignSpec, FleetError> {
+fn load_spec(args: &Args) -> Result<CampaignSpec, CliError> {
     let path: String = args
-        .get("spec")
+        .get("spec")?
         .ok_or_else(|| FleetError::Spec("--spec <campaign.json> is required".into()))?;
     let text = std::fs::read_to_string(&path).map_err(|e| {
         FleetError::Io(std::io::Error::new(
@@ -132,28 +173,29 @@ fn load_spec(args: &Args) -> Result<CampaignSpec, FleetError> {
             format!("reading `{path}`: {e}"),
         ))
     })?;
-    CampaignSpec::from_json(&text)
+    Ok(CampaignSpec::from_json(&text)?)
 }
 
-fn journal_path(args: &Args) -> Result<PathBuf, FleetError> {
-    args.get::<String>("journal")
-        .map(PathBuf::from)
-        .ok_or_else(|| FleetError::Spec("--journal <path> is required".into()))
+fn journal_path(args: &Args) -> Result<PathBuf, CliError> {
+    let path = args
+        .get::<String>("journal")?
+        .ok_or_else(|| FleetError::Spec("--journal <path> is required".into()))?;
+    Ok(PathBuf::from(path))
 }
 
-fn cmd_init(args: &Args) -> Result<(), FleetError> {
+fn cmd_init(args: &Args) -> Result<(), CliError> {
     let mut spec = CampaignSpec::example();
-    if let Some(name) = args.get::<String>("name") {
+    if let Some(name) = args.get::<String>("name")? {
         spec.name = name;
     }
-    if let Some(circuits) = args.list("circuits") {
+    if let Some(circuits) = args.list("circuits")? {
         spec.circuits = circuits
             .iter()
             .map(|c| CircuitRef::parse(c))
             .collect::<Result<_, _>>()
             .map_err(FleetError::Spec)?;
     }
-    if let Some(sigmas) = args.list("sigma") {
+    if let Some(sigmas) = args.list("sigma")? {
         spec.sigma_factors = sigmas
             .iter()
             .map(|s| {
@@ -162,18 +204,18 @@ fn cmd_init(args: &Args) -> Result<(), FleetError> {
             })
             .collect::<Result<_, _>>()?;
     }
-    if let Some(samples) = args.get("samples") {
+    if let Some(samples) = args.get("samples")? {
         spec.samples = samples;
         spec.calibration_samples = spec.samples.max(300);
     }
-    if let Some(ys) = args.get("yield-samples") {
+    if let Some(ys) = args.get("yield-samples")? {
         spec.yield_samples = ys;
     }
-    if let Some(seed) = args.get("seed") {
+    if let Some(seed) = args.get("seed")? {
         spec.seed = seed;
     }
     spec.validate()?;
-    let out: String = args.get("out").unwrap_or_else(|| "campaign.json".into());
+    let out: String = args.get("out")?.unwrap_or_else(|| "campaign.json".into());
     std::fs::write(&out, spec.to_json()).map_err(|e| {
         FleetError::Io(std::io::Error::new(
             e.kind(),
@@ -190,7 +232,7 @@ fn cmd_init(args: &Args) -> Result<(), FleetError> {
     Ok(())
 }
 
-fn cmd_plan(args: &Args) -> Result<(), FleetError> {
+fn cmd_plan(args: &Args) -> Result<(), CliError> {
     let spec = load_spec(args)?;
     println!(
         "campaign `{}` (fingerprint {}): {} jobs",
@@ -213,25 +255,26 @@ fn cmd_plan(args: &Args) -> Result<(), FleetError> {
     Ok(())
 }
 
-fn cmd_run(args: &Args) -> Result<(), FleetError> {
-    let spec = load_spec(args)?;
-    let journal = journal_path(args)?;
+fn cmd_run(args: &Args) -> Result<(), CliError> {
     let opts = FleetOptions {
-        workers: args.get("workers").unwrap_or(0),
-        max_jobs: args.get("max-jobs"),
+        workers: args.get("workers")?.unwrap_or(0),
+        max_jobs: args.get("max-jobs")?,
         // On by default; --quiet silences it, --progress overrides --quiet.
         progress: args.has("progress") || !args.has("quiet"),
-        retries: args.get("retries").unwrap_or(2),
+        retries: args.get("retries")?.unwrap_or(2),
         // PSBI_VERIFY=1 force-enables verification inside the flow even
         // without the flag.
         verify: args.has("verify"),
         // Chrome trace-event output; equivalent to PSBI_TRACE=<path>.
-        trace: args.get::<String>("trace").map(PathBuf::from),
+        trace: args.get::<String>("trace")?.map(PathBuf::from),
     };
+    let report_path = args.get::<String>("report")?;
+    let spec = load_spec(args)?;
+    let journal = journal_path(args)?;
     let outcome = run_campaign(&spec, &journal, &opts)?;
     let report = CampaignReport::from_outcome(&spec, &outcome);
     print!("{}", report.text());
-    if let Some(out) = args.get::<String>("report") {
+    if let Some(out) = report_path {
         std::fs::write(&out, report.json(args.has("with-timings"))).map_err(|e| {
             FleetError::Io(std::io::Error::new(
                 e.kind(),
@@ -253,13 +296,14 @@ fn cmd_run(args: &Args) -> Result<(), FleetError> {
     Ok(())
 }
 
-fn cmd_report(args: &Args) -> Result<(), FleetError> {
+fn cmd_report(args: &Args) -> Result<(), CliError> {
+    let json_path = args.get::<String>("json")?;
     let spec = load_spec(args)?;
     let journal = journal_path(args)?;
     let records = Journal::replay(&journal, &spec)?;
     let report = CampaignReport::from_records(&spec, records);
     print!("{}", report.text());
-    if let Some(out) = args.get::<String>("json") {
+    if let Some(out) = json_path {
         std::fs::write(&out, report.json(args.has("with-timings"))).map_err(|e| {
             FleetError::Io(std::io::Error::new(
                 e.kind(),
@@ -271,55 +315,64 @@ fn cmd_report(args: &Args) -> Result<(), FleetError> {
     Ok(())
 }
 
-fn cmd_serve(args: &Args) -> Result<(), FleetError> {
+fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let mut opts = ServeOptions::default();
-    if let Some(addr) = args.get::<String>("addr") {
+    if let Some(addr) = args.get::<String>("addr")? {
         opts.addr = addr;
     }
-    if let Some(n) = args.get("max-campaigns") {
+    if let Some(n) = args.get("max-campaigns")? {
         opts.max_campaigns = n;
     }
-    if let Some(k) = args.get("lease-jobs") {
+    if let Some(k) = args.get("lease-jobs")? {
         opts.lease_jobs = k;
     }
-    if let Some(ms) = args.get("lease-ms") {
+    if let Some(ms) = args.get("lease-ms")? {
         opts.lease_ms = ms;
         opts.heartbeat_ms = (ms / 4).max(1);
     }
-    if let Some(ms) = args.get("heartbeat-ms") {
+    if let Some(ms) = args.get("heartbeat-ms")? {
         opts.heartbeat_ms = ms;
     }
-    if let Some(ms) = args.get("inline-grace-ms") {
+    if let Some(ms) = args.get("inline-grace-ms")? {
         opts.inline_grace_ms = ms;
     }
     opts.once = args.has("once");
     opts.progress = args.has("progress") || !args.has("quiet");
-    opts.addr_file = args.get::<String>("addr-file").map(PathBuf::from);
-    serve(opts)
+    opts.addr_file = args.get::<String>("addr-file")?.map(PathBuf::from);
+    Ok(serve(opts)?)
 }
 
-fn cmd_worker(args: &Args) -> Result<(), FleetError> {
+fn cmd_worker(args: &Args) -> Result<(), CliError> {
     let mut opts = WorkerOptions::default();
-    if let Some(addr) = args.get::<String>("addr") {
+    if let Some(addr) = args.get::<String>("addr")? {
         opts.addr = addr;
     }
-    if let Some(name) = args.get::<String>("name") {
+    if let Some(name) = args.get::<String>("name")? {
         opts.name = name;
     }
-    if let Some(ms) = args.get("backoff-min-ms") {
+    if let Some(ms) = args.get("backoff-min-ms")? {
         opts.backoff_min_ms = ms;
     }
-    if let Some(ms) = args.get("backoff-max-ms") {
+    if let Some(ms) = args.get("backoff-max-ms")? {
         opts.backoff_max_ms = ms;
     }
-    opts.max_idle_ms = args.get("max-idle-ms");
+    opts.max_idle_ms = args.get("max-idle-ms")?;
     opts.progress = args.has("progress") || !args.has("quiet");
-    run_worker(&opts)
+    Ok(run_worker(&opts)?)
 }
 
-fn cmd_submit(args: &Args) -> Result<(), FleetError> {
+fn cmd_submit(args: &Args) -> Result<(), CliError> {
+    let mut opts = SubmitOptions::default();
+    if let Some(addr) = args.get::<String>("addr")? {
+        opts.addr = addr;
+    }
+    if let Some(retries) = args.get("retries")? {
+        opts.retries = retries;
+    }
+    opts.verify = args.has("verify");
+    opts.progress = args.has("progress") || !args.has("quiet");
     let spec_path: String = args
-        .get("spec")
+        .get("spec")?
         .ok_or_else(|| FleetError::Spec("--spec <campaign.json> is required".into()))?;
     let spec_text = std::fs::read_to_string(&spec_path).map_err(|e| {
         FleetError::Io(std::io::Error::new(
@@ -328,15 +381,6 @@ fn cmd_submit(args: &Args) -> Result<(), FleetError> {
         ))
     })?;
     let journal = journal_path(args)?;
-    let mut opts = SubmitOptions::default();
-    if let Some(addr) = args.get::<String>("addr") {
-        opts.addr = addr;
-    }
-    if let Some(retries) = args.get("retries") {
-        opts.retries = retries;
-    }
-    opts.verify = args.has("verify");
-    opts.progress = args.has("progress") || !args.has("quiet");
     let outcome = submit_campaign(&spec_text, &journal.display().to_string(), &opts)?;
     println!(
         "campaign {} complete: {}/{} jobs journaled ({} quarantined, {} resumed)",
@@ -404,6 +448,47 @@ mod tests {
         let e = cmd_plan(&args(&[])).unwrap_err();
         assert_eq!(e.code(), 3);
         assert!(e.to_string().contains("--spec"));
+    }
+
+    #[test]
+    fn malformed_run_flags_are_usage_errors_before_any_job() {
+        let spec_path = tmp_path("usagespec");
+        std::fs::write(&spec_path, CampaignSpec::example().to_json()).unwrap();
+        let journal = tmp_path("usagejournal");
+        let _ = std::fs::remove_file(&journal);
+        for (flag, value) in [("--max-jobs", "x"), ("--workers", "two")] {
+            let e = cmd_run(&args(&[
+                "--spec",
+                spec_path.to_str().unwrap(),
+                "--journal",
+                journal.to_str().unwrap(),
+                "--quiet",
+                flag,
+                value,
+            ]))
+            .unwrap_err();
+            assert_eq!(e.code(), 2, "unexpected error {e}");
+            let msg = e.to_string();
+            assert!(msg.contains(flag) && msg.contains(value), "{msg}");
+            assert!(!journal.exists(), "{flag} {value}: a job ran");
+        }
+        let _ = std::fs::remove_file(&spec_path);
+    }
+
+    #[test]
+    fn malformed_init_values_are_usage_errors_and_write_nothing() {
+        let out = tmp_path("usageinit");
+        let _ = std::fs::remove_file(&out);
+        for (flag, value) in [("--seed", "abc"), ("--samples", "1e3")] {
+            let e = cmd_init(&args(&["--out", out.to_str().unwrap(), flag, value])).unwrap_err();
+            assert_eq!(e.code(), 2, "unexpected error {e}");
+            let msg = e.to_string();
+            assert!(msg.contains(flag) && msg.contains(value), "{msg}");
+            assert!(!out.exists(), "{flag} {value}: init wrote a spec");
+        }
+        let e = cmd_init(&args(&["--out", out.to_str().unwrap(), "--seed"])).unwrap_err();
+        assert_eq!(e.code(), 2, "unexpected error {e}");
+        assert!(!out.exists());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The campaign dispatcher behind `psbi-fleet serve`: a TCP front over
-//! the transport-free campaign [`engine`].
+//! the transport-free campaign engine (`dispatch/engine.rs`).
 //!
 //! One long-running process owns the journals.  Submitters hand it
 //! campaigns ([`crate::proto::Msg::Submit`]); workers connect, request

@@ -6,23 +6,13 @@
 //! assignment.  Variable bounds are encoded by the caller as arcs to/from a
 //! designated root variable that is pinned to zero.
 //!
-//! This is the workhorse of both the per-sample ILP (support-set
-//! feasibility checks) and the yield evaluator, so the solver keeps all its
-//! workspaces allocated across calls — including the combined-arc scratch
-//! used by the bounded forms, which upstream callers hammer once per chip.
-//!
-//! # Warm starts
-//!
-//! Consecutive Monte-Carlo chips differ only slightly, so a witness that
-//! configured the previous chip very often configures the next one too.
-//! [`DiffSolver::feasible_bounded_warm`] exploits this: it first validates
-//! the cached witness of the last feasible call against the new system in
-//! `O(arcs + bounds)` — no graph build, no SPFA — and only falls back to
-//! the cold solve when the check fails.  The cache starts as the all-zero
-//! assignment, which instantly accepts every chip that needs no tuning at
-//! all (the common case at realistic yields).  Soundness is unconditional:
-//! a warm accept is a *verified* witness, and every reject re-runs the
-//! exact cold path.
+//! This is the workhorse of the per-sample ILP (support-set feasibility
+//! probes), the per-chip feasibility check behind the solver's screen,
+//! yield evaluation and speed binning, and the independent verifier.  Every
+//! call is a cold solve of the system it is given; the solver only keeps
+//! its workspaces allocated across calls — including the combined-arc
+//! scratch of the bounded forms, which upstream callers hit once per chip —
+//! so no verdict depends on an earlier call.
 
 /// One arc of the constraint graph: `x[to] − x[from] ≤ weight`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,11 +75,6 @@ pub struct DiffSolver {
     bound_arcs: Vec<Arc>,
     /// Parent arc per node (cycle-extracting core only).
     parent_arc: Vec<u32>,
-    /// Witness of the last feasible bounded call (see module docs).
-    warm: Vec<i64>,
-    /// Whether `warm` holds a usable assignment (sized for `warm.len()`
-    /// variables).
-    warm_valid: bool,
 }
 
 const NO_ARC: u32 = u32::MAX;
@@ -242,9 +227,9 @@ impl DiffSolver {
     }
 
     /// Decides feasibility of a bounded system without materialising a
-    /// witness vector and without touching the warm cache — for search
-    /// loops that probe many small, unrelated subsystems (the support
-    /// branch-and-bound).  Retrieve the witness of a feasible call with
+    /// witness vector — for callers that probe many small, unrelated
+    /// systems (the support branch-and-bound, the per-chip check).
+    /// Retrieve the witness of a feasible call with
     /// [`DiffSolver::copy_witness`].
     pub fn decide_bounded(&mut self, n: usize, arcs: &[Arc], bounds: &[(i64, i64)]) -> bool {
         self.solve_bounded_core(n, arcs, bounds)
@@ -390,81 +375,6 @@ impl DiffSolver {
         out.clear();
         out.extend((0..n).map(|i| self.witness_value(i)));
     }
-
-    /// Decides feasibility of a bounded system without materialising a
-    /// witness vector.  Cold path of the warm-start pair: always runs the
-    /// SPFA and refreshes the cached witness on success.
-    pub fn feasible_bounded(&mut self, n: usize, arcs: &[Arc], bounds: &[(i64, i64)]) -> bool {
-        let feasible = self.solve_bounded_core(n, arcs, bounds);
-        if feasible {
-            let mut warm = std::mem::take(&mut self.warm);
-            warm.clear();
-            warm.extend((0..n).map(|i| self.witness_value(i)));
-            self.warm = warm;
-            self.warm_valid = true;
-        }
-        feasible
-    }
-
-    /// The cached warm witness of the last feasible bounded solve, if one
-    /// is held.  Callers that carry per-chip solver state across passes
-    /// export the witness here after a feasible
-    /// [`DiffSolver::feasible_bounded_warm`] call and re-import it with
-    /// [`DiffSolver::import_witness`] before the next call on the *same*
-    /// chip — raising the validation hit rate without ever weakening the
-    /// check (an imported witness is still fully validated against the new
-    /// system before it is trusted).
-    pub fn export_witness(&self) -> Option<&[i64]> {
-        self.warm_valid.then_some(&self.warm[..])
-    }
-
-    /// Seeds the warm-witness cache with an externally carried assignment
-    /// (see [`DiffSolver::export_witness`]).  Purely a hint: the next
-    /// warm-start call validates it in full and falls back to the cold
-    /// solve when it no longer fits, so importing can never change any
-    /// feasibility verdict.
-    pub fn import_witness(&mut self, witness: &[i64]) {
-        self.warm.clear();
-        self.warm.extend_from_slice(witness);
-        self.warm_valid = true;
-    }
-
-    /// Warm-start feasibility: validates the cached witness of the last
-    /// feasible call in `O(arcs + bounds)` and only falls back to the cold
-    /// SPFA when the check fails.  The cache starts as the all-zero
-    /// assignment.  See the module docs for the soundness argument.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `lo > hi` or an arc references a variable `> n` (the
-    /// root index `n` is allowed, pinned to zero).
-    pub fn feasible_bounded_warm(&mut self, n: usize, arcs: &[Arc], bounds: &[(i64, i64)]) -> bool {
-        assert_eq!(bounds.len(), n, "one bound pair per variable");
-        if !self.warm_valid || self.warm.len() != n {
-            // Seed with the zero assignment: accepts every chip that is
-            // already feasible untouched.
-            self.warm.clear();
-            self.warm.resize(n, 0);
-            self.warm_valid = true;
-        }
-        let warm_ok = bounds.iter().enumerate().all(|(i, (lo, hi))| {
-            assert!(lo <= hi, "bound lo > hi for variable {i}");
-            (*lo..=*hi).contains(&self.warm[i])
-        }) && arcs.iter().all(|a| {
-            let value = |i: u32| {
-                if (i as usize) == n {
-                    0
-                } else {
-                    self.warm[i as usize]
-                }
-            };
-            value(a.to) - value(a.from) <= a.weight
-        });
-        if warm_ok {
-            return true;
-        }
-        self.feasible_bounded(n, arcs, bounds)
-    }
 }
 
 #[cfg(test)]
@@ -571,26 +481,6 @@ mod tests {
         let _ = s.solve_bounded(1, &[], &[(3, 1)]);
     }
 
-    #[test]
-    fn warm_agrees_with_cold_on_a_chip_stream() {
-        // The warm path must decide exactly like the cold path over a
-        // stream of slightly-varying systems (the yield-eval pattern).
-        let mut warm = DiffSolver::new();
-        let mut cold = DiffSolver::new();
-        let bounds = [(-5i64, 5), (-5, 5), (0, 0)];
-        for chip in 0..200i64 {
-            // Drift the weights so some chips are feasible at zero, some
-            // need a nonzero witness, and some are infeasible.
-            let w1 = (chip % 11) - 5;
-            let w2 = (chip % 7) - 3;
-            let w3 = -(chip % 13);
-            let arcs = [Arc::new(0, 1, w1), Arc::new(1, 2, w2), Arc::new(2, 0, w3)];
-            let got = warm.feasible_bounded_warm(3, &arcs, &bounds);
-            let want = cold.solve_bounded(3, &arcs, &bounds).is_feasible();
-            assert_eq!(got, want, "chip {chip}: warm {got} vs cold {want}");
-        }
-    }
-
     /// Decodes an arc index reported by [`DiffSolver::decide_bounded_cycle`]
     /// back into the `(from, to, weight)` it stands for, mirroring the
     /// documented layout: indices `< arcs.len()` are caller arcs,
@@ -687,48 +577,6 @@ mod tests {
         let mut pw = Vec::new();
         plain.copy_witness(2, &mut pw);
         assert_eq!(w, pw);
-    }
-
-    #[test]
-    fn warm_zero_seed_accepts_trivial_system() {
-        let mut s = DiffSolver::new();
-        // All weights non-negative, bounds contain zero: the zero witness
-        // must accept without a solve (observable only via correctness).
-        assert!(s.feasible_bounded_warm(2, &[Arc::new(0, 1, 3)], &[(-1, 1), (-1, 1)]));
-        // A shifted system that the zero witness fails must still be
-        // decided correctly.
-        assert!(s.feasible_bounded_warm(2, &[Arc::new(0, 1, -1)], &[(-1, 1), (-1, 1)]));
-        assert!(!s.feasible_bounded_warm(2, &[Arc::new(0, 1, -3)], &[(-1, 1), (-1, 1)]));
-        // And the cached witness from the feasible solve is revalidated.
-        assert!(s.feasible_bounded_warm(2, &[Arc::new(0, 1, -1)], &[(-1, 1), (-1, 1)]));
-    }
-
-    #[test]
-    fn witness_export_import_round_trips_and_stays_verified() {
-        let mut a = DiffSolver::new();
-        let bounds = [(-5i64, 5), (-5, 5)];
-        assert!(a.feasible_bounded_warm(2, &[Arc::new(0, 1, -3)], &bounds));
-        let witness: Vec<i64> = a.export_witness().expect("witness cached").to_vec();
-        assert!(witness[1] - witness[0] <= -3);
-        // A fresh solver seeded with the exported witness must decide the
-        // same system without weakening: matching system accepts, a
-        // contradicting one still rejects through the cold path.
-        let mut b = DiffSolver::new();
-        b.import_witness(&witness);
-        assert!(b.feasible_bounded_warm(2, &[Arc::new(0, 1, -3)], &bounds));
-        assert!(!b.feasible_bounded_warm(2, &[Arc::new(0, 1, -3), Arc::new(1, 0, 2)], &bounds));
-        // A garbage import is validated away, not trusted.
-        let mut c = DiffSolver::new();
-        c.import_witness(&[9999, -9999]);
-        assert!(c.feasible_bounded_warm(2, &[Arc::new(0, 1, -3)], &bounds));
-    }
-
-    #[test]
-    fn warm_cache_survives_dimension_changes() {
-        let mut s = DiffSolver::new();
-        assert!(s.feasible_bounded_warm(2, &[], &[(0, 1), (0, 1)]));
-        assert!(s.feasible_bounded_warm(4, &[], &[(0, 1); 4]));
-        assert!(s.feasible_bounded_warm(2, &[Arc::new(0, 1, 0)], &[(0, 1), (0, 1)]));
     }
 
     mod prop {

@@ -36,10 +36,8 @@
 //!   `k_j − k_i ≤ ⌊(d̲ij − h_j + t_i − t_j)/δ⌋`;
 //! * [`feasibility::DiffSolver`] — an SPFA-based difference-constraint
 //!   solver with negative-cycle detection that decides whether a chip can
-//!   be configured (and produces a witness configuration).  Its
-//!   warm-start API revalidates the previous chip's witness in `O(arcs)`
-//!   before falling back to a cold solve — the fast path when evaluating
-//!   long streams of similar chips.
+//!   be configured (and produces a witness configuration).  Every call is
+//!   a cold solve; only its workspaces are reused across calls.
 //!
 //! # Example
 //!

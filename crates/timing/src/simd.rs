@@ -21,7 +21,7 @@
 //! same Horner chains over [`acklam`]'s coefficients, the same
 //! left-associated sensitivity accumulation, and min/max clamps whose
 //! scalar and vector implementations agree bitwise on every value the
-//! sampler can produce (all draws are finite; see [`clamp_nonneg`]).
+//! sampler can produce (all draws are finite; see `clamp_nonneg`).
 //! Adds, multiplies, divides and `floor` are exactly rounded per lane in
 //! every instruction set — none of the kernels use FMA contraction — so
 //! SIMD and scalar paths produce **bit-identical** buffers:

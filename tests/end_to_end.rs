@@ -3,8 +3,8 @@
 
 use psbi::core::configure::{configure_chip, verify};
 use psbi::core::flow::{BufferInsertionFlow, FlowConfig, SampleRequest, TargetPeriod};
+use psbi::core::yield_eval::ChipCheck;
 use psbi::netlist::bench_suite;
-use psbi::timing::DiffSolver;
 
 fn cfg(samples: usize) -> FlowConfig {
     FlowConfig {
@@ -67,12 +67,11 @@ fn yield_eval_and_configuration_agree() {
         .unwrap();
     let r = flow.run();
     let sg = flow.sequential_graph();
-    let mut solver = DiffSolver::new();
-    let mut arcs = Vec::new();
+    let mut check = ChipCheck::new();
     let mut passes = 0;
     for chip in 0..120u64 {
         let ic = flow.chip_constraints(SampleRequest::new("yield", chip, r.period, r.step));
-        let evaluator_says = r.deployment.chip_passes(sg, &ic, &mut solver, &mut arcs);
+        let evaluator_says = r.deployment.chip_passes(sg, ic.as_view(), &mut check);
         let config = configure_chip(sg, &ic, &r.deployment);
         assert_eq!(
             evaluator_says,
