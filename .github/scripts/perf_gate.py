@@ -31,7 +31,7 @@ def main() -> int:
     failed_baseline = False
 
     # The committed ratios embed the baseline's kernel backend (an AVX2
-    # host's batched_speedup is far above a portable host's), so floors
+    # host's batched_speedup is far above a scalar-only host's), so floors
     # only gate when the probe ran the same backend as the baseline.
     # On a runner with a different ISA the gate reports informationally
     # and passes — failing there would flag hardware, not a regression.

@@ -12,12 +12,10 @@ use rand::{Rng, SeedableRng};
 fn region_milp(n: usize, seed: u64) -> Model {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut m = Model::new();
-    let ks: Vec<_> = (0..n)
-        .map(|i| m.add_var(format!("k{i}"), -20.0, 20.0, 0.0, true))
-        .collect();
+    let ks: Vec<_> = (0..n).map(|_| m.add_var(-20.0, 20.0, 0.0, true)).collect();
     let mut cterms = Vec::new();
-    for (i, &k) in ks.iter().enumerate() {
-        let c = m.add_binary(format!("c{i}"), 0.0);
+    for &k in &ks {
+        let c = m.add_binary(0.0);
         m.add_indicator(k, c, 20.0);
         cterms.push((c, 1.0));
     }
@@ -40,9 +38,7 @@ fn region_milp(n: usize, seed: u64) -> Model {
 fn fixed_support_milp(n: usize, seed: u64) -> Model {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut m = Model::new();
-    let ks: Vec<_> = (0..n)
-        .map(|i| m.add_var(format!("k{i}"), -20.0, 20.0, 0.0, true))
-        .collect();
+    let ks: Vec<_> = (0..n).map(|_| m.add_var(-20.0, 20.0, 0.0, true)).collect();
     let witness: Vec<f64> = (0..n).map(|_| rng.gen_range(-6i64..=6) as f64).collect();
     for i in 0..n.saturating_sub(1) {
         let slack = rng.gen_range(0i64..3) as f64;

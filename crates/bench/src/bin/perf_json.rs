@@ -12,7 +12,7 @@
 //! Besides the sampling-throughput and flow-stage sections, the output
 //! carries a `simd` section — the chunked fill + extraction loop pinned
 //! to the fused scalar backend versus the active wide backend
-//! (AVX2/NEON/portable), which the `perf-gate` CI job tracks — a
+//! (AVX2 or NEON), which the `perf-gate` CI job tracks — a
 //! `cross_chip` section (a flow whose memo and zero-pass table an
 //! adjacent target warmed versus a fresh flow at the same target, with
 //! the region-memo hit rate and distinct-key count), a `search_pruning`

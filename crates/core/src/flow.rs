@@ -19,8 +19,8 @@
 //! [`psbi_timing::SampleBatch`], its constraints are extracted into a
 //! [`psbi_timing::ConstraintBatch`], and the per-chip solves run over the
 //! batch rows.  The draw and bound-extraction kernels run wide (AVX2 /
-//! NEON / portable lanes) on the process-wide [`psbi_timing::simd`]
-//! backend; every backend is bit-identical to the scalar reference
+//! NEON lanes) on the process-wide [`psbi_timing::simd`] backend; every
+//! backend is bit-identical to the scalar reference
 //! (`PSBI_FORCE_SCALAR=1`), so kernel choice never affects results.
 //! Chunks are distributed over a rayon-style work-stealing
 //! parallel iterator (idle workers claim the next unprocessed chunk), and
@@ -64,7 +64,6 @@ use psbi_variation::seeding::stream_seed;
 use psbi_variation::{Histogram, VariationModel};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
@@ -442,8 +441,8 @@ pub(crate) struct Workspace {
 /// hold FF indices, so each is owner-keyed to one flow, and their contents
 /// only ever enable exact-key replays.  This free-list lock is the one
 /// remaining `Mutex` on the chunk path; it guards *checkout*, not result
-/// merging (chunk results are written to pre-sized per-index slots or
-/// folded in chunk order — see `DisjointSlots`).
+/// merging (chunk results come back in chunk order and are concatenated
+/// or folded in that order).
 #[derive(Default)]
 pub struct WorkspacePool {
     free: Mutex<Vec<Workspace>>,
@@ -513,44 +512,6 @@ impl WorkspacePool {
     }
 }
 
-/// Pre-sized output slots that parallel chunk workers write disjoint index
-/// ranges into — the lock-free replacement for post-hoc concatenation of
-/// per-chunk vectors.  Chunk `c` owns rows `c·SAMPLE_CHUNK ..` exclusively
-/// (fixed boundaries, each chunk claimed by exactly one worker), so writes
-/// never alias and no lock or merge pass is needed; reading the vector
-/// back preserves global sample order regardless of chunk completion
-/// order.
-struct DisjointSlots<T> {
-    cells: Vec<UnsafeCell<T>>,
-}
-
-// SAFETY: callers uphold the contract that no index is written by more
-// than one worker (each chunk's row range is claimed exactly once).
-unsafe impl<T: Send> Sync for DisjointSlots<T> {}
-
-impl<T: Default + Clone> DisjointSlots<T> {
-    /// `n` default-initialised slots.
-    fn new(n: usize) -> Self {
-        let mut cells = Vec::with_capacity(n);
-        cells.resize_with(n, || UnsafeCell::new(T::default()));
-        Self { cells }
-    }
-
-    /// Writes slot `i`.
-    ///
-    /// # Safety
-    /// `i` must be owned exclusively by the calling worker (no other
-    /// thread may read or write it concurrently).
-    unsafe fn write(&self, i: usize, value: T) {
-        unsafe { *self.cells[i].get() = value };
-    }
-
-    /// Unwraps into the ordered vector (all workers must have finished).
-    fn into_vec(self) -> Vec<T> {
-        self.cells.into_iter().map(|c| c.into_inner()).collect()
-    }
-}
-
 /// Per chip of one sample stream, the smallest clock period at which the
 /// flow has seen the chip meet every floored setup and hold bound with all
 /// buffers at zero, as `f64` bits.  Until then an entry holds all ones
@@ -605,10 +566,6 @@ impl ZeroPassTable {
 pub struct BufferInsertionFlow<'a> {
     circuit: &'a Circuit,
     pub(crate) cfg: FlowConfig,
-    #[allow(dead_code)]
-    lib: Library,
-    #[allow(dead_code)]
-    model: VariationModel,
     pub(crate) tg: TimingGraph<'a>,
     pub(crate) sg: SequentialGraph,
     placement: Placement,
@@ -769,8 +726,6 @@ impl<'a> FlowBuilder<'a> {
         Ok(BufferInsertionFlow {
             circuit,
             cfg,
-            lib,
-            model,
             tg,
             sg,
             placement,
@@ -880,7 +835,7 @@ impl<'a> BufferInsertionFlow<'a> {
     }
 
     /// Name of the sampling-kernel backend every pass of this flow runs
-    /// on (`avx2`, `neon`, `portable`, or `scalar`) — the process-wide
+    /// on (`avx2`, `neon`, or `scalar`) — the process-wide
     /// [`psbi_timing::simd::active`] selection, overridable with
     /// `PSBI_FORCE_SCALAR=1`.  All backends are bit-identical, so this is
     /// observability only: perf harnesses record it next to their
@@ -1054,32 +1009,30 @@ impl<'a> BufferInsertionFlow<'a> {
         let _timer = psbi_obs::metrics::timer("flow.calibrate");
         let stream = stream_seed(self.cfg.seed, "calibrate");
         let n = self.cfg.calibration_samples;
-        // Chip `k`'s period goes straight into slot `k`: chunks own
-        // disjoint row ranges, so no lock and no merge pass.  The
-        // hold-fail tally is an order-free sum, so a relaxed atomic is
-        // deterministic too.
-        let periods = DisjointSlots::<f64>::new(n);
-        let hold_fails = AtomicU64::new(0);
-        self.map_chunks(n, |ws, lo, len| {
+        // Each chunk returns its chips' periods and hold-fail tally;
+        // chunks come back in chunk order, so the concatenated periods are
+        // in chip order.
+        let chunks = self.map_chunks(n, |ws, lo, len| {
             ws.chips.clear();
             ws.chips.extend(lo as u64..(lo + len) as u64);
             self.fill_batch(ws, stream);
-            let mut chunk_hold_fails = 0u64;
+            let mut periods = Vec::with_capacity(len);
+            let mut hold_fails = 0u64;
             for row in 0..len {
                 let mp = constraint::min_period_view(&self.sg, ws.batch.view(row), &self.skews);
-                // SAFETY: this chunk exclusively owns rows lo..lo + len.
-                unsafe { periods.write(lo + row, mp.period) };
+                periods.push(mp.period);
                 if !mp.hold_ok {
-                    chunk_hold_fails += 1;
+                    hold_fails += 1;
                 }
             }
-            hold_fails.fetch_add(chunk_hold_fails, Ordering::Relaxed);
+            (periods, hold_fails)
         });
-        let periods = periods.into_vec();
+        let hold_fails: u64 = chunks.iter().map(|(_, h)| h).sum();
+        let periods: Vec<f64> = chunks.into_iter().flat_map(|(p, _)| p).collect();
         (
             psbi_variation::mean(&periods),
             psbi_variation::stddev(&periods),
-            hold_fails.load(Ordering::Relaxed) as f64 / n as f64,
+            hold_fails as f64 / n as f64,
         )
     }
 
@@ -1119,20 +1072,6 @@ impl<'a> BufferInsertionFlow<'a> {
         }
         let slot_of_ff_ref = &slot_of_ff;
 
-        // The tuning matrix is written straight into pre-sized per-sample
-        // slots (column-major: `slot * samples + global_row`): each chunk
-        // exclusively owns its global row range, so workers write without
-        // locks and the matrix is in global sample order by construction —
-        // no per-chunk row buffers, no concatenation merge.
-        let matrix = record_matrix.then(|| DisjointSlots::<f32>::new(n_slots as usize * samples));
-        let matrix_ref = matrix.as_ref();
-
-        // Per-chip feasibility claims, written into disjoint slots like the
-        // matrix — the independent verifier re-checks these against the raw
-        // constraint system.
-        let feasible = DisjointSlots::<bool>::new(samples);
-        let feasible_ref = &feasible;
-
         struct Local {
             counts: Vec<u64>,
             hist: Vec<Histogram>,
@@ -1141,6 +1080,10 @@ impl<'a> BufferInsertionFlow<'a> {
             infeasible: u64,
             inexact: u64,
             diag: PassDiagnostics,
+            /// The chunk's rows of the per-chip feasibility claims.
+            feasible: Vec<bool>,
+            /// The chunk's tuning-matrix entries, as (slot, chip, value).
+            tunings: Vec<(u32, usize, f32)>,
         }
 
         let locals: Vec<Local> = self.map_chunks(samples, |ws, lo, len| {
@@ -1153,6 +1096,8 @@ impl<'a> BufferInsertionFlow<'a> {
                 infeasible: 0,
                 inexact: 0,
                 diag: PassDiagnostics::default(),
+                feasible: Vec::with_capacity(len),
+                tunings: Vec::new(),
             };
             let objective = match push {
                 Push::CountOnly => PushObjective::None,
@@ -1184,8 +1129,7 @@ impl<'a> BufferInsertionFlow<'a> {
                     }
                     None => SampleResult::untuned(true),
                 };
-                // SAFETY: row `k` belongs to this chunk alone.
-                unsafe { feasible_ref.write(k, r.feasible) };
+                local.feasible.push(r.feasible);
                 if !r.feasible {
                     local.infeasible += 1;
                 } else {
@@ -1198,14 +1142,9 @@ impl<'a> BufferInsertionFlow<'a> {
                         local.hist[f].add(*kv);
                         local.min_k[f] = local.min_k[f].min(*kv);
                         local.max_k[f] = local.max_k[f].max(*kv);
-                        if let Some(matrix) = matrix_ref {
-                            let slot = slot_of_ff_ref[f];
-                            if slot != NONE {
-                                // SAFETY: row `k` belongs to this chunk
-                                // alone; untouched slots keep their
-                                // pre-initialised 0.0 (no tuning).
-                                unsafe { matrix.write(slot as usize * samples + k, *kv as f32) };
-                            }
+                        let slot = slot_of_ff_ref[f];
+                        if slot != NONE {
+                            local.tunings.push((slot, k, *kv as f32));
                         }
                     }
                 }
@@ -1213,9 +1152,10 @@ impl<'a> BufferInsertionFlow<'a> {
             local
         });
 
-        // Merge the per-chunk reductions in chunk order (counts, histograms
-        // and extrema are genuine folds; the bulky per-sample matrix was
-        // already written in place above).
+        // Merge the per-chunk results in chunk order: counts, histograms
+        // and extrema are folds, the feasibility claims are the chunks'
+        // rows concatenated, and the tuning entries land in zeroed columns
+        // (no tuning reads 0.0).
         let mut out = PassOutput {
             counts: vec![0; n_ffs],
             hist: vec![Histogram::new(); n_ffs],
@@ -1224,12 +1164,15 @@ impl<'a> BufferInsertionFlow<'a> {
             infeasible: 0,
             inexact: 0,
             diag: PassDiagnostics::default(),
-            columns: matrix.map(|m| {
-                let flat = m.into_vec();
-                flat.chunks_exact(samples).map(|c| c.to_vec()).collect()
+            columns: record_matrix.then(|| {
+                let mut columns = vec![vec![0.0; samples]; n_slots as usize];
+                for &(slot, k, v) in locals.iter().flat_map(|l| &l.tunings) {
+                    columns[slot as usize][k] = v;
+                }
+                columns
             }),
             slot_of_ff,
-            feasible: feasible.into_vec(),
+            feasible: locals.iter().flat_map(|l| &l.feasible).copied().collect(),
         };
         for local in locals {
             for ff in 0..n_ffs {

@@ -827,7 +827,7 @@ impl SampleSolver {
         for (s, &ff) in active.iter().enumerate() {
             var_slot[ff as usize] = s as u32;
             let (lo, hi) = space.bounds[ff as usize];
-            let k = model.add_var(format!("k{ff}"), lo as f64, hi as f64, 0.0, true);
+            let k = model.add_var(lo as f64, hi as f64, 0.0, true);
             kvars.push(k);
         }
         // Witness values per active slot (0 outside the support) and the
@@ -845,7 +845,7 @@ impl SampleSolver {
         if over_supports {
             let mut cterms = Vec::with_capacity(active.len());
             for (s, &ff) in active.iter().enumerate() {
-                let c = model.add_binary(format!("c{ff}"), 0.0);
+                let c = model.add_binary(0.0);
                 let (lo, hi) = space.bounds[ff as usize];
                 let big_m = (lo.abs().max(hi.abs()) as f64).max(1.0);
                 model.add_indicator(kvars[s], c, big_m);
@@ -924,8 +924,8 @@ impl SampleSolver {
                 continue;
             }
             let (lo, hi) = space.bounds[ff];
-            let k = model.add_var(format!("k{ff}"), lo as f64, hi as f64, 0.0, true);
-            let c = model.add_binary(format!("c{ff}"), 1.0);
+            let k = model.add_var(lo as f64, hi as f64, 0.0, true);
+            let c = model.add_binary(1.0);
             let big_m = (lo.abs().max(hi.abs()) as f64).max(1.0);
             model.add_indicator(k, c, big_m);
             kvars[ff] = Some(k);

@@ -64,15 +64,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Default dispatcher address (`PSBI_DISPATCH_ADDR` overrides).
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
+
+/// Default lease window in ms: [`ServeOptions::lease_ms`], and the read
+/// timeout basis a worker applies before its first lease names one.
+pub(crate) const DEFAULT_LEASE_MS: u64 = 10_000;
 
 /// Longest a worker's `request` is held when nothing is grantable before
 /// it is answered `wait {ms: 0}`.  It stays below the shortest socket
@@ -116,14 +113,13 @@ pub struct ServeOptions {
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        let lease_ms = env_u64("PSBI_DISPATCH_LEASE_MS", 10_000);
         Self {
             addr: std::env::var("PSBI_DISPATCH_ADDR").unwrap_or_else(|_| DEFAULT_ADDR.into()),
             max_campaigns: 1,
             lease_jobs: 0,
-            lease_ms,
-            heartbeat_ms: env_u64("PSBI_DISPATCH_HEARTBEAT_MS", (lease_ms / 4).max(1)),
-            inline_grace_ms: env_u64("PSBI_DISPATCH_INLINE_GRACE_MS", 1_000),
+            lease_ms: DEFAULT_LEASE_MS,
+            heartbeat_ms: DEFAULT_LEASE_MS / 4,
+            inline_grace_ms: 1_000,
             once: false,
             progress: false,
             addr_file: None,

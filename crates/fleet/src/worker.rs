@@ -265,11 +265,8 @@ fn session(
     memory: &mut WorkerMemory,
 ) -> Result<SessionEnd, FleetError> {
     // Until a lease names its actual deadline, time IO out against the
-    // configured (or default) lease window.
-    set_io_timeouts(
-        &stream,
-        crate::dispatch::env_u64("PSBI_DISPATCH_LEASE_MS", 10_000),
-    );
+    // default lease window.
+    set_io_timeouts(&stream, crate::dispatch::DEFAULT_LEASE_MS);
     let mut reader = BufReader::new(stream.try_clone()?);
     let writer = Arc::new(Mutex::new(stream));
     send(

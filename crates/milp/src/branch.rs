@@ -213,9 +213,9 @@ mod tests {
     fn knapsack_small() {
         // max 10a + 6b + 4c s.t. a+b+c <= 2 (binary) → 16.
         let mut m = Model::new();
-        let a = m.add_binary("a", -10.0);
-        let b = m.add_binary("b", -6.0);
-        let c = m.add_binary("c", -4.0);
+        let a = m.add_binary(-10.0);
+        let b = m.add_binary(-6.0);
+        let c = m.add_binary(-4.0);
         m.add_cons(vec![(a, 1.0), (b, 1.0), (c, 1.0)], Op::Le, 2.0);
         let s = m.solve();
         assert_eq!(s.status, Status::Optimal);
@@ -230,9 +230,9 @@ mod tests {
         // max 10a + 6b + 4c s.t. a+b+c <= 2 (binary) → 16 at (1,1,0).
         let build = || {
             let mut m = Model::new();
-            let a = m.add_binary("a", -10.0);
-            let b = m.add_binary("b", -6.0);
-            let c = m.add_binary("c", -4.0);
+            let a = m.add_binary(-10.0);
+            let b = m.add_binary(-6.0);
+            let c = m.add_binary(-4.0);
             m.add_cons(vec![(a, 1.0), (b, 1.0), (c, 1.0)], Op::Le, 2.0);
             m
         };
@@ -268,7 +268,7 @@ mod tests {
     fn integer_rounding_matters() {
         // min y s.t. 2y >= 3, y integer → y = 2 (LP gives 1.5).
         let mut m = Model::new();
-        let y = m.add_var("y", 0.0, 10.0, 1.0, true);
+        let y = m.add_var(0.0, 10.0, 1.0, true);
         m.add_cons(vec![(y, 2.0)], Op::Ge, 3.0);
         let s = m.solve();
         assert_eq!(s.status, Status::Optimal);
@@ -281,7 +281,7 @@ mod tests {
     fn infeasible_integer_problem() {
         // 0.4 <= x <= 0.6, x integer → infeasible.
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, 1.0, 0.0, true);
+        let x = m.add_var(0.0, 1.0, 0.0, true);
         m.add_cons(vec![(x, 1.0)], Op::Ge, 0.4);
         m.add_cons(vec![(x, 1.0)], Op::Le, 0.6);
         let s = m.solve();
@@ -292,7 +292,7 @@ mod tests {
     fn negative_integer_domain() {
         // min |x + 2| with x integer in [-5, 5] and x <= -4 → x = -4.
         let mut m = Model::new();
-        let x = m.add_var("x", -5.0, 5.0, 0.0, true);
+        let x = m.add_var(-5.0, 5.0, 0.0, true);
         m.add_cons(vec![(x, 1.0)], Op::Le, -4.0);
         m.add_abs_deviation(x, -2.0, 1.0);
         let s = m.solve();
@@ -307,8 +307,8 @@ mod tests {
         // vs x = 4, y = 0.25... compare: obj(3, 0.75) = 3.75; obj(4,0.25)=4.25;
         // x=2,y=1.25 infeasible (y<=1). So optimum 3.75.
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, 10.0, 1.0, true);
-        let y = m.add_var("y", 0.0, 1.0, 1.0, false);
+        let x = m.add_var(0.0, 10.0, 1.0, true);
+        let y = m.add_var(0.0, 1.0, 1.0, false);
         m.add_cons(vec![(x, 1.0), (y, 2.0)], Op::Ge, 4.5);
         let s = m.solve();
         assert_eq!(s.status, Status::Optimal);
@@ -320,8 +320,8 @@ mod tests {
     fn equality_with_integers() {
         // 3x + 5y = 19, x,y >= 0 integers, min x+y → (3, 2).
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, 20.0, 1.0, true);
-        let y = m.add_var("y", 0.0, 20.0, 1.0, true);
+        let x = m.add_var(0.0, 20.0, 1.0, true);
+        let y = m.add_var(0.0, 20.0, 1.0, true);
         m.add_cons(vec![(x, 3.0), (y, 5.0)], Op::Eq, 19.0);
         let s = m.solve();
         assert_eq!(s.status, Status::Optimal);
@@ -334,7 +334,7 @@ mod tests {
         // x at 0.5 with bound 0; the chord cut z ≥ 0.5 lifts the bound to
         // the optimum, so the first incumbent ends the search.
         let mut m = Model::new();
-        let x = m.add_var("x", -2.0, 2.0, 0.0, true);
+        let x = m.add_var(-2.0, 2.0, 0.0, true);
         m.add_abs_deviation(x, 0.5, 1.0);
         assert!(m.solve_lp().objective.abs() < 1e-9);
         let s = m.solve();
@@ -358,7 +358,7 @@ mod tests {
         // an incumbent only within half the acceptance tolerance, so the
         // search must go on and find x = 0.
         let mut m = Model::new();
-        let x = m.add_var("x", -2.0, 2.0, 0.0, true);
+        let x = m.add_var(-2.0, 2.0, 0.0, true);
         m.add_abs_deviation(x, 0.4998, 1.0);
         m.set_warm_start(vec![1.0, 0.5002]);
         let s = m.solve();
@@ -374,8 +374,8 @@ mod tests {
         // search stays exhaustive although the root bound (2, with an
         // integer target) already matches the first incumbent.
         let mut m = Model::new();
-        let x = m.add_var("x", -3.0, 3.0, 0.0, true);
-        let c = m.add_binary("c", 0.0);
+        let x = m.add_var(-3.0, 3.0, 0.0, true);
+        let c = m.add_binary(0.0);
         m.add_indicator(x, c, 3.0);
         m.add_cons(vec![(x, 1.0)], Op::Ge, 2.0);
         m.add_abs_deviation(x, 0.0, 1.0);
@@ -441,7 +441,7 @@ mod tests {
             ) {
                 let mut m = Model::new();
                 let vars: Vec<_> = (0..3)
-                    .map(|i| m.add_var(format!("x{i}"), -2.0, 2.0, cost[i] as f64, true))
+                    .map(|i| m.add_var(-2.0, 2.0, cost[i] as f64, true))
                     .collect();
                 for (a, b) in &cons {
                     let terms: Vec<_> = vars
@@ -528,15 +528,12 @@ mod tests {
                 let ks: Vec<_> = self
                     .windows
                     .iter()
-                    .enumerate()
-                    .map(|(i, &(lo, hi))| {
-                        m.add_var(format!("k{i}"), lo as f64, hi as f64, 0.0, true)
-                    })
+                    .map(|&(lo, hi)| m.add_var(lo as f64, hi as f64, 0.0, true))
                     .collect();
                 if let Some(budget) = self.budget {
                     let mut cterms = Vec::new();
                     for (i, &(lo, hi)) in self.windows.iter().enumerate() {
-                        let c = m.add_binary(format!("c{i}"), 0.0);
+                        let c = m.add_binary(0.0);
                         m.add_indicator(ks[i], c, (lo.abs().max(hi.abs()) as f64).max(1.0));
                         cterms.push((c, 1.0));
                     }

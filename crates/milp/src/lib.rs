@@ -58,8 +58,8 @@
 //!
 //! // min x + y  s.t.  x + 2y >= 4, x,y in [0, 10], y integer
 //! let mut m = Model::new();
-//! let x = m.add_var("x", 0.0, 10.0, 1.0, false);
-//! let y = m.add_var("y", 0.0, 10.0, 1.0, true);
+//! let x = m.add_var(0.0, 10.0, 1.0, false);
+//! let y = m.add_var(0.0, 10.0, 1.0, true);
 //! m.add_cons(vec![(x, 1.0), (y, 2.0)], Op::Ge, 4.0);
 //! let sol = m.solve();
 //! assert_eq!(sol.status, Status::Optimal);

@@ -67,8 +67,6 @@ impl Solution {
 
 #[derive(Debug, Clone)]
 pub(crate) struct VarDef {
-    #[allow(dead_code)]
-    pub name: String,
     pub lo: f64,
     pub hi: f64,
     pub obj: f64,
@@ -178,19 +176,11 @@ impl Model {
     /// # Panics
     ///
     /// Panics if the bounds are not finite or `lo > hi`.
-    pub fn add_var(
-        &mut self,
-        name: impl Into<String>,
-        lo: f64,
-        hi: f64,
-        obj: f64,
-        integer: bool,
-    ) -> VarId {
+    pub fn add_var(&mut self, lo: f64, hi: f64, obj: f64, integer: bool) -> VarId {
         assert!(lo.is_finite() && hi.is_finite(), "bounds must be finite");
         assert!(lo <= hi, "lo must be <= hi");
         let id = VarId(self.vars.len());
         self.vars.push(VarDef {
-            name: name.into(),
             lo,
             hi,
             obj,
@@ -200,8 +190,8 @@ impl Model {
     }
 
     /// Adds a binary variable (integer in `[0, 1]`).
-    pub fn add_binary(&mut self, name: impl Into<String>, obj: f64) -> VarId {
-        self.add_var(name, 0.0, 1.0, obj, true)
+    pub fn add_binary(&mut self, obj: f64) -> VarId {
+        self.add_var(0.0, 1.0, obj, true)
     }
 
     /// Adds the constraint `Σ coef·var  op  rhs`.
@@ -240,7 +230,7 @@ impl Model {
     pub fn add_abs_deviation(&mut self, x: VarId, target: f64, weight: f64) -> VarId {
         let (lo, hi) = (self.vars[x.0].lo, self.vars[x.0].hi);
         let zhi = (lo - target).abs().max((hi - target).abs());
-        let z = self.add_var(format!("|x{}−{target}|", x.0), 0.0, zhi, weight, false);
+        let z = self.add_var(0.0, zhi, weight, false);
         // z - x >= -target  and  z + x >= target.
         self.add_cons(vec![(z, 1.0), (x, -1.0)], Op::Ge, -target);
         self.add_cons(vec![(z, 1.0), (x, 1.0)], Op::Ge, target);
@@ -407,7 +397,7 @@ mod tests {
     fn lp_with_shifted_bounds() {
         // min x with x in [-5, 5] and x >= -2 → x = -2.
         let mut m = Model::new();
-        let x = m.add_var("x", -5.0, 5.0, 1.0, false);
+        let x = m.add_var(-5.0, 5.0, 1.0, false);
         m.add_cons(vec![(x, 1.0)], Op::Ge, -2.0);
         let s = m.solve_lp();
         assert_eq!(s.status, Status::Optimal);
@@ -418,7 +408,7 @@ mod tests {
     fn abs_deviation_linearisation() {
         // min |x - 3| with x >= 5 → 2.
         let mut m = Model::new();
-        let x = m.add_var("x", -10.0, 10.0, 0.0, false);
+        let x = m.add_var(-10.0, 10.0, 0.0, false);
         m.add_cons(vec![(x, 1.0)], Op::Ge, 5.0);
         m.add_abs_deviation(x, 3.0, 1.0);
         let s = m.solve_lp();
@@ -431,7 +421,7 @@ mod tests {
     fn abs_deviation_prefers_target() {
         // min |x - 3| unconstrained in [-10, 10] → x = 3.
         let mut m = Model::new();
-        let x = m.add_var("x", -10.0, 10.0, 0.0, false);
+        let x = m.add_var(-10.0, 10.0, 0.0, false);
         m.add_abs_deviation(x, 3.0, 1.0);
         let s = m.solve_lp();
         assert!((s.value(x) - 3.0).abs() < 1e-6);
@@ -442,8 +432,8 @@ mod tests {
     fn indicator_forces_zero() {
         // min c with x >= 2 and indicator: c must be 1.
         let mut m = Model::new();
-        let x = m.add_var("x", -20.0, 20.0, 0.0, true);
-        let c = m.add_binary("c", 1.0);
+        let x = m.add_var(-20.0, 20.0, 0.0, true);
+        let c = m.add_binary(1.0);
         m.add_indicator(x, c, 20.0);
         m.add_cons(vec![(x, 1.0)], Op::Ge, 2.0);
         let s = m.solve();
@@ -451,8 +441,8 @@ mod tests {
         assert_eq!(s.int_value(c), 1);
         // And with x forced to 0 the objective would be 0:
         let mut m2 = Model::new();
-        let x2 = m2.add_var("x", -20.0, 20.0, 0.0, true);
-        let c2 = m2.add_binary("c", 1.0);
+        let x2 = m2.add_var(-20.0, 20.0, 0.0, true);
+        let c2 = m2.add_binary(1.0);
         m2.add_indicator(x2, c2, 20.0);
         let s2 = m2.solve();
         assert_eq!(s2.int_value(c2), 0);
@@ -463,6 +453,6 @@ mod tests {
     #[should_panic(expected = "bounds must be finite")]
     fn infinite_bounds_rejected() {
         let mut m = Model::new();
-        m.add_var("x", f64::NEG_INFINITY, 0.0, 1.0, false);
+        m.add_var(f64::NEG_INFINITY, 0.0, 1.0, false);
     }
 }

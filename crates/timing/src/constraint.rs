@@ -336,12 +336,10 @@ impl ConstraintBatch {
             self.to_idx.push(edge.to);
         }
         let inv_step = 1.0 / step;
-        // The portable backend has no real wide bounds kernel (its
-        // `extract_bounds` arm is the scalar lane loop), so the gather
-        // staging below would be pure overhead — it takes the fused loop
-        // alongside Scalar.  Only hardware-vector backends pay for the
-        // gather and recoup it in the slack/floor sweep.
-        if matches!(backend, simd::Backend::Scalar | simd::Backend::Portable) {
+        // The scalar backend takes the fused loop; the hardware-vector
+        // backends pay for the gather staging and recoup it in the
+        // slack/floor sweep.
+        if backend == simd::Backend::Scalar {
             for row in 0..self.len {
                 let e0 = row * self.n_edges;
                 let v = batch.view(row);

@@ -3,8 +3,11 @@
 //! A system `x_to − x_from ≤ w` over integer variables is feasible iff the
 //! constraint graph (arc `from → to` with weight `w`) has no negative
 //! cycle; shortest-path distances from a source are then a witness
-//! assignment.  Variable bounds are encoded by the caller as arcs to/from a
-//! designated root variable that is pinned to zero.
+//! assignment.  Every system here is bounded: the solver turns each
+//! variable's window `lo ≤ x ≤ hi` into arcs to and from a root variable
+//! pinned to zero, and runs one SPFA loop from that root.  The loop
+//! records parent arcs only for [`DiffSolver::decide_bounded_cycle`],
+//! which reports the arcs of a negative cycle it finds.
 //!
 //! This is the workhorse of the per-sample ILP (support-set feasibility
 //! probes), the per-chip feasibility check behind the solver's screen,
@@ -36,7 +39,8 @@ impl Arc {
 /// Result of a feasibility check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Feasibility {
-    /// A witness assignment with `x[source] = 0`.
+    /// A witness assignment of the variables, relative to the zero-pinned
+    /// root.
     Feasible(Vec<i64>),
     /// The system contains a negative cycle.
     Infeasible,
@@ -73,7 +77,7 @@ pub struct DiffSolver {
     queue: std::collections::VecDeque<u32>,
     /// Scratch for the bounded forms: input arcs + bound arcs combined.
     bound_arcs: Vec<Arc>,
-    /// Parent arc per node (cycle-extracting core only).
+    /// Parent arc per node, recorded only when a cycle is asked for.
     parent_arc: Vec<u32>,
 }
 
@@ -87,29 +91,8 @@ impl DiffSolver {
         Self::default()
     }
 
-    /// Checks feasibility of `arcs` over `n` variables, using `source` as
-    /// the zero-pinned variable.
-    ///
-    /// Variables not reachable from `source` keep the value `0` in the
-    /// witness; their constraints are still verified (a post-pass checks
-    /// every arc), so the result is sound even for disconnected systems.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an arc references a variable `>= n` or `source >= n`.
-    pub fn solve(&mut self, n: usize, source: u32, arcs: &[Arc]) -> Feasibility {
-        if self.solve_core(n, source, arcs) {
-            let witness: Vec<i64> = (0..n).map(|i| self.witness_value(i)).collect();
-            Feasibility::Feasible(witness)
-        } else {
-            Feasibility::Infeasible
-        }
-    }
-
-    /// Witness value of variable `i` after a feasible [`solve_core`] run
-    /// (unreachable variables default to 0).
-    ///
-    /// [`solve_core`]: DiffSolver::solve_core
+    /// Witness value of variable `i` after a feasible solve (a variable
+    /// the SPFA never reached defaults to 0).
     #[inline]
     fn witness_value(&self, i: usize) -> i64 {
         if self.dist[i] >= INF {
@@ -119,9 +102,92 @@ impl DiffSolver {
         }
     }
 
-    /// Allocation-free SPFA core; leaves the witness in `self.dist`.
-    fn solve_core(&mut self, n: usize, source: u32, arcs: &[Arc]) -> bool {
-        assert!((source as usize) < n, "source out of range");
+    /// Feasibility of a bounded system: `x[to] − x[from] ≤ w` plus
+    /// `lo_i ≤ x_i ≤ hi_i` with the root variable (index `n`, added
+    /// internally) pinned to zero.
+    ///
+    /// This is the form the insertion flow uses: `bounds[i]` are the buffer
+    /// range windows in steps, and any FF without a buffer is simply not a
+    /// variable here (the caller contracts it into the root).  Arcs may
+    /// name the root index `n` too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any `lo > hi` or an arc references a variable `> n`.
+    pub fn solve_bounded(&mut self, n: usize, arcs: &[Arc], bounds: &[(i64, i64)]) -> Feasibility {
+        if self.solve_bounded_core(n, arcs, bounds, None) {
+            let witness: Vec<i64> = (0..n).map(|i| self.witness_value(i)).collect();
+            Feasibility::Feasible(witness)
+        } else {
+            Feasibility::Infeasible
+        }
+    }
+
+    /// Decides feasibility of a bounded system without materialising a
+    /// witness vector — for callers that probe many small, unrelated
+    /// systems (the support branch-and-bound, the per-chip check).
+    /// Retrieve the witness of a feasible call with
+    /// [`DiffSolver::copy_witness`].
+    pub fn decide_bounded(&mut self, n: usize, arcs: &[Arc], bounds: &[(i64, i64)]) -> bool {
+        self.solve_bounded_core(n, arcs, bounds, None)
+    }
+
+    /// Like [`DiffSolver::decide_bounded`], but on infeasibility writes
+    /// the *arc indices* of one negative cycle into `cycle` (cleared
+    /// first).  Indices `< arcs.len()` refer to the caller's arcs; larger
+    /// ones are the internal window bound arcs (`arcs.len() + 2·i` is
+    /// variable `i`'s upper-bound arc, `… + 2·i + 1` its lower).
+    ///
+    /// The verdict and a feasible call's witness are exactly
+    /// [`DiffSolver::decide_bounded`]'s.  An infeasible call can leave
+    /// `cycle` empty: when the walk back from the node that proved the
+    /// cycle reaches the root before it closes a loop (see
+    /// `extract_cycle`), or when only the closing re-check of the arcs
+    /// failed.  Callers treat an empty cycle as "infeasible, cause
+    /// unknown".
+    pub fn decide_bounded_cycle(
+        &mut self,
+        n: usize,
+        arcs: &[Arc],
+        bounds: &[(i64, i64)],
+        cycle: &mut Vec<u32>,
+    ) -> bool {
+        cycle.clear();
+        self.solve_bounded_core(n, arcs, bounds, Some(cycle))
+    }
+
+    /// The one bound-arc builder: combines `arcs` with the window arcs of
+    /// every variable in the reusable scratch buffer and runs the SPFA
+    /// from the root, leaving the witness in `self.dist`.
+    fn solve_bounded_core(
+        &mut self,
+        n: usize,
+        arcs: &[Arc],
+        bounds: &[(i64, i64)],
+        cycle: Option<&mut Vec<u32>>,
+    ) -> bool {
+        assert_eq!(bounds.len(), n, "one bound pair per variable");
+        let root = n as u32;
+        let mut all = std::mem::take(&mut self.bound_arcs);
+        all.clear();
+        all.reserve(arcs.len() + 2 * n);
+        all.extend_from_slice(arcs);
+        for (i, (lo, hi)) in bounds.iter().enumerate() {
+            assert!(lo <= hi, "bound lo > hi for variable {i}");
+            // x_i − root ≤ hi  and  root − x_i ≤ −lo.
+            all.push(Arc::new(root, i as u32, *hi));
+            all.push(Arc::new(i as u32, root, -*lo));
+        }
+        let feasible = self.spfa(n + 1, root, &all, cycle);
+        self.bound_arcs = all;
+        feasible
+    }
+
+    /// Allocation-free SPFA over `n` nodes from `source`; leaves the
+    /// witness in `self.dist`.  Parent arcs are recorded only when
+    /// `cycle` is given, and then a detected negative cycle's arc indices
+    /// go into it.
+    fn spfa(&mut self, n: usize, source: u32, arcs: &[Arc], cycle: Option<&mut Vec<u32>>) -> bool {
         // Build CSR.
         self.head.clear();
         self.head.resize(n, NO_ARC);
@@ -146,6 +212,11 @@ impl DiffSolver {
         self.in_queue.clear();
         self.in_queue.resize(n, false);
         self.queue.clear();
+        let track = cycle.is_some();
+        if track {
+            self.parent_arc.clear();
+            self.parent_arc.resize(n, NO_ARC);
+        }
 
         self.dist[source as usize] = 0;
         self.queue.push_back(source);
@@ -164,7 +235,13 @@ impl DiffSolver {
                     // A simple path has at most n − 1 arcs; reaching n arcs
                     // proves a negative cycle on the path.
                     self.path_len[v as usize] = lu + 1;
+                    if track {
+                        self.parent_arc[v as usize] = k;
+                    }
                     if self.path_len[v as usize] >= n as u32 {
+                        if let Some(cycle) = cycle {
+                            self.extract_cycle(n, v, arcs, cycle);
+                        }
                         return false;
                     }
                     if !self.in_queue[v as usize] {
@@ -176,7 +253,7 @@ impl DiffSolver {
             }
         }
 
-        // Unreachable variables default to 0; verify every arc holds.
+        // Closing re-check: every arc must hold under the witness.
         for a in arcs {
             if self.witness_value(a.to as usize) - self.witness_value(a.from as usize) > a.weight {
                 return false;
@@ -185,176 +262,22 @@ impl DiffSolver {
         true
     }
 
-    /// Feasibility of a bounded system: `x[to] − x[from] ≤ w` plus
-    /// `lo_i ≤ x_i ≤ hi_i` with the root variable (index `n`, added
-    /// internally) pinned to zero.
+    /// Walks `n` parent arcs back from `v` (whose path length reached
+    /// `n`) to land on a vertex inside a cycle of the parent graph, then
+    /// collects that cycle's arc indices (each cycle vertex's entering
+    /// parent arc); a cycle of parent arcs is always negative.
     ///
-    /// This is the form the insertion flow uses: `bounds[i]` are the buffer
-    /// range windows in steps, and any FF without a buffer is simply not a
-    /// variable here (the caller contracts it into the root).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `lo > hi` or an arc references a variable `>= n`.
-    pub fn solve_bounded(&mut self, n: usize, arcs: &[Arc], bounds: &[(i64, i64)]) -> Feasibility {
-        if self.solve_bounded_core(n, arcs, bounds) {
-            let witness: Vec<i64> = (0..n).map(|i| self.witness_value(i)).collect();
-            Feasibility::Feasible(witness)
-        } else {
-            Feasibility::Infeasible
-        }
-    }
-
-    /// Shared bounded solve: combines `arcs` with the bound arcs in the
-    /// reusable scratch buffer, runs the SPFA core, leaves the witness in
-    /// `self.dist`.
-    fn solve_bounded_core(&mut self, n: usize, arcs: &[Arc], bounds: &[(i64, i64)]) -> bool {
-        assert_eq!(bounds.len(), n, "one bound pair per variable");
-        let root = n as u32;
-        let mut all = std::mem::take(&mut self.bound_arcs);
-        all.clear();
-        all.reserve(arcs.len() + 2 * n);
-        all.extend_from_slice(arcs);
-        for (i, (lo, hi)) in bounds.iter().enumerate() {
-            assert!(lo <= hi, "bound lo > hi for variable {i}");
-            // x_i − root ≤ hi  and  root − x_i ≤ −lo.
-            all.push(Arc::new(root, i as u32, *hi));
-            all.push(Arc::new(i as u32, root, -*lo));
-        }
-        let feasible = self.solve_core(n + 1, root, &all);
-        self.bound_arcs = all;
-        feasible
-    }
-
-    /// Decides feasibility of a bounded system without materialising a
-    /// witness vector — for callers that probe many small, unrelated
-    /// systems (the support branch-and-bound, the per-chip check).
-    /// Retrieve the witness of a feasible call with
-    /// [`DiffSolver::copy_witness`].
-    pub fn decide_bounded(&mut self, n: usize, arcs: &[Arc], bounds: &[(i64, i64)]) -> bool {
-        self.solve_bounded_core(n, arcs, bounds)
-    }
-
-    /// Like [`DiffSolver::decide_bounded`], but on infeasibility writes
-    /// the *arc indices* of one negative cycle into `cycle` (cleared
-    /// first).  Indices `< arcs.len()` refer to the caller's arcs; larger
-    /// ones are the internal window bound arcs (`arcs.len() + 2·i` is
-    /// variable `i`'s upper-bound arc, `… + 2·i + 1` its lower).  A
-    /// separate SPFA core keeps the parent-tracking cost out of the plain
-    /// decide path.
-    pub fn decide_bounded_cycle(
-        &mut self,
-        n: usize,
-        arcs: &[Arc],
-        bounds: &[(i64, i64)],
-        cycle: &mut Vec<u32>,
-    ) -> bool {
-        assert_eq!(bounds.len(), n, "one bound pair per variable");
-        let root = n as u32;
-        let mut all = std::mem::take(&mut self.bound_arcs);
-        all.clear();
-        all.reserve(arcs.len() + 2 * n);
-        all.extend_from_slice(arcs);
-        for (i, (lo, hi)) in bounds.iter().enumerate() {
-            assert!(lo <= hi, "bound lo > hi for variable {i}");
-            all.push(Arc::new(root, i as u32, *hi));
-            all.push(Arc::new(i as u32, root, -*lo));
-        }
-        let feasible = self.solve_core_cycle(n + 1, root, &all, cycle);
-        self.bound_arcs = all;
-        feasible
-    }
-
-    /// SPFA with per-node parent arcs; on a negative cycle, recovers its
-    /// arc set.  Mirrors [`solve_core`] exactly apart from the parent
-    /// bookkeeping — kept separate so the hot probe path pays nothing.
-    ///
-    /// [`solve_core`]: DiffSolver::solve_core
-    fn solve_core_cycle(
-        &mut self,
-        n: usize,
-        source: u32,
-        arcs: &[Arc],
-        cycle: &mut Vec<u32>,
-    ) -> bool {
-        assert!((source as usize) < n, "source out of range");
-        cycle.clear();
-        self.head.clear();
-        self.head.resize(n, NO_ARC);
-        self.next_out.clear();
-        self.next_out.resize(arcs.len(), NO_ARC);
-        self.arc_to.clear();
-        self.arc_w.clear();
-        for (k, a) in arcs.iter().enumerate() {
-            assert!(
-                (a.from as usize) < n && (a.to as usize) < n,
-                "arc out of range"
-            );
-            self.arc_to.push(a.to);
-            self.arc_w.push(a.weight);
-            self.next_out[k] = self.head[a.from as usize];
-            self.head[a.from as usize] = k as u32;
-        }
-        self.dist.clear();
-        self.dist.resize(n, INF);
-        self.path_len.clear();
-        self.path_len.resize(n, 0);
-        self.in_queue.clear();
-        self.in_queue.resize(n, false);
-        self.queue.clear();
-        self.parent_arc.clear();
-        self.parent_arc.resize(n, NO_ARC);
-
-        self.dist[source as usize] = 0;
-        self.queue.push_back(source);
-        self.in_queue[source as usize] = true;
-
-        while let Some(u) = self.queue.pop_front() {
-            self.in_queue[u as usize] = false;
-            let du = self.dist[u as usize];
-            let lu = self.path_len[u as usize];
-            let mut k = self.head[u as usize];
-            while k != NO_ARC {
-                let v = self.arc_to[k as usize];
-                let nd = du + self.arc_w[k as usize];
-                if nd < self.dist[v as usize] {
-                    self.dist[v as usize] = nd.max(-INF);
-                    self.path_len[v as usize] = lu + 1;
-                    self.parent_arc[v as usize] = k;
-                    if self.path_len[v as usize] >= n as u32 {
-                        self.extract_cycle(n, v, arcs, cycle);
-                        return false;
-                    }
-                    if !self.in_queue[v as usize] {
-                        self.in_queue[v as usize] = true;
-                        self.queue.push_back(v);
-                    }
-                }
-                k = self.next_out[k as usize];
-            }
-        }
-
-        for a in arcs {
-            if self.witness_value(a.to as usize) - self.witness_value(a.from as usize) > a.weight {
-                // Inconsistency among source-unreachable variables.  The
-                // bounded form connects every variable to the root, so
-                // this cannot happen there; report infeasible with an
-                // empty cycle and let callers fall back gracefully.
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Walks parent arcs back from `v` (whose path length reached `n`) to
-    /// find a vertex inside the negative cycle, then collects the cycle's
-    /// arc indices (each cycle vertex's entering parent arc).
+    /// The path lengths can run ahead of the parent chain: a node on `v`'s
+    /// path may since have taken a cheaper path with fewer arcs from the
+    /// source.  The walk then reaches the source, which has no parent arc,
+    /// and `cycle` is left empty.
     fn extract_cycle(&self, n: usize, v: u32, arcs: &[Arc], cycle: &mut Vec<u32>) {
-        // n parent steps from v always land inside the cycle.
         let mut cur = v;
         for _ in 0..n {
             let pa = self.parent_arc[cur as usize];
-            debug_assert!(pa != NO_ARC, "cycle walk fell off the parent chain");
+            if pa == NO_ARC {
+                return;
+            }
             cur = arcs[pa as usize].from;
         }
         let start = cur;
@@ -386,7 +309,7 @@ mod tests {
         let mut s = DiffSolver::new();
         // x1 - x0 <= 3, x2 - x1 <= -2, x2 - x0 <= 0
         let arcs = [Arc::new(0, 1, 3), Arc::new(1, 2, -2), Arc::new(0, 2, 0)];
-        let sol = s.solve(3, 0, &arcs);
+        let sol = s.solve_bounded(3, &arcs, &[(-10, 10); 3]);
         let w = sol.witness().expect("feasible");
         assert!(w[1] - w[0] <= 3);
         assert!(w[2] - w[1] <= -2);
@@ -398,7 +321,10 @@ mod tests {
         let mut s = DiffSolver::new();
         // x1 - x0 <= -1 and x0 - x1 <= 0 → cycle weight -1.
         let arcs = [Arc::new(0, 1, -1), Arc::new(1, 0, 0)];
-        assert_eq!(s.solve(2, 0, &arcs), Feasibility::Infeasible);
+        assert_eq!(
+            s.solve_bounded(2, &arcs, &[(-10, 10); 2]),
+            Feasibility::Infeasible
+        );
     }
 
     #[test]
@@ -428,31 +354,27 @@ mod tests {
     }
 
     #[test]
-    fn disconnected_variables_default_to_zero() {
-        let mut s = DiffSolver::new();
-        // Variable 2 has no arcs at all.
-        let arcs = [Arc::new(0, 1, 1)];
-        let sol = s.solve(3, 0, &arcs);
-        let w = sol.witness().unwrap();
-        assert_eq!(w[2], 0);
-    }
-
-    #[test]
     fn disconnected_but_violated_is_caught() {
         let mut s = DiffSolver::new();
-        // 1 and 2 are unreachable from source 0, but their mutual
+        // 1 and 2 share no arc with variable 0, but their mutual
         // constraints are inconsistent: x2 - x1 <= -1, x1 - x2 <= 0.
         let arcs = [Arc::new(1, 2, -1), Arc::new(2, 1, 0)];
-        assert_eq!(s.solve(3, 0, &arcs), Feasibility::Infeasible);
+        assert_eq!(
+            s.solve_bounded(3, &arcs, &[(-10, 10); 3]),
+            Feasibility::Infeasible
+        );
     }
 
     #[test]
     fn solver_is_reusable() {
         let mut s = DiffSolver::new();
+        let bounds = [(-10, 10); 2];
         for _ in 0..3 {
-            assert!(s.solve(2, 0, &[Arc::new(0, 1, 1)]).is_feasible());
+            assert!(s
+                .solve_bounded(2, &[Arc::new(0, 1, 1)], &bounds)
+                .is_feasible());
             assert_eq!(
-                s.solve(2, 0, &[Arc::new(0, 1, -1), Arc::new(1, 0, 0)]),
+                s.solve_bounded(2, &[Arc::new(0, 1, -1), Arc::new(1, 0, 0)], &bounds),
                 Feasibility::Infeasible
             );
         }
@@ -468,7 +390,7 @@ mod tests {
             Arc::new(1, 2, -7),
             Arc::new(2, 1, 7),
         ];
-        let w = s.solve(3, 0, &arcs);
+        let w = s.solve_bounded(3, &arcs, &[(-10, 10); 3]);
         let w = w.witness().unwrap();
         assert_eq!(w[1] - w[0], 2);
         assert_eq!(w[2] - w[1], -7);
@@ -577,6 +499,88 @@ mod tests {
         let mut pw = Vec::new();
         plain.copy_witness(2, &mut pw);
         assert_eq!(w, pw);
+    }
+
+    /// The walk back from the node whose path reached `n` arcs can reach
+    /// the root: its path counts ran ahead of the parent chain.  The
+    /// system has the shape the search's cascade bound builds (index 4 is
+    /// the contracted root) and is infeasible through 1→3→2→1 (weight −4);
+    /// the call reports that verdict with an empty cycle.
+    #[test]
+    fn cycle_walk_reaching_the_root_reports_no_cycle() {
+        let arcs = [
+            Arc::new(1, 3, 1),
+            Arc::new(3, 2, -2),
+            Arc::new(4, 0, -2),
+            Arc::new(0, 1, 0),
+            Arc::new(2, 1, -3),
+        ];
+        let bounds = [(-2i64, 0), (-1, 0), (0, 3), (0, 4)];
+        let mut s = DiffSolver::new();
+        assert!(!s.decide_bounded(4, &arcs, &bounds));
+        let mut cycle = vec![7];
+        assert!(!s.decide_bounded_cycle(4, &arcs, &bounds, &mut cycle));
+        assert!(cycle.is_empty(), "the walk reached the root: {cycle:?}");
+    }
+
+    /// Small bounded systems of the cascade's shape, drawn from a fixed
+    /// seed: the cycle-tracking call never panics, agrees with the plain
+    /// decide on the verdict and (when feasible) on the witness, and any
+    /// cycle it reports is closed and negative.
+    #[test]
+    fn cycle_decide_agrees_with_plain_decide_on_small_systems() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5bf0_c1c1e);
+        let (mut plain, mut tracked) = (DiffSolver::new(), DiffSolver::new());
+        let (mut cycle, mut wp, mut wt) = (Vec::new(), Vec::new(), Vec::new());
+        let mut arcs = Vec::new();
+        let mut bounds = Vec::new();
+        let (mut infeasible, mut reported) = (0u32, 0u32);
+        for system in 0..200_000u32 {
+            let n = rng.gen_range(4usize..=5);
+            // Half of the systems also carry arcs on the root index `n`.
+            let nodes = if system % 2 == 0 { n } else { n + 1 } as u32;
+            arcs.clear();
+            for _ in 0..rng.gen_range(4usize..=10) {
+                let from = rng.gen_range(0..nodes);
+                let mut to = rng.gen_range(0..nodes - 1);
+                if to >= from {
+                    to += 1;
+                }
+                arcs.push(Arc::new(from, to, rng.gen_range(-5i64..=5)));
+            }
+            bounds.clear();
+            for _ in 0..n {
+                let lo = rng.gen_range(-4i64..=0);
+                let hi = if lo == 0 {
+                    rng.gen_range(1i64..=4)
+                } else {
+                    rng.gen_range(0i64..=4)
+                };
+                bounds.push((lo, hi));
+            }
+            let feasible = plain.decide_bounded(n, &arcs, &bounds);
+            let got = tracked.decide_bounded_cycle(n, &arcs, &bounds, &mut cycle);
+            assert_eq!(got, feasible, "system {system}: {arcs:?} {bounds:?}");
+            if feasible {
+                assert!(cycle.is_empty());
+                plain.copy_witness(n, &mut wp);
+                tracked.copy_witness(n, &mut wt);
+                assert_eq!(wt, wp, "system {system}: {arcs:?} {bounds:?}");
+            } else {
+                infeasible += 1;
+                if !cycle.is_empty() {
+                    reported += 1;
+                    assert_closed_negative_cycle(&cycle, n, &arcs, &bounds);
+                }
+            }
+        }
+        // The sweep must exercise both verdicts and real cycles.
+        assert!(
+            infeasible > 10_000 && reported > 10_000,
+            "{infeasible} {reported}"
+        );
     }
 
     mod prop {

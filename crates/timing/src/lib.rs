@@ -27,17 +27,19 @@
 //! * [`constraint::ConstraintBatch`] — batched constraint extraction over
 //!   a [`sample::SampleBatch`], with chip-invariant per-edge terms hoisted
 //!   out of the chip loop;
-//! * [`simd`] — runtime-dispatched wide kernels (AVX2 / NEON / portable
-//!   lanes) behind the batch engine, bit-identical to the scalar
-//!   reference path and forceable via `PSBI_FORCE_SCALAR=1`;
+//! * [`simd`] — runtime-dispatched wide kernels (AVX2 / NEON lanes)
+//!   behind the batch engine, bit-identical to the scalar reference path,
+//!   which hosts without either run and `PSBI_FORCE_SCALAR=1` forces;
 //! * [`constraint::IntegerConstraints`] — the paper's setup/hold
 //!   inequalities discretised to buffer steps:
 //!   `k_i − k_j ≤ ⌊(T − s_j − d̄ij + t_j − t_i)/δ⌋` and
 //!   `k_j − k_i ≤ ⌊(d̲ij − h_j + t_i − t_j)/δ⌋`;
-//! * [`feasibility::DiffSolver`] — an SPFA-based difference-constraint
-//!   solver with negative-cycle detection that decides whether a chip can
-//!   be configured (and produces a witness configuration).  Every call is
-//!   a cold solve; only its workspaces are reused across calls.
+//! * [`feasibility::DiffSolver`] — an SPFA-based solver for
+//!   difference constraints over windowed variables that decides whether
+//!   a chip can be configured, producing a witness configuration or, on
+//!   request, the arcs of a negative cycle.  One SPFA loop serves every
+//!   form; every call is a cold solve, and only its workspaces are reused
+//!   across calls.
 //!
 //! # Example
 //!

@@ -334,8 +334,8 @@ impl FlatForm {
 /// # Kernel dispatch
 ///
 /// [`fill`] and [`fill_one`] run on the process-wide backend picked by
-/// [`simd::active`] (AVX2 / NEON / portable lanes, or the fused scalar
-/// reference under `PSBI_FORCE_SCALAR=1`).  All backends are
+/// [`simd::active`] (AVX2 / NEON lanes, or the fused scalar reference on
+/// other hosts and under `PSBI_FORCE_SCALAR=1`).  All backends are
 /// **bit-identical** — see the [`simd`] module docs for the parity
 /// argument — so the choice never affects results, only throughput.
 /// [`fill_with`](CanonicalBatchSampler::fill_with) pins an explicit
@@ -539,9 +539,8 @@ impl CanonicalBatchSampler {
         );
         psbi_obs::metrics::counter_add("sample.batches", 1);
         psbi_obs::metrics::counter_add("sample.chips", batch.len as u64);
-        // Which kernel the sampling engine is running (index into
-        // [`simd::Backend`]'s declaration order) — deterministic for a
-        // fixed environment, so it participates in metric-determinism
+        // Which kernel the sampling engine is running ([`simd::Backend`]'s
+        // discriminant) — deterministic for a fixed environment, so it participates in metric-determinism
         // tests unlike the wall-time histograms.
         psbi_obs::metrics::gauge_set("simd.backend", backend as u64);
         if psbi_fault::failpoint!("sample.batch.corrupt", "first" = first) {
@@ -1121,8 +1120,8 @@ mod tests {
     fn wide_backends_bit_identical_to_scalar() {
         // The tentpole parity contract: every kernel backend fills the
         // same bytes as the fused scalar reference, for batch lengths
-        // that do and do not divide the lane widths (4 for AVX2/portable,
-        // 2 for NEON) and for a non-zero window start.
+        // that do and do not divide the lane widths (4 for AVX2, 2 for
+        // NEON) and for a non-zero window start.
         let fx = Fixture::new(21);
         let tg = TimingGraph::build(&fx.circuit, &fx.lib, &fx.model).unwrap();
         let sg = SequentialGraph::extract(&tg);

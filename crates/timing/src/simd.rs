@@ -4,15 +4,14 @@
 //! sweeps: the inverse-transform normal draw of
 //! [`CanonicalBatchSampler::fill`] and the bound-extraction loop of
 //! [`ConstraintBatch::build_from`].  This module provides wide versions of
-//! both — AVX2 on `x86_64`, NEON on `aarch64`, and a portable four-lane
-//! fallback everywhere — behind a per-process dispatch:
+//! both — AVX2 on `x86_64`, NEON on `aarch64` — beside the fused scalar
+//! reference, behind a per-process dispatch:
 //!
-//! * [`active`] picks the best available [`Backend`] **once per process**
+//! * [`active`] picks the host's hardware [`Backend`] **once per process**
 //!   (`OnceLock`), so every flow, pass and fleet job in a process uses the
 //!   same kernels — a prerequisite for the byte-determinism contracts;
-//! * `PSBI_FORCE_SCALAR=1` forces the fused scalar reference path;
-//! * `PSBI_SIMD_BACKEND=scalar|portable|avx2|neon` pins a specific
-//!   backend (ignored when unavailable on the host).
+//!   a host with neither AVX2 nor NEON runs the scalar reference;
+//! * `PSBI_FORCE_SCALAR=1` forces the fused scalar reference path.
 //!
 //! # Bit parity
 //!
@@ -26,8 +25,8 @@
 //! every instruction set — none of the kernels use FMA contraction — so
 //! SIMD and scalar paths produce **bit-identical** buffers:
 //! `PSBI_FORCE_SCALAR=1` reproduces any run byte for byte, and the
-//! `simd-parity` CI job enforces it for every backend its x86_64 runner
-//! can execute (scalar, portable, AVX2); the NEON path is cross-compiled
+//! `simd-parity` CI job enforces it for both backends its x86_64 runner
+//! can execute (scalar, AVX2); the NEON path is cross-compiled
 //! there but its runtime parity is only exercised by running the test
 //! suite on an aarch64 host.  The rare probit tail lanes (`u < P_LOW` or
 //! `u > 1 − P_LOW`, ≈4.9 % of draws) are patched through the scalar
@@ -35,8 +34,9 @@
 //!
 //! [`CanonicalBatchSampler::fill`]: crate::sample::CanonicalBatchSampler::fill
 //! [`ConstraintBatch::build_from`]: crate::constraint::ConstraintBatch::build_from
+//! [`acklam`]: psbi_variation::normal::acklam
 
-use psbi_variation::normal::{acklam, probit_central, probit_fast};
+use psbi_variation::normal::probit_fast;
 use psbi_variation::N_PARAMS;
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -80,46 +80,35 @@ impl FormGroup {
 }
 
 /// Which kernel implementation the sampling engine runs.
+///
+/// The discriminant is the value of the `simd.backend` gauge, kept
+/// stable across versions (`1` is unused).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Fused scalar reference path — one form at a time, exactly the
-    /// pre-SIMD code.  This is what `PSBI_FORCE_SCALAR=1` selects.
-    Scalar,
-    /// Portable four-lane kernels in plain Rust (no intrinsics); the
-    /// compiler autovectorises them where the target allows.
-    Portable,
+    /// pre-SIMD code.  `PSBI_FORCE_SCALAR=1` selects it, and hosts with
+    /// neither AVX2 nor NEON run it.
+    Scalar = 0,
     /// 256-bit AVX2 kernels (`x86_64`, runtime-detected).
-    Avx2,
+    Avx2 = 2,
     /// 128-bit NEON kernels (`aarch64`).
-    Neon,
+    Neon = 3,
 }
 
 impl Backend {
-    /// Stable lower-case name (`scalar`, `portable`, `avx2`, `neon`).
+    /// Stable lower-case name (`scalar`, `avx2`, `neon`).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Portable => "portable",
             Backend::Avx2 => "avx2",
             Backend::Neon => "neon",
-        }
-    }
-
-    /// Parses [`Backend::name`] output (case-insensitive).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "scalar" => Some(Backend::Scalar),
-            "portable" => Some(Backend::Portable),
-            "avx2" => Some(Backend::Avx2),
-            "neon" => Some(Backend::Neon),
-            _ => None,
         }
     }
 
     /// True when this backend can run on the current host.
     pub fn is_available(self) -> bool {
         match self {
-            Backend::Scalar | Backend::Portable => true,
+            Backend::Scalar => true,
             Backend::Avx2 => {
                 #[cfg(target_arch = "x86_64")]
                 {
@@ -135,26 +124,20 @@ impl Backend {
     }
 
     /// Every backend runnable on this host (always starts with
-    /// [`Backend::Scalar`] and [`Backend::Portable`]).
+    /// [`Backend::Scalar`]).
     pub fn available() -> Vec<Backend> {
-        [
-            Backend::Scalar,
-            Backend::Portable,
-            Backend::Avx2,
-            Backend::Neon,
-        ]
-        .into_iter()
-        .filter(|b| b.is_available())
-        .collect()
+        [Backend::Scalar, Backend::Avx2, Backend::Neon]
+            .into_iter()
+            .filter(|b| b.is_available())
+            .collect()
     }
 }
 
 /// The process-wide backend, selected once on first use.
 ///
-/// Order of precedence: `PSBI_FORCE_SCALAR` (any value other than empty
-/// or `0`) forces [`Backend::Scalar`]; else `PSBI_SIMD_BACKEND` names a
-/// backend (ignored when unavailable); else the widest hardware backend
-/// (AVX2 → NEON → portable).
+/// `PSBI_FORCE_SCALAR` (any value other than empty or `0`) forces
+/// [`Backend::Scalar`]; else AVX2 when the host has it, else NEON, else
+/// the scalar reference.
 pub fn active() -> Backend {
     static ACTIVE: OnceLock<Backend> = OnceLock::new();
     *ACTIVE.get_or_init(select)
@@ -162,25 +145,13 @@ pub fn active() -> Backend {
 
 fn select() -> Backend {
     if matches!(std::env::var("PSBI_FORCE_SCALAR"), Ok(v) if !v.is_empty() && v != "0") {
-        return Backend::Scalar;
-    }
-    if let Ok(name) = std::env::var("PSBI_SIMD_BACKEND") {
-        if let Some(b) = Backend::from_name(name.trim()) {
-            if b.is_available() {
-                return b;
-            }
-        }
-    }
-    best_wide()
-}
-
-fn best_wide() -> Backend {
-    if Backend::Avx2.is_available() {
+        Backend::Scalar
+    } else if Backend::Avx2.is_available() {
         Backend::Avx2
     } else if Backend::Neon.is_available() {
         Backend::Neon
     } else {
-        Backend::Portable
+        Backend::Scalar
     }
 }
 
@@ -296,7 +267,6 @@ pub(crate) fn probit_dense(b: Backend, u: &[f64], z: &mut [f64]) {
                 *zi = probit_fast(ui);
             }
         }
-        Backend::Portable => portable::probit_dense(u, z),
         Backend::Avx2 => {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: dispatch/callers verified AVX2 is available.
@@ -335,7 +305,6 @@ pub(crate) fn combine_draws(
                 out[k] = combine_lane(g, k, delta, z[k]);
             }
         }
-        Backend::Portable => portable::combine(g, delta, z, out),
         Backend::Avx2 => {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: dispatch/callers verified AVX2 is available.
@@ -362,7 +331,7 @@ pub(crate) fn order_edge_pairs(b: Backend, emax: &mut [f64], emin: &mut [f64]) {
     assert_eq!(emax.len(), emin.len(), "edge pair buffers must match");
     debug_assert!(b.is_available());
     match b {
-        Backend::Scalar | Backend::Portable => {
+        Backend::Scalar => {
             for e in 0..emax.len() {
                 let (hi, lo) = order_lane(emax[e], emin[e]);
                 emax[e] = hi;
@@ -408,7 +377,7 @@ pub(crate) fn extract_bounds(
     assert_eq!(lanes.hold_base.len(), n);
     debug_assert!(b.is_available());
     match b {
-        Backend::Scalar | Backend::Portable => {
+        Backend::Scalar => {
             for e in 0..n {
                 let (s, h) = bounds_lane(lanes, e, inv_step);
                 setup_bound[e] = s;
@@ -437,88 +406,6 @@ pub(crate) fn extract_bounds(
 }
 
 // ---------------------------------------------------------------------------
-// Portable four-lane kernels: plain Rust, lane math written exactly as the
-// scalar reference so the compiler may vectorise but can never re-associate.
-// ---------------------------------------------------------------------------
-
-mod portable {
-    use super::*;
-
-    const LANES: usize = 4;
-
-    #[allow(clippy::needless_range_loop)]
-    pub(super) fn probit_dense(u: &[f64], z: &mut [f64]) {
-        use acklam::{A, B, P_LOW};
-        let n = u.len();
-        let mut i = 0;
-        while i + LANES <= n {
-            let mut q = [0.0f64; LANES];
-            let mut r = [0.0f64; LANES];
-            for l in 0..LANES {
-                q[l] = u[i + l] - 0.5;
-            }
-            for l in 0..LANES {
-                r[l] = q[l] * q[l];
-            }
-            let mut num = [A[0]; LANES];
-            for &c in &A[1..] {
-                for l in 0..LANES {
-                    num[l] = num[l] * r[l] + c;
-                }
-            }
-            let mut den = [B[0]; LANES];
-            for &c in &B[1..] {
-                for l in 0..LANES {
-                    den[l] = den[l] * r[l] + c;
-                }
-            }
-            for l in 0..LANES {
-                den[l] = den[l] * r[l] + 1.0;
-            }
-            for l in 0..LANES {
-                z[i + l] = num[l] * q[l] / den[l];
-            }
-            i += LANES;
-        }
-        while i < n {
-            z[i] = probit_central(u[i]);
-            i += 1;
-        }
-        // Tail patch: the scalar probit covers the `ln`-based branches.
-        for (zk, &p) in z.iter_mut().zip(u) {
-            if !(P_LOW..=1.0 - P_LOW).contains(&p) {
-                *zk = probit_fast(p);
-            }
-        }
-    }
-
-    #[allow(clippy::needless_range_loop)]
-    pub(super) fn combine(g: &FormGroup, delta: &[f64; N_PARAMS], z: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + LANES <= n {
-            let mut v = [0.0f64; LANES];
-            v.copy_from_slice(&g.mean[i..i + LANES]);
-            for (s, &d) in g.sens.iter().zip(delta) {
-                for l in 0..LANES {
-                    v[l] += s[i + l] * d;
-                }
-            }
-            for l in 0..LANES {
-                let ind = g.indep[i + l];
-                let w = v[l] + ind * z[i + l];
-                out[i + l] = clamp_nonneg(if ind != 0.0 { w } else { v[l] });
-            }
-            i += LANES;
-        }
-        while i < n {
-            out[i] = combine_lane(g, i, delta, z[i]);
-            i += 1;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // AVX2 kernels (x86_64).
 // ---------------------------------------------------------------------------
 
@@ -526,6 +413,7 @@ mod portable {
 mod avx2 {
     use super::*;
     use core::arch::x86_64::*;
+    use psbi_variation::normal::{acklam, probit_central};
 
     const LANES: usize = 4;
 
@@ -676,6 +564,7 @@ mod avx2 {
 mod neon {
     use super::*;
     use core::arch::aarch64::*;
+    use psbi_variation::normal::{acklam, probit_central};
 
     const LANES: usize = 2;
 
@@ -820,6 +709,7 @@ mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psbi_variation::normal::{acklam, probit_central};
 
     /// Uniform values exercising both tails, both branch boundaries, the
     /// centre, and enough entries that every chunk width leaves a
@@ -973,24 +863,22 @@ mod tests {
     }
 
     #[test]
-    fn backend_names_round_trip() {
-        for b in [
-            Backend::Scalar,
-            Backend::Portable,
-            Backend::Avx2,
-            Backend::Neon,
-        ] {
-            assert_eq!(Backend::from_name(b.name()), Some(b));
+    fn backend_names_and_gauge_codes_are_stable() {
+        let pinned = [
+            (Backend::Scalar, "scalar", 0u64),
+            (Backend::Avx2, "avx2", 2),
+            (Backend::Neon, "neon", 3),
+        ];
+        for (b, name, code) in pinned {
+            assert_eq!(b.name(), name);
+            assert_eq!(b as u64, code);
         }
-        assert_eq!(Backend::from_name("AVX2"), Some(Backend::Avx2));
-        assert_eq!(Backend::from_name("sse9"), None);
     }
 
     #[test]
     fn available_always_contains_reference_backends() {
         let av = Backend::available();
         assert!(av.contains(&Backend::Scalar));
-        assert!(av.contains(&Backend::Portable));
         for b in av {
             assert!(b.is_available());
         }
