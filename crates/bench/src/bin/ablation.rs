@@ -1,4 +1,4 @@
-//! Ablations A1–A4 from DESIGN.md: quantify each design choice of the flow.
+//! Ablations A1–A4: quantify each design choice of the flow.
 //!
 //! ```text
 //! cargo run -p psbi-bench --release --bin ablation -- <which> \

@@ -10,7 +10,7 @@
 //!     [--circuits s9234] [--samples 2000] [--sigma 0]
 //! ```
 
-use psbi_bench::{run_cell, Args, ExperimentConfig};
+use psbi_bench::{Args, ExperimentConfig};
 use psbi_core::flow::BufferInsertionFlow;
 use psbi_timing::criticality;
 
@@ -25,14 +25,14 @@ fn main() {
         "# Fig. 4 reproduction — pruning statistics, circuit {}, {} samples",
         spec.name, cfg.samples
     );
-    let r = run_cell(spec, cfg.flow_config(sigma));
-
-    // Edge criticality under the chosen period: where the tuning demand
-    // comes from (the counts on Fig. 4's nodes).
     let circuit = spec.generate();
     let flow = BufferInsertionFlow::builder(&circuit, cfg.flow_config(sigma))
         .build()
-        .expect("valid");
+        .expect("generated benchmarks are valid");
+    let r = flow.run();
+
+    // Edge criticality under the chosen period: where the tuning demand
+    // comes from (the counts on Fig. 4's nodes).
     let sg = flow.sequential_graph();
     let crit = criticality::analyze(sg, flow.skews(), r.period, r.step, 500, |k, st| {
         let (globals, mut rng) = psbi_timing::sample::chip_rng(cfg.seed ^ 0xC817, k);

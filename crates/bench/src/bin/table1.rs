@@ -61,7 +61,7 @@ fn main() {
         );
         json_rows.push((spec.name, cells));
     }
-    // Machine-readable dump (CSV) for EXPERIMENTS.md bookkeeping.
+    // Machine-readable dump (CSV) of every cell.
     if args.has("csv") {
         println!("CSV circuit,sigma,nb,ab,yo,y,yi,runtime_s,mu_t,sigma_t,rescued,broken");
         for (name, cells) in &json_rows {

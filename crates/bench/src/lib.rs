@@ -1,7 +1,6 @@
 //! Experiment harness shared by the reproduction binaries.
 //!
-//! The binaries in this crate regenerate the paper's tables and figures
-//! (see `DESIGN.md` §5 for the experiment index):
+//! The binaries in this crate regenerate the paper's tables and figures:
 //!
 //! | binary | artifact |
 //! |---|---|
@@ -9,7 +8,7 @@
 //! | `fig5` | Fig. 5 histograms (scattered → window → concentrated) |
 //! | `fig4_pruning` | Fig. 4 pruning statistics |
 //! | `fig6_grouping` | Fig. 6 grouping statistics |
-//! | `ablation` | DESIGN.md ablations A1–A4 |
+//! | `ablation` | ablations A1–A4 (concentration, pruning, sampler, zero window) |
 //!
 //! Run e.g. `cargo run -p psbi-bench --release --bin table1 -- --samples 10000 --all`.
 

@@ -79,7 +79,6 @@ pub mod configure;
 pub mod flow;
 pub mod group;
 pub mod prune;
-pub mod report;
 pub mod solve;
 pub mod verify;
 pub mod yield_eval;

@@ -6,18 +6,16 @@
 //! psbi-fleet plan   --spec campaign.json
 //! psbi-fleet run    --spec campaign.json --journal c.journal
 //!                   [--workers N] [--max-jobs K] [--report out.json]
-//!                   [--with-timings] [--quiet] [--progress]
-//!                   [--retries N] [--verify] [--trace trace.json]
+//!                   [--with-timings] [--quiet] [--verify] [--trace trace.json]
 //! psbi-fleet report --spec campaign.json --journal c.journal
 //!                   [--json out.json] [--with-timings]
 //! psbi-fleet serve  [--addr HOST:PORT] [--max-campaigns N] [--lease-jobs K]
-//!                   [--lease-ms MS] [--heartbeat-ms MS]
-//!                   [--inline-grace-ms MS] [--once] [--addr-file PATH]
-//!                   [--quiet]
+//!                   [--lease-ms MS] [--inline-grace-ms MS] [--once]
+//!                   [--addr-file PATH] [--quiet]
 //! psbi-fleet worker [--addr HOST:PORT] [--name X] [--backoff-min-ms MS]
 //!                   [--backoff-max-ms MS] [--max-idle-ms MS] [--quiet]
 //! psbi-fleet submit --spec campaign.json --journal c.journal
-//!                   [--addr HOST:PORT] [--retries N] [--verify] [--quiet]
+//!                   [--addr HOST:PORT] [--verify] [--quiet]
 //! ```
 //!
 //! `serve`/`worker`/`submit` are the distributed front-end: a dispatcher
@@ -25,15 +23,17 @@
 //! merges their results into the same append-only journal `run` writes —
 //! byte-identical for any worker count or kill pattern.  `--addr`
 //! defaults to `PSBI_DISPATCH_ADDR` (then 127.0.0.1:7171); `--journal`
-//! on `submit` is a **dispatcher-side** path.
+//! on `submit` is a **dispatcher-side** path.  Workers heartbeat each
+//! lease at a quarter of `serve --lease-ms`, and a panicking job is
+//! retried twice before it is quarantined.
 //!
 //! `--trace` writes a Chrome trace-event JSON file covering the whole
 //! campaign (sampling batches, flow passes, solver stages, job
 //! lifecycle) — load it at <https://ui.perfetto.dev>.  Unless `--quiet`,
 //! progress goes to stderr as one line per finished job plus a periodic
 //! summary (jobs committed / total, quarantines, elapsed, ETA) from the
-//! campaign engine; `--progress` re-enables it over `--quiet`.  Neither changes a single canonical byte (`PSBI_TRACE` /
-//! `PSBI_METRICS` in the README).
+//! campaign engine.  Neither changes a single canonical byte
+//! (`PSBI_TRACE` / `PSBI_METRICS` in the README).
 //!
 //! `run` resumes automatically: jobs already present in the journal are
 //! never re-executed, and an interrupted campaign continues exactly where
@@ -42,7 +42,10 @@
 //!
 //! Every failure class maps to a distinct exit code (usage errors are 2):
 //! spec=3, io=4, journal=5, circuit=6, corrupt journal=7, worker crash=8,
-//! verification failure=9 — see `FleetError::code`.
+//! verification failure=9 — see `FleetError::code`.  An argument that is
+//! neither a flag the command reads nor such a flag's value, or a
+//! malformed value, is a usage error, reported before the command reads
+//! a spec, writes a file, binds a socket or runs a job.
 
 use psbi_fleet::{
     run_campaign, run_worker, serve, submit_campaign, CampaignReport, CampaignSpec, FleetError,
@@ -52,10 +55,52 @@ use psbi_netlist::bench_suite::CircuitRef;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Simple `--key value` / `--flag` scanner (mirrors `psbi_bench::Args`,
-/// which the fleet crate cannot depend on without a cycle).
+/// `--key value` / `--flag` scanner (like `psbi_bench::Args`, which the
+/// fleet crate cannot depend on without a cycle), checked against the
+/// flags its command reads.
 struct Args {
     raw: Vec<String>,
+}
+
+/// A command's body.
+type Command = fn(&Args) -> Result<(), CliError>;
+
+/// Every command: its name, the flags it reads that take a value and its
+/// switches (each list space-separated), and its body.
+const COMMANDS: &[(&str, &str, &str, Command)] = &[
+    (
+        "init",
+        "out circuits sigma samples yield-samples seed name",
+        "",
+        cmd_init,
+    ),
+    ("plan", "spec", "", cmd_plan),
+    (
+        "run",
+        "spec journal workers max-jobs report trace",
+        "with-timings quiet verify",
+        cmd_run,
+    ),
+    ("report", "spec journal json", "with-timings", cmd_report),
+    (
+        "serve",
+        "addr max-campaigns lease-jobs lease-ms inline-grace-ms addr-file",
+        "once quiet",
+        cmd_serve,
+    ),
+    (
+        "worker",
+        "addr name backoff-min-ms backoff-max-ms max-idle-ms",
+        "quiet",
+        cmd_worker,
+    ),
+    ("submit", "spec journal addr", "verify quiet", cmd_submit),
+];
+
+/// Runs `command` on its arguments; `None` when there is no such command.
+fn run_command(command: &str, raw: Vec<String>) -> Option<Result<(), CliError>> {
+    let &(_, values, switches, body) = COMMANDS.iter().find(|c| c.0 == command)?;
+    Some(Args::parse(command, raw, values, switches).and_then(|args| body(&args)))
 }
 
 /// A command's failure: a malformed command line (exit 2, like
@@ -91,12 +136,31 @@ impl std::fmt::Display for CliError {
 }
 
 impl Args {
-    fn from_env() -> Self {
-        Self::from_vec(std::env::args().skip(2).collect())
-    }
-
-    fn from_vec(raw: Vec<String>) -> Self {
-        Self { raw }
+    /// Accepts `raw` when every argument is one of the command's flags —
+    /// `values` take the next argument, `switches` stand alone — or such
+    /// a value; anything else is a usage error naming it.
+    fn parse(
+        command: &str,
+        raw: Vec<String>,
+        values: &str,
+        switches: &str,
+    ) -> Result<Self, CliError> {
+        let listed = |list: &str, name: &str| list.split_whitespace().any(|flag| flag == name);
+        let mut rest = raw.iter();
+        while let Some(arg) = rest.next() {
+            match arg.strip_prefix("--") {
+                Some(name) if listed(values, name) => {
+                    rest.next();
+                }
+                Some(name) if listed(switches, name) => {}
+                _ => {
+                    return Err(CliError::Usage(format!(
+                        "`{command}` does not take `{arg}` (see `psbi-fleet help`)"
+                    )))
+                }
+            }
+        }
+        Ok(Self { raw })
     }
 
     /// Value of `--key <value>`, parsed; `None` when the flag is absent.
@@ -138,23 +202,23 @@ fn usage() -> ExitCode {
          \x20 psbi-fleet plan   --spec campaign.json\n\
          \x20 psbi-fleet run    --spec campaign.json --journal c.journal\n\
          \x20                   [--workers N] [--max-jobs K] [--report out.json]\n\
-         \x20                   [--with-timings] [--quiet] [--progress]\n\
-         \x20                   [--retries N] [--verify] [--trace trace.json]\n\
+         \x20                   [--with-timings] [--quiet] [--verify] [--trace trace.json]\n\
          \x20 psbi-fleet report --spec campaign.json --journal c.journal\n\
          \x20                   [--json out.json] [--with-timings]\n\
          \x20 psbi-fleet serve  [--addr HOST:PORT] [--max-campaigns N] [--lease-jobs K]\n\
-         \x20                   [--lease-ms MS] [--heartbeat-ms MS]\n\
-         \x20                   [--inline-grace-ms MS] [--once] [--addr-file PATH] [--quiet]\n\
+         \x20                   [--lease-ms MS] [--inline-grace-ms MS] [--once]\n\
+         \x20                   [--addr-file PATH] [--quiet]\n\
          \x20 psbi-fleet worker [--addr HOST:PORT] [--name X] [--backoff-min-ms MS]\n\
          \x20                   [--backoff-max-ms MS] [--max-idle-ms MS] [--quiet]\n\
          \x20 psbi-fleet submit --spec campaign.json --journal c.journal\n\
-         \x20                   [--addr HOST:PORT] [--retries N] [--verify] [--quiet]\n\
+         \x20                   [--addr HOST:PORT] [--verify] [--quiet]\n\
          \n\
          circuits: paper suite names (s9234, ...), demo classes\n\
          (tiny_demo:SEED, small_demo:SEED, medium_demo:SEED) or\n\
          sized:NAME:FFS:GATES:SEED\n\
          \n\
-         --addr defaults to PSBI_DISPATCH_ADDR, then 127.0.0.1:7171\n\
+         --addr defaults to PSBI_DISPATCH_ADDR, then 127.0.0.1:7171;\n\
+         workers heartbeat at a quarter of --lease-ms\n\
          \n\
          exit codes: 2 usage, 3 spec, 4 io, 5 journal, 6 circuit,\n\
          7 corrupt journal, 8 worker crash, 9 verification failure,\n\
@@ -259,9 +323,7 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
     let opts = FleetOptions {
         workers: args.get("workers")?.unwrap_or(0),
         max_jobs: args.get("max-jobs")?,
-        // On by default; --quiet silences it, --progress overrides --quiet.
-        progress: args.has("progress") || !args.has("quiet"),
-        retries: args.get("retries")?.unwrap_or(2),
+        progress: !args.has("quiet"),
         // PSBI_VERIFY=1 force-enables verification inside the flow even
         // without the flag.
         verify: args.has("verify"),
@@ -328,16 +390,12 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     }
     if let Some(ms) = args.get("lease-ms")? {
         opts.lease_ms = ms;
-        opts.heartbeat_ms = (ms / 4).max(1);
-    }
-    if let Some(ms) = args.get("heartbeat-ms")? {
-        opts.heartbeat_ms = ms;
     }
     if let Some(ms) = args.get("inline-grace-ms")? {
         opts.inline_grace_ms = ms;
     }
     opts.once = args.has("once");
-    opts.progress = args.has("progress") || !args.has("quiet");
+    opts.progress = !args.has("quiet");
     opts.addr_file = args.get::<String>("addr-file")?.map(PathBuf::from);
     Ok(serve(opts)?)
 }
@@ -357,7 +415,7 @@ fn cmd_worker(args: &Args) -> Result<(), CliError> {
         opts.backoff_max_ms = ms;
     }
     opts.max_idle_ms = args.get("max-idle-ms")?;
-    opts.progress = args.has("progress") || !args.has("quiet");
+    opts.progress = !args.has("quiet");
     Ok(run_worker(&opts)?)
 }
 
@@ -366,11 +424,8 @@ fn cmd_submit(args: &Args) -> Result<(), CliError> {
     if let Some(addr) = args.get::<String>("addr")? {
         opts.addr = addr;
     }
-    if let Some(retries) = args.get("retries")? {
-        opts.retries = retries;
-    }
     opts.verify = args.has("verify");
-    opts.progress = args.has("progress") || !args.has("quiet");
+    opts.progress = !args.has("quiet");
     let spec_path: String = args
         .get("spec")?
         .ok_or_else(|| FleetError::Spec("--spec <campaign.json> is required".into()))?;
@@ -396,18 +451,11 @@ fn main() -> ExitCode {
         Some(c) => c,
         None => return usage(),
     };
-    let args = Args::from_env();
-    let result = match command.as_str() {
-        "init" => cmd_init(&args),
-        "plan" => cmd_plan(&args),
-        "run" => cmd_run(&args),
-        "report" => cmd_report(&args),
-        "serve" => cmd_serve(&args),
-        "worker" => cmd_worker(&args),
-        "submit" => cmd_submit(&args),
-        "--help" | "-h" | "help" => return usage(),
-        other => {
-            eprintln!("psbi-fleet: unknown command `{other}`\n");
+    let result = match run_command(&command, std::env::args().skip(2).collect()) {
+        Some(result) => result,
+        None if matches!(command.as_str(), "--help" | "-h" | "help") => return usage(),
+        None => {
+            eprintln!("psbi-fleet: unknown command `{command}`\n");
             return usage();
         }
     };
@@ -426,8 +474,8 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Args {
-        Args::from_vec(list.iter().map(|s| s.to_string()).collect())
+    fn cli(command: &str, list: &[&str]) -> Result<(), CliError> {
+        run_command(command, list.iter().map(|s| s.to_string()).collect()).expect("a command")
     }
 
     fn tmp_path(tag: &str) -> PathBuf {
@@ -438,14 +486,14 @@ mod tests {
     fn malformed_spec_json_is_a_spec_error() {
         let path = tmp_path("badspec");
         std::fs::write(&path, "{not json").unwrap();
-        let e = cmd_plan(&args(&["--spec", path.to_str().unwrap()])).unwrap_err();
+        let e = cli("plan", &["--spec", path.to_str().unwrap()]).unwrap_err();
         assert_eq!(e.code(), 3, "unexpected error {e}");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn missing_spec_flag_is_a_spec_error() {
-        let e = cmd_plan(&args(&[])).unwrap_err();
+        let e = cli("plan", &[]).unwrap_err();
         assert_eq!(e.code(), 3);
         assert!(e.to_string().contains("--spec"));
     }
@@ -457,15 +505,18 @@ mod tests {
         let journal = tmp_path("usagejournal");
         let _ = std::fs::remove_file(&journal);
         for (flag, value) in [("--max-jobs", "x"), ("--workers", "two")] {
-            let e = cmd_run(&args(&[
-                "--spec",
-                spec_path.to_str().unwrap(),
-                "--journal",
-                journal.to_str().unwrap(),
-                "--quiet",
-                flag,
-                value,
-            ]))
+            let e = cli(
+                "run",
+                &[
+                    "--spec",
+                    spec_path.to_str().unwrap(),
+                    "--journal",
+                    journal.to_str().unwrap(),
+                    "--quiet",
+                    flag,
+                    value,
+                ],
+            )
             .unwrap_err();
             assert_eq!(e.code(), 2, "unexpected error {e}");
             let msg = e.to_string();
@@ -475,18 +526,86 @@ mod tests {
         let _ = std::fs::remove_file(&spec_path);
     }
 
+    /// A flag the command does not read is a usage error naming it, found
+    /// before anything runs.  Each call below would otherwise fail in a
+    /// different way, or never return: `run` would write the journal,
+    /// `submit` would fail to read its missing spec (exit 4), `worker`
+    /// would give up on a dispatcher no one listens for (exit 0), and
+    /// `serve` would fail to bind the address this test holds (exit 10).
+    #[test]
+    fn unknown_flags_are_usage_errors_before_anything_runs() {
+        let spec_path = tmp_path("unknownspec");
+        std::fs::write(&spec_path, CampaignSpec::example().to_json()).unwrap();
+        let journal = tmp_path("unknownjournal");
+        let _ = std::fs::remove_file(&journal);
+        let held = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let held_addr = held.local_addr().unwrap().to_string();
+        let free_addr = {
+            let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            probe.local_addr().unwrap().to_string()
+        };
+        let missing_spec = tmp_path("no_such_spec");
+        let spec = spec_path.to_str().unwrap();
+        let journal_arg = journal.to_str().unwrap();
+        for (command, argv, flag) in [
+            (
+                "run",
+                vec![
+                    "--spec",
+                    spec,
+                    "--journal",
+                    journal_arg,
+                    "--quiet",
+                    "--retries",
+                    "3",
+                ],
+                "--retries",
+            ),
+            (
+                "submit",
+                vec![
+                    "--spec",
+                    missing_spec.to_str().unwrap(),
+                    "--journal",
+                    journal_arg,
+                    "--progress",
+                ],
+                "--progress",
+            ),
+            (
+                "worker",
+                vec![
+                    "--addr",
+                    &free_addr,
+                    "--max-idle-ms",
+                    "0",
+                    "--heartbeat-ms",
+                    "5",
+                ],
+                "--heartbeat-ms",
+            ),
+            ("serve", vec!["--addr", &held_addr, "--help"], "--help"),
+        ] {
+            let e = cli(command, &argv).unwrap_err();
+            assert_eq!(e.code(), 2, "{command}: unexpected error {e}");
+            assert!(e.to_string().contains(flag), "{command}: {e}");
+        }
+        assert!(!journal.exists(), "run --retries ran a job");
+        let _ = std::fs::remove_file(&spec_path);
+    }
+
     #[test]
     fn malformed_init_values_are_usage_errors_and_write_nothing() {
         let out = tmp_path("usageinit");
         let _ = std::fs::remove_file(&out);
         for (flag, value) in [("--seed", "abc"), ("--samples", "1e3")] {
-            let e = cmd_init(&args(&["--out", out.to_str().unwrap(), flag, value])).unwrap_err();
+            let e = cli("init", &["--out", out.to_str().unwrap(), flag, value]).unwrap_err();
             assert_eq!(e.code(), 2, "unexpected error {e}");
             let msg = e.to_string();
             assert!(msg.contains(flag) && msg.contains(value), "{msg}");
             assert!(!out.exists(), "{flag} {value}: init wrote a spec");
         }
-        let e = cmd_init(&args(&["--out", out.to_str().unwrap(), "--seed"])).unwrap_err();
+        let e = cli("init", &["--out", out.to_str().unwrap(), "--seed"]).unwrap_err();
         assert_eq!(e.code(), 2, "unexpected error {e}");
         assert!(!out.exists());
     }
@@ -497,12 +616,15 @@ mod tests {
         std::fs::write(&spec_path, CampaignSpec::example().to_json()).unwrap();
         let missing = tmp_path("no_such_journal");
         let _ = std::fs::remove_file(&missing);
-        let e = cmd_report(&args(&[
-            "--spec",
-            spec_path.to_str().unwrap(),
-            "--journal",
-            missing.to_str().unwrap(),
-        ]))
+        let e = cli(
+            "report",
+            &[
+                "--spec",
+                spec_path.to_str().unwrap(),
+                "--journal",
+                missing.to_str().unwrap(),
+            ],
+        )
         .unwrap_err();
         assert_eq!(e.code(), 4, "unexpected error {e}");
         let _ = std::fs::remove_file(&spec_path);
@@ -520,12 +642,15 @@ mod tests {
         drop(journal);
         let spec_path = tmp_path("fpspec");
         std::fs::write(&spec_path, spec_b.to_json()).unwrap();
-        let e = cmd_report(&args(&[
-            "--spec",
-            spec_path.to_str().unwrap(),
-            "--journal",
-            journal_path.to_str().unwrap(),
-        ]))
+        let e = cli(
+            "report",
+            &[
+                "--spec",
+                spec_path.to_str().unwrap(),
+                "--journal",
+                journal_path.to_str().unwrap(),
+            ],
+        )
         .unwrap_err();
         assert_eq!(e.code(), 5, "unexpected error {e}");
         assert!(e.to_string().contains("fingerprint"));

@@ -44,8 +44,8 @@
 //! Campaigns multiplex over one shared [`WorkspacePool`]; leases are
 //! granted round-robin across active campaigns so no submitter starves.
 //! A worker's `request` with nothing grantable is long-polled: it is
-//! answered the moment a lease can be granted, or `wait {ms: 0}` after
-//! at most one second.
+//! answered the moment a lease can be granted, or `wait` after at most
+//! one second.
 
 pub(crate) mod engine;
 
@@ -72,7 +72,7 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
 pub(crate) const DEFAULT_LEASE_MS: u64 = 10_000;
 
 /// Longest a worker's `request` is held when nothing is grantable before
-/// it is answered `wait {ms: 0}`.  It stays below the shortest socket
+/// it is answered `wait`.  It stays below the shortest socket
 /// read timeout either side applies, `4 × max(lease_ms, 500)` = 2 s, so
 /// a held request never reads as a dead peer.
 const LONG_POLL: Duration = Duration::from_secs(1);
@@ -80,9 +80,9 @@ const LONG_POLL: Duration = Duration::from_secs(1);
 /// Knobs for one `psbi-fleet serve` process.
 ///
 /// Like [`crate::FleetOptions`], these are *runtime* knobs: none of them
-/// may change a single canonical byte.  Lease sizes, deadlines and
-/// heartbeat cadence only shuffle which worker computes which pure
-/// function — the reorder buffer erases the difference.
+/// may change a single canonical byte.  Lease sizes and deadlines only
+/// shuffle which worker computes which pure function — the reorder
+/// buffer erases the difference.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Listen address (`host:port`; port 0 picks a free port — pair with
@@ -93,11 +93,10 @@ pub struct ServeOptions {
     /// Jobs per lease; 0 = circuit-aligned (all pending jobs of one
     /// circuit), which maximises worker-side calibration reuse.
     pub lease_jobs: usize,
-    /// Lease duration in ms: a lease not renewed (heartbeat or result)
-    /// within this window expires and its jobs are re-dispatched.
+    /// Lease duration in ms: a lease not renewed within this window
+    /// expires and its jobs are re-dispatched.  Workers heartbeat at a
+    /// quarter of it (clamped to 10 ms–60 s).
     pub lease_ms: u64,
-    /// Heartbeat interval advertised to workers.
-    pub heartbeat_ms: u64,
     /// How long the dispatcher waits for a first worker before degrading
     /// to inline in-process execution.
     pub inline_grace_ms: u64,
@@ -118,7 +117,6 @@ impl Default for ServeOptions {
             max_campaigns: 1,
             lease_jobs: 0,
             lease_ms: DEFAULT_LEASE_MS,
-            heartbeat_ms: DEFAULT_LEASE_MS / 4,
             inline_grace_ms: 1_000,
             once: false,
             progress: false,
@@ -353,16 +351,7 @@ fn inline_loop(state: &Arc<ServeState>) {
                 Some(grant)
             },
             stopped,
-            |lease, emit| {
-                execute_batch(
-                    &lease.spec,
-                    &lease.jobs,
-                    &state.pool,
-                    lease.retries,
-                    lease.verify,
-                    emit,
-                )
-            },
+            |lease, emit| execute_batch(&lease.spec, &lease.jobs, &state.pool, lease.verify, emit),
         );
     }
 }
@@ -414,9 +403,8 @@ fn handle_conn(state: &Arc<ServeState>, stream: TcpStream) -> Result<(), FleetEr
         Some(Msg::Submit {
             spec,
             journal,
-            retries,
             verify,
-        }) => handle_submitter(state, &writer, &spec, &journal, retries, verify),
+        }) => handle_submitter(state, &writer, &spec, &journal, verify),
         Some(Msg::Hello { worker }) => handle_worker(state, &mut reader, &writer, &worker),
         Some(other) => Err(FleetError::Dispatch(format!(
             "expected submit or hello, got {}",
@@ -432,7 +420,6 @@ fn admit_campaign(
     state: &Arc<ServeState>,
     spec_text: &str,
     journal_path: &str,
-    retries: usize,
     verify: bool,
 ) -> Result<(u64, usize, usize), FleetError> {
     let spec = CampaignSpec::from_json(spec_text)?;
@@ -456,7 +443,7 @@ fn admit_campaign(
     // The campaign keeps the *canonical* re-rendered spec text, which its
     // leases carry, so worker and dispatcher compute identical
     // fingerprints and grids.
-    let mut campaign = Campaign::open(spec, path.clone(), None, retries, verify)?;
+    let mut campaign = Campaign::open(spec, path.clone(), None, verify)?;
     let (lease_log, orphans, max_lease) =
         LeaseLog::open(&PathBuf::from(format!("{}.leases", path.display())))?;
     if orphans > 0 {
@@ -484,11 +471,9 @@ fn handle_submitter(
     writer: &Arc<Mutex<TcpStream>>,
     spec_text: &str,
     journal_path: &str,
-    retries: usize,
     verify: bool,
 ) -> Result<(), FleetError> {
-    let (id, total, resumed) = match admit_campaign(state, spec_text, journal_path, retries, verify)
-    {
+    let (id, total, resumed) = match admit_campaign(state, spec_text, journal_path, verify) {
         Ok(admitted) => admitted,
         Err(e) => {
             let _ = send(writer, &Msg::error(&e));
@@ -649,8 +634,6 @@ fn worker_session(
                         spec,
                         jobs: grant.jobs.iter().map(|j| j.index).collect(),
                         deadline_ms: grant.lease_ms,
-                        heartbeat_ms: state.opts.heartbeat_ms,
-                        retries: grant.retries,
                         verify: grant.verify,
                     },
                 )?,
@@ -660,7 +643,7 @@ fn worker_session(
                     let _ = send(writer, &Msg::Shutdown);
                     return Ok(());
                 }
-                None => send(writer, &Msg::Wait { ms: 0 })?,
+                None => send(writer, &Msg::Wait)?,
             },
             Msg::Heartbeat { lease } => {
                 let _span = psbi_obs::Span::enter_with("dispatch.heartbeat", &[("lease", lease)]);
@@ -681,7 +664,6 @@ fn worker_session(
                 }
             }
             Msg::Result {
-                lease: _,
                 campaign,
                 fingerprint,
                 record,
@@ -847,7 +829,7 @@ mod tests {
         for p in [&journal_path, &lease_path] {
             let _ = std::fs::remove_file(p);
         }
-        let mut c = Campaign::open(spec, journal_path.clone(), None, 0, false).unwrap();
+        let mut c = Campaign::open(spec, journal_path.clone(), None, false).unwrap();
         c.lease_log = Some(LeaseLog::open(&lease_path).unwrap().0);
         let rec =
             |j: usize| Finished::remote(JobRecord::quarantined(&jobs[j], "test".into()), None);
@@ -901,7 +883,7 @@ mod tests {
         for p in [&journal_path, &lease_path] {
             let _ = std::fs::remove_file(p);
         }
-        let mut c = Campaign::open(spec, journal_path, None, 0, false).unwrap();
+        let mut c = Campaign::open(spec, journal_path, None, false).unwrap();
         c.lease_log = Some(LeaseLog::open(&lease_path).unwrap().0);
         c.pending.clear();
         c.leases.insert(

@@ -137,7 +137,6 @@ pub(crate) struct Grant {
     pub(crate) campaign: u64,
     pub(crate) spec: Arc<CampaignSpec>,
     pub(crate) jobs: Vec<JobSpec>,
-    pub(crate) retries: usize,
     pub(crate) verify: bool,
     /// Lease window: each accepted result pushes the deadline this far out.
     pub(crate) lease_ms: u64,
@@ -172,7 +171,6 @@ pub(crate) struct Campaign {
     /// Uncommitted, unparked, unleased job indices of the window.
     pub(crate) pending: BTreeSet<usize>,
     pub(crate) leases: HashMap<u64, Lease>,
-    pub(crate) retries: usize,
     pub(crate) verify: bool,
     /// Committed records in job order, the resumed prefix included.
     pub(crate) records: Vec<JobRecord>,
@@ -196,7 +194,6 @@ impl Campaign {
         spec: CampaignSpec,
         path: PathBuf,
         max_jobs: Option<usize>,
-        retries: usize,
         verify: bool,
     ) -> Result<Self, FleetError> {
         let (journal, records) = Journal::open(&path, &spec)?;
@@ -219,7 +216,6 @@ impl Campaign {
             parked: BTreeMap::new(),
             pending: (resumed..end).collect(),
             leases: HashMap::new(),
-            retries,
             verify,
             records,
             job_wall_s: vec![None; total],
@@ -432,7 +428,6 @@ impl Table {
             campaign: picked,
             spec: Arc::clone(&c.spec),
             jobs: jobs.iter().map(|&j| c.jobs[j].clone()).collect(),
-            retries: c.retries,
             verify: c.verify,
             lease_ms,
         };

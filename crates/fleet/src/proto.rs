@@ -36,8 +36,6 @@ pub enum Msg {
         spec: String,
         /// Server-side journal path.
         journal: String,
-        /// Per-job panic retry budget the dispatcher hands to workers.
-        retries: usize,
         /// Run the independent result verifier on every job.
         verify: bool,
     },
@@ -58,7 +56,7 @@ pub enum Msg {
     /// Worker → server: ready for (more) work.  A worker keeps at most
     /// one request outstanding.  The dispatcher long-polls it: the reply
     /// is a [`Msg::Lease`] the moment one can be granted, [`Msg::Shutdown`]
-    /// if the dispatcher is going away, or `wait {ms: 0}` after at most
+    /// if the dispatcher is going away, or [`Msg::Wait`] after at most
     /// one second with nothing grantable.
     Request,
     /// Server → worker: a lease over `jobs` of one campaign.
@@ -72,14 +70,10 @@ pub enum Msg {
         spec: String,
         /// Leased job indices.
         jobs: Vec<usize>,
-        /// Lease duration: the worker must heartbeat or return results
-        /// before this many ms elapse, or the lease expires and the jobs
-        /// are re-dispatched.
+        /// Lease duration: the worker must heartbeat before this many ms
+        /// elapse, or the lease expires and the jobs are re-dispatched.
+        /// The worker beats at a quarter of it (clamped to 10 ms–60 s).
         deadline_ms: u64,
-        /// Requested heartbeat interval.
-        heartbeat_ms: u64,
-        /// Per-job panic retry budget.
-        retries: usize,
         /// Whether to run the independent verifier per job.
         verify: bool,
     },
@@ -90,9 +84,9 @@ pub enum Msg {
     },
     /// Worker → server: one completed job.  `record` is the exact
     /// journal line ([`crate::JobRecord::to_json_line`], crc included).
+    /// It names no lease: whichever lease holds the job releases it, and
+    /// a result whose lease already expired is still a good result.
     Result {
-        /// Lease id (0 for a late result whose lease already expired).
-        lease: u64,
         /// Campaign id.
         campaign: u64,
         /// [`crate::CampaignSpec::fingerprint`] of the spec the record
@@ -126,13 +120,9 @@ pub enum Msg {
         lease: u64,
     },
     /// Server → worker: a long-polled [`Msg::Request`] found no work
-    /// within its bound; re-request after `ms`.
-    Wait {
-        /// Back-off before the next [`Msg::Request`].  The dispatcher
-        /// already waited out the long-poll, so it sends 0; workers cap
-        /// any value at 2 s.
-        ms: u64,
-    },
+    /// within its bound.  The dispatcher already waited out the long
+    /// poll, so the worker re-requests at once.
+    Wait,
     /// Server → submitter: periodic campaign progress.
     Progress {
         /// Campaign id.
@@ -184,11 +174,10 @@ impl Msg {
             Msg::Submit {
                 spec,
                 journal,
-                retries,
                 verify,
             } => format!(
                 "{{\"type\":\"submit\",\"spec\":\"{}\",\"journal\":\"{}\",\
-                 \"retries\":{retries},\"verify\":{verify}}}",
+                 \"verify\":{verify}}}",
                 escape(spec),
                 escape(journal)
             ),
@@ -210,19 +199,16 @@ impl Msg {
                 spec,
                 jobs,
                 deadline_ms,
-                heartbeat_ms,
-                retries,
                 verify,
             } => format!(
                 "{{\"type\":\"lease\",\"lease\":{lease},\"campaign\":{campaign},\
                  \"spec\":\"{}\",\"jobs\":{},\"deadline_ms\":{deadline_ms},\
-                 \"heartbeat_ms\":{heartbeat_ms},\"retries\":{retries},\"verify\":{verify}}}",
+                 \"verify\":{verify}}}",
                 escape(spec),
                 jobs_list(jobs)
             ),
             Msg::Heartbeat { lease } => format!("{{\"type\":\"heartbeat\",\"lease\":{lease}}}"),
             Msg::Result {
-                lease,
                 campaign,
                 fingerprint,
                 record,
@@ -234,7 +220,7 @@ impl Msg {
                     format!(",\"verify_failed\":\"{}\"", escape(verify_failed))
                 };
                 format!(
-                    "{{\"type\":\"result\",\"lease\":{lease},\"campaign\":{campaign},\
+                    "{{\"type\":\"result\",\"campaign\":{campaign},\
                      \"fingerprint\":\"{}\",\"record\":\"{}\"{verify}}}",
                     escape(fingerprint),
                     escape(record)
@@ -244,7 +230,7 @@ impl Msg {
                 format!("{{\"type\":\"ack\",\"campaign\":{campaign},\"job\":{job}}}")
             }
             Msg::Expired { lease } => format!("{{\"type\":\"expired\",\"lease\":{lease}}}"),
-            Msg::Wait { ms } => format!("{{\"type\":\"wait\",\"ms\":{ms}}}"),
+            Msg::Wait => "{\"type\":\"wait\"}".into(),
             Msg::Progress {
                 campaign,
                 committed,
@@ -318,7 +304,6 @@ impl Msg {
             "submit" => Msg::Submit {
                 spec: str_of("spec")?,
                 journal: str_of("journal")?,
-                retries: usize_of("retries")?,
                 verify: bool_of("verify")?,
             },
             "accepted" => Msg::Accepted {
@@ -342,15 +327,12 @@ impl Msg {
                     .map(|j| j.as_usize().ok_or("`jobs` entries must be integers"))
                     .collect::<Result<_, _>>()?,
                 deadline_ms: u64_of("deadline_ms")?,
-                heartbeat_ms: u64_of("heartbeat_ms")?,
-                retries: usize_of("retries")?,
                 verify: bool_of("verify")?,
             },
             "heartbeat" => Msg::Heartbeat {
                 lease: u64_of("lease")?,
             },
             "result" => Msg::Result {
-                lease: u64_of("lease")?,
                 campaign: u64_of("campaign")?,
                 fingerprint: str_of("fingerprint")?,
                 record: str_of("record")?,
@@ -366,7 +348,7 @@ impl Msg {
             "expired" => Msg::Expired {
                 lease: u64_of("lease")?,
             },
-            "wait" => Msg::Wait { ms: u64_of("ms")? },
+            "wait" => Msg::Wait,
             "progress" => Msg::Progress {
                 campaign: u64_of("campaign")?,
                 committed: usize_of("committed")?,
@@ -448,76 +430,101 @@ mod tests {
     #[test]
     fn every_message_round_trips() {
         let spec = crate::CampaignSpec::example().to_json();
-        let msgs = [
-            Msg::Submit {
-                spec: spec.clone(),
-                journal: "/tmp/a.journal".into(),
-                retries: 2,
-                verify: true,
-            },
-            Msg::Accepted {
-                campaign: 3,
-                total: 8,
-                resumed: 2,
-            },
-            Msg::Hello {
-                worker: "w\"1\"".into(),
-            },
-            Msg::Request,
-            Msg::Lease {
-                lease: 9,
-                campaign: 3,
-                spec,
-                jobs: vec![4, 5, 6],
-                deadline_ms: 10_000,
-                heartbeat_ms: 2_500,
-                retries: 2,
-                verify: false,
-            },
-            Msg::Heartbeat { lease: 9 },
-            Msg::Result {
-                lease: 9,
-                campaign: 3,
-                fingerprint: "00ffee0123456789".into(),
-                record: "{\"job\":4,\"crc\":\"00ff\"}".into(),
-                verify_failed: String::new(),
-            },
-            Msg::Result {
-                lease: 9,
-                campaign: 3,
-                fingerprint: "00ffee0123456789".into(),
-                record: "{\"job\":4,\"crc\":\"00ff\"}".into(),
-                verify_failed: "check 3 failed".into(),
-            },
-            Msg::Ack {
-                campaign: 3,
-                job: 4,
-            },
-            Msg::Expired { lease: 9 },
-            Msg::Wait { ms: 250 },
-            Msg::Progress {
-                campaign: 3,
-                committed: 5,
-                total: 8,
-                quarantined: 1,
-                workers: 2,
-            },
-            Msg::Done {
-                campaign: 3,
-                committed: 8,
-                quarantined: 1,
-            },
-            Msg::Error {
-                code: 7,
-                message: "journal corrupt at record 1".into(),
-            },
-            Msg::Shutdown,
-            Msg::Goodbye,
+        let result = |verify_failed: &str| Msg::Result {
+            campaign: 3,
+            fingerprint: "00ffee0123456789".into(),
+            record: "{\"job\":4,\"crc\":\"00ff\"}".into(),
+            verify_failed: verify_failed.into(),
+        };
+        // Each message with the exact keys of its wire form, in order: a
+        // member that nothing reads cannot come back unnoticed.
+        let msgs: [(Msg, &str); 16] = [
+            (
+                Msg::Submit {
+                    spec: spec.clone(),
+                    journal: "/tmp/a.journal".into(),
+                    verify: true,
+                },
+                "type spec journal verify",
+            ),
+            (
+                Msg::Accepted {
+                    campaign: 3,
+                    total: 8,
+                    resumed: 2,
+                },
+                "type campaign total resumed",
+            ),
+            (
+                Msg::Hello {
+                    worker: "w\"1\"".into(),
+                },
+                "type worker",
+            ),
+            (Msg::Request, "type"),
+            (
+                Msg::Lease {
+                    lease: 9,
+                    campaign: 3,
+                    spec,
+                    jobs: vec![4, 5, 6],
+                    deadline_ms: 10_000,
+                    verify: false,
+                },
+                "type lease campaign spec jobs deadline_ms verify",
+            ),
+            (Msg::Heartbeat { lease: 9 }, "type lease"),
+            (result(""), "type campaign fingerprint record"),
+            (
+                result("check 3 failed"),
+                "type campaign fingerprint record verify_failed",
+            ),
+            (
+                Msg::Ack {
+                    campaign: 3,
+                    job: 4,
+                },
+                "type campaign job",
+            ),
+            (Msg::Expired { lease: 9 }, "type lease"),
+            (Msg::Wait, "type"),
+            (
+                Msg::Progress {
+                    campaign: 3,
+                    committed: 5,
+                    total: 8,
+                    quarantined: 1,
+                    workers: 2,
+                },
+                "type campaign committed total quarantined workers",
+            ),
+            (
+                Msg::Done {
+                    campaign: 3,
+                    committed: 8,
+                    quarantined: 1,
+                },
+                "type campaign committed quarantined",
+            ),
+            (
+                Msg::Error {
+                    code: 7,
+                    message: "journal corrupt at record 1".into(),
+                },
+                "type code message",
+            ),
+            (Msg::Shutdown, "type"),
+            (Msg::Goodbye, "type"),
         ];
-        for msg in msgs {
+        for (msg, keys) in msgs {
             let line = msg.to_line();
             assert!(!line.contains('\n'), "wire form must be one line: {line}");
             assert_eq!(Msg::from_line(&line).unwrap(), msg, "round trip {line}");
+            let Ok(Json::Obj(members)) = Json::parse(&line) else {
+                panic!("wire form is not an object: {line}");
+            };
+            let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(names.join(" "), keys, "key set of {line}");
         }
     }
 
@@ -529,7 +536,6 @@ mod tests {
         let job = &spec.jobs()[0];
         let record = crate::JobRecord::quarantined(job, "injected: \"quoted\"\nfault".into());
         let wire = Msg::Result {
-            lease: 1,
             campaign: 1,
             fingerprint: spec.fingerprint(),
             record: record.to_json_line(),
@@ -550,7 +556,7 @@ mod tests {
             "{\"no_type\":1}",
             "{\"type\":\"ack\",\"campaign\":1}",
             "{\"type\":\"lease\",\"lease\":1,\"campaign\":1,\"spec\":\"x\",\"jobs\":[\"a\"],\
-             \"deadline_ms\":1,\"heartbeat_ms\":1,\"retries\":0,\"verify\":false}",
+             \"deadline_ms\":1,\"verify\":false}",
         ] {
             assert!(Msg::from_line(bad).is_err(), "`{bad}` should fail");
         }

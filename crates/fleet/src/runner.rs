@@ -39,8 +39,10 @@ use std::time::Instant;
 /// Execution knobs for one `run_campaign` invocation.
 ///
 /// These are *runtime* knobs: none of them participates in the spec
-/// fingerprint, because none of them may change a result.
-#[derive(Debug, Clone)]
+/// fingerprint, because none of them may change a result.  The retry
+/// budget is not one of them: every campaign consumer retries a
+/// panicking job twice before it quarantines it.
+#[derive(Debug, Clone, Default)]
 pub struct FleetOptions {
     /// Concurrent jobs (0 = all cores).  Total parallelism is
     /// `workers × threads_per_job`.
@@ -59,30 +61,11 @@ pub struct FleetOptions {
     /// lifecycle.  Canonical outputs are byte-identical with tracing on
     /// or off (`tests/obs.rs` pins this).
     pub trace: Option<PathBuf>,
-    /// How many times a panicking job is re-executed before it is
-    /// quarantined.  Retries are deterministic: job `i` always re-runs
-    /// the same pure function, so a retry either reproduces the panic
-    /// (systematic fault → quarantine) or the first panic was transient
-    /// injection and the retry's result is the canonical one.
-    pub retries: usize,
     /// Run the independent result verifier on every job
     /// (`FlowConfig::verify`).  Canonical outputs are untouched; a
     /// failed verification surfaces as [`FleetError::Verify`] *after*
     /// the campaign completes and every record is journaled.
     pub verify: bool,
-}
-
-impl Default for FleetOptions {
-    fn default() -> Self {
-        Self {
-            workers: 0,
-            max_jobs: None,
-            progress: false,
-            trace: None,
-            retries: 2,
-            verify: false,
-        }
-    }
 }
 
 /// What one `run_campaign` invocation produced.
@@ -137,7 +120,15 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one job under `catch_unwind` with a bounded retry budget.
+/// How many times a panicking job is re-executed before it is
+/// quarantined, by every campaign consumer: `run`'s, `serve`'s inline
+/// fallback and every worker.  Retries are deterministic: job `i` always
+/// re-runs the same pure function, so a retry either reproduces the panic
+/// (systematic fault → quarantine) or the first panic was transient
+/// injection and the retry's result is the canonical one.
+pub(crate) const RETRIES: usize = 2;
+
+/// Runs one job under `catch_unwind`, retried up to [`RETRIES`] times.
 ///
 /// `Ok` is the job's (bit-deterministic) result; `Err` carries the final
 /// panic message after the budget is exhausted — the caller quarantines.
@@ -148,10 +139,9 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub(crate) fn execute_job(
     flow: &BufferInsertionFlow,
     job: &JobSpec,
-    retries: usize,
 ) -> Result<InsertionResult, String> {
     let mut fault = String::new();
-    for attempt in 0..=retries {
+    for attempt in 0..=RETRIES {
         let _span = psbi_obs::Span::enter_with(
             "fleet.job.attempt",
             &[("job", job.index as u64), ("attempt", attempt as u64)],
@@ -176,12 +166,12 @@ pub(crate) fn execute_job(
 /// Runs one job — retried, and quarantined past the retry budget — into
 /// the record the engine commits, with its wall time, solver counters
 /// and verifier verdict.
-fn run_job(flow: &BufferInsertionFlow, job: &JobSpec, retries: usize) -> Finished {
+fn run_job(flow: &BufferInsertionFlow, job: &JobSpec) -> Finished {
     let _job_span = psbi_obs::Span::enter_with("fleet.job", &[("job", job.index as u64)]);
     let t_job = Instant::now();
     let executed = {
         let _timer = psbi_obs::metrics::timer("fleet.job.wall");
-        execute_job(flow, job, retries)
+        execute_job(flow, job)
     };
     let wall_s = Some(t_job.elapsed().as_secs_f64());
     psbi_obs::metrics::counter_add("fleet.jobs.executed", 1);
@@ -225,7 +215,6 @@ pub(crate) fn execute_batch(
     spec: &CampaignSpec,
     jobs: &[JobSpec],
     pool: &Arc<WorkspacePool>,
-    retries: usize,
     verify: bool,
     emit: &mut dyn FnMut(Finished) -> bool,
 ) -> Result<(), FleetError> {
@@ -238,9 +227,7 @@ pub(crate) fn execute_batch(
     for jobs in by_circuit.into_values() {
         let circuit = jobs[0].circuit.materialize().map_err(FleetError::Circuit)?;
         let flow = build_flow(&circuit, &cfg, pool)?;
-        let finished = jobs
-            .into_iter()
-            .all(|job| emit(run_job(&flow, job, retries)));
+        let finished = jobs.into_iter().all(|job| emit(run_job(&flow, job)));
         flow.release_solver_state();
         if !finished {
             break;
@@ -262,10 +249,10 @@ fn build_flow<'c>(
 }
 
 /// The per-job progress line of a local run.
-fn print_job_line(f: &Finished, total: usize, retries: usize) {
+fn print_job_line(f: &Finished, total: usize) {
     let r = &f.record;
     let verdict = if r.quarantined {
-        format!("QUARANTINED after {} attempts: {}", retries + 1, r.fault)
+        format!("QUARANTINED after {} attempts: {}", RETRIES + 1, r.fault)
     } else {
         let (y0, y, wall) = (
             r.yield_baseline,
@@ -325,7 +312,6 @@ pub fn run_campaign(
         spec.clone(),
         journal_path.to_path_buf(),
         opts.max_jobs,
-        opts.retries,
         opts.verify,
     )?;
     psbi_obs::metrics::counter_add("fleet.jobs.resumed", campaign.resumed as u64);
@@ -388,7 +374,7 @@ pub fn run_campaign(
                     let flow = flows[job.circuit_index]
                         .as_ref()
                         .expect("every circuit with jobs in the window has a flow");
-                    let finished = run_job(flow, job, opts.retries);
+                    let finished = run_job(flow, job);
                     // Every `run_target` of the circuit has returned by
                     // the time its count hits zero, so the release cannot
                     // race a park.  Purely a memory knob — a resumed
@@ -397,7 +383,7 @@ pub fn run_campaign(
                         flow.release_solver_state();
                     }
                     if opts.progress {
-                        print_job_line(&finished, total, opts.retries);
+                        print_job_line(&finished, total);
                     }
                     if !emit(finished) {
                         break;

@@ -13,29 +13,32 @@
 //!   without a thundering herd.
 //! * **Heartbeats** per lease on a dedicated thread sharing the
 //!   line-atomic writer, so a long solve does not look like a dead
-//!   worker.  The thread is owned by an RAII guard: it beats once per
-//!   `heartbeat_ms` while the lease runs, and dropping the guard at the
-//!   lease's end wakes and joins it at once — a lease ends at its last
-//!   ack, never at the next beat.  The `dispatch.worker.stall` failpoint
-//!   suppresses beats — the deterministic test for the
-//!   expiry/re-dispatch path.
+//!   worker.  The thread is owned by an RAII guard: it beats every
+//!   quarter of the lease's `deadline_ms` (clamped to 10 ms–60 s) while
+//!   the lease runs, and dropping the guard at the lease's end wakes and
+//!   joins it at once — a lease ends at its last ack, never at the next
+//!   beat.  The `dispatch.worker.stall` failpoint suppresses beats — the
+//!   deterministic test for the expiry/re-dispatch path.
 //! * **One outstanding request.**  A `request` is sent once and its
 //!   reply read past any stale `ack`/`expired` left over from the
 //!   previous lease (a heartbeat that crossed the lease's last ack, or
 //!   the ack of a result sent just before an expiry), so a stale message
 //!   never provokes a second request whose reply would land inside the
 //!   next lease.
-//! * **An unacknowledged-result cache**: every computed record is kept
-//!   until the dispatcher acknowledges it.  After a dropped connection
-//!   the worker resumes from its last acknowledged record — re-leased
-//!   jobs it already computed are *re-sent*, not re-computed (and if
-//!   someone else committed them first, the dispatcher discards the
-//!   duplicate; the bytes are identical either way).  The cache is
-//!   keyed by **spec fingerprint**, never by dispatcher-assigned
-//!   campaign id: ids restart when a dispatcher restarts, so an id can
-//!   name a different campaign across sessions — the fingerprint
-//!   cannot, and a cached record is valid for *any* campaign with the
-//!   same fingerprint because it is a pure function of (spec, job).
+//! * **Unacknowledged results**: every computed record is kept until the
+//!   dispatcher acknowledges it.  After a dropped connection the worker
+//!   resumes from its last acknowledged record — re-leased jobs it
+//!   already computed are *re-sent*, not re-computed (and if someone
+//!   else committed them first, the dispatcher discards the duplicate;
+//!   the bytes are identical either way).  Each lease's spec text is
+//!   parsed when the lease arrives, and the kept records belong to one
+//!   **spec fingerprint**, the current lease's: a lease of another spec
+//!   drops them, so the map never outgrows one job grid.  The
+//!   fingerprint, never the dispatcher-assigned campaign id, decides:
+//!   ids restart when a dispatcher restarts, so an id can name a
+//!   different campaign across sessions — the fingerprint cannot, and a
+//!   kept record is valid for *any* campaign with the same fingerprint
+//!   because it is a pure function of (spec, job).
 //! * **Read/write timeouts** on the dispatcher socket, renewed from
 //!   each lease's deadline: a stalled-but-alive dispatcher (or a
 //!   half-open connection) surfaces as a lost connection and the
@@ -117,82 +120,26 @@ enum LeaseEnd {
     ConnLost,
 }
 
-/// Parsed specs retained at once (each with its unacked records).  A
-/// long-running worker serves many campaigns; beyond this bound the
-/// least-recently-leased spec is evicted together with its unacked
-/// records — correctness never depends on the cache (an evicted record
-/// is simply recomputed if its job is ever re-leased).
-const MAX_CACHED_SPECS: usize = 8;
-
-/// One parsed-spec cache entry: the spec, its expanded grid, the
-/// fingerprint of its canonical text, and an LRU stamp.
-struct SpecEntry {
-    spec: CampaignSpec,
-    grid: Vec<JobSpec>,
-    fingerprint: String,
-    stamp: u64,
-}
-
 /// Per-process worker state that must survive reconnects: the shared
-/// workspace pool, parsed specs (keyed by their canonical text) and the
-/// unacknowledged-result cache.
+/// workspace pool and the unacknowledged records of one spec.
 struct WorkerMemory {
     pool: Arc<WorkspacePool>,
-    specs: HashMap<String, SpecEntry>,
-    /// Computed but never acknowledged: `(spec fingerprint, job)` → the
-    /// exact record line (+ verifier failure report) to re-send.  Keyed
-    /// by fingerprint, not campaign id — see the module docs.
-    unacked: HashMap<(String, usize), (String, String)>,
-    /// Monotone LRU clock for [`SpecEntry::stamp`].
-    clock: u64,
+    /// [`CampaignSpec::fingerprint`] of the spec `unacked` was computed
+    /// from — the last lease's (see the module docs).
+    fingerprint: String,
+    /// Computed but never acknowledged: job → the exact record line
+    /// (+ verifier failure report) to re-send.
+    unacked: HashMap<usize, (String, String)>,
 }
 
-/// Looks up (or parses and caches) a lease's spec, returning the spec,
-/// its grid and its fingerprint.  Keeps the cache LRU-bounded to
-/// [`MAX_CACHED_SPECS`]: eviction drops the spec entry *and* every
-/// unacked record computed under its fingerprint, so a long-running
-/// worker never accumulates dead campaigns.
-fn remember_spec(
-    memory: &mut WorkerMemory,
-    spec_text: &str,
-) -> Result<(CampaignSpec, Vec<JobSpec>, String), FleetError> {
-    memory.clock += 1;
-    let clock = memory.clock;
-    if let Some(entry) = memory.specs.get_mut(spec_text) {
-        entry.stamp = clock;
-        return Ok((
-            entry.spec.clone(),
-            entry.grid.clone(),
-            entry.fingerprint.clone(),
-        ));
-    }
-    let spec = CampaignSpec::from_json(spec_text)?;
-    let grid = spec.jobs();
-    let fingerprint = spec.fingerprint();
-    if memory.specs.len() >= MAX_CACHED_SPECS {
-        if let Some(oldest) = memory
-            .specs
-            .iter()
-            .min_by_key(|(_, e)| e.stamp)
-            .map(|(text, _)| text.clone())
-        {
-            if let Some(evicted) = memory.specs.remove(&oldest) {
-                memory
-                    .unacked
-                    .retain(|(fp, _), _| *fp != evicted.fingerprint);
-            }
+impl WorkerMemory {
+    fn new() -> Self {
+        Self {
+            pool: Arc::new(WorkspacePool::new()),
+            fingerprint: String::new(),
+            unacked: HashMap::new(),
         }
     }
-    memory.specs.insert(
-        spec_text.to_string(),
-        SpecEntry {
-            spec: spec.clone(),
-            grid: grid.clone(),
-            fingerprint: fingerprint.clone(),
-            stamp: clock,
-        },
-    );
-    Ok((spec, grid, fingerprint))
 }
 
 /// Runs a worker until the dispatcher says `shutdown` (or `max_idle_ms`
@@ -203,12 +150,7 @@ fn remember_spec(
 /// Only setup-class failures; connection loss and dispatcher restarts
 /// are retried, not returned.
 pub fn run_worker(opts: &WorkerOptions) -> Result<(), FleetError> {
-    let mut memory = WorkerMemory {
-        pool: Arc::new(WorkspacePool::new()),
-        specs: HashMap::new(),
-        unacked: HashMap::new(),
-        clock: 0,
-    };
+    let mut memory = WorkerMemory::new();
     let mut backoff = Duration::from_millis(opts.backoff_min_ms.max(1));
     let mut last_contact = Instant::now();
     loop {
@@ -287,7 +229,8 @@ fn session(
             }
         };
         match msg {
-            Msg::Wait { ms } => std::thread::sleep(Duration::from_millis(ms.min(2_000))),
+            // The dispatcher already held the request for its long poll.
+            Msg::Wait => {}
             Msg::Shutdown => return Ok(SessionEnd::Shutdown),
             Msg::Lease {
                 lease,
@@ -295,8 +238,6 @@ fn session(
                 spec,
                 jobs,
                 deadline_ms,
-                heartbeat_ms,
-                retries,
                 verify,
             } => {
                 if opts.progress {
@@ -312,8 +253,7 @@ fn session(
                     campaign,
                     spec_text: spec,
                     jobs,
-                    heartbeat_ms,
-                    retries,
+                    deadline_ms,
                     verify,
                 };
                 match run_lease(&mut reader, &writer, memory, &ctx)? {
@@ -337,8 +277,7 @@ struct LeaseCtx {
     campaign: u64,
     spec_text: String,
     jobs: Vec<usize>,
-    heartbeat_ms: u64,
-    retries: usize,
+    deadline_ms: u64,
     verify: bool,
 }
 
@@ -355,6 +294,12 @@ enum AckWait {
     ConnLost,
 }
 
+/// The heartbeat interval of a lease whose window is `deadline_ms`: a
+/// quarter of the window, clamped to 10 ms–60 s.
+fn heartbeat_interval(deadline_ms: u64) -> Duration {
+    Duration::from_millis((deadline_ms / 4).clamp(10, 60_000))
+}
+
 /// Renews one lease from a background thread for as long as it lives.
 /// The thread waits on a channel with the heartbeat interval as its
 /// timeout: each timeout sends one beat, and dropping the guard sends
@@ -365,10 +310,9 @@ struct Heartbeat {
 }
 
 impl Heartbeat {
-    fn start(writer: &Arc<Mutex<TcpStream>>, lease: u64, heartbeat_ms: u64) -> Self {
+    fn start(writer: &Arc<Mutex<TcpStream>>, lease: u64, interval: Duration) -> Self {
         let (stop, stopped) = mpsc::channel::<()>();
         let writer = Arc::clone(writer);
-        let interval = Duration::from_millis(heartbeat_ms.clamp(10, 60_000));
         let thread = std::thread::spawn(move || {
             while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                 // The `dispatch.worker.stall` failpoint suppresses beats
@@ -400,7 +344,7 @@ impl Drop for Heartbeat {
     }
 }
 
-/// Executes one lease: re-sends cached unacked records first, then
+/// Executes one lease: re-sends kept unacked records first, then
 /// computes the rest, heartbeating until the function returns.
 fn run_lease(
     reader: &mut BufReader<TcpStream>,
@@ -408,7 +352,8 @@ fn run_lease(
     memory: &mut WorkerMemory,
     ctx: &LeaseCtx,
 ) -> Result<LeaseEnd, FleetError> {
-    let (spec, grid, fingerprint) = remember_spec(memory, &ctx.spec_text)?;
+    let spec = CampaignSpec::from_json(&ctx.spec_text)?;
+    let grid = spec.jobs();
     for &j in &ctx.jobs {
         if j >= grid.len() {
             return Err(FleetError::Dispatch(format!(
@@ -417,27 +362,23 @@ fn run_lease(
             )));
         }
     }
-    let _heartbeat = Heartbeat::start(writer, ctx.lease, ctx.heartbeat_ms);
+    let fingerprint = spec.fingerprint();
+    if memory.fingerprint != fingerprint {
+        memory.unacked.clear();
+        memory.fingerprint = fingerprint;
+    }
+    let _heartbeat = Heartbeat::start(writer, ctx.lease, heartbeat_interval(ctx.deadline_ms));
 
     // Phase 1: re-send computed-but-unacked records for this lease's
     // jobs (resume from the last acknowledged record, no recompute).
-    // The cache is fingerprint-keyed, so a record cached before a
-    // dispatcher restart is only ever re-sent for a campaign with the
-    // *same* spec — for which its bytes are correct by construction.
+    // They were computed from a spec with this lease's fingerprint, so
+    // a record kept across a dispatcher restart is only ever re-sent for
+    // a campaign with the *same* spec — for which its bytes are correct
+    // by construction.
     let mut fresh: Vec<JobSpec> = Vec::new();
     for &j in &ctx.jobs {
-        let key = (fingerprint.to_string(), j);
-        if let Some((line, verify_failed)) = memory.unacked.get(&key).cloned() {
-            match send_and_await(
-                reader,
-                writer,
-                memory,
-                ctx,
-                &fingerprint,
-                j,
-                &line,
-                &verify_failed,
-            )? {
+        if let Some((line, verify_failed)) = memory.unacked.get(&j).cloned() {
+            match send_and_await(reader, writer, memory, ctx, j, &line, &verify_failed)? {
                 AckWait::Acked => {}
                 AckWait::Abandon => return Ok(LeaseEnd::Continue),
                 AckWait::Shutdown => return Ok(LeaseEnd::Shutdown),
@@ -457,20 +398,10 @@ fn run_lease(
         let job = finished.record.job;
         let line = finished.record.to_json_line();
         let verify_failed = finished.verify_failed.unwrap_or_default();
-        memory.unacked.insert(
-            (fingerprint.to_string(), job),
-            (line.clone(), verify_failed.clone()),
-        );
-        match send_and_await(
-            reader,
-            writer,
-            memory,
-            ctx,
-            &fingerprint,
-            job,
-            &line,
-            &verify_failed,
-        ) {
+        memory
+            .unacked
+            .insert(job, (line.clone(), verify_failed.clone()));
+        match send_and_await(reader, writer, memory, ctx, job, &line, &verify_failed) {
             Ok(AckWait::Acked) => true,
             Ok(AckWait::Abandon) => false,
             Ok(AckWait::Shutdown) => {
@@ -487,7 +418,7 @@ fn run_lease(
             }
         }
     };
-    execute_batch(&spec, &fresh, &pool, ctx.retries, ctx.verify, &mut emit)?;
+    execute_batch(&spec, &fresh, &pool, ctx.verify, &mut emit)?;
     delivery?;
     Ok(end)
 }
@@ -495,21 +426,18 @@ fn run_lease(
 /// Sends one result line and blocks until the dispatcher's verdict.
 /// Under `worker.result.torn`, half the line is written and the
 /// connection killed instead.
-#[allow(clippy::too_many_arguments)]
 fn send_and_await(
     reader: &mut BufReader<TcpStream>,
     writer: &Arc<Mutex<TcpStream>>,
     memory: &mut WorkerMemory,
     ctx: &LeaseCtx,
-    fingerprint: &str,
     job: usize,
     line: &str,
     verify_failed: &str,
 ) -> Result<AckWait, FleetError> {
     let msg = Msg::Result {
-        lease: ctx.lease,
         campaign: ctx.campaign,
-        fingerprint: fingerprint.to_string(),
+        fingerprint: memory.fingerprint.clone(),
         record: line.to_string(),
         verify_failed: verify_failed.to_string(),
     };
@@ -530,7 +458,7 @@ fn send_and_await(
     loop {
         match read_msg(reader) {
             Ok(Some(Msg::Ack { campaign, job: j })) if campaign == ctx.campaign && j == job => {
-                memory.unacked.remove(&(fingerprint.to_string(), job));
+                memory.unacked.remove(&job);
                 return Ok(AckWait::Acked);
             }
             Ok(Some(Msg::Ack { .. })) => {} // stale ack from an earlier lease
@@ -542,13 +470,13 @@ fn send_and_await(
     }
 }
 
-/// Knobs for one `psbi-fleet submit` invocation.
+/// Knobs for one `psbi-fleet submit` invocation.  None of them changes a
+/// canonical byte, and the job retry budget is not among them: workers
+/// retry a panicking job twice, as a local run does.
 #[derive(Debug, Clone)]
 pub struct SubmitOptions {
     /// Dispatcher address.
     pub addr: String,
-    /// Per-job retry budget the dispatcher hands to workers.
-    pub retries: usize,
     /// Ask workers to run the independent verifier per job.
     pub verify: bool,
     /// Relay dispatcher progress messages to stderr.
@@ -560,7 +488,6 @@ impl Default for SubmitOptions {
         Self {
             addr: std::env::var("PSBI_DISPATCH_ADDR")
                 .unwrap_or_else(|_| crate::dispatch::DEFAULT_ADDR.into()),
-            retries: 2,
             verify: false,
             progress: false,
         }
@@ -627,7 +554,6 @@ pub fn submit_campaign(
         &Msg::Submit {
             spec: spec_text.to_string(),
             journal: journal.to_string(),
-            retries: opts.retries,
             verify: opts.verify,
         },
     )?;
@@ -705,49 +631,110 @@ mod tests {
     use super::*;
     use crate::journal::JobRecord;
 
-    fn fresh_memory() -> WorkerMemory {
-        WorkerMemory {
-            pool: Arc::new(WorkspacePool::new()),
-            specs: HashMap::new(),
-            unacked: HashMap::new(),
-            clock: 0,
+    fn quick_spec(name: &str) -> CampaignSpec {
+        CampaignSpec {
+            name: name.into(),
+            samples: 60,
+            yield_samples: 120,
+            calibration_samples: 120,
+            ..CampaignSpec::example()
         }
-    }
-
-    fn named_spec_text(name: &str) -> String {
-        let mut spec = CampaignSpec::example();
-        spec.name = name.into();
-        spec.to_json()
     }
 
     #[test]
-    fn spec_cache_is_lru_bounded_and_eviction_purges_unacked() {
-        let mut memory = fresh_memory();
-        let first = named_spec_text("lru_first");
-        let (_, _, first_fp) = remember_spec(&mut memory, &first).unwrap();
-        memory
-            .unacked
-            .insert((first_fp.clone(), 0), ("line".into(), String::new()));
-        for i in 1..MAX_CACHED_SPECS {
-            remember_spec(&mut memory, &named_spec_text(&format!("lru_{i}"))).unwrap();
+    fn heartbeat_is_a_quarter_of_the_lease_window_within_the_clamp() {
+        for (deadline_ms, beat_ms) in [(40, 10), (200, 50), (10_000, 2_500), (400_000, 60_000)] {
+            assert_eq!(
+                heartbeat_interval(deadline_ms),
+                Duration::from_millis(beat_ms),
+                "deadline {deadline_ms} ms"
+            );
         }
-        assert_eq!(memory.specs.len(), MAX_CACHED_SPECS);
+    }
 
-        // A re-lease bumps the first spec's stamp, so the next insert
-        // evicts `lru_1` (now the oldest), not the first spec.
-        remember_spec(&mut memory, &first).unwrap();
-        remember_spec(&mut memory, &named_spec_text("lru_overflow")).unwrap();
-        assert_eq!(memory.specs.len(), MAX_CACHED_SPECS);
-        assert!(memory.specs.contains_key(&first));
-        assert!(!memory.specs.contains_key(&named_spec_text("lru_1")));
-        assert!(memory.unacked.contains_key(&(first_fp.clone(), 0)));
+    /// Unacked records are kept for one spec: a re-lease of that spec
+    /// re-sends them instead of recomputing, and a lease of another spec
+    /// drops them.  The kept records here are placeholders no job
+    /// computes, so the dispatcher's side of the exchange tells a re-send
+    /// from a recomputation.
+    #[test]
+    fn a_lease_of_another_spec_drops_unacked_records_and_a_re_lease_resends_them() {
+        use std::net::TcpListener;
 
-        // Push the first spec out: its unacked records go with it.
-        for i in 0..MAX_CACHED_SPECS {
-            remember_spec(&mut memory, &named_spec_text(&format!("flood_{i}"))).unwrap();
+        let (spec_a, spec_b) = (quick_spec("unacked_a"), quick_spec("unacked_b"));
+        let mut memory = WorkerMemory::new();
+        memory.fingerprint = spec_a.fingerprint();
+        for job in [0, 1] {
+            memory
+                .unacked
+                .insert(job, (format!("kept a/{job}"), String::new()));
         }
-        assert!(!memory.specs.contains_key(&first));
-        assert!(memory.unacked.is_empty());
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake dispatcher");
+        let opts = WorkerOptions {
+            addr: listener.local_addr().expect("local addr").to_string(),
+            name: "unacked-probe".into(),
+            ..WorkerOptions::default()
+        };
+        let end = std::thread::scope(|scope| {
+            let worker = {
+                let (opts, memory) = (&opts, &mut memory);
+                let stream = TcpStream::connect(&opts.addr).expect("worker connects");
+                scope.spawn(move || session(opts, stream, memory))
+            };
+            let (stream, _) = listener.accept().expect("accept worker");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+            let mut writer = stream;
+            let mut next = || {
+                read_msg(&mut reader)
+                    .expect("worker line")
+                    .expect("worker closed the connection")
+            };
+            assert!(matches!(next(), Msg::Hello { .. }));
+            // One lease per step; the 240 s window puts the first beat a
+            // minute out, so the reply is the lease's result.
+            let mut lease = |lease: u64, campaign: u64, spec: &CampaignSpec, job: usize| {
+                assert_eq!(next(), Msg::Request);
+                let msg = Msg::Lease {
+                    lease,
+                    campaign,
+                    spec: spec.to_json(),
+                    jobs: vec![job],
+                    deadline_ms: 240_000,
+                    verify: false,
+                };
+                write_msg(&mut writer, &msg).expect("write lease");
+                let Msg::Result {
+                    fingerprint,
+                    record,
+                    ..
+                } = next()
+                else {
+                    panic!("lease {lease} was not answered with its result");
+                };
+                assert_eq!(fingerprint, spec.fingerprint(), "lease {lease}");
+                write_msg(&mut writer, &Msg::Ack { campaign, job }).expect("write ack");
+                record
+            };
+            assert_eq!(
+                lease(1, 1, &spec_a, 0),
+                "kept a/0",
+                "a re-lease must re-send"
+            );
+            let computed = lease(2, 2, &spec_b, 0);
+            assert_eq!(JobRecord::from_json_line(&computed).expect("record").job, 0);
+            let recomputed = lease(3, 1, &spec_a, 1);
+            assert_ne!(recomputed, "kept a/1", "another spec's lease must drop it");
+            assert_eq!(
+                JobRecord::from_json_line(&recomputed).expect("record").job,
+                1
+            );
+            assert_eq!(next(), Msg::Request);
+            write_msg(&mut writer, &Msg::Shutdown).expect("write shutdown");
+            worker.join().expect("worker thread").expect("session")
+        });
+        assert!(matches!(end, SessionEnd::Shutdown));
+        assert_eq!(memory.fingerprint, spec_a.fingerprint());
+        assert!(memory.unacked.is_empty(), "every record was acked");
     }
 
     /// A stale `expired` ahead of a request's reply must not provoke a
@@ -782,12 +769,7 @@ mod tests {
         assert!(matches!(next(), Msg::Hello { .. }));
         assert_eq!(next(), Msg::Request);
 
-        let spec = CampaignSpec {
-            samples: 60,
-            yield_samples: 120,
-            calibration_samples: 120,
-            ..CampaignSpec::example()
-        };
+        let spec = quick_spec("stale_probe");
         write_msg(&mut writer, &Msg::Expired { lease: 99 }).expect("write expired");
         write_msg(
             &mut writer,
@@ -796,17 +778,15 @@ mod tests {
                 campaign: 1,
                 spec: spec.to_json(),
                 jobs: vec![0],
-                deadline_ms: 10_000,
-                heartbeat_ms: 60_000,
-                retries: 0,
+                // A 60 s beat, so no heartbeat lands between the lease
+                // and its result.
+                deadline_ms: 240_000,
                 verify: false,
             },
         )
         .expect("write lease");
         match next() {
-            Msg::Result {
-                lease: 1, record, ..
-            } => {
+            Msg::Result { record, .. } => {
                 assert_eq!(JobRecord::from_json_line(&record).expect("record").job, 0);
             }
             other => panic!("expected the lease's result, got {other:?}"),

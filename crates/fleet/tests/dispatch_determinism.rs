@@ -110,7 +110,6 @@ fn serve_opts(once: bool) -> ServeOptions {
         max_campaigns: 1,
         lease_jobs: 0,
         lease_ms: 10_000,
-        heartbeat_ms: 2_500,
         inline_grace_ms: 60_000, // in-process legs opt into inline explicitly
         once,
         progress: false,
@@ -149,7 +148,6 @@ fn spawn_worker(addr: &str, name: &str) -> std::thread::JoinHandle<Result<(), Fl
 fn submit_opts(addr: &str) -> SubmitOptions {
     SubmitOptions {
         addr: addr.to_string(),
-        retries: 2,
         verify: false,
         progress: false,
     }
@@ -410,7 +408,6 @@ fn worker_stall_failpoint_expires_the_lease_and_recovers() {
         let journal = tmp("stall");
         let mut opts = serve_opts(true);
         opts.lease_ms = 40;
-        opts.heartbeat_ms = 10;
         distributed_run(&spec, &journal, 2, opts);
         assert_matches_reference(&spec, &journal, &ref_bytes, &ref_report, "worker.stall");
         assert!(
@@ -432,7 +429,6 @@ fn lease_expire_early_failpoint_redispatches_byte_identically() {
         // 200 ms lease (50 ms tick) guarantee a live lease at tick time.
         let mut opts = serve_opts(true);
         opts.lease_ms = 200;
-        opts.heartbeat_ms = 50;
         distributed_run(&spec, &journal, 2, opts);
         assert_matches_reference(&spec, &journal, &ref_bytes, &ref_report, "expire_early");
         assert!(
@@ -461,9 +457,10 @@ fn torn_result_failpoint_is_rejected_and_resent() {
     });
 }
 
-/// A lease ends at its last ack.  With a 30 s heartbeat interval and one
-/// job per lease, a worker that waited out its heartbeat thread's sleep
-/// before requesting again would spend about 30 s per lease here.
+/// A lease ends at its last ack.  With a 120 s lease window (a 30 s
+/// heartbeat interval) and one job per lease, a worker that waited out
+/// its heartbeat thread's sleep before requesting again would spend
+/// about 30 s per lease here.
 #[test]
 fn lease_ends_at_its_last_ack_not_at_the_next_heartbeat() {
     psbi_fault::with_spec("", || {
@@ -473,7 +470,6 @@ fn lease_ends_at_its_last_ack_not_at_the_next_heartbeat() {
         let mut opts = serve_opts(true);
         opts.lease_jobs = 1;
         opts.lease_ms = 120_000;
-        opts.heartbeat_ms = 30_000;
         let started = Instant::now();
         distributed_run(&spec, &journal, 1, opts);
         let elapsed = started.elapsed();
@@ -502,7 +498,8 @@ fn heartbeats_renew_a_lease_that_outlives_its_window() {
         let journal = tmp("renewal");
         let mut opts = serve_opts(true);
         opts.lease_ms = 200;
-        opts.heartbeat_ms = 20;
+        // Workers beat at a quarter of the lease window.
+        let beat_ms = opts.lease_ms / 4;
         let heartbeats = psbi_obs::metrics::with_metrics(None, || {
             distributed_run(&spec, &journal, 1, opts.clone());
             psbi_obs::metrics::counter_value("dispatch.heartbeats")
@@ -512,11 +509,11 @@ fn heartbeats_renew_a_lease_that_outlives_its_window() {
             0,
             "a heartbeat-renewed lease expired"
         );
-        // Beats are at least `heartbeat_ms` apart, and at most one can
-        // arrive after the lease ended, so this many prove the lease
-        // lived past its `lease_ms` window.
+        // Beats are at least `beat_ms` apart, and at most one can arrive
+        // after the lease ended, so this many prove the lease lived past
+        // its `lease_ms` window.
         assert!(
-            heartbeats > opts.lease_ms / opts.heartbeat_ms + 1,
+            heartbeats > opts.lease_ms / beat_ms + 1,
             "the lease never outlived its {} ms window ({heartbeats} heartbeats)",
             opts.lease_ms
         );
@@ -576,7 +573,6 @@ fn outstanding_request_is_answered_with_a_lease_on_admission() {
             &Msg::Submit {
                 spec: spec.to_json(),
                 journal: journal.display().to_string(),
-                retries: 2,
                 verify: false,
             },
         )
@@ -672,7 +668,7 @@ fn foreign_results_are_rejected_never_journaled() {
         };
 
         // Hand-rolled worker half: hello, then poll until a lease lands.
-        let take_lease = |name: &str| -> (BufReader<TcpStream>, TcpStream, u64, u64, String) {
+        let take_lease = |name: &str| -> (BufReader<TcpStream>, TcpStream, u64, String) {
             let stream = TcpStream::connect(&addr).expect("rogue connect");
             stream
                 .set_read_timeout(Some(Duration::from_secs(10)))
@@ -689,15 +685,12 @@ fn foreign_results_are_rejected_never_journaled() {
             loop {
                 write_msg(&mut writer, &Msg::Request).expect("request");
                 match read_msg(&mut reader).expect("rogue read") {
-                    Some(Msg::Wait { ms }) => {
-                        std::thread::sleep(Duration::from_millis(ms.min(100)));
-                    }
+                    Some(Msg::Wait) => {}
                     Some(Msg::Lease {
-                        lease,
                         campaign,
                         spec: spec_text,
                         ..
-                    }) => return (reader, writer, lease, campaign, spec_text),
+                    }) => return (reader, writer, campaign, spec_text),
                     other => panic!("expected lease or wait, got {other:?}"),
                 }
             }
@@ -711,11 +704,10 @@ fn foreign_results_are_rejected_never_journaled() {
         // grid shape, so only the fingerprint can catch it).
         let mut other = quick_spec();
         other.name = "dispatch_foreign_other".into();
-        let (mut reader, mut writer, lease, campaign, _) = take_lease("stale-cache");
+        let (mut reader, mut writer, campaign, _) = take_lease("stale-cache");
         write_msg(
             &mut writer,
             &Msg::Result {
-                lease,
                 campaign,
                 fingerprint: other.fingerprint(),
                 record: JobRecord::quarantined(&other.jobs()[0], "stale".into()).to_json_line(),
@@ -727,14 +719,13 @@ fn foreign_results_are_rejected_never_journaled() {
 
         // Leg 2: correctly-fingerprinted message whose record belongs to
         // a different grid — the circuit/sigma identity check refuses it.
-        let (mut reader, mut writer, lease, campaign, spec_text) = take_lease("wrong-grid");
+        let (mut reader, mut writer, campaign, spec_text) = take_lease("wrong-grid");
         let fingerprint = CampaignSpec::from_json(&spec_text)
             .expect("leased spec parses")
             .fingerprint();
         write_msg(
             &mut writer,
             &Msg::Result {
-                lease,
                 campaign,
                 fingerprint,
                 record: JobRecord::quarantined(&slow_spec().jobs()[0], "foreign".into())

@@ -5,8 +5,7 @@
 //! partner"; that library is proprietary, so this crate provides the closest
 //! open equivalent: a linear-delay cell library with per-cell sensitivities
 //! to the three process parameters the paper varies (transistor length,
-//! oxide thickness, threshold voltage).  See `DESIGN.md` §2 for the
-//! substitution rationale.
+//! oxide thickness, threshold voltage).
 //!
 //! * Units: delays in **picoseconds**, capacitances in **femtofarads**.
 //! * Combinational delay model: `d = intrinsic + drive · load` (linear in

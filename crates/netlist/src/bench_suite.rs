@@ -2,8 +2,8 @@
 //!
 //! Each spec carries the flip-flop count `ns` and gate count `ng` the paper
 //! reports, plus a deterministic default seed.  Generated circuits are the
-//! documented substitutes for the unavailable mapped netlists (`DESIGN.md`
-//! §2); `ns`/`ng` match the paper exactly.
+//! substitutes for the unavailable mapped netlists (see
+//! [`crate::generator`]); `ns`/`ng` match the paper exactly.
 
 use crate::generator::GeneratorProfile;
 use crate::graph::Circuit;

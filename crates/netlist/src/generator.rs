@@ -2,9 +2,9 @@
 //!
 //! The paper evaluates on ISCAS89 and TAU-2013 circuits mapped to a
 //! proprietary industry library; neither the mapped netlists nor the library
-//! are available.  This generator is the documented substitution
-//! (`DESIGN.md` §2): it produces circuits with a *prescribed number of
-//! flip-flops and gates* and a realistic sequential structure —
+//! are available.  This generator is the substitute: it produces
+//! circuits with a *prescribed number of flip-flops and gates* and a
+//! realistic sequential structure —
 //!
 //! * locality: flip-flops belong to clusters and exchange data mostly with
 //!   their own and neighbouring clusters (so physical placement correlates

@@ -10,9 +10,9 @@
 //! * [`bench_format`] — a complete ISCAS89 `.bench` reader/writer so real
 //!   benchmark netlists can be used when available;
 //! * [`generator`] — the synthetic benchmark generator used as the
-//!   substitute for the proprietary ISCAS89/TAU-2013 mappings (see
-//!   `DESIGN.md` §2): it reproduces each paper circuit's flip-flop and gate
-//!   counts with realistic sequential topology;
+//!   substitute for the proprietary ISCAS89/TAU-2013 mappings: it
+//!   reproduces each paper circuit's flip-flop and gate counts with
+//!   realistic sequential topology;
 //! * [`bench_suite`] — named descriptors of the paper's eight circuits;
 //! * [`placement`] — locality-preserving grid placement of flip-flops with
 //!   Manhattan distances (needed by the grouping step);

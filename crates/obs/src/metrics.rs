@@ -11,9 +11,9 @@
 //! * `PSBI_METRICS=<path>` in the environment (read once) — [`flush`]
 //!   writes the JSON snapshot to `<path>` and the Prometheus text
 //!   exposition to `<path>.prom`;
-//! * programmatically via [`arm`] (with or without an output path — the
-//!   fleet runner arms a path-less registry to drive `--progress`, and
-//!   `perf_json` reads [`snapshot`] in-process).
+//! * programmatically via [`arm`] (with or without an output path —
+//!   `perf_json` and the benchmark ledger arm a path-less registry and
+//!   read [`snapshot`] in-process).
 //!
 //! # Instruments
 //!
@@ -166,7 +166,7 @@ pub fn observe(name: &'static str, value: u64) {
 }
 
 /// Reads counter `name` (0 when absent or disarmed).  In-process consumer
-/// API — the fleet `--progress` reporter polls job counters through this.
+/// API, e.g. for a test that counts the dispatcher's heartbeats.
 pub fn counter_value(name: &str) -> u64 {
     registry().counters.get(name).copied().unwrap_or(0)
 }

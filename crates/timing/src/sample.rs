@@ -7,7 +7,8 @@
 //!   its canonical form — `O(edges)` per sample, the default mode;
 //! * [`GateLevelSampler`] draws every *gate* delay and re-propagates
 //!   min/max path delays numerically through the cones — the exact
-//!   reference mode (ablation A3 in `DESIGN.md` quantifies the difference).
+//!   reference mode (the `ablation` binary's `sampler` leg, A3, quantifies
+//!   the difference).
 //!
 //! # Batched sampling
 //!

@@ -77,15 +77,3 @@ fn area_report_tracks_groups() {
         assert!(area.config_bits <= 5 * r.nb as u64);
     }
 }
-
-#[test]
-fn report_rendering_round_trip() {
-    let circuit = bench_suite::tiny_demo(16);
-    let (_, r) = flow_result(&circuit);
-    let md = psbi::core::report::markdown_table(&[("tiny", "muT", &r)]);
-    assert!(md.contains("tiny"));
-    let csv = psbi::core::report::csv_table(&[("tiny", "muT", &r)]);
-    assert!(csv.lines().count() == 2);
-    let s = psbi::core::report::summary(&r);
-    assert!(s.contains("yield"));
-}
