@@ -6,7 +6,8 @@
 //! ```
 //!
 //! `<which>` ∈ `concentrate` (A1), `pruning` (A2), `sampler` (A3),
-//! `zero-window` (A4), or `all`.
+//! `zero-window` (A4), or `all` (the default).  Any other leg or flag is
+//! a usage error (exit 2).
 
 use psbi_bench::{run_cell, Args, ExperimentConfig};
 use psbi_core::flow::{FlowConfig, InsertionResult};
@@ -35,11 +36,8 @@ fn run(label: &str, spec: &BenchmarkSpec, cfg: FlowConfig) -> InsertionResult {
 fn main() {
     // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
     let _obs = psbi_obs::flush_on_drop();
-    let args = Args::from_env();
-    let which = std::env::args()
-        .nth(1)
-        .filter(|w| !w.starts_with("--"))
-        .unwrap_or_else(|| "all".to_string());
+    let args = Args::from_env("ablation");
+    let which = args.positional().unwrap_or("all");
     let cfg = ExperimentConfig::parse(&args, &["s9234"]);
     let sigma: f64 = args.get("sigma").unwrap_or(0.0);
     let spec = cfg.circuits.first().expect("one circuit");

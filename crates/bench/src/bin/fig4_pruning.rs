@@ -17,7 +17,7 @@ use psbi_timing::criticality;
 fn main() {
     // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
     let _obs = psbi_obs::flush_on_drop();
-    let args = Args::from_env();
+    let args = Args::from_env("fig4_pruning");
     let cfg = ExperimentConfig::parse(&args, &["s9234"]);
     let sigma: f64 = args.get("sigma").unwrap_or(0.0);
     let spec = cfg.circuits.first().expect("one circuit");

@@ -63,7 +63,7 @@ fn best_of<F: FnMut() -> (f64, psbi_core::flow::InsertionResult)>(
 fn main() {
     // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
     let _obs = psbi_obs::flush_on_drop();
-    let args = Args::from_env();
+    let args = Args::from_env("perf_json");
     let circuit_name: String = args.get("circuit").unwrap_or_else(|| "s9234".to_string());
     let samples: usize = args.get("samples").unwrap_or(10_000);
     let flow_samples: usize = args.get("flow-samples").unwrap_or(1_000);

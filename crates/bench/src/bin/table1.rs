@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run -p psbi-bench --release --bin table1 -- \
 //!     [--all] [--circuits s9234,s13207] [--samples 10000] \
-//!     [--yield-samples 10000] [--seed 42] [--threads N]
+//!     [--yield-samples 10000] [--seed 42] [--threads N] [--csv]
 //! ```
 //!
 //! Columns per period: `Nb` inserted buffers, `Ab` average range (steps,
@@ -17,7 +17,7 @@ use psbi_bench::{format_cell, run_cell, Args, ExperimentConfig};
 fn main() {
     // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
     let _obs = psbi_obs::flush_on_drop();
-    let args = Args::from_env();
+    let args = Args::from_env("table1");
     let cfg = ExperimentConfig::parse(&args, &["s9234", "s13207", "s15850"]);
     if cfg.circuits.is_empty() {
         eprintln!("no circuits selected");

@@ -11,37 +11,118 @@
 //! | `ablation` | ablations A1–A4 (concentration, pruning, sampler, zero window) |
 //!
 //! Run e.g. `cargo run -p psbi-bench --release --bin table1 -- --samples 10000 --all`.
+//! Each binary reads only the flags its docs list; any other argument,
+//! like a malformed flag value, is a usage error (exit 2) before it
+//! generates a circuit.
 
 use psbi_core::flow::{BufferInsertionFlow, FlowConfig, InsertionResult, TargetPeriod};
 use psbi_netlist::bench_suite::BenchmarkSpec;
 
-/// Simple `--key value` / `--flag` argument scanner.
+/// Every bench binary with the arguments it reads: flags that take a
+/// value, switches, and the choices of its optional leading positional
+/// argument (each list space-separated, empty for none).  [`Args`]
+/// refuses anything else.
+const BINARIES: &[(&str, &str, &str, &str)] = &[
+    (
+        "ablation",
+        "circuits samples yield-samples seed threads sigma",
+        "all",
+        "concentrate pruning sampler zero-window all",
+    ),
+    (
+        "fig4_pruning",
+        "circuits samples yield-samples seed threads sigma",
+        "all",
+        "",
+    ),
+    (
+        "fig5",
+        "circuits samples yield-samples seed threads sigma buffers",
+        "all",
+        "",
+    ),
+    (
+        "fig6_grouping",
+        "circuits samples yield-samples seed threads sigma rt dt",
+        "all",
+        "",
+    ),
+    (
+        "table1",
+        "circuits samples yield-samples seed threads",
+        "all csv",
+        "",
+    ),
+    (
+        "perf_json",
+        "circuit samples flow-samples campaign-samples seed out",
+        "",
+        "",
+    ),
+    ("simd_parity", "circuit samples seed out", "", ""),
+];
+
+/// `--key value` / `--flag` scanner, checked against the arguments its
+/// binary reads.
 #[derive(Debug, Clone)]
 pub struct Args {
     raw: Vec<String>,
 }
 
 impl Args {
-    /// Captures the process arguments (after the binary name).
-    pub fn from_env() -> Self {
-        Self {
-            raw: std::env::args().skip(1).collect(),
-        }
+    /// Captures the process arguments (after the binary name) of the
+    /// bench binary `binary`.  An argument it does not read is a usage
+    /// error: it is reported on stderr and the process exits with
+    /// status 2 before the binary does any work.
+    pub fn from_env(binary: &str) -> Self {
+        Self::parse(binary, std::env::args().skip(1).collect()).unwrap_or_else(|e| usage_error(&e))
     }
 
-    /// Builds from an explicit list (for tests).
-    pub fn from_vec(raw: Vec<String>) -> Self {
-        Self { raw }
+    /// Accepts `raw` when every argument is one of `binary`'s flags — a
+    /// flag that takes a value also takes the next argument — or, first
+    /// of all, one of its positional choices; anything else is a usage
+    /// error naming it.  Panics when `binary` is not one of this crate's
+    /// binaries.
+    fn parse(binary: &str, raw: Vec<String>) -> Result<Self, String> {
+        let &(_, values, switches, choices) = BINARIES
+            .iter()
+            .find(|b| b.0 == binary)
+            .unwrap_or_else(|| panic!("`{binary}` is not a bench binary"));
+        let listed = |list: &str, name: &str| list.split_whitespace().any(|flag| flag == name);
+        let mut rest = raw.iter().enumerate();
+        while let Some((i, arg)) = rest.next() {
+            match arg.strip_prefix("--") {
+                Some(name) if listed(values, name) => {
+                    rest.next();
+                }
+                Some(name) if listed(switches, name) => {}
+                None if i == 0 && listed(choices, arg) => {}
+                None if i == 0 && !choices.is_empty() => {
+                    return Err(format!(
+                        "`{binary}` takes one of `{}`, not `{arg}`",
+                        choices.replace(' ', "|")
+                    ))
+                }
+                _ => return Err(format!("`{binary}` does not take `{arg}`")),
+            }
+        }
+        Ok(Self { raw })
+    }
+
+    /// The leading positional argument, if the binary takes one and it
+    /// was given.
+    pub fn positional(&self) -> Option<&str> {
+        self.raw
+            .first()
+            .filter(|a| !a.starts_with("--"))
+            .map(String::as_str)
     }
 
     /// Value of `--key <value>`, parsed; `None` when the flag is absent.
     /// A missing or malformed value is a usage error: it is reported on
     /// stderr and the process exits with status 2.
     pub fn get<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        self.try_get(key).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2)
-        })
+        self.try_get(key).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// As [`Args::get`], but returns the usage error (naming the flag and
@@ -74,10 +155,10 @@ impl Args {
     }
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Self::from_env()
-    }
+/// Reports a usage error on stderr and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// Common experiment knobs parsed from the command line.
@@ -175,15 +256,17 @@ pub fn ascii_histogram(bins: &[(i64, u64)], width: usize) -> String {
 mod tests {
     use super::*;
 
+    fn parse(binary: &str, raw: &[&str]) -> Result<Args, String> {
+        Args::parse(binary, raw.iter().map(|a| a.to_string()).collect())
+    }
+
     #[test]
     fn args_parse() {
-        let a = Args::from_vec(vec![
-            "--samples".into(),
-            "500".into(),
-            "--all".into(),
-            "--circuits".into(),
-            "s9234, s13207".into(),
-        ]);
+        let a = parse(
+            "table1",
+            &["--samples", "500", "--all", "--circuits", "s9234, s13207"],
+        )
+        .unwrap();
         assert_eq!(a.get::<usize>("samples"), Some(500));
         assert!(a.has("all"));
         assert_eq!(
@@ -195,13 +278,7 @@ mod tests {
 
     #[test]
     fn malformed_values_are_usage_errors() {
-        let a = Args::from_vec(vec![
-            "--samples".into(),
-            "10k".into(),
-            "--threads".into(),
-            "2".into(),
-            "--seed".into(),
-        ]);
+        let a = parse("table1", &["--samples", "10k", "--threads", "2", "--seed"]).unwrap();
         let e = a.try_get::<usize>("samples").unwrap_err();
         assert!(e.contains("--samples") && e.contains("10k"), "{e}");
         let e = a.try_get::<u64>("seed").unwrap_err();
@@ -211,15 +288,99 @@ mod tests {
     }
 
     #[test]
+    fn unread_arguments_are_usage_errors() {
+        // A flag the binary does not read, a misspelt one, a leg outside
+        // `ablation`'s list and a stray positional are all refused, each
+        // named in the message.
+        for (binary, raw, named) in [
+            (
+                "ablation",
+                &["--which", "A3", "--samples", "150", "--circuits", "s9234"][..],
+                "--which",
+            ),
+            ("ablation", &["A3", "--samples", "150"], "A3"),
+            ("ablation", &["sampler", "pruning"], "pruning"),
+            ("table1", &["--sample", "100"], "--sample"),
+            ("table1", &["s9234"], "s9234"),
+            ("fig5", &["--csv"], "--csv"),
+            ("perf_json", &["--circuits", "s9234"], "--circuits"),
+            ("simd_parity", &["--flow-samples", "10"], "--flow-samples"),
+        ] {
+            let e = parse(binary, raw).unwrap_err();
+            assert!(e.contains(binary) && e.contains(named), "{e}");
+        }
+    }
+
+    #[test]
+    fn every_flag_a_binary_reads_is_accepted() {
+        // Per binary: whether it reads `ExperimentConfig`'s five flags,
+        // its own flags that take a value, and its switches.
+        const EXPERIMENT: [&str; 5] = ["circuits", "samples", "yield-samples", "seed", "threads"];
+        let reads: [(&str, bool, &[&str], &[&str]); 7] = [
+            ("ablation", true, &["sigma"], &["all"]),
+            ("fig4_pruning", true, &["sigma"], &["all"]),
+            ("fig5", true, &["sigma", "buffers"], &["all"]),
+            ("fig6_grouping", true, &["sigma", "rt", "dt"], &["all"]),
+            ("table1", true, &[], &["all", "csv"]),
+            (
+                "perf_json",
+                false,
+                &[
+                    "circuit",
+                    "samples",
+                    "flow-samples",
+                    "campaign-samples",
+                    "seed",
+                    "out",
+                ],
+                &[],
+            ),
+            (
+                "simd_parity",
+                false,
+                &["circuit", "samples", "seed", "out"],
+                &[],
+            ),
+        ];
+        for (binary, experiment, own, switches) in reads {
+            let shared: &[&str] = if experiment { &EXPERIMENT } else { &[] };
+            let values: Vec<&str> = shared.iter().chain(own).copied().collect();
+            let mut raw = Vec::new();
+            for flag in &values {
+                raw.push(format!("--{flag}"));
+                raw.push("7".to_string());
+            }
+            raw.extend(switches.iter().map(|s| format!("--{s}")));
+            let a = Args::parse(binary, raw).unwrap_or_else(|e| panic!("{e}"));
+            for flag in &values {
+                assert_eq!(a.try_get::<u32>(flag), Ok(Some(7)), "{binary} --{flag}");
+            }
+            for switch in switches {
+                assert!(a.has(switch), "{binary} --{switch}");
+            }
+            assert_eq!(a.positional(), None);
+        }
+        for leg in ["concentrate", "pruning", "sampler", "zero-window", "all"] {
+            let a = parse(
+                "ablation",
+                &[leg, "--samples", "150", "--circuits", "s9234"],
+            )
+            .unwrap();
+            assert_eq!(a.positional(), Some(leg));
+            assert_eq!(a.try_get::<usize>("samples"), Ok(Some(150)));
+        }
+    }
+
+    #[test]
     fn experiment_config_selects_circuits() {
-        let a = Args::from_vec(vec!["--circuits".into(), "s9234".into()]);
+        let a = parse("table1", &["--circuits", "s9234"]).unwrap();
         let cfg = ExperimentConfig::parse(&a, &["s13207"]);
         assert_eq!(cfg.circuits.len(), 1);
         assert_eq!(cfg.circuits[0].name, "s9234");
-        let a = Args::from_vec(vec![]);
+        let a = parse("table1", &[]).unwrap();
         let cfg = ExperimentConfig::parse(&a, &["s13207"]);
         assert_eq!(cfg.circuits[0].name, "s13207");
-        let a = Args::from_vec(vec!["--all".into()]);
+        let a = parse("table1", &["--all"]).unwrap();
         let cfg = ExperimentConfig::parse(&a, &[]);
         assert_eq!(cfg.circuits.len(), 8);
     }

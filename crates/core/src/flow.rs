@@ -295,6 +295,9 @@ pub struct FlowDiagnostics {
     pub b2: PassDiagnostics,
     /// Distinct region systems in this flow's cross-chip memo table at
     /// the end of the run (0 in reference mode, which detaches the memo).
+    /// The table holds only branch-and-bound regions, those within
+    /// [`SolverOptions::region_cap`], so oversized regions never count
+    /// here.
     pub memo_entries: u64,
     /// Report of the independent result verifier, when it ran
     /// ([`FlowConfig::verify`] or `PSBI_VERIFY=1`).  Like every other

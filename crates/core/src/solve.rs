@@ -36,11 +36,14 @@
 //! push objective, the limits and, optionally, the flow-level
 //! [`RegionMemo`].  Region *discovery* (violation collection, BFS region
 //! growth, constraint attachment) is split from region *solving*: each
-//! discovered region's saturation-normalised system is looked up in the
-//! memo, and only a miss runs the support search (publishing its outcome
-//! for every later chip, pass and sweep target of the flow).  A hit is an
-//! exact-key replay of a pure function, so results are bit-identical with
-//! the memo attached or not.
+//! discovered region's saturation-normalised system is materialised and,
+//! if the region is within [`SolverOptions::region_cap`], looked up in the
+//! memo; only a miss runs the support search (publishing its outcome for
+//! every later chip, pass and sweep target of the flow).  A larger region
+//! is never keyed: it skips the branch and bound for the greedy fallback,
+//! which costs less than capturing, hashing and storing its key.  A hit is
+//! an exact-key replay of a pure function, so results are bit-identical
+//! with the memo attached or not, and whichever regions it holds.
 //!
 //! The generic big-M MILP formulation of the whole problem is also
 //! available ([`SampleSolver::solve_reference_milp`]) and is used by tests
@@ -66,8 +69,10 @@ use search::{
 };
 
 /// One solver stage's observability guards: a trace span plus a
-/// wall-clock histogram timer under the same name (`solve.stage.*`, and
-/// `solve.search.fallback` nested inside the search stage).  Both are
+/// wall-clock histogram timer under the same name (`solve.stage.*`:
+/// discovery, screen, materialize — constraint materialisation, memo key
+/// capture and lookup — search and milp; and `solve.search.fallback`
+/// nested inside the search stage).  Both are
 /// single-relaxed-load no-ops while disarmed — the solve reads no clock
 /// at all unless the obs registry or trace sink is armed.
 struct StageObs {
@@ -508,49 +513,56 @@ impl SampleSolver {
             if region.ffs.len() > req.opts.region_cap {
                 diag.regions_saturated += 1;
             }
-            let cons = materialize_cons(region, req.ic, req.space);
-            let outcome = self.region_outcome(req, region, &cons, diag);
+            let (cons, outcome) = self.region_outcome(req, region, diag);
             self.apply_outcome(req, region, &cons, &outcome, radius, &mut acc);
         }
         acc
     }
 
-    /// The region's push-independent search outcome: replayed from the
-    /// memo on an exact key match, otherwise searched fresh and published.
+    /// The region's materialised constraints and its push-independent
+    /// search outcome: replayed from the memo on an exact key match,
+    /// otherwise searched fresh and, if the memo holds regions of its
+    /// size, published.
     fn region_outcome(
         &mut self,
         req: &SolveRequest<'_>,
         region: &Region,
-        cons: &[RegCons],
         diag: &mut PassDiagnostics,
-    ) -> Arc<CachedOutcome> {
-        let entry = req
-            .memo
-            .map(|memo| (memo, MemoKey::capture(region, cons, req.space, req.opts)));
-        if let Some((memo, key)) = &entry {
-            if let Some(hit) = memo.lookup(key) {
-                diag.cross_chip_hits += 1;
-                psbi_obs::metrics::counter_add("solve.memo.hit", 1);
-                if psbi_fault::failpoint!("memo.replay.corrupt") {
-                    // Injected cache corruption: a claimed-feasible outcome
-                    // whose support is empty.  Downstream this yields a chip
-                    // "fixed" with no tunings — exactly the class of silent
-                    // wrong answer the independent verifier must flag.
-                    return Arc::new(CachedOutcome::Feasible {
-                        count: 0,
-                        support: Vec::new(),
-                        witness: Vec::new(),
-                        exact: true,
-                    });
-                }
-                return hit;
+    ) -> (Vec<RegCons>, Arc<CachedOutcome>) {
+        let (cons, entry, hit) = {
+            let _obs = stage_obs("solve.stage.materialize");
+            let cons = materialize_cons(region, req.ic, req.space);
+            let entry = req.memo.and_then(|memo| {
+                MemoKey::capture(region, &cons, req.space, req.opts).map(|key| (memo, key))
+            });
+            let hit = entry.as_ref().and_then(|(memo, key)| memo.lookup(key));
+            (cons, entry, hit)
+        };
+        if let Some(hit) = hit {
+            diag.cross_chip_hits += 1;
+            psbi_obs::metrics::counter_add("solve.memo.hit", 1);
+            if psbi_fault::failpoint!("memo.replay.corrupt") {
+                // Injected cache corruption: a claimed-feasible outcome
+                // whose support is empty.  Downstream this yields a chip
+                // "fixed" with no tunings — exactly the class of silent
+                // wrong answer the independent verifier must flag.
+                let corrupt = CachedOutcome::Feasible {
+                    count: 0,
+                    support: Vec::new(),
+                    witness: Vec::new(),
+                    exact: true,
+                };
+                return (cons, Arc::new(corrupt));
             }
+            return (cons, hit);
+        }
+        if entry.is_some() {
             psbi_obs::metrics::counter_add("solve.memo.miss", 1);
         }
         let (outcome, stats) = {
             let _obs = stage_obs("solve.stage.search");
             self.search
-                .search_region(&region.ffs, cons, req.space, req.opts, req.search_prune)
+                .search_region(&region.ffs, &cons, req.space, req.opts, req.search_prune)
         };
         diag.search_nodes += stats.nodes;
         diag.search_pruned_bound += stats.pruned_bound;
@@ -560,7 +572,7 @@ impl SampleSolver {
             memo.publish(key, Arc::clone(&outcome));
             psbi_obs::metrics::counter_add("solve.memo.publish", 1);
         }
-        outcome
+        (cons, outcome)
     }
 
     /// Applies one region's search outcome to the round accumulator:
@@ -1036,10 +1048,11 @@ impl SampleSolver {
 /// Normalisation is applied identically with and without the memo (it is
 /// part of the materialisation, not the cache), and it makes the
 /// materialised system — and therefore the memo key — invariant to slack
-/// drift on non-binding constraints.  That is what lets adjacent sweep targets,
-/// whose period shift perturbs every non-critical bound by a step or
-/// two, still replay each other's search outcomes for chips whose
-/// *binding* structure is unchanged.
+/// drift on non-binding constraints.  That is what lets adjacent sweep
+/// targets, whose period shift perturbs every non-critical bound by a
+/// step or two, still replay each other's search outcomes for chips whose
+/// *binding* structure is unchanged — for branch-and-bound regions only,
+/// since regions over [`SolverOptions::region_cap`] are not memoised.
 fn materialize_cons(region: &Region, ic: ConstraintsView<'_>, space: &BufferSpace) -> Vec<RegCons> {
     // Membership is checked against the region's sorted FF list; regions
     // are small, so a sorted probe beats touching an n-sized scratch.

@@ -24,8 +24,8 @@
 //!   attachment order (`violated`, `var_of` and the feasibility systems
 //!   are all derived from these),
 //! * each region FF's tuning window,
-//! * the [`SolverOptions`] limits (`region_cap` picks the fallback path,
-//!   `bb_node_cap` bounds the search).
+//! * the [`SolverOptions`] limits (`bb_node_cap` bounds the search;
+//!   `region_cap` decides whether the region is keyed at all, see below).
 //!
 //! Replay is **verified**: a hit requires *exact value equality* on the
 //! full key — the hash only picks the shard and the bucket (the standard
@@ -34,6 +34,33 @@
 //! which worker computed it first, which is what keeps flow results and
 //! fleet journals byte-identical for any worker count and with the table
 //! detached (reference mode, `PSBI_REFERENCE=1`).
+//!
+//! # What is memoised
+//!
+//! Only regions the branch and bound solves: those with at most
+//! [`SolverOptions::region_cap`] flip-flops.  [`MemoKey::capture`]
+//! returns `None` for a larger region, so it is never keyed, looked up
+//! or published.
+//!
+//! * **Nothing is lost.**  An oversized region never enters the branch
+//!   and bound: its outcome is the greedy
+//!   [`sparsify`](super::search::SupportSearch::sparsify) fallback over
+//!   the relaxation witness.  A replay would save one fallback call and
+//!   no search node, while its key would copy, hash and store every
+//!   attached constraint.  On an s38584 Table I cell at the mean period,
+//!   2 072 of the 2 194 regions are oversized; keying them held a third
+//!   of the process's peak memory (63 against 42 MiB), and none of them
+//!   was ever replayed.
+//! * **Nothing observable moves.**  An outcome is a pure function of
+//!   its key, so a region solved fresh returns the bytes a replay would
+//!   have: results, journals and reports are unchanged.  The workload
+//!   counters do not depend on the memo's scope either.
+//!   [`PassDiagnostics::regions_total`] and
+//!   [`PassDiagnostics::regions_saturated`] are counted before the
+//!   lookup, and [`PassDiagnostics::search_nodes`] only inside the
+//!   branch and bound, which an oversized region never reaches.  Only
+//!   [`PassDiagnostics::cross_chip_hits`] can fall, by the replays of
+//!   oversized regions it used to count.
 //!
 //! # Concurrency
 //!
@@ -63,9 +90,9 @@ use std::sync::{Arc, Mutex};
 /// reports must never embed them.
 ///
 /// Per-stage wall times live in the `psbi_obs` metrics histograms
-/// (`solve.stage.discovery` / `.screen` / `.search` / `.milp`), recorded
-/// only when the registry is armed, so the disarmed solve pays no clock
-/// reads at all.
+/// (`solve.stage.discovery` / `.screen` / `.materialize` / `.search` /
+/// `.milp`), recorded only when the registry is armed, so the disarmed
+/// solve pays no clock reads at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PassDiagnostics {
     /// Regions processed (counted once per round they participate in).
@@ -82,8 +109,10 @@ pub struct PassDiagnostics {
     pub supports_rehit: u64,
     /// Regions whose search outcome was replayed from the flow-level memo
     /// table — published by any chip of any pass, this chip's own earlier
-    /// passes included.  Schedule-dependent with more than one worker;
-    /// results never are.
+    /// passes included.  Only regions within
+    /// [`SolverOptions::region_cap`] are memoised (see [`RegionMemo`]),
+    /// so an oversized region never counts here.  Schedule-dependent with
+    /// more than one worker; results never are.
     pub cross_chip_hits: u64,
     /// Branch-and-bound nodes visited by fresh region searches.  Each
     /// search's count is a deterministic function of its region system
@@ -162,14 +191,19 @@ pub(crate) struct MemoKey {
 
 impl MemoKey {
     /// Captures the exact search inputs of `region` under the
-    /// materialised constraints `cons` and the windows of `space`.
+    /// materialised constraints `cons` and the windows of `space`, or
+    /// `None` when the region is over `opts.region_cap` and so is not
+    /// memoised (see the module docs).
     pub(crate) fn capture(
         region: &Region,
         cons: &[RegCons],
         space: &BufferSpace,
         opts: &SolverOptions,
-    ) -> Self {
-        Self {
+    ) -> Option<Self> {
+        if region.ffs.len() > opts.region_cap {
+            return None;
+        }
+        Some(Self {
             ffs: region.ffs.as_slice().into(),
             cons: cons
                 .iter()
@@ -183,7 +217,7 @@ impl MemoKey {
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             opts: *opts,
-        }
+        })
     }
 
     /// The shard this key lives in.  Any deterministic hash works here —
@@ -198,7 +232,13 @@ impl MemoKey {
 
 /// A flow-level (optionally fleet-level) concurrent memo table of region
 /// search outcomes, keyed by the exact saturation-normalised region
-/// system (see the module docs).
+/// system.
+///
+/// It holds only regions the branch and bound solves, those within
+/// [`SolverOptions::region_cap`]: an oversized region's greedy fallback
+/// costs less than its key, which copies every attached constraint, and
+/// its outcome is a pure function of that key, so leaving it out changes
+/// no result.
 ///
 /// One table serves **one** flow — it is owner-keyed in the
 /// [`WorkspacePool`](crate::flow::WorkspacePool), so a cached region can
@@ -290,7 +330,7 @@ mod tests {
                 bound: 20,
             },
         ];
-        let key = MemoKey::capture(&region(&[0, 1, 2]), &cons, &sp, &opts);
+        let key = MemoKey::capture(&region(&[0, 1, 2]), &cons, &sp, &opts).unwrap();
         memo.publish(key.clone(), Arc::new(CachedOutcome::Infeasible));
         assert_eq!(memo.len(), 1);
         assert!(memo.lookup(&key).is_some());
@@ -298,22 +338,22 @@ mod tests {
         // Any single-component difference must miss: a shifted bound …
         let mut shifted = cons.clone();
         shifted[0].bound = -2;
-        let miss = MemoKey::capture(&region(&[0, 1, 2]), &shifted, &sp, &opts);
+        let miss = MemoKey::capture(&region(&[0, 1, 2]), &shifted, &sp, &opts).unwrap();
         assert!(memo.lookup(&miss).is_none());
         // … a different FF order (slots renumber) …
-        let miss = MemoKey::capture(&region(&[1, 0, 2]), &cons, &sp, &opts);
+        let miss = MemoKey::capture(&region(&[1, 0, 2]), &cons, &sp, &opts).unwrap();
         assert!(memo.lookup(&miss).is_none());
         // … a different window …
         let mut narrow = space(4);
         narrow.bounds[1] = (-1, 1);
-        let miss = MemoKey::capture(&region(&[0, 1, 2]), &cons, &narrow, &opts);
+        let miss = MemoKey::capture(&region(&[0, 1, 2]), &cons, &narrow, &opts).unwrap();
         assert!(memo.lookup(&miss).is_none());
         // … or different solver limits.
         let capped = SolverOptions {
             bb_node_cap: 7,
             ..opts
         };
-        let miss = MemoKey::capture(&region(&[0, 1, 2]), &cons, &sp, &capped);
+        let miss = MemoKey::capture(&region(&[0, 1, 2]), &cons, &sp, &capped).unwrap();
         assert!(memo.lookup(&miss).is_none());
         assert_eq!(memo.len(), 1);
     }
@@ -328,7 +368,7 @@ mod tests {
             b: 1,
             bound: -1,
         }];
-        let key = MemoKey::capture(&region(&[0, 1]), &cons, &sp, &opts);
+        let key = MemoKey::capture(&region(&[0, 1]), &cons, &sp, &opts).unwrap();
         let first = Arc::new(CachedOutcome::Feasible {
             count: 1,
             support: vec![0],

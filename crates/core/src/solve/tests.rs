@@ -442,7 +442,9 @@ mod prop {
         /// bounds differ only above the saturation cap produce equal
         /// memo keys, so the second solve replays the first chip's
         /// outcomes through the shared memo and still matches its own
-        /// cold solve bit for bit.
+        /// cold solve bit for bit.  Half the cases draw a `region_cap`
+        /// of 1–4, so some regions are oversized: the memo must skip
+        /// them and the with-memo results must still equal the cold ones.
         #[test]
         fn equal_memo_keys_produce_bitwise_equal_outcomes(
             n in 3usize..6,
@@ -450,6 +452,7 @@ mod prop {
             raw_setup in proptest::collection::vec(-4i64..6, 8),
             raw_hold in proptest::collection::vec(-2i64..6, 8),
             bump in 1i64..5,
+            region_cap in prop_oneof![1usize..5, Just(SolverOptions::default().region_cap)],
         ) {
             let edges: Vec<(u32, u32)> = raw_edges
                 .into_iter()
@@ -462,7 +465,7 @@ mod prop {
             // at most 4, so every bound ≥ 4 is vacuous and clamps.
             let space = BufferSpace::floating(n, 2);
             let cap = 4i64;
-            let opts = SolverOptions::default();
+            let opts = SolverOptions { region_cap, ..SolverOptions::default() };
 
             // (a) purity: independent solvers, bit-equal results.
             let mut s1 = SampleSolver::new();
@@ -479,9 +482,12 @@ mod prop {
             let ic_b = constraints(&bumped, &raw_hold[..m]);
             let memo = RegionMemo::new();
             let via_a = solve_memo(&mut s1,
-                &sg, ic.as_view(), &space, PushObjective::ToZero, &opts, &memo).result;
-            prop_assert_eq!(&via_a, &one, "memo publish pass must stay cold-identical");
+                &sg, ic.as_view(), &space, PushObjective::ToZero, &opts, &memo);
+            prop_assert_eq!(&via_a.result, &one, "memo publish pass must stay cold-identical");
             let published = memo.len();
+            if via_a.diag.regions_saturated == via_a.diag.regions_total {
+                prop_assert_eq!(published, 0, "oversized regions must not be memoised");
+            }
             let via_b = solve_memo(&mut s2,
                 &sg, ic_b.as_view(), &space, PushObjective::ToZero, &opts, &memo);
             let cold_b = s1.solve(SolveRequest::new(&sg, ic_b.as_view(), &space, PushObjective::ToZero, &opts)).result;
@@ -673,7 +679,7 @@ fn outcome_replay_rejects_aliased_surviving_systems() {
     let recorded = vec![mk(0, 1, 2), mk(1, 0, -1)];
     let memo = RegionMemo::new();
     memo.publish(
-        MemoKey::capture(&region, &recorded, &space, &opts),
+        MemoKey::capture(&region, &recorded, &space, &opts).unwrap(),
         Arc::new(CachedOutcome::Feasible {
             count: 1,
             support: vec![1],
@@ -682,7 +688,7 @@ fn outcome_replay_rejects_aliased_surviving_systems() {
         }),
     );
     let replay = |cons: &[RegCons]| {
-        memo.lookup(&MemoKey::capture(&region, cons, &space, &opts))
+        memo.lookup(&MemoKey::capture(&region, cons, &space, &opts).unwrap())
             .is_some()
     };
     assert!(replay(&recorded), "identity replays");
@@ -903,6 +909,44 @@ fn oversized_region_falls_back_to_sparsified_witness() {
     check_valid(&sg, &ic, &space, &r);
     // Sparsification keeps the fix small even without exact search.
     assert!(r.count() <= 4, "sparsified count {} too large", r.count());
+
+    // The memo holds only branch-and-bound regions: with it attached, the
+    // capped chain solves to the memo-less result and the table stays
+    // empty, so a second solve finds nothing to replay.
+    let memo = RegionMemo::new();
+    let solve = |s: &mut SampleSolver, opts: &SolverOptions| {
+        solve_memo(
+            s,
+            &sg,
+            ic.as_view(),
+            &space,
+            PushObjective::ToZero,
+            opts,
+            &memo,
+        )
+    };
+    for _ in 0..2 {
+        let capped = solve(&mut s, &opts);
+        assert_eq!(capped.result, r);
+        assert!(capped.diag.regions_saturated > 0);
+        assert_eq!(memo.len(), 0, "an oversized region must not be memoised");
+        assert_eq!(capped.diag.cross_chip_hits, 0);
+    }
+    // At the default cap the same region is searched and published, and a
+    // second solve replays it.
+    let default = SolverOptions::default();
+    let first = solve(&mut s, &default);
+    assert_eq!(first.diag.regions_saturated, 0);
+    assert!(
+        !memo.is_empty(),
+        "a branch-and-bound region must be published"
+    );
+    let second = solve(&mut s, &default);
+    assert!(
+        second.diag.cross_chip_hits > 0,
+        "a published region must replay"
+    );
+    assert_eq!(second.result, first.result);
 }
 
 #[test]

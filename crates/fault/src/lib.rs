@@ -266,11 +266,14 @@ mod tests {
 
     #[test]
     fn malformed_specs_are_rejected() {
-        assert!(super::install("site@k").is_err());
-        assert!(super::install("site@k=x").is_err());
-        assert!(super::install("@k=1").is_err());
-        assert!(super::install("site@nth=0").is_err());
-        super::clear();
+        // Behind the `with_spec` gate: the rules are process-global, so a
+        // bare `clear` could wipe a concurrently running test's spec.
+        super::with_spec("", || {
+            assert!(super::install("site@k").is_err());
+            assert!(super::install("site@k=x").is_err());
+            assert!(super::install("@k=1").is_err());
+            assert!(super::install("site@nth=0").is_err());
+        });
     }
 
     #[test]

@@ -185,6 +185,7 @@ fn trace_is_valid_json_with_nested_spans_and_covers_every_layer() {
         "timing.extract",
         "solve.stage.discovery",
         "solve.stage.screen",
+        "solve.stage.materialize",
         "solve.stage.search",
         "solve.stage.milp",
     ] {
