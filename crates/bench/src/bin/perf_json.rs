@@ -28,7 +28,6 @@ use psbi_bench::Args;
 use psbi_core::flow::{BufferInsertionFlow, FlowConfig, TargetPeriod};
 use psbi_fleet::{run_campaign, CampaignSpec, FleetOptions};
 use psbi_liberty::Library;
-use psbi_netlist::bench_suite;
 use psbi_netlist::bench_suite::CircuitRef;
 use psbi_timing::graph::TimingGraph;
 use psbi_timing::sample::{
@@ -64,7 +63,8 @@ fn main() {
     // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
     let _obs = psbi_obs::flush_on_drop();
     let args = Args::from_env("perf_json");
-    let circuit_name: String = args.get("circuit").unwrap_or_else(|| "s9234".to_string());
+    let spec = args.circuit();
+    let circuit_name = spec.name;
     let samples: usize = args.get("samples").unwrap_or(10_000);
     let flow_samples: usize = args.get("flow-samples").unwrap_or(1_000);
     let seed: u64 = args.get("seed").unwrap_or(42);
@@ -85,9 +85,6 @@ fn main() {
     }
     let disarmed_span_ns = t_obs.elapsed().as_nanos() as f64 / obs_iters as f64;
 
-    let spec = bench_suite::by_name(&circuit_name).unwrap_or_else(|| {
-        panic!("unknown circuit `{circuit_name}`; see bench_suite::paper_suite()")
-    });
     let circuit = spec.generate();
     let lib = Library::industry_like();
     let model = VariationModel::paper_defaults();

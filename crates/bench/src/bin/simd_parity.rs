@@ -16,7 +16,6 @@
 
 use psbi_bench::Args;
 use psbi_liberty::Library;
-use psbi_netlist::bench_suite;
 use psbi_timing::graph::TimingGraph;
 use psbi_timing::sample::{chip_rng, sample_canonical, CanonicalBatchSampler, SampleBatch};
 use psbi_timing::seq::SequentialGraph;
@@ -42,13 +41,12 @@ fn main() {
     // Write env-armed `PSBI_TRACE` / `PSBI_METRICS` output on exit.
     let _obs = psbi_obs::flush_on_drop();
     let args = Args::from_env("simd_parity");
-    let circuit_name: String = args.get("circuit").unwrap_or_else(|| "s9234".to_string());
+    let spec = args.circuit();
+    let circuit_name = spec.name;
     let samples: usize = args.get("samples").unwrap_or(256);
     let seed: u64 = args.get("seed").unwrap_or(42);
     let out_path: String = args.get("out").unwrap_or_else(|| "parity.bin".to_string());
 
-    let spec = bench_suite::by_name(&circuit_name)
-        .unwrap_or_else(|| panic!("unknown circuit `{circuit_name}`"));
     let circuit = spec.generate();
     let lib = Library::industry_like();
     let model = VariationModel::paper_defaults();

@@ -148,10 +148,12 @@ impl Args {
         self.raw.iter().any(|a| a == &flag)
     }
 
-    /// Comma-separated list value of `--key a,b,c`.
-    pub fn list(&self, key: &str) -> Option<Vec<String>> {
-        self.get::<String>(key)
-            .map(|s| s.split(',').map(|x| x.trim().to_string()).collect())
+    /// The paper-suite circuit `--circuit` names (default `s9234`).  A
+    /// name no suite entry matches is a usage error: it is reported on
+    /// stderr and the process exits with status 2.
+    pub fn circuit(&self) -> BenchmarkSpec {
+        let name: String = self.get("circuit").unwrap_or_else(|| "s9234".to_string());
+        suite_circuit(&name).unwrap_or_else(|e| usage_error(&e))
     }
 }
 
@@ -159,6 +161,16 @@ impl Args {
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2)
+}
+
+/// The paper-suite circuit called `name`, or a usage error naming it.
+fn suite_circuit(name: &str) -> Result<BenchmarkSpec, String> {
+    psbi_netlist::bench_suite::by_name(name).ok_or_else(|| {
+        format!(
+            "unknown circuit `{name}` (the suite has {})",
+            psbi_netlist::bench_suite::suite_names().join(", ")
+        )
+    })
 }
 
 /// Common experiment knobs parsed from the command line.
@@ -178,35 +190,36 @@ pub struct ExperimentConfig {
 
 impl ExperimentConfig {
     /// Parses the shared knobs; `default_circuits` is used when neither
-    /// `--circuits` nor `--all` is given.
+    /// `--circuits` nor `--all` is given.  A circuit name no suite entry
+    /// matches is a usage error, like a malformed value: it is reported
+    /// on stderr and the process exits with status 2.
     pub fn parse(args: &Args, default_circuits: &[&str]) -> Self {
-        let suite = psbi_netlist::bench_suite::paper_suite();
-        let circuits: Vec<BenchmarkSpec> = if args.has("all") {
-            suite
-        } else if let Some(names) = args.list("circuits") {
-            names
-                .iter()
-                .filter_map(|n| {
-                    let found = psbi_netlist::bench_suite::by_name(n);
-                    if found.is_none() {
-                        eprintln!("warning: unknown circuit `{n}` skipped");
-                    }
-                    found
-                })
-                .collect()
+        Self::try_parse(args, default_circuits).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// As [`ExperimentConfig::parse`], but returns the usage error
+    /// instead of exiting.
+    fn try_parse(args: &Args, default_circuits: &[&str]) -> Result<Self, String> {
+        let circuits = if args.has("all") {
+            psbi_netlist::bench_suite::paper_suite()
         } else {
-            default_circuits
-                .iter()
-                .filter_map(|n| psbi_netlist::bench_suite::by_name(n))
-                .collect()
+            let list = args.try_get::<String>("circuits")?;
+            let names: Vec<&str> = match &list {
+                Some(list) => list.split(',').map(str::trim).collect(),
+                None => default_circuits.to_vec(),
+            };
+            names
+                .into_iter()
+                .map(suite_circuit)
+                .collect::<Result<_, _>>()?
         };
-        Self {
-            samples: args.get("samples").unwrap_or(1000),
-            yield_samples: args.get("yield-samples").unwrap_or(4000),
-            seed: args.get("seed").unwrap_or(42),
-            threads: args.get("threads").unwrap_or(0),
+        Ok(Self {
+            samples: args.try_get("samples")?.unwrap_or(1000),
+            yield_samples: args.try_get("yield-samples")?.unwrap_or(4000),
+            seed: args.try_get("seed")?.unwrap_or(42),
+            threads: args.try_get("threads")?.unwrap_or(0),
             circuits,
-        }
+        })
     }
 
     /// The flow configuration for one circuit at `µT + k·σT`.
@@ -270,8 +283,8 @@ mod tests {
         assert_eq!(a.get::<usize>("samples"), Some(500));
         assert!(a.has("all"));
         assert_eq!(
-            a.list("circuits"),
-            Some(vec!["s9234".to_string(), "s13207".to_string()])
+            a.get::<String>("circuits").as_deref(),
+            Some("s9234, s13207")
         );
         assert_eq!(a.get::<usize>("missing"), None);
     }
@@ -383,6 +396,27 @@ mod tests {
         let a = parse("table1", &["--all"]).unwrap();
         let cfg = ExperimentConfig::parse(&a, &[]);
         assert_eq!(cfg.circuits.len(), 8);
+    }
+
+    #[test]
+    fn unknown_circuits_are_usage_errors() {
+        // A misspelt name among valid ones refuses the whole selection,
+        // naming the circuit, instead of leaving a binary no circuit.
+        let a = parse("ablation", &["sampler", "--circuits", "s9234, s9243"]).unwrap();
+        let e = ExperimentConfig::try_parse(&a, &["s9234"]).unwrap_err();
+        assert!(e.contains("`s9243`") && e.contains("s9234"), "{e}");
+        let a = parse("fig5", &["--circuits", "nope"]).unwrap();
+        let e = ExperimentConfig::try_parse(&a, &["s9234"]).unwrap_err();
+        assert!(e.contains("`nope`"), "{e}");
+        let a = parse("table1", &["--circuits", "s9234,s13207"]).unwrap();
+        let cfg = ExperimentConfig::try_parse(&a, &[]).unwrap();
+        let names: Vec<_> = cfg.circuits.iter().map(|c| c.name).collect();
+        assert_eq!(names, ["s9234", "s13207"]);
+        // `--circuit` (perf_json, simd_parity) resolves through the same
+        // lookup.
+        let e = suite_circuit("nope").unwrap_err();
+        assert!(e.contains("`nope`"), "{e}");
+        assert_eq!(suite_circuit("s38584").unwrap().name, "s38584");
     }
 
     #[test]

@@ -124,9 +124,6 @@ pub struct FlowConfig {
     pub gate_level_sampling: bool,
     /// Per-sample solver limits.
     pub solver: SolverOptions,
-    /// Clock-skew generator; `None` scales to the circuit's mean stage
-    /// delay as in §IV ("we also added clock skews").
-    pub skew: Option<SkewConfig>,
     /// Record per-stage histograms for this many most-used buffers
     /// (regenerates the paper's Fig. 5).
     pub record_histograms: usize,
@@ -169,7 +166,6 @@ impl Default for FlowConfig {
             threads: 0,
             gate_level_sampling: false,
             solver: SolverOptions::default(),
-            skew: None,
             record_histograms: 0,
             verify: false,
             reference: false,
@@ -593,13 +589,6 @@ pub struct BufferInsertionFlow<'a> {
     zero_yield: ZeroPassTable,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Push {
-    CountOnly,
-    ToZero,
-    ToTargets,
-}
-
 /// Accumulated output of one sampling pass.
 struct PassOutput {
     counts: Vec<u64>,
@@ -708,10 +697,8 @@ impl<'a> FlowBuilder<'a> {
             return Err(FlowError::NoSequentialPaths);
         }
         let placement = Placement::grid(circuit, 1.0);
-        let skew_cfg = cfg
-            .skew
-            .unwrap_or_else(|| SkewConfig::scaled_to(sg.mean_stage_delay()));
-        let skews = skew_cfg.assign(circuit, stream_seed(cfg.seed, "skew"));
+        let skews = SkewConfig::scaled_to(sg.mean_stage_delay())
+            .assign(circuit, stream_seed(cfg.seed, "skew"));
         let canon = CanonicalBatchSampler::new(&sg);
         let thread_pool = if cfg.threads > 0 {
             Some(
@@ -820,13 +807,6 @@ impl<'a> BufferInsertionFlow<'a> {
         self.pool.release_owner(self.id);
     }
 
-    /// The workspace pool this flow draws workers' scratch from — hand it
-    /// to further flows ([`FlowBuilder::pool`]) to share solver
-    /// workspaces across a campaign.
-    pub fn workspace_pool(&self) -> Arc<WorkspacePool> {
-        Arc::clone(&self.pool)
-    }
-
     /// The sequential timing graph the flow operates on.
     pub fn sequential_graph(&self) -> &SequentialGraph {
         &self.sg
@@ -835,16 +815,6 @@ impl<'a> BufferInsertionFlow<'a> {
     /// The fixed clock-tree skews (ps, per dense FF index).
     pub fn skews(&self) -> &[f64] {
         &self.skews
-    }
-
-    /// Name of the sampling-kernel backend every pass of this flow runs
-    /// on (`avx2`, `neon`, or `scalar`) — the process-wide
-    /// [`psbi_timing::simd::active`] selection, overridable with
-    /// `PSBI_FORCE_SCALAR=1`.  All backends are bit-identical, so this is
-    /// observability only: perf harnesses record it next to their
-    /// timings.
-    pub fn sampling_backend(&self) -> &'static str {
-        psbi_timing::simd::active().name()
     }
 
     /// The flip-flop placement used for grouping distances.
@@ -1045,13 +1015,11 @@ impl<'a> BufferInsertionFlow<'a> {
     /// zero-pass table settles at `period` are not drawn: they get the
     /// solver's outcome for a chip without violations, untuned and
     /// feasible.
-    #[allow(clippy::too_many_arguments)]
     fn run_pass(
         &self,
         space: &BufferSpace,
         memo: Option<&RegionMemo>,
-        push: Push,
-        targets: Option<&[f64]>,
+        push: PushObjective<'_>,
         record_matrix: bool,
         period: f64,
         step: f64,
@@ -1102,13 +1070,6 @@ impl<'a> BufferInsertionFlow<'a> {
                 feasible: Vec::with_capacity(len),
                 tunings: Vec::new(),
             };
-            let objective = match push {
-                Push::CountOnly => PushObjective::None,
-                Push::ToZero => PushObjective::ToZero,
-                Push::ToTargets => {
-                    PushObjective::ToTargets(targets.expect("targets provided for ToTargets"))
-                }
-            };
             // Chips are solved in chip order, so a chip's memo publishes
             // land before the next chip of the chunk looks them up.
             let mut drawn = ws.chips.iter().enumerate().peekable();
@@ -1119,7 +1080,7 @@ impl<'a> BufferInsertionFlow<'a> {
                             &self.sg,
                             ws.cons.view(row),
                             space,
-                            objective,
+                            push,
                             &self.cfg.solver,
                         )
                         .search_prune(prune);
@@ -1277,7 +1238,7 @@ impl<'a> BufferInsertionFlow<'a> {
         let a1 = {
             let _span = psbi_obs::Span::enter("flow.pass.a1");
             let _timer = psbi_obs::metrics::timer("flow.pass.a1");
-            self.run_pass(&space, memo, Push::CountOnly, None, false, period, step)
+            self.run_pass(&space, memo, PushObjective::None, false, period, step)
         };
         let pass_a1_s = tp.elapsed().as_secs_f64();
         let prune_report = prune(
@@ -1288,15 +1249,15 @@ impl<'a> BufferInsertionFlow<'a> {
             self.cfg.samples as u64,
         );
         let a3_push = if self.cfg.concentrate {
-            Push::ToZero
+            PushObjective::ToZero
         } else {
-            Push::CountOnly
+            PushObjective::None
         };
         let tp = Instant::now();
         let a3 = {
             let _span = psbi_obs::Span::enter("flow.pass.a3");
             let _timer = psbi_obs::metrics::timer("flow.pass.a3");
-            self.run_pass(&space, memo, a3_push, None, false, period, step)
+            self.run_pass(&space, memo, a3_push, false, period, step)
         };
         let pass_a3_s = tp.elapsed().as_secs_f64();
         // Window assignment (III-A4): most-covering window containing 0.
@@ -1322,7 +1283,7 @@ impl<'a> BufferInsertionFlow<'a> {
             let b1 = {
                 let _span = psbi_obs::Span::enter("flow.pass.b1");
                 let _timer = psbi_obs::metrics::timer("flow.pass.b1");
-                self.run_pass(&space, memo, Push::CountOnly, None, false, period, step)
+                self.run_pass(&space, memo, PushObjective::None, false, period, step)
             };
             (b1, tp.elapsed().as_secs_f64())
         } else {
@@ -1356,15 +1317,15 @@ impl<'a> BufferInsertionFlow<'a> {
             })
             .collect();
         let b2_push = if self.cfg.concentrate {
-            Push::ToTargets
+            PushObjective::ToTargets(&targets)
         } else {
-            Push::CountOnly
+            PushObjective::None
         };
         let tp = Instant::now();
         let b2 = {
             let _span = psbi_obs::Span::enter("flow.pass.b2");
             let _timer = psbi_obs::metrics::timer("flow.pass.b2");
-            self.run_pass(&space, memo, b2_push, Some(&targets), true, period, step)
+            self.run_pass(&space, memo, b2_push, true, period, step)
         };
         let pass_b2_s = tp.elapsed().as_secs_f64();
         let step2_s = t2.elapsed().as_secs_f64();

@@ -75,11 +75,6 @@ impl Grouping {
         }
         self.groups.iter().map(|g| g.range() as f64).sum::<f64>() / self.groups.len() as f64
     }
-
-    /// Group index serving FF `ff`, if any.
-    pub fn group_of(&self, ff: usize) -> Option<usize> {
-        self.groups.iter().position(|g| g.members.contains(&ff))
-    }
 }
 
 /// A buffer candidate entering grouping.
@@ -312,7 +307,7 @@ mod tests {
     }
 
     #[test]
-    fn group_of_and_average_range() {
+    fn average_range_of_one_group() {
         let p = placement();
         let col = vec![0.0, 4.0, 4.0, 0.0];
         let g = group_buffers(
@@ -320,9 +315,8 @@ mod tests {
             &p,
             &GroupConfig::default(),
         );
-        assert_eq!(g.group_of(0), Some(0));
-        assert_eq!(g.group_of(1), Some(0));
-        assert_eq!(g.group_of(2), None);
+        assert_eq!(g.groups.len(), 1);
+        assert_eq!(g.groups[0].members, vec![0, 1]);
         assert!((g.average_range() - 4.0).abs() < 1e-12);
     }
 

@@ -35,14 +35,16 @@
 //! [`SolveRequest`] carrying the constraint view, the buffer space, the
 //! push objective, the limits and, optionally, the flow-level
 //! [`RegionMemo`].  Region *discovery* (violation collection, BFS region
-//! growth, constraint attachment) is split from region *solving*: each
-//! discovered region's saturation-normalised system is materialised and,
-//! if the region is within [`SolverOptions::region_cap`], looked up in the
-//! memo; only a miss runs the support search (publishing its outcome for
-//! every later chip, pass and sweep target of the flow).  A larger region
-//! is never keyed: it skips the branch and bound for the greedy fallback,
-//! which costs less than capturing, hashing and storing its key.  A hit is
-//! an exact-key replay of a pure function, so results are bit-identical
+//! growth, the components and each member's slot) is split from region
+//! *solving*.  Between them one constraint walk per round leaves every
+//! region solve-ready, its saturation-normalised system attached (see
+//! `SampleSolver::attach_cons`).  A region within
+//! [`SolverOptions::region_cap`] is then looked up in the memo; only a
+//! miss runs the support search (publishing its outcome for every later
+//! chip, pass and sweep target of the flow).  A larger region is never
+//! keyed: it skips the branch and bound for the greedy fallback, which
+//! costs less than capturing, hashing and storing its key.  A hit is an
+//! exact-key replay of a pure function, so results are bit-identical
 //! with the memo attached or not, and whichever regions it holds.
 //!
 //! The generic big-M MILP formulation of the whole problem is also
@@ -52,9 +54,7 @@
 use crate::yield_eval::ChipCheck;
 use psbi_milp::{Model, Op, Status};
 use psbi_timing::feasibility::{Arc as FeasArc, DiffSolver};
-use psbi_timing::{
-    ConstraintKind, ConstraintsView, IntegerConstraints, SequentialGraph, Violation,
-};
+use psbi_timing::{ConstraintsView, IntegerConstraints, SequentialGraph, Violation};
 use std::sync::Arc;
 
 mod memo;
@@ -70,7 +70,7 @@ use search::{
 
 /// One solver stage's observability guards: a trace span plus a
 /// wall-clock histogram timer under the same name (`solve.stage.*`:
-/// discovery, screen, materialize — constraint materialisation, memo key
+/// discovery, screen, materialize — the constraint walk, memo key
 /// capture and lookup — search and milp; and `solve.search.fallback`
 /// nested inside the search stage).  Both are
 /// single-relaxed-load no-ops while disarmed — the solve reads no clock
@@ -220,8 +220,9 @@ pub(crate) struct RegCons {
 pub struct SampleSolver {
     /// The whole-chip saturation screen's feasibility check.
     check: ChipCheck,
-    /// Scratch: per-FF region id (or `NONE`).
-    region_of: Vec<u32>,
+    /// Scratch: per-FF slot in its region of the current round (its index
+    /// in [`Region::ffs`]), or `NONE` outside every region.
+    slot_of: Vec<u32>,
     /// Scratch: visited stamp for BFS.
     dist: Vec<u32>,
     /// Scratch: violated constraints of the current chip.
@@ -251,8 +252,6 @@ struct RoundAcc {
 #[derive(Debug, Default)]
 struct SearchScratch {
     diff: DiffSolver,
-    /// Per-FF variable slot within a support check.
-    var_of: Vec<u32>,
     /// Per-node scratch reused by every support-search probe.
     ss_vars: Vec<u32>,
     ss_slot: Vec<u32>,
@@ -266,25 +265,21 @@ struct SearchScratch {
 
 impl SearchScratch {
     /// Region-*solving* half: the support branch and bound, as a pure
-    /// function of (region FFs, materialised constraints, tuning windows,
-    /// limits).  The outcome is push-independent — what makes it cacheable
-    /// across passes with different objectives — and warm-state
-    /// independent.
+    /// function of (region FFs, attached constraints, tuning windows,
+    /// limits).  `slot_of` maps each FF of `ffs` to its index there and
+    /// every other endpoint of `cons` to `NONE`.  The outcome is
+    /// push-independent — what makes it cacheable across passes with
+    /// different objectives — and warm-state independent.
     fn search_region(
         &mut self,
         ffs: &[u32],
         cons: &[RegCons],
+        slot_of: &[u32],
         space: &BufferSpace,
         opts: &SolverOptions,
         prune: bool,
     ) -> (CachedOutcome, SearchStats) {
         let m = ffs.len();
-        // Map ff -> local slot.
-        self.var_of.clear();
-        self.var_of.resize(space.has_buffer.len(), NONE);
-        for (slot, &ff) in ffs.iter().enumerate() {
-            self.var_of[ff as usize] = slot as u32;
-        }
         let violated_local: Vec<usize> = cons
             .iter()
             .enumerate()
@@ -297,7 +292,7 @@ impl SearchScratch {
         // thousands of feasibility probes share four allocations.
         let mut search = SupportSearch {
             solver: &mut self.diff,
-            var_of: &self.var_of,
+            slot_of,
             region_ffs: ffs,
             cons,
             violated: &violated_local,
@@ -490,8 +485,8 @@ impl SampleSolver {
         }
     }
 
-    /// One growth round: discovers the regions at `radius` and solves each
-    /// in pinned region order.
+    /// One growth round: discovers the regions at `radius`, attaches
+    /// their constraints and solves each in pinned region order.
     fn solve_round(
         &mut self,
         req: &SolveRequest<'_>,
@@ -499,10 +494,14 @@ impl SampleSolver {
         radius: usize,
         diag: &mut PassDiagnostics,
     ) -> RoundAcc {
-        let regions = {
+        let mut regions = {
             let _obs = stage_obs("solve.stage.discovery");
             self.collect_regions(req.sg, req.space, violated, radius)
         };
+        {
+            let _obs = stage_obs("solve.stage.materialize");
+            self.attach_cons(req.sg, req.ic, req.space, &mut regions);
+        }
         let mut acc = RoundAcc {
             tunings: Vec::new(),
             exact: true,
@@ -513,30 +512,28 @@ impl SampleSolver {
             if region.ffs.len() > req.opts.region_cap {
                 diag.regions_saturated += 1;
             }
-            let (cons, outcome) = self.region_outcome(req, region, diag);
-            self.apply_outcome(req, region, &cons, &outcome, radius, &mut acc);
+            let outcome = self.region_outcome(req, region, diag);
+            self.apply_outcome(req, region, &outcome, radius, &mut acc);
         }
         acc
     }
 
-    /// The region's materialised constraints and its push-independent
-    /// search outcome: replayed from the memo on an exact key match,
-    /// otherwise searched fresh and, if the memo holds regions of its
-    /// size, published.
+    /// The region's push-independent search outcome: replayed from the
+    /// memo on an exact key match, otherwise searched fresh and, if the
+    /// memo holds regions of its size, published.
     fn region_outcome(
         &mut self,
         req: &SolveRequest<'_>,
         region: &Region,
         diag: &mut PassDiagnostics,
-    ) -> (Vec<RegCons>, Arc<CachedOutcome>) {
-        let (cons, entry, hit) = {
+    ) -> Arc<CachedOutcome> {
+        let (entry, hit) = {
             let _obs = stage_obs("solve.stage.materialize");
-            let cons = materialize_cons(region, req.ic, req.space);
             let entry = req.memo.and_then(|memo| {
-                MemoKey::capture(region, &cons, req.space, req.opts).map(|key| (memo, key))
+                MemoKey::capture(region, req.space, req.opts).map(|key| (memo, key))
             });
             let hit = entry.as_ref().and_then(|(memo, key)| memo.lookup(key));
-            (cons, entry, hit)
+            (entry, hit)
         };
         if let Some(hit) = hit {
             diag.cross_chip_hits += 1;
@@ -552,17 +549,23 @@ impl SampleSolver {
                     witness: Vec::new(),
                     exact: true,
                 };
-                return (cons, Arc::new(corrupt));
+                return Arc::new(corrupt);
             }
-            return (cons, hit);
+            return hit;
         }
         if entry.is_some() {
             psbi_obs::metrics::counter_add("solve.memo.miss", 1);
         }
         let (outcome, stats) = {
             let _obs = stage_obs("solve.stage.search");
-            self.search
-                .search_region(&region.ffs, &cons, req.space, req.opts, req.search_prune)
+            self.search.search_region(
+                &region.ffs,
+                &region.cons,
+                &self.slot_of,
+                req.space,
+                req.opts,
+                req.search_prune,
+            )
         };
         diag.search_nodes += stats.nodes;
         diag.search_pruned_bound += stats.pruned_bound;
@@ -572,16 +575,15 @@ impl SampleSolver {
             memo.publish(key, Arc::clone(&outcome));
             psbi_obs::metrics::counter_add("solve.memo.publish", 1);
         }
-        (cons, outcome)
+        outcome
     }
 
     /// Applies one region's search outcome to the round accumulator:
     /// growth bookkeeping plus the request's push objective.
     fn apply_outcome(
-        &mut self,
+        &self,
         req: &SolveRequest<'_>,
         region: &Region,
-        cons: &[RegCons],
         outcome: &CachedOutcome,
         radius: usize,
         acc: &mut RoundAcc,
@@ -598,9 +600,7 @@ impl SampleSolver {
                 }
                 let tunings = {
                     let _obs = stage_obs("solve.stage.milp");
-                    self.finish_region(
-                        region, cons, req.space, *count, support, witness, req.push, req.opts,
-                    )
+                    self.concentrate(req, region, *count, support, witness)
                 };
                 acc.tunings.extend(tunings);
                 acc.exact &= exact;
@@ -636,7 +636,9 @@ impl SampleSolver {
     }
 
     /// Builds regions: buffered FFs within `radius` hops of a violated
-    /// constraint endpoint, split into connected components.
+    /// constraint endpoint, split into connected components, each member's
+    /// slot (its index in [`Region::ffs`]) recorded in `slot_of`.  The
+    /// constraints are attached afterwards by [`Self::attach_cons`].
     ///
     /// This is the region-*discovery* half of the solve — a pure function
     /// of (`has_buffer`, ordered violated endpoints, `radius`, graph).
@@ -679,16 +681,15 @@ impl SampleSolver {
         // Saturation: no neighbour of the collected set is buffered and
         // uncollected (the set already fills its connected components).
         // Components of the induced subgraph.
-        self.region_of.clear();
-        self.region_of.resize(n, NONE);
+        self.slot_of.clear();
+        self.slot_of.resize(n, NONE);
         let mut regions: Vec<Region> = Vec::new();
         for &start in &collected {
-            if self.region_of[start as usize] != NONE {
+            if self.slot_of[start as usize] != NONE {
                 continue;
             }
-            let rid = regions.len() as u32;
             let mut ffs = vec![start];
-            self.region_of[start as usize] = rid;
+            self.slot_of[start as usize] = 0;
             let mut stack = vec![start];
             let mut saturated = true;
             while let Some(u) = stack.pop() {
@@ -700,32 +701,77 @@ impl SampleSolver {
                         saturated = false; // a buffered FF just outside
                         continue;
                     }
-                    if self.region_of[v] == NONE {
-                        self.region_of[v] = rid;
+                    if self.slot_of[v] == NONE {
+                        self.slot_of[v] = ffs.len() as u32;
                         ffs.push(v as u32);
                         stack.push(v as u32);
                     }
                 }
             }
-            let mut members = ffs.clone();
-            members.sort_unstable();
             regions.push(Region {
                 ffs,
-                members,
                 cons: Vec::new(),
                 saturated,
             });
         }
-        // Attach constraints: any setup/hold constraint touching a region
-        // FF.  An edge never spans two regions (adjacent collected FFs are
-        // in the same component), so marking edges globally is safe.  The
-        // per-edge marks are a reused stamp array (no per-chip allocation).
+        regions
+    }
+
+    /// The constraint walk: attaches to each region, in region order, the
+    /// setup and hold sides of every edge touching one of its FFs (FFs in
+    /// pinned BFS order, each FF's out-edges before its in-edges), in
+    /// **saturation-normalised form**: every bound is resolved from the
+    /// chip, and a bound at or above its exact per-constraint cap — which
+    /// can never bind — is elided.
+    ///
+    /// With every region variable confined to its window and everything
+    /// outside the region pinned to 0, the left-hand side of
+    /// `k(a) − k(b) ≤ bound` can never exceed `cap(a,b) = hi'(a) − lo'(b)`,
+    /// where `hi'`/`lo'` are the endpoint's window bounds inside the region
+    /// and 0 outside.  A bound at or above that cap therefore constrains
+    /// nothing — for the feasibility probes, for the branch-and-bound and
+    /// for the concentration MILP alike — so dropping it leaves the feasible
+    /// set of every support bit-for-bit unchanged while shrinking every
+    /// probe the search runs (regions attach each member FF's full edge
+    /// neighbourhood, and on paper-scale circuits the overwhelming majority
+    /// of those bounds are vacuous).  Violated bounds are negative and caps
+    /// never are, so every violated constraint survives exactly.
+    ///
+    /// Membership is `slot_of[ff] != NONE`, which is exact because an edge
+    /// never joins two regions: a buffered, collected neighbour of a member
+    /// is in that member's component, so each endpoint of an edge touching
+    /// a region is either in that region or outside every region.  For the
+    /// same reason each edge is attached once, to the first region that
+    /// touches it, so the per-edge marks are global (a reused stamp array,
+    /// no per-chip allocation).
+    ///
+    /// Normalisation is applied identically with and without the memo (it
+    /// is part of the region system, not the cache), and it makes the
+    /// system — and therefore the memo key — invariant to slack drift on
+    /// non-binding constraints.  That is what lets adjacent sweep targets,
+    /// whose period shift perturbs every non-critical bound by a step or
+    /// two, still replay each other's search outcomes for chips whose
+    /// *binding* structure is unchanged — for branch-and-bound regions
+    /// only, since regions over [`SolverOptions::region_cap`] are not
+    /// memoised.
+    fn attach_cons(
+        &mut self,
+        sg: &SequentialGraph,
+        ic: ConstraintsView<'_>,
+        space: &BufferSpace,
+        regions: &mut [Region],
+    ) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.edge_stamp.len() < sg.edges.len() || self.epoch == 0 {
             self.epoch = 1;
             self.edge_stamp.clear();
             self.edge_stamp.resize(sg.edges.len(), 0);
         }
+        let slot_of = &self.slot_of;
+        let window = |ff: u32| match slot_of[ff as usize] {
+            NONE => (0, 0),
+            _ => space.bounds[ff as usize],
+        };
         for region in regions.iter_mut() {
             for &ff in &region.ffs {
                 for &e in sg
@@ -738,116 +784,85 @@ impl SampleSolver {
                     }
                     self.edge_stamp[e as usize] = self.epoch;
                     let edge = &sg.edges[e as usize];
-                    region.cons.push(ConsRef {
-                        a: edge.from,
-                        b: edge.to,
-                        edge: e,
-                        kind: ConstraintKind::Setup,
-                    });
-                    region.cons.push(ConsRef {
-                        a: edge.to,
-                        b: edge.from,
-                        edge: e,
-                        kind: ConstraintKind::Hold,
-                    });
+                    let (from, to) = (window(edge.from), window(edge.to));
+                    let setup = ic.setup_bound[e as usize];
+                    if setup < from.1 - to.0 {
+                        region.cons.push(RegCons {
+                            a: edge.from,
+                            b: edge.to,
+                            bound: setup,
+                        });
+                    }
+                    let hold = ic.hold_bound[e as usize];
+                    if hold < to.1 - from.0 {
+                        region.cons.push(RegCons {
+                            a: edge.to,
+                            b: edge.from,
+                            bound: hold,
+                        });
+                    }
                 }
             }
         }
-        regions
     }
 
-    /// Applies the push objective to a solved region.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_region(
-        &mut self,
-        region: &Region,
-        cons: &[RegCons],
-        space: &BufferSpace,
-        count: usize,
-        support: &[u32],
-        witness: &[i64],
-        push: PushObjective<'_>,
-        opts: &SolverOptions,
-    ) -> Vec<(u32, i64)> {
-        match push {
-            PushObjective::None => support
-                .iter()
-                .zip(witness)
-                .filter(|(_, k)| **k != 0)
-                .map(|(ff, k)| (*ff, *k))
-                .collect(),
-            PushObjective::ToZero => {
-                self.concentrate(region, cons, space, count, support, witness, None, opts)
-            }
-            PushObjective::ToTargets(targets) => self.concentrate(
-                region,
-                cons,
-                space,
-                count,
-                support,
-                witness,
-                Some(targets),
-                opts,
-            ),
-        }
-    }
-
-    /// Solves `min Σ|k_i − a_i|` subject to the constraints and the buffer
-    /// budget, as a MILP over the region (paper eqs. (14)–(21)).
+    /// Applies the request's push objective to a solved region: with none,
+    /// the witness's nonzero tunings; otherwise `min Σ|k_i − a_i|` subject to
+    /// the region's constraints and the buffer budget, as a MILP over the
+    /// region (paper eqs. (14)–(21)).
     ///
     /// The MILP is warm-started with the search witness — a verified
     /// feasible point supplied identically whether the witness came from a
     /// fresh search or a memo replay, so the warm start never
     /// distinguishes the two.
-    #[allow(clippy::too_many_arguments)]
     fn concentrate(
-        &mut self,
+        &self,
+        req: &SolveRequest<'_>,
         region: &Region,
-        cons: &[RegCons],
-        space: &BufferSpace,
         budget: usize,
         support: &[u32],
         witness: &[i64],
-        targets: Option<&[f64]>,
-        opts: &SolverOptions,
     ) -> Vec<(u32, i64)> {
+        let targets = match req.push {
+            PushObjective::None => return witness_tunings(support, witness),
+            PushObjective::ToZero => None,
+            PushObjective::ToTargets(targets) => Some(targets),
+        };
+        let space = req.space;
+        let slot_of = &self.slot_of;
         let m = region.ffs.len();
-        let over_supports = m <= opts.exact_push_cap;
+        let over_supports = m <= req.opts.exact_push_cap;
         // Very large supports (greedy fallback on oversized regions): skip
         // the MILP and keep the witness values.
         const PUSH_SUPPORT_CAP: usize = 48;
         if !over_supports && support.len() > PUSH_SUPPORT_CAP {
             psbi_obs::metrics::counter_add("solve.milp.push_cap_skips", 1);
-            return support
-                .iter()
-                .zip(witness)
-                .filter(|(_, k)| **k != 0)
-                .map(|(ff, k)| (*ff, *k))
-                .collect();
+            return witness_tunings(support, witness);
         }
         let mut model = Model::new();
         model.node_limit = 30_000;
         // Variables for either the full region (support is chosen by the
         // model) or just the fixed optimal support.
-        let active: Vec<u32> = if over_supports {
-            region.ffs.clone()
-        } else {
-            support.to_vec()
-        };
-        let mut var_slot = vec![NONE; space.has_buffer.len()];
+        let active: &[u32] = if over_supports { &region.ffs } else { support };
+        // Region slot -> model variable (`NONE` off the active set).
+        let mut var_of_slot = vec![NONE; m];
         let mut kvars = Vec::with_capacity(active.len());
         for (s, &ff) in active.iter().enumerate() {
-            var_slot[ff as usize] = s as u32;
+            var_of_slot[slot_of[ff as usize] as usize] = s as u32;
             let (lo, hi) = space.bounds[ff as usize];
             let k = model.add_var(lo as f64, hi as f64, 0.0, true);
             kvars.push(k);
         }
+        let var = |ff: u32| match slot_of[ff as usize] {
+            NONE => NONE,
+            slot => var_of_slot[slot as usize],
+        };
         // Witness values per active slot (0 outside the support) and the
         // support membership — the warm-start point.
         let mut kwarm = vec![0.0f64; active.len()];
         let mut in_support = vec![false; active.len()];
-        for (i, ff) in support.iter().enumerate() {
-            let s = var_slot[*ff as usize];
+        for (i, &ff) in support.iter().enumerate() {
+            let s = var(ff);
             if s != NONE {
                 kwarm[s as usize] = witness[i] as f64;
                 in_support[s as usize] = true;
@@ -866,9 +881,9 @@ impl SampleSolver {
             }
             model.add_cons(cterms, Op::Le, budget as f64);
         }
-        for c in cons {
-            let sa = var_slot[c.a as usize];
-            let sb = var_slot[c.b as usize];
+        for c in &region.cons {
+            let sa = var(c.a);
+            let sb = var(c.b);
             let mut terms = Vec::new();
             if sa != NONE {
                 terms.push((kvars[sa as usize], 1.0));
@@ -907,12 +922,7 @@ impl SampleSolver {
                 .collect()
         } else {
             // Should not happen (feasibility proven); fall back to witness.
-            support
-                .iter()
-                .zip(witness)
-                .filter(|(_, k)| **k != 0)
-                .map(|(ff, k)| (*ff, *k))
-                .collect()
+            witness_tunings(support, witness)
         }
     }
 
@@ -1027,88 +1037,23 @@ impl SampleSolver {
     }
 }
 
-/// Materialises a region's constraint system from the current chip in
-/// **saturation-normalised form**: every bound is clamped at its exact
-/// per-constraint cap, and constraints *at* their cap — which can never
-/// bind — are elided entirely.
-///
-/// With every region variable confined to its window and everything
-/// outside the region pinned to 0, the left-hand side of
-/// `k(a) − k(b) ≤ bound` can never exceed `cap(a,b) = hi'(a) − lo'(b)`,
-/// where `hi'`/`lo'` are the endpoint's window bounds inside the region
-/// and 0 outside.  A bound at or above that cap therefore constrains
-/// nothing — for the feasibility probes, for the branch-and-bound and
-/// for the concentration MILP alike — so dropping it leaves the feasible
-/// set of every support bit-for-bit unchanged while shrinking every
-/// probe the search runs (regions attach each member FF's full edge
-/// neighbourhood, and on paper-scale circuits the overwhelming majority
-/// of those bounds are vacuous).  Violated bounds are negative and caps
-/// never are, so every violated constraint survives exactly.
-///
-/// Normalisation is applied identically with and without the memo (it is
-/// part of the materialisation, not the cache), and it makes the
-/// materialised system — and therefore the memo key — invariant to slack
-/// drift on non-binding constraints.  That is what lets adjacent sweep
-/// targets, whose period shift perturbs every non-critical bound by a
-/// step or two, still replay each other's search outcomes for chips whose
-/// *binding* structure is unchanged — for branch-and-bound regions only,
-/// since regions over [`SolverOptions::region_cap`] are not memoised.
-fn materialize_cons(region: &Region, ic: ConstraintsView<'_>, space: &BufferSpace) -> Vec<RegCons> {
-    // Membership is checked against the region's sorted FF list; regions
-    // are small, so a sorted probe beats touching an n-sized scratch.
-    let window = |ff: u32| -> Option<(i64, i64)> {
-        region
-            .members
-            .binary_search(&ff)
-            .ok()
-            .map(|_| space.bounds[ff as usize])
-    };
-    region
-        .cons
+/// The witness's nonzero tunings `(ff, steps)`, in support order.
+fn witness_tunings(support: &[u32], witness: &[i64]) -> Vec<(u32, i64)> {
+    support
         .iter()
-        .filter_map(|c| {
-            let hi_a = window(c.a).map_or(0, |w| w.1);
-            let lo_b = window(c.b).map_or(0, |w| w.0);
-            let cap = hi_a - lo_b;
-            let bound = c.bound_in(ic);
-            (bound < cap).then_some(RegCons {
-                a: c.a,
-                b: c.b,
-                bound,
-            })
-        })
+        .zip(witness)
+        .filter(|(_, k)| **k != 0)
+        .map(|(ff, k)| (*ff, *k))
         .collect()
 }
 
-/// Reference to one side of an edge constraint, resolved against a chip's
-/// bounds on demand.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ConsRef {
-    a: u32,
-    b: u32,
-    edge: u32,
-    kind: ConstraintKind,
-}
-
-impl ConsRef {
-    /// The bound this constraint takes in chip `ic`.
-    #[inline]
-    pub(crate) fn bound_in(&self, ic: ConstraintsView<'_>) -> i64 {
-        match self.kind {
-            ConstraintKind::Setup => ic.setup_bound[self.edge as usize],
-            ConstraintKind::Hold => ic.hold_bound[self.edge as usize],
-        }
-    }
-}
-
-/// One connected solve region: its FFs (pinned BFS order), the attached
-/// constraints, and whether it saturated its component.
+/// One connected solve region, solve-ready: its FFs (pinned BFS order; a
+/// member's slot is its index here), its saturation-normalised
+/// constraints (see [`SampleSolver::attach_cons`]), and whether it
+/// saturated its component.
 #[derive(Debug)]
 pub(crate) struct Region {
     pub(crate) ffs: Vec<u32>,
-    /// `ffs` sorted — the membership probe used by the saturation
-    /// normalisation (see [`materialize_cons`]).
-    pub(crate) members: Vec<u32>,
-    pub(crate) cons: Vec<ConsRef>,
+    pub(crate) cons: Vec<RegCons>,
     pub(crate) saturated: bool,
 }

@@ -2,8 +2,8 @@
 //!
 //! Monte-Carlo chips drawn from one variation model concentrate onto a
 //! small number of distinct violated-endpoint patterns, and the
-//! saturation-normalised materialisation (see
-//! [`materialize_cons`](super::materialize_cons)) collapses their
+//! saturation-normalised constraint walk (see
+//! [`attach_cons`](super::SampleSolver::attach_cons)) collapses their
 //! non-binding slack drift on top — so one flow re-derives the *same*
 //! region subproblem hundreds of times: across chips of one pass, across
 //! the passes of one chip (A1 → A3 → B1 → B2 share most region systems),
@@ -20,8 +20,8 @@
 //!
 //! * the region's flip-flops in pinned BFS order (the search's slot
 //!   numbering),
-//! * every attached constraint as `(a, b, materialised bound)` in
-//!   attachment order (`violated`, `var_of` and the feasibility systems
+//! * every attached constraint as `(a, b, saturation-normalised bound)`
+//!   in attachment order (the violated set and the feasibility systems
 //!   are all derived from these),
 //! * each region FF's tuning window,
 //! * the [`SolverOptions`] limits (`bb_node_cap` bounds the search;
@@ -71,7 +71,7 @@
 //! would have inserted bit for bit.  Outcomes are stored (and handed
 //! out) behind `Arc`, so a hit never copies the support/witness vectors.
 
-use super::{BufferSpace, RegCons, Region, SolverOptions};
+use super::{BufferSpace, Region, SolverOptions};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -190,13 +190,12 @@ pub(crate) struct MemoKey {
 }
 
 impl MemoKey {
-    /// Captures the exact search inputs of `region` under the
-    /// materialised constraints `cons` and the windows of `space`, or
-    /// `None` when the region is over `opts.region_cap` and so is not
-    /// memoised (see the module docs).
+    /// Captures the exact search inputs of `region` (its FFs and attached
+    /// constraints) under the windows of `space`, or `None` when the
+    /// region is over `opts.region_cap` and so is not memoised (see the
+    /// module docs).
     pub(crate) fn capture(
         region: &Region,
-        cons: &[RegCons],
         space: &BufferSpace,
         opts: &SolverOptions,
     ) -> Option<Self> {
@@ -205,7 +204,8 @@ impl MemoKey {
         }
         Some(Self {
             ffs: region.ffs.as_slice().into(),
-            cons: cons
+            cons: region
+                .cons
                 .iter()
                 .map(|c| (c.a, c.b, c.bound))
                 .collect::<Vec<_>>()
@@ -296,15 +296,13 @@ impl RegionMemo {
 
 #[cfg(test)]
 mod tests {
+    use super::super::RegCons;
     use super::*;
 
-    fn region(ffs: &[u32]) -> Region {
-        let mut members = ffs.to_vec();
-        members.sort_unstable();
+    fn region(ffs: &[u32], cons: &[RegCons]) -> Region {
         Region {
             ffs: ffs.to_vec(),
-            members,
-            cons: Vec::new(),
+            cons: cons.to_vec(),
             saturated: false,
         }
     }
@@ -330,7 +328,7 @@ mod tests {
                 bound: 20,
             },
         ];
-        let key = MemoKey::capture(&region(&[0, 1, 2]), &cons, &sp, &opts).unwrap();
+        let key = MemoKey::capture(&region(&[0, 1, 2], &cons), &sp, &opts).unwrap();
         memo.publish(key.clone(), Arc::new(CachedOutcome::Infeasible));
         assert_eq!(memo.len(), 1);
         assert!(memo.lookup(&key).is_some());
@@ -338,22 +336,22 @@ mod tests {
         // Any single-component difference must miss: a shifted bound …
         let mut shifted = cons.clone();
         shifted[0].bound = -2;
-        let miss = MemoKey::capture(&region(&[0, 1, 2]), &shifted, &sp, &opts).unwrap();
+        let miss = MemoKey::capture(&region(&[0, 1, 2], &shifted), &sp, &opts).unwrap();
         assert!(memo.lookup(&miss).is_none());
         // … a different FF order (slots renumber) …
-        let miss = MemoKey::capture(&region(&[1, 0, 2]), &cons, &sp, &opts).unwrap();
+        let miss = MemoKey::capture(&region(&[1, 0, 2], &cons), &sp, &opts).unwrap();
         assert!(memo.lookup(&miss).is_none());
         // … a different window …
         let mut narrow = space(4);
         narrow.bounds[1] = (-1, 1);
-        let miss = MemoKey::capture(&region(&[0, 1, 2]), &cons, &narrow, &opts).unwrap();
+        let miss = MemoKey::capture(&region(&[0, 1, 2], &cons), &narrow, &opts).unwrap();
         assert!(memo.lookup(&miss).is_none());
         // … or different solver limits.
         let capped = SolverOptions {
             bb_node_cap: 7,
             ..opts
         };
-        let miss = MemoKey::capture(&region(&[0, 1, 2]), &cons, &sp, &capped).unwrap();
+        let miss = MemoKey::capture(&region(&[0, 1, 2], &cons), &sp, &capped).unwrap();
         assert!(memo.lookup(&miss).is_none());
         assert_eq!(memo.len(), 1);
     }
@@ -368,7 +366,7 @@ mod tests {
             b: 1,
             bound: -1,
         }];
-        let key = MemoKey::capture(&region(&[0, 1]), &cons, &sp, &opts).unwrap();
+        let key = MemoKey::capture(&region(&[0, 1], &cons), &sp, &opts).unwrap();
         let first = Arc::new(CachedOutcome::Feasible {
             count: 1,
             support: vec![0],

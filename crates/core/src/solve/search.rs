@@ -2,7 +2,7 @@
 //!
 //! Split out of the orchestration layer ([`super`]) so region *solving* is
 //! a pure function of its inputs: the region's flip-flops, the
-//! materialised constraint bounds, the tuning windows and the solver
+//! saturation-normalised constraints, the tuning windows and the solver
 //! limits.  Nothing here reads or writes cross-chip state — memo reuse
 //! happens one level up by *replaying* a cached outcome after an exact
 //! key comparison, never by steering this search.
@@ -431,7 +431,9 @@ enum Cascade {
 /// Branch-and-bound over support sets.
 pub(crate) struct SupportSearch<'a> {
     pub(crate) solver: &'a mut DiffSolver,
-    pub(crate) var_of: &'a [u32],
+    /// Per FF: its slot in this region, or `NONE` (borrowed from
+    /// [`super::SampleSolver`]; only the endpoints of `cons` are read).
+    pub(crate) slot_of: &'a [u32],
     pub(crate) region_ffs: &'a [u32],
     pub(crate) cons: &'a [RegCons],
     pub(crate) violated: &'a [usize],
@@ -613,7 +615,7 @@ impl SupportSearch<'_> {
 
     #[inline]
     fn local_of(&self, ff: u32) -> Option<usize> {
-        let v = self.var_of[ff as usize];
+        let v = self.slot_of[ff as usize];
         (v != NONE).then_some(v as usize)
     }
 
@@ -663,13 +665,13 @@ impl SupportSearch<'_> {
     pub(crate) fn prepare_prune(&mut self) {
         let m = self.region_ffs.len();
         let nv = self.violated.len();
-        let var_of = self.var_of;
+        let slot_of = self.slot_of;
         let region_ffs = self.region_ffs;
         let cons = self.cons;
         let violated = self.violated;
         let bounds = self.bounds;
         let local = |ff: u32| -> u32 {
-            let v = var_of[ff as usize];
+            let v = slot_of[ff as usize];
             if v != NONE && (v as usize) < m {
                 v
             } else {

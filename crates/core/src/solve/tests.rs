@@ -643,7 +643,12 @@ mod prop {
             let mut scratch = SearchScratch::default();
             let reversed: Vec<u32> = ffs.iter().rev().copied().collect();
             for region in [&reversed, &ffs] {
-                let (outcome, _) = scratch.search_region(region, &cons, &space, &opts, true);
+                let mut slot_of = vec![NONE; m + 3];
+                for (slot, &ff) in region.iter().enumerate() {
+                    slot_of[ff as usize] = slot as u32;
+                }
+                let (outcome, _) =
+                    scratch.search_region(region, &cons, &slot_of, &space, &opts, true);
                 match (outcome, whole_region_greedy(region, &cons, &space)) {
                     (CachedOutcome::Infeasible, None) => {}
                     (CachedOutcome::Feasible { count, support, witness, exact }, Some(want)) => {
@@ -656,6 +661,128 @@ mod prop {
             }
         }
     }
+
+    /// The constraint walk's reference: for each region in order, both
+    /// sides of every edge touching one of its FFs that no earlier region
+    /// took (FFs in order, out-edges before in-edges), each kept only
+    /// below its cap.  Membership is a scan of the region's own `ffs`.
+    fn scanned_region_cons(
+        sg: &SequentialGraph,
+        ic: &IntegerConstraints,
+        space: &BufferSpace,
+        regions: &[Region],
+    ) -> Vec<Vec<RegCons>> {
+        let mut taken = vec![false; sg.edges.len()];
+        regions
+            .iter()
+            .map(|region| {
+                let window = |ff: u32| {
+                    if region.ffs.contains(&ff) {
+                        space.bounds[ff as usize]
+                    } else {
+                        (0, 0)
+                    }
+                };
+                let mut cons = Vec::new();
+                for &ff in &region.ffs {
+                    let ff = ff as usize;
+                    for &e in sg.out_edges(ff).iter().chain(sg.in_edges(ff)) {
+                        let e = e as usize;
+                        if std::mem::replace(&mut taken[e], true) {
+                            continue;
+                        }
+                        let edge = &sg.edges[e];
+                        for (a, b, bound) in [
+                            (edge.from, edge.to, ic.setup_bound[e]),
+                            (edge.to, edge.from, ic.hold_bound[e]),
+                        ] {
+                            if bound < window(a).1 - window(b).0 {
+                                cons.push(RegCons { a, b, bound });
+                            }
+                        }
+                    }
+                }
+                cons
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Discovery plus the constraint walk attach to every region
+        /// exactly the constraints, in the same order, that the scanning
+        /// reference finds, and `slot_of` holds each member's index in
+        /// its region's `ffs` and `NONE` for every other FF.  Each graph
+        /// has several clusters, each with one violated edge, plus random
+        /// edges (self-loops included) inside and between them, so a
+        /// round holds several regions that larger radii merge; some FFs
+        /// have no buffer and windows are asymmetric.
+        #[test]
+        fn constraint_walk_matches_a_member_scanning_reference(
+            sizes in proptest::collection::vec(2usize..6, 2..5),
+            raw_edges in proptest::collection::vec((0usize..64, 0usize..64, -3i64..8, -3i64..8), 0..24),
+            cross in proptest::collection::vec((0usize..64, 0usize..64, -3i64..8), 0..3),
+            bufferless in proptest::collection::vec(0u32..5, 20),
+            windows in proptest::collection::vec((0i64..4, 0i64..4), 20),
+            radius in 0usize..4,
+        ) {
+            let mut start = vec![0usize];
+            for s in &sizes {
+                start.push(start.last().unwrap() + s);
+            }
+            let n = *start.last().unwrap();
+            let mut edges = Vec::new();
+            let (mut setup, mut hold) = (Vec::new(), Vec::new());
+            for (c, &first) in start[..sizes.len()].iter().enumerate() {
+                edges.push((first as u32, first as u32 + 1));
+                setup.push(-1 - c as i64);
+                hold.push(5);
+            }
+            for &(x, y, s, h) in &raw_edges {
+                let c = x % sizes.len();
+                edges.push(((start[c] + x / sizes.len() % sizes[c]) as u32, (start[c] + y % sizes[c]) as u32));
+                setup.push(s);
+                hold.push(h);
+            }
+            for &(x, y, s) in &cross {
+                edges.push(((x % n) as u32, (y % n) as u32));
+                setup.push(s);
+                hold.push(-s);
+            }
+            let sg = graph(n, &edges);
+            let ic = constraints(&setup, &hold);
+            let mut space = BufferSpace::floating(n, 4);
+            for ff in 0..n {
+                space.has_buffer[ff] = bufferless[ff] != 0;
+                space.bounds[ff] = (-windows[ff].0, windows[ff].1);
+            }
+            let mut violated = Vec::new();
+            ic.as_view().collect_violations(&sg, &mut violated);
+            // Two rounds on one solver, the second on the scratch the
+            // first left behind, as growth rounds run.
+            let mut s = SampleSolver::new();
+            for radius in [radius, 3 - radius] {
+                let mut regions = s.collect_regions(&sg, &space, &violated, radius);
+                prop_assert!(regions.iter().all(|r| r.cons.is_empty()));
+                s.attach_cons(&sg, ic.as_view(), &space, &mut regions);
+                let want = scanned_region_cons(&sg, &ic, &space, &regions);
+                for (region, want) in regions.iter().zip(&want) {
+                    let got: Vec<_> = region.cons.iter().map(|c| (c.a, c.b, c.bound)).collect();
+                    let want: Vec<_> = want.iter().map(|c| (c.a, c.b, c.bound)).collect();
+                    prop_assert_eq!(got, want, "radius {}, region {:?}", radius, region.ffs);
+                }
+                let mut slot_of = vec![NONE; n];
+                for region in &regions {
+                    for (slot, &ff) in region.ffs.iter().enumerate() {
+                        prop_assert_eq!(slot_of[ff as usize], NONE, "FF {} in two regions", ff);
+                        slot_of[ff as usize] = slot as u32;
+                    }
+                }
+                prop_assert_eq!(&s.slot_of, &slot_of);
+            }
+        }
+    }
 }
 
 #[test]
@@ -665,12 +792,9 @@ fn outcome_replay_rejects_aliased_surviving_systems() {
     // systems can agree on every bound value positionally while
     // constraining different endpoint pairs.  The memo key must hold the
     // full (a, b, bound) triples, not just the bounds.
-    let mut members = vec![0u32, 1, 2];
-    members.sort_unstable();
-    let region = Region {
+    let region = |cons: &[RegCons]| Region {
         ffs: vec![0, 1, 2],
-        members,
-        cons: Vec::new(),
+        cons: cons.to_vec(),
         saturated: false,
     };
     let space = BufferSpace::floating(3, 2);
@@ -679,7 +803,7 @@ fn outcome_replay_rejects_aliased_surviving_systems() {
     let recorded = vec![mk(0, 1, 2), mk(1, 0, -1)];
     let memo = RegionMemo::new();
     memo.publish(
-        MemoKey::capture(&region, &recorded, &space, &opts).unwrap(),
+        MemoKey::capture(&region(&recorded), &space, &opts).unwrap(),
         Arc::new(CachedOutcome::Feasible {
             count: 1,
             support: vec![1],
@@ -688,7 +812,7 @@ fn outcome_replay_rejects_aliased_surviving_systems() {
         }),
     );
     let replay = |cons: &[RegCons]| {
-        memo.lookup(&MemoKey::capture(&region, cons, &space, &opts).unwrap())
+        memo.lookup(&MemoKey::capture(&region(cons), &space, &opts).unwrap())
             .is_some()
     };
     assert!(replay(&recorded), "identity replays");
@@ -1054,7 +1178,7 @@ fn symmetry_guard_links_pin_the_lowest_slot_representative() {
     // leaf, so it gets no guards and guards nobody.
     let m = 7usize;
     let region_ffs: Vec<u32> = (0..m as u32).collect();
-    let var_of: Vec<u32> = (0..m as u32).collect();
+    let slot_of: Vec<u32> = (0..m as u32).collect();
     let mut cons = Vec::new();
     for i in 1..m as u32 {
         cons.push(RegCons {
@@ -1079,7 +1203,7 @@ fn symmetry_guard_links_pin_the_lowest_slot_representative() {
     let mut solver = DiffSolver::new();
     let mut s = search::SupportSearch {
         solver: &mut solver,
-        var_of: &var_of,
+        slot_of: &slot_of,
         region_ffs: &region_ffs,
         cons: &cons,
         violated: &violated,

@@ -207,16 +207,6 @@ impl Model {
         self.vars[v.0].obj = obj;
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Number of constraints.
-    pub fn num_cons(&self) -> usize {
-        self.cons.len()
-    }
-
     /// Adds `z ≥ |x − target|` and returns `z` (with objective weight
     /// `weight`).  Minimising `z` therefore minimises the absolute
     /// deviation — the linearisation used by the paper's eqs. (15)/(19).

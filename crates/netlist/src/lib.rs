@@ -18,7 +18,6 @@
 //!   Manhattan distances (needed by the grouping step);
 //! * [`skew`] — clock-skew assignment ("we also added clock skews so that
 //!   they have more critical paths", §IV);
-//! * [`dot`] — Graphviz export for debugging.
 //!
 //! # Example
 //!
@@ -40,7 +39,6 @@
 
 pub mod bench_format;
 pub mod bench_suite;
-pub mod dot;
 pub mod generator;
 pub mod graph;
 pub mod placement;

@@ -116,14 +116,6 @@ impl CanonicalForm {
         }
     }
 
-    /// Adds a deterministic constant.
-    pub fn add_constant(&self, c: f64) -> Self {
-        Self {
-            mean: self.mean + c,
-            ..*self
-        }
-    }
-
     /// Scales the form by a non-negative factor.
     ///
     /// # Panics
@@ -352,8 +344,9 @@ mod tests {
         let m = a.max(&b);
         assert_eq!(m.mean(), 3.0);
         assert_eq!(m.sigma(), 0.0);
-        let s = a.add(&b).add_constant(1.0);
-        assert_eq!(s.mean(), 6.0);
+        let s = a.add(&b);
+        assert_eq!(s.mean(), 5.0);
+        assert_eq!(s.sigma(), 0.0);
     }
 
     #[test]
