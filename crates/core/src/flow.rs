@@ -591,10 +591,10 @@ pub struct BufferInsertionFlow<'a> {
 
 /// Accumulated output of one sampling pass.
 struct PassOutput {
-    counts: Vec<u64>,
+    /// Per FF: the histogram of its tunings over the pass's chips;
+    /// `total()` is the number of chips that tuned it and `range()` its
+    /// smallest and largest tuning.
     hist: Vec<Histogram>,
-    min_k: Vec<i64>,
-    max_k: Vec<i64>,
     infeasible: u64,
     inexact: u64,
     /// Solver counters of the pass.
@@ -1044,10 +1044,7 @@ impl<'a> BufferInsertionFlow<'a> {
         let slot_of_ff_ref = &slot_of_ff;
 
         struct Local {
-            counts: Vec<u64>,
             hist: Vec<Histogram>,
-            min_k: Vec<i64>,
-            max_k: Vec<i64>,
             infeasible: u64,
             inexact: u64,
             diag: PassDiagnostics,
@@ -1060,10 +1057,7 @@ impl<'a> BufferInsertionFlow<'a> {
         let locals: Vec<Local> = self.map_chunks(samples, |ws, lo, len| {
             self.fill_unsettled(ws, stream, zero, lo, len, period, step);
             let mut local = Local {
-                counts: vec![0; n_ffs],
                 hist: vec![Histogram::new(); n_ffs],
-                min_k: vec![i64::MAX; n_ffs],
-                max_k: vec![i64::MIN; n_ffs],
                 infeasible: 0,
                 inexact: 0,
                 diag: PassDiagnostics::default(),
@@ -1102,10 +1096,7 @@ impl<'a> BufferInsertionFlow<'a> {
                     }
                     for (ff, kv) in &r.tunings {
                         let f = *ff as usize;
-                        local.counts[f] += 1;
                         local.hist[f].add(*kv);
-                        local.min_k[f] = local.min_k[f].min(*kv);
-                        local.max_k[f] = local.max_k[f].max(*kv);
                         let slot = slot_of_ff_ref[f];
                         if slot != NONE {
                             local.tunings.push((slot, k, *kv as f32));
@@ -1116,15 +1107,12 @@ impl<'a> BufferInsertionFlow<'a> {
             local
         });
 
-        // Merge the per-chunk results in chunk order: counts, histograms
-        // and extrema are folds, the feasibility claims are the chunks'
-        // rows concatenated, and the tuning entries land in zeroed columns
-        // (no tuning reads 0.0).
+        // Merge the per-chunk results in chunk order: histograms and
+        // counters are folds, the feasibility claims are the chunks' rows
+        // concatenated, and the tuning entries land in zeroed columns (no
+        // tuning reads 0.0).
         let mut out = PassOutput {
-            counts: vec![0; n_ffs],
             hist: vec![Histogram::new(); n_ffs],
-            min_k: vec![i64::MAX; n_ffs],
-            max_k: vec![i64::MIN; n_ffs],
             infeasible: 0,
             inexact: 0,
             diag: PassDiagnostics::default(),
@@ -1139,13 +1127,10 @@ impl<'a> BufferInsertionFlow<'a> {
             feasible: locals.iter().flat_map(|l| &l.feasible).copied().collect(),
         };
         for local in locals {
-            for ff in 0..n_ffs {
-                out.counts[ff] += local.counts[ff];
-                for (v, c) in local.hist[ff].iter() {
-                    out.hist[ff].add_n(v, c);
+            for (into, from) in out.hist.iter_mut().zip(&local.hist) {
+                for (v, c) in from.iter() {
+                    into.add_n(v, c);
                 }
-                out.min_k[ff] = out.min_k[ff].min(local.min_k[ff]);
-                out.max_k[ff] = out.max_k[ff].max(local.max_k[ff]);
             }
             out.infeasible += local.infeasible;
             out.inexact += local.inexact;
@@ -1241,9 +1226,10 @@ impl<'a> BufferInsertionFlow<'a> {
             self.run_pass(&space, memo, PushObjective::None, false, period, step)
         };
         let pass_a1_s = tp.elapsed().as_secs_f64();
+        let a1_counts: Vec<u64> = a1.hist.iter().map(Histogram::total).collect();
         let prune_report = prune(
             &self.sg,
-            &a1.counts,
+            &a1_counts,
             &mut space,
             &self.cfg.prune,
             self.cfg.samples as u64,
@@ -1277,7 +1263,10 @@ impl<'a> BufferInsertionFlow<'a> {
         let t2 = Instant::now();
         let refit_ran = miss_fraction >= self.cfg.skip_refit_threshold;
         // B1 and B2 run on the same assigned windows, which is what lets
-        // B2 replay B1's search outcomes from the memo.
+        // B2 replay B1's search outcomes from the memo.  Without the
+        // refit, B1 reuses the step-1 tunings (they already respect the
+        // windows): it solves nothing, so its time and solver counters
+        // stay 0, and warm-vs-cold comparisons sum these fields.
         let (b1, pass_b1_s) = if refit_ran {
             let tp = Instant::now();
             let b1 = {
@@ -1285,29 +1274,15 @@ impl<'a> BufferInsertionFlow<'a> {
                 let _timer = psbi_obs::metrics::timer("flow.pass.b1");
                 self.run_pass(&space, memo, PushObjective::None, false, period, step)
             };
-            (b1, tp.elapsed().as_secs_f64())
+            (Some(b1), tp.elapsed().as_secs_f64())
         } else {
-            // Reuse the step-1 tunings (they already respect the windows).
-            // The pass time stays 0: cloning the A3 output is bookkeeping,
-            // not a solve, and warm-vs-cold comparisons sum these fields.
-            let b1 = PassOutput {
-                counts: a3.counts.clone(),
-                hist: a3.hist.clone(),
-                min_k: a3.min_k.clone(),
-                max_k: a3.max_k.clone(),
-                infeasible: a3.infeasible,
-                inexact: a3.inexact,
-                diag: PassDiagnostics::default(),
-                columns: None,
-                slot_of_ff: vec![NONE; n_ffs],
-                feasible: a3.feasible.clone(),
-            };
-            (b1, 0.0)
+            (None, 0.0)
         };
+        let b1_hist = b1.as_ref().map_or(&a3.hist, |b1| &b1.hist);
         // Per-buffer average tuning (mean of nonzero tunings, III-B2).
-        let targets: Vec<f64> = (0..n_ffs)
-            .map(|ff| {
-                let h = &b1.hist[ff];
+        let targets: Vec<f64> = b1_hist
+            .iter()
+            .map(|h| {
                 let total = h.total();
                 if total == 0 {
                     0.0
@@ -1336,10 +1311,12 @@ impl<'a> BufferInsertionFlow<'a> {
         // Final ranges: min/max observed tunings; unused buffers dropped.
         let mut candidates: Vec<BufferCandidate> = Vec::new();
         for ff in 0..n_ffs {
-            if !space.has_buffer[ff] || b2.counts[ff] == 0 {
+            if !space.has_buffer[ff] {
                 continue;
             }
-            let (mut lo, mut hi) = (b2.min_k[ff], b2.max_k[ff]);
+            let Some((mut lo, mut hi)) = b2.hist[ff].range() else {
+                continue;
+            };
             if self.cfg.force_zero_in_range {
                 lo = lo.min(0);
                 hi = hi.max(0);
@@ -1354,7 +1331,7 @@ impl<'a> BufferInsertionFlow<'a> {
                 ff,
                 lo,
                 hi,
-                usage: b2.counts[ff],
+                usage: b2.hist[ff].total(),
                 column,
             });
         }
@@ -1419,7 +1396,7 @@ impl<'a> BufferInsertionFlow<'a> {
                 inexact_samples: a1.inexact + a3.inexact + b2.inexact,
                 miss_fraction,
                 refit_ran,
-                a1_total_tunings: a1.counts.iter().sum(),
+                a1_total_tunings: a1_counts.iter().sum(),
                 hold_fail_fraction,
             },
             snapshots,
@@ -1438,7 +1415,7 @@ impl<'a> BufferInsertionFlow<'a> {
             diagnostics: FlowDiagnostics {
                 a1: a1.diag,
                 a3: a3.diag,
-                b1: b1.diag,
+                b1: b1.map_or_else(PassDiagnostics::default, |b1| b1.diag),
                 b2: b2.diag,
                 memo_entries,
                 verify: None,

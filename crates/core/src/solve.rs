@@ -311,10 +311,14 @@ impl SearchScratch {
         };
         let phase = run_support_search(&mut search, m, opts.region_cap);
         let stats = search.stats;
+        // Only the node cap clears `exact` during the search.
+        let capped = !search.exact;
         // Armed-only observability (byte-neutral): node and probe counts
         // are deterministic per region system + prune mode, unlike wall
-        // time.
+        // time.  A cap hit is the one way the pruned and the reference
+        // search can return different bytes.
         psbi_obs::metrics::counter_add("solve.search.nodes", stats.nodes);
+        psbi_obs::metrics::counter_add("solve.search.node_cap_hits", u64::from(capped));
         psbi_obs::metrics::counter_add("solve.search.fallback.probes", stats.fallback_probes);
         psbi_obs::metrics::counter_add("solve.search.pruned.bound", stats.pruned_bound);
         psbi_obs::metrics::counter_add("solve.search.pruned.symmetry", stats.pruned_symmetry);

@@ -36,8 +36,8 @@
 //! `PSBI_REFERENCE=1`, runs the reference search) three rules cut the
 //! node count.  Each one is chosen so the *returned*
 //! `(count, support, witness, exact)` is provably the one the reference
-//! search returns — the pinned tie-break order above is preserved, not
-//! re-pinned:
+//! search returns unless a region hits the node cap (below) — the pinned
+//! tie-break order above is preserved, not re-pinned:
 //!
 //! 1. **Bitset covering bounds.**  A support must contain an endpoint of
 //!    every violated constraint (both endpoints untuned ⇒ `0 ≤ bound < 0`
@@ -78,12 +78,13 @@
 //!    included.
 //!
 //! Because pruned nodes are a subset of the reference search's nodes,
-//! the one observable divergence between the two modes is
+//! the two modes return byte-identical outcomes unless a region hits
 //! [`SolverOptions::bb_node_cap`](super::SolverOptions::bb_node_cap):
 //! a region that exhausts the cap only in reference mode returns its
-//! greedy fallback there and the proven optimum here.  The CI parity
-//! legs (`PSBI_REFERENCE=1` determinism / fleet `cmp`) pin that the
-//! shipped workloads stay on the agreeing side.
+//! greedy fallback there and the proven optimum here.  The armed-only
+//! counter `solve.search.node_cap_hits` counts the region searches that
+//! stopped at the cap.  The CI fleet-smoke sweep leg requires it to read
+//! 0 in both modes before it compares their journals byte for byte.
 //!
 //! # The greedy fallback
 //!

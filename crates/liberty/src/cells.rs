@@ -307,11 +307,6 @@ impl Library {
         &self.ffs
     }
 
-    /// The default flip-flop (the first defined one).
-    pub fn default_ff(&self) -> Option<&FlipFlopDef> {
-        self.ffs.first()
-    }
-
     /// Checks library-level invariants.
     ///
     /// # Errors
@@ -325,22 +320,6 @@ impl Library {
             return Err(LibraryError::NoFlipFlop);
         }
         Ok(())
-    }
-
-    /// Rebuilds the name indices (needed after deserialisation).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name.clone(), i))
-            .collect();
-        self.ff_index = self
-            .ffs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name.clone(), i))
-            .collect();
     }
 
     /// The built-in "industry-like" library used by all experiments.
@@ -532,7 +511,6 @@ mod tests {
         assert!(lib.cell("NAND2_X1").is_some());
         assert!(lib.ff("DFF_X1").is_some());
         assert!(lib.cell("DFF_X1").is_none());
-        assert!(lib.default_ff().is_some());
     }
 
     #[test]

@@ -273,8 +273,11 @@ mod tests {
         let s = m.solve();
         assert_eq!(s.status, Status::Optimal);
         assert_eq!(s.int_value(y), 2);
-        let lp = m.solve_lp();
-        assert!((lp.value(y) - 1.5).abs() < 1e-7);
+        // Without integrality the search ends at the root relaxation.
+        let mut relaxed = Model::new();
+        let y = relaxed.add_var(0.0, 10.0, 1.0, false);
+        relaxed.add_cons(vec![(y, 2.0)], Op::Ge, 3.0);
+        assert!((relaxed.solve().value(y) - 1.5).abs() < 1e-7);
     }
 
     #[test]
@@ -336,7 +339,10 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_var(-2.0, 2.0, 0.0, true);
         m.add_abs_deviation(x, 0.5, 1.0);
-        assert!(m.solve_lp().objective.abs() < 1e-9);
+        let mut relaxed = Model::new();
+        let xr = relaxed.add_var(-2.0, 2.0, 0.0, false);
+        relaxed.add_abs_deviation(xr, 0.5, 1.0);
+        assert!(relaxed.solve().objective.abs() < 1e-9);
         let s = m.solve();
         let exhaustive = solve_branch_and_bound(&m, false);
         assert_eq!(s.status, Status::Optimal);

@@ -2,7 +2,7 @@
 //! linearisations the insertion flow needs.
 
 use crate::branch::solve_branch_and_bound;
-use crate::simplex::{DenseLp, LpOutcome, RowOp};
+use crate::simplex::{DenseLp, RowOp};
 use serde::{Deserialize, Serialize};
 
 /// Handle to a model variable.
@@ -326,36 +326,6 @@ impl Model {
         )
     }
 
-    /// Solves the LP relaxation (ignoring integrality).
-    pub fn solve_lp(&self) -> Solution {
-        let lo: Vec<f64> = self.vars.iter().map(|v| v.lo).collect();
-        let hi: Vec<f64> = self.vars.iter().map(|v| v.hi).collect();
-        let (lp, constant) = self.to_dense_lp(&lo, &hi, &[]);
-        match lp.solve() {
-            LpOutcome::Optimal { x, objective } => Solution {
-                status: Status::Optimal,
-                values: x.iter().enumerate().map(|(i, y)| y + lo[i]).collect(),
-                objective: objective + constant,
-                nodes: 1,
-                bound_stop: false,
-            },
-            LpOutcome::Infeasible => Solution {
-                status: Status::Infeasible,
-                values: vec![],
-                objective: f64::INFINITY,
-                nodes: 1,
-                bound_stop: false,
-            },
-            LpOutcome::Unbounded => Solution {
-                status: Status::Unbounded,
-                values: vec![],
-                objective: f64::NEG_INFINITY,
-                nodes: 1,
-                bound_stop: false,
-            },
-        }
-    }
-
     /// Solves the MILP by branch and bound.
     ///
     /// When every integer variable carries a deviation term (see
@@ -389,7 +359,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_var(-5.0, 5.0, 1.0, false);
         m.add_cons(vec![(x, 1.0)], Op::Ge, -2.0);
-        let s = m.solve_lp();
+        let s = m.solve();
         assert_eq!(s.status, Status::Optimal);
         assert!((s.value(x) + 2.0).abs() < 1e-7);
     }
@@ -401,7 +371,7 @@ mod tests {
         let x = m.add_var(-10.0, 10.0, 0.0, false);
         m.add_cons(vec![(x, 1.0)], Op::Ge, 5.0);
         m.add_abs_deviation(x, 3.0, 1.0);
-        let s = m.solve_lp();
+        let s = m.solve();
         assert_eq!(s.status, Status::Optimal);
         assert!((s.objective - 2.0).abs() < 1e-6, "obj={}", s.objective);
         assert!((s.value(x) - 5.0).abs() < 1e-6);
@@ -413,7 +383,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_var(-10.0, 10.0, 0.0, false);
         m.add_abs_deviation(x, 3.0, 1.0);
-        let s = m.solve_lp();
+        let s = m.solve();
         assert!((s.value(x) - 3.0).abs() < 1e-6);
         assert!(s.objective.abs() < 1e-6);
     }

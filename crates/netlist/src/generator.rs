@@ -349,6 +349,7 @@ fn weighted(rng: &mut StdRng, cells: &[(&'static str, u32)]) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::NodeKind;
 
     #[test]
     fn exact_counts() {
@@ -356,8 +357,9 @@ mod tests {
         let c = p.generate(1);
         assert_eq!(c.num_ffs(), 50);
         assert_eq!(c.num_gates(), 600);
-        assert_eq!(c.num_inputs(), p.n_inputs);
-        assert_eq!(c.num_outputs(), p.n_outputs);
+        let count = |k: NodeKind| c.node_ids().filter(|&id| c.node(id).kind == k).count();
+        assert_eq!(count(NodeKind::Input), p.n_inputs);
+        assert_eq!(count(NodeKind::Output), p.n_outputs);
         assert!(c.check().is_ok());
     }
 

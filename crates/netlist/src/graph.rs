@@ -302,22 +302,6 @@ impl Circuit {
         self.nodes.iter().filter(|n| n.kind.is_gate()).count()
     }
 
-    /// Number of primary inputs.
-    pub fn num_inputs(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n.kind, NodeKind::Input))
-            .count()
-    }
-
-    /// Number of primary outputs.
-    pub fn num_outputs(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n.kind, NodeKind::Output))
-            .count()
-    }
-
     /// Validates structural invariants.
     ///
     /// # Errors
@@ -469,8 +453,9 @@ mod tests {
         assert!(c.check().is_ok());
         assert_eq!(c.num_ffs(), 2);
         assert_eq!(c.num_gates(), 2);
-        assert_eq!(c.num_inputs(), 1);
-        assert_eq!(c.num_outputs(), 1);
+        let count = |k: NodeKind| c.node_ids().filter(|&id| c.node(id).kind == k).count();
+        assert_eq!(count(NodeKind::Input), 1);
+        assert_eq!(count(NodeKind::Output), 1);
         assert_eq!(c.len(), 6);
         assert!(!c.is_empty());
     }

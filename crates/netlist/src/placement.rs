@@ -53,11 +53,6 @@ impl Placement {
         self.coords.is_empty()
     }
 
-    /// Coordinates of FF `i` (dense FF index).
-    pub fn coord(&self, i: usize) -> (f64, f64) {
-        self.coords[i]
-    }
-
     /// Manhattan distance between FFs `i` and `j`.
     ///
     /// ```
@@ -144,7 +139,7 @@ mod tests {
         assert_eq!(p.len(), c.num_ffs());
         let mut seen = std::collections::HashSet::new();
         for i in 0..p.len() {
-            let (x, y) = p.coord(i);
+            let (x, y) = p.coords[i];
             assert!(seen.insert((x as i64, y as i64)), "duplicate position");
         }
     }

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use psbi_netlist::bench_format::{parse_bench, to_bench};
 use psbi_netlist::generator::GeneratorProfile;
+use psbi_netlist::graph::{Circuit, NodeKind};
 use psbi_netlist::placement::{sequential_adjacency, Placement};
 use psbi_netlist::skew::SkewConfig;
 
@@ -37,8 +38,10 @@ proptest! {
         let c2 = parse_bench(&text).expect("round trip parses");
         prop_assert_eq!(c2.num_ffs(), c.num_ffs());
         prop_assert_eq!(c2.num_gates(), c.num_gates());
-        prop_assert_eq!(c2.num_inputs(), c.num_inputs());
-        prop_assert_eq!(c2.num_outputs(), c.num_outputs());
+        for kind in [NodeKind::Input, NodeKind::Output] {
+            let count = |c: &Circuit| c.node_ids().filter(|&id| c.node(id).kind == kind).count();
+            prop_assert_eq!(count(&c2), count(&c));
+        }
     }
 
     /// Placement always assigns unique coordinates and symmetric adjacency.
@@ -47,10 +50,11 @@ proptest! {
         let c = GeneratorProfile::sized("p", n_ffs, n_ffs * 3).generate(seed);
         let p = Placement::grid(&c, 1.5);
         prop_assert_eq!(p.len(), n_ffs);
-        let mut seen = std::collections::HashSet::new();
+        // No two flip-flops share a position.
         for i in 0..p.len() {
-            let (x, y) = p.coord(i);
-            prop_assert!(seen.insert(((x * 10.0) as i64, (y * 10.0) as i64)));
+            for j in 0..i {
+                prop_assert!(p.manhattan(i, j) > 0.0);
+            }
         }
         let adj = sequential_adjacency(&c);
         for (i, list) in adj.iter().enumerate() {

@@ -47,11 +47,6 @@ pub enum Feasibility {
 }
 
 impl Feasibility {
-    /// True when feasible.
-    pub fn is_feasible(&self) -> bool {
-        matches!(self, Feasibility::Feasible(_))
-    }
-
     /// The witness, if feasible.
     pub fn witness(&self) -> Option<&[i64]> {
         match self {
@@ -350,7 +345,10 @@ mod tests {
             Feasibility::Infeasible
         );
         // Loosening the bounds fixes it.
-        assert!(s.solve_bounded(2, &arcs, &[(0, 7), (0, 2)]).is_feasible());
+        assert!(s
+            .solve_bounded(2, &arcs, &[(0, 7), (0, 2)])
+            .witness()
+            .is_some());
     }
 
     #[test]
@@ -372,7 +370,8 @@ mod tests {
         for _ in 0..3 {
             assert!(s
                 .solve_bounded(2, &[Arc::new(0, 1, 1)], &bounds)
-                .is_feasible());
+                .witness()
+                .is_some());
             assert_eq!(
                 s.solve_bounded(2, &[Arc::new(0, 1, -1), Arc::new(1, 0, 0)], &bounds),
                 Feasibility::Infeasible
@@ -623,7 +622,7 @@ mod tests {
                     arcs.into_iter().map(|(a, b, w)| Arc::new(a, b, w)).collect();
                 let bounds = [(-2i64, 2i64); 3];
                 let mut s = DiffSolver::new();
-                let got = s.solve_bounded(3, &arcs, &bounds).is_feasible();
+                let got = s.solve_bounded(3, &arcs, &bounds).witness().is_some();
                 let mut any = false;
                 for x0 in -2..=2i64 {
                     for x1 in -2..=2i64 {

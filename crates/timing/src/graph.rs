@@ -18,7 +18,6 @@ pub struct TimingGraph<'a> {
     /// The underlying circuit.
     pub circuit: &'a Circuit,
     gate_delay: Vec<CanonicalForm>,
-    load: Vec<f64>,
     clk_to_q: Vec<CanonicalForm>,
     setup: Vec<CanonicalForm>,
     hold: Vec<CanonicalForm>,
@@ -89,7 +88,6 @@ impl<'a> TimingGraph<'a> {
         Ok(Self {
             circuit,
             gate_delay,
-            load,
             clk_to_q,
             setup,
             hold,
@@ -102,12 +100,6 @@ impl<'a> TimingGraph<'a> {
     #[inline]
     pub fn gate_delay(&self, id: NodeId) -> &CanonicalForm {
         &self.gate_delay[id.index()]
-    }
-
-    /// Capacitive load driven by node `id` (fF).
-    #[inline]
-    pub fn load_of(&self, id: NodeId) -> f64 {
-        self.load[id.index()]
     }
 
     /// Canonical clock-to-Q delay of FF `ff_idx` (dense index).
@@ -180,21 +172,31 @@ mod tests {
     fn loads_accumulate_fanout() {
         let (c, lib, model) = setup_example();
         let tg = TimingGraph::build(&c, &lib, &model).unwrap();
-        // F0 drives N1 (INV) and N5 (AND): load = caps + 2 wire segments.
+        // F0 drives N1 (INV) and N5 (AND): load = caps + 2 wire segments,
+        // which F0's clock-to-Q delay is computed at.
         let f0 = c.by_name("F0").unwrap();
         let expect = lib.cell("INV_X1").unwrap().input_cap
             + lib.cell("AND2_X1").unwrap().input_cap
             + 2.0 * lib.wire_cap_per_fanout;
-        assert!((tg.load_of(f0) - expect).abs() < 1e-12);
+        let NodeKind::FlipFlop { cell } = &c.node(f0).kind else {
+            panic!("F0 is a flip-flop");
+        };
+        let want = lib.ff(cell).unwrap().clk_to_q_canonical(expect, &model);
+        let got = tg.clk_to_q(c.ff_index(f0).unwrap());
+        assert!((got.mean() - want.mean()).abs() < 1e-12);
+        assert!((got.sigma() - want.sigma()).abs() < 1e-12);
     }
 
     #[test]
     fn higher_load_means_higher_delay() {
         let (c, lib, model) = setup_example();
         let tg = TimingGraph::build(&c, &lib, &model).unwrap();
-        // N5 (AND2) drives two sinks; N3 (NOR2) drives one.
+        // N5 (AND2) drives two sinks, so its delay exceeds the unloaded one.
         let n5 = c.by_name("N5").unwrap();
-        assert!(tg.load_of(n5) > 0.0);
+        let NodeKind::Gate { cell } = &c.node(n5).kind else {
+            panic!("N5 is a gate");
+        };
+        assert!(tg.gate_delay(n5).mean() > lib.cell(cell).unwrap().delay(0.0));
     }
 
     #[test]

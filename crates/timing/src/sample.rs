@@ -990,6 +990,26 @@ mod tests {
     }
 
     #[test]
+    fn chip_globals_are_standard_normal() {
+        let n = 50_000;
+        let mut sum = [0.0; N_PARAMS];
+        let mut sum2 = [0.0; N_PARAMS];
+        for k in 0..n {
+            let (g, _) = chip_rng(3, k);
+            for i in 0..N_PARAMS {
+                sum[i] += g.delta[i];
+                sum2[i] += g.delta[i] * g.delta[i];
+            }
+        }
+        for i in 0..N_PARAMS {
+            let mean = sum[i] / n as f64;
+            let var = sum2[i] / n as f64 - mean * mean;
+            assert!(mean.abs() < 0.02);
+            assert!((var - 1.0).abs() < 0.05);
+        }
+    }
+
+    #[test]
     fn deterministic_given_seed() {
         let fx = Fixture::new(4);
         let tg = TimingGraph::build(&fx.circuit, &fx.lib, &fx.model).unwrap();

@@ -8,8 +8,6 @@
 //! (within-die) component; [`VariationModel::global_share`] is the fraction
 //! of variance carried by the global component.
 
-use crate::normal::draw_standard_normal;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Number of global variation sources (L, t_ox, V_th).
@@ -127,15 +125,6 @@ impl VariationModel {
     pub fn local_sigma(&self, p: ProcessParam) -> f64 {
         self.sigma[p.index()] * (1.0 - self.global_share).sqrt()
     }
-
-    /// Draws the chip-global deviations for one manufactured chip.
-    pub fn sample_global<R: Rng + ?Sized>(&self, rng: &mut R) -> GlobalSample {
-        let mut delta = [0.0; N_PARAMS];
-        for d in &mut delta {
-            *d = draw_standard_normal(rng);
-        }
-        GlobalSample { delta }
-    }
 }
 
 impl Default for VariationModel {
@@ -166,8 +155,6 @@ impl GlobalSample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn defaults_match_paper() {
@@ -195,28 +182,6 @@ mod tests {
         let mut m = VariationModel::paper_defaults();
         m.global_share = 1.5;
         assert!(m.validate().is_err());
-    }
-
-    #[test]
-    fn global_sample_moments() {
-        let m = VariationModel::paper_defaults();
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 50_000;
-        let mut sum = [0.0; N_PARAMS];
-        let mut sum2 = [0.0; N_PARAMS];
-        for _ in 0..n {
-            let g = m.sample_global(&mut rng);
-            for i in 0..N_PARAMS {
-                sum[i] += g.delta[i];
-                sum2[i] += g.delta[i] * g.delta[i];
-            }
-        }
-        for i in 0..N_PARAMS {
-            let mean = sum[i] / n as f64;
-            let var = sum2[i] / n as f64 - mean * mean;
-            assert!(mean.abs() < 0.02);
-            assert!((var - 1.0).abs() < 0.05);
-        }
     }
 
     #[test]

@@ -37,6 +37,11 @@
 //! assert!(result.yield_with_buffers + 1e-9 >= result.yield_baseline);
 //! ```
 
+// Every `rust` block of README.md compiles and runs as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use psbi_core as core;
 pub use psbi_fault as fault;
 pub use psbi_fleet as fleet;

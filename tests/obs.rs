@@ -15,11 +15,15 @@
 //!    `solve.memo.*` and the draw counters are deliberately excluded;
 //!    draws plus zero-pass settles are pinned instead).
 //!
+//! It also checks that `solve.search.node_cap_hits` counts region
+//! searches under a one-node `bb_node_cap` and stays 0 at the default cap.
+//!
 //! Arming is process-global, so every test serialises through
 //! [`psbi::obs::test_lock`] and arms/disarms manually (the `with_*`
 //! helpers take the same lock and would deadlock under it).
 
-use psbi::core::flow::FlowConfig;
+use psbi::core::flow::{BufferInsertionFlow, FlowConfig};
+use psbi::core::solve::SolverOptions;
 use psbi::fleet::{run_campaign, CampaignReport, CampaignSpec, FleetOptions};
 use psbi::obs;
 use std::collections::BTreeMap;
@@ -270,4 +274,37 @@ fn deterministic_counters_and_gauges_are_worker_count_invariant() {
     // No faults were injected, so nothing was retried or quarantined.
     assert_eq!(one.counter("fleet.jobs.retried"), None);
     assert_eq!(one.counter("fleet.jobs.quarantined"), None);
+}
+
+#[test]
+fn node_cap_hits_count_the_searches_stopped_at_the_cap() {
+    let _gate = obs::test_lock();
+    let _disarm = DisarmOnDrop;
+    let circuit = psbi::netlist::bench_suite::tiny_demo(1);
+    let counters = |bb_node_cap: usize| {
+        let mut cfg = FlowConfig {
+            samples: 120,
+            yield_samples: 120,
+            calibration_samples: 120,
+            ..FlowConfig::default()
+        };
+        cfg.solver.bb_node_cap = bb_node_cap;
+        let flow = BufferInsertionFlow::builder(&circuit, cfg)
+            .build()
+            .expect("valid circuit");
+        obs::metrics::arm(None); // arming clears the registry
+        flow.run();
+        let snap = obs::metrics::snapshot();
+        obs::metrics::disarm();
+        let read = |name: &str| snap.counter(name).expect("counter registered");
+        (
+            read("solve.search.node_cap_hits"),
+            read("solve.search.nodes"),
+        )
+    };
+    let (hits, nodes) = counters(1);
+    assert!(hits > 0, "a one-node cap stopped no search ({nodes} nodes)");
+    let (hits, nodes) = counters(SolverOptions::default().bb_node_cap);
+    assert!(nodes > 0, "no region was searched");
+    assert_eq!(hits, 0, "the default cap stopped a search on tiny_demo");
 }
