@@ -912,6 +912,8 @@ impl SampleSolver {
         // A `Feasible` status is a node-limit stop: the values are kept
         // but their optimality is unproven.
         psbi_obs::metrics::counter_add("solve.milp.lp_nodes", sol.nodes as u64);
+        psbi_obs::metrics::counter_add("solve.milp.lp_pivots", sol.pivots as u64);
+        psbi_obs::metrics::counter_add("solve.milp.lp_iter_cap", sol.lp_iter_caps as u64);
         psbi_obs::metrics::counter_add("solve.milp.bound_stops", sol.bound_stop as u64);
         psbi_obs::metrics::counter_add(
             "solve.milp.node_limit",

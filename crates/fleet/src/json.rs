@@ -46,7 +46,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
+        let value = parse_value(text, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -118,16 +118,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 }
 
 /// Parses one value inside `depth` enclosing arrays/objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
             "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
         )),
-        Some(b'{') => parse_obj(bytes, pos, depth + 1),
-        Some(b'[') => parse_arr(bytes, pos, depth + 1),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_obj(text, pos, depth + 1),
+        Some(b'[') => parse_arr(text, pos, depth + 1),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -165,7 +166,8 @@ fn read_hex4(bytes: &[u8], start: usize) -> Result<u32, String> {
         .map_err(|_| "bad \\u escape".to_string())
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
@@ -213,17 +215,23 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad utf8")?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote or backslash.  Both are
+                // ASCII, so the run ends on a character boundary of the
+                // already-valid text, and a string costs time linear in its
+                // length.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(&text[*pos..end]);
+                *pos = end;
             }
         }
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_arr(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -232,7 +240,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos, depth)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -245,7 +253,8 @@ fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_obj(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     *pos += 1; // consume '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -258,13 +267,13 @@ fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String
         if bytes.get(*pos) != Some(&b'"') {
             return Err(format!("expected object key at byte {pos}"));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(format!("expected ':' at byte {pos}"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos, depth)?;
+        let value = parse_value(text, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -358,6 +367,27 @@ mod tests {
         // An unpaired high surrogate degrades to U+FFFD, not an error.
         let v = Json::parse(r#"{"k": "\ud83dx"}"#).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some("\u{fffd}x"));
+    }
+
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        // About 4 MiB of ASCII, two-, three- and four-byte characters and
+        // escapes, surrogate pairs among them.  Re-validating the rest of
+        // the input per character made this take minutes.
+        let literal = "plain ascii, caf\u{e9} \u{65e5}\u{672c} \u{1F600} ";
+        let escaped = r#"\ud83d\ude00 \u00e9\n\"\\ "#;
+        let decoded = "\u{1F600} \u{e9}\n\"\\ ";
+        let mut doc = String::from(r#"{"k": ""#);
+        let mut want = String::new();
+        while doc.len() < 4 << 20 {
+            doc.push_str(literal);
+            doc.push_str(escaped);
+            want.push_str(literal);
+            want.push_str(decoded);
+        }
+        doc.push_str(r#""}"#);
+        let v = Json::parse(&doc).unwrap();
+        assert_eq!(v.get("k").unwrap().as_str(), Some(want.as_str()));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`Model::solve`].
 
 use crate::model::{Model, Solution, Status};
-use crate::simplex::LpOutcome;
+use crate::simplex::{Lp, LpOutcome};
 
 const INT_TOL: f64 = 1e-6;
 /// Incumbent must improve by at least this much to be accepted.
@@ -20,17 +20,33 @@ struct BbNode {
     parent_bound: f64,
 }
 
+/// The LP work of one search.
+#[derive(Default)]
+struct LpTally {
+    pivots: usize,
+    iter_caps: usize,
+}
+
+impl LpTally {
+    fn solve(&mut self, lp: &Lp) -> LpOutcome {
+        let (outcome, stats) = lp.solve();
+        self.pivots += stats.pivots[0] + stats.pivots[1];
+        self.iter_caps += usize::from(stats.iter_cap);
+        outcome
+    }
+}
+
 /// The hull bound of `model` over the root bounds `lo`/`hi`, or `−∞` when
 /// the model is not eligible or the bound LP does not solve.  `root_bound`
 /// is the root relaxation's objective, which *is* the bound when no cut
 /// applies.
-fn hull_bound(model: &Model, lo: &[f64], hi: &[f64], root_bound: f64) -> f64 {
+fn hull_bound(model: &Model, lo: &[f64], hi: &[f64], root_bound: f64, tally: &mut LpTally) -> f64 {
     match model.chord_cuts() {
         None => f64::NEG_INFINITY,
         Some(cuts) if cuts.is_empty() => root_bound,
         Some(cuts) => {
-            let (lp, constant) = model.to_dense_lp(lo, hi, &cuts);
-            match lp.solve() {
+            let (lp, constant) = model.to_lp(lo, hi, &cuts);
+            match tally.solve(&lp) {
                 LpOutcome::Optimal { objective, .. } => objective + constant,
                 LpOutcome::Infeasible | LpOutcome::Unbounded => f64::NEG_INFINITY,
             }
@@ -56,6 +72,7 @@ pub(crate) fn solve_branch_and_bound(model: &Model, certify: bool) -> Solution {
         best_x = Some(x);
     }
     let mut nodes = 0usize;
+    let mut tally = LpTally::default();
     let mut stack = vec![BbNode {
         lo: root_lo,
         hi: root_hi,
@@ -76,8 +93,8 @@ pub(crate) fn solve_branch_and_bound(model: &Model, certify: bool) -> Solution {
         if node.parent_bound >= best_obj - OBJ_TOL {
             continue; // dominated before solving
         }
-        let (lp, constant) = model.to_dense_lp(&node.lo, &node.hi, &[]);
-        let (x, bound) = match lp.solve() {
+        let (lp, constant) = model.to_lp(&node.lo, &node.hi, &[]);
+        let (x, bound) = match tally.solve(&lp) {
             LpOutcome::Optimal { x, objective } => {
                 let xs: Vec<f64> = x.iter().enumerate().map(|(i, y)| y + node.lo[i]).collect();
                 (xs, objective + constant)
@@ -92,6 +109,8 @@ pub(crate) fn solve_branch_and_bound(model: &Model, certify: bool) -> Solution {
                     objective: f64::NEG_INFINITY,
                     nodes,
                     bound_stop: false,
+                    pivots: tally.pivots,
+                    lp_iter_caps: tally.iter_caps,
                 };
             }
         };
@@ -132,7 +151,7 @@ pub(crate) fn solve_branch_and_bound(model: &Model, certify: bool) -> Solution {
                 if certify && hull.is_none() {
                     // Only the root can branch first (a root that does not
                     // branch ends the search), so this node is the root.
-                    let h = hull_bound(model, &node.lo, &node.hi, bound);
+                    let h = hull_bound(model, &node.lo, &node.hi, bound, &mut tally);
                     hull = Some(h);
                     if best_obj <= h + OBJ_TOL / 2.0 {
                         bound_stop = true;
@@ -189,6 +208,8 @@ pub(crate) fn solve_branch_and_bound(model: &Model, certify: bool) -> Solution {
             objective: best_obj,
             nodes,
             bound_stop,
+            pivots: tally.pivots,
+            lp_iter_caps: tally.iter_caps,
         },
         None => Solution {
             status: if limit_hit {
@@ -200,6 +221,8 @@ pub(crate) fn solve_branch_and_bound(model: &Model, certify: bool) -> Solution {
             objective: f64::INFINITY,
             nodes,
             bound_stop,
+            pivots: tally.pivots,
+            lp_iter_caps: tally.iter_caps,
         },
     }
 }

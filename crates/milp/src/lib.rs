@@ -5,10 +5,18 @@
 //! no external solver is available here, so this crate implements the
 //! required machinery from scratch:
 //!
-//! * [`simplex`] — a dense two-phase primal simplex over variables with
-//!   finite bounds (bounds are handled by shifting and explicit rows, which
-//!   is perfectly adequate for the small per-region problems the flow
-//!   produces);
+//! * `simplex` — a two-phase primal simplex on a sparse tableau over
+//!   variables with finite bounds (bounds are handled by shifting and
+//!   explicit rows, which is perfectly adequate for the small per-region
+//!   problems the flow produces).  A pivot touches only the tableau's
+//!   nonzeros, tracked by a bitset per row and per column, yet makes
+//!   exactly the pivots of the dense tableau method: every nonzero is
+//!   computed by the same floating-point operation on the same operands,
+//!   an entry never visited is a zero that can differ only in sign (which
+//!   no comparison here tells apart), the ratio test visits a column's
+//!   rows in increasing order, and phase 2 skips the artificial columns it
+//!   never reads.  A differential test against the dense method pins this;
+//!   [`Solution::pivots`] counts the work;
 //! * [`branch`] — branch-and-bound over the LP relaxation for integer and
 //!   binary variables, with most-fractional branching, incumbent pruning
 //!   and the hull-bound certificate below;
@@ -68,6 +76,6 @@
 
 pub mod branch;
 pub mod model;
-pub mod simplex;
+pub(crate) mod simplex;
 
 pub use model::{Model, Op, Solution, Status, VarId};

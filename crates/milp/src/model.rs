@@ -2,7 +2,7 @@
 //! linearisations the insertion flow needs.
 
 use crate::branch::solve_branch_and_bound;
-use crate::simplex::{DenseLp, RowOp};
+use crate::simplex::{Lp, RowOp};
 use serde::{Deserialize, Serialize};
 
 /// Handle to a model variable.
@@ -51,6 +51,12 @@ pub struct Solution {
     /// The search stopped early because the incumbent met the hull bound
     /// (see [`Model::solve`]); `status` is then `Optimal`.
     pub bound_stop: bool,
+    /// Simplex pivots over every LP the search solved, the hull-bound LP
+    /// included.
+    pub pivots: usize,
+    /// LPs that stopped at the simplex iteration limit, whose last basis
+    /// was taken as optimal.  Never observed; counted so it would show.
+    pub lp_iter_caps: usize,
 }
 
 impl Solution {
@@ -269,26 +275,28 @@ impl Model {
 
     /// Builds the LP relaxation plus the `extra` rows in shifted
     /// computational form (`y = x − lo ≥ 0`) together with the objective
-    /// constant.
-    pub(crate) fn to_dense_lp(
+    /// constant.  Each row keeps its constraint's terms as given.
+    pub(crate) fn to_lp(
         &self,
         lo_override: &[f64],
         hi_override: &[f64],
         extra: &[ConsDef],
-    ) -> (DenseLp, f64) {
+    ) -> (Lp, f64) {
         let n = self.vars.len();
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(self.cons.len() + extra.len() + n);
-        let mut ops: Vec<RowOp> = Vec::new();
-        let mut rhs: Vec<f64> = Vec::new();
+        let rows = self.cons.len() + extra.len() + n;
+        let mut starts: Vec<usize> = Vec::with_capacity(rows + 1);
+        let mut terms: Vec<(usize, f64)> = Vec::new();
+        let mut ops: Vec<RowOp> = Vec::with_capacity(rows);
+        let mut rhs: Vec<f64> = Vec::with_capacity(rows);
+        starts.push(0);
 
         for c in self.cons.iter().chain(extra) {
-            let mut row = vec![0.0; n];
             let mut shift = 0.0;
             for (v, coef) in &c.terms {
-                row[v.0] += *coef;
+                terms.push((v.0, *coef));
                 shift += *coef * lo_override[v.0];
             }
-            rows.push(row);
+            starts.push(terms.len());
             ops.push(match c.op {
                 Op::Le => RowOp::Le,
                 Op::Ge => RowOp::Ge,
@@ -300,9 +308,8 @@ impl Model {
         for i in 0..n {
             let span = hi_override[i] - lo_override[i];
             if span.is_finite() {
-                let mut row = vec![0.0; n];
-                row[i] = 1.0;
-                rows.push(row);
+                terms.push((i, 1.0));
+                starts.push(terms.len());
                 ops.push(RowOp::Le);
                 rhs.push(span);
             }
@@ -315,10 +322,11 @@ impl Model {
             .map(|(i, v)| v.obj * lo_override[i])
             .sum();
         (
-            DenseLp {
+            Lp {
                 n,
                 cost,
-                rows,
+                starts,
+                terms,
                 ops,
                 rhs,
             },

@@ -231,6 +231,7 @@ fn deterministic_counters_and_gauges_are_worker_count_invariant() {
         "fleet.jobs.committed",
         "fleet.journal.writes",
         "solve.milp.lp_nodes",
+        "solve.milp.lp_pivots",
     ] {
         let a = one.counter(counter);
         let b = eight.counter(counter);
