@@ -1,7 +1,8 @@
-//! Perf-trajectory harness: times the batched sampling + constraint
-//! extraction engine against the scalar per-sample path and one full flow
-//! run on a paper-scale circuit, then writes `BENCH_sampling.json` so
-//! future PRs can track throughput regressions.
+//! Perf-trajectory harness: times the fused sampling + constraint
+//! extraction entry the flow's passes run (`ConstraintBatch::draw_from`)
+//! against the scalar per-sample path and one full flow run on a
+//! paper-scale circuit, then writes `BENCH_sampling.json` so future PRs
+//! can track throughput regressions.
 //!
 //! ```text
 //! cargo run -p psbi-bench --release --bin perf_json -- \
@@ -10,9 +11,9 @@
 //! ```
 //!
 //! Besides the sampling-throughput and flow-stage sections, the output
-//! carries a `simd` section — the chunked fill + extraction loop pinned
-//! to the fused scalar backend versus the active wide backend
-//! (AVX2 or NEON), which the `perf-gate` CI job tracks — a
+//! carries a `simd` section — the chunked fused draw + extraction pinned
+//! to the scalar reference backend versus the active wide backend
+//! (AVX2 chip lanes or NEON), which the `perf-gate` CI job tracks — a
 //! `cross_chip` section (a flow whose memo and zero-pass table an
 //! adjacent target warmed versus a fresh flow at the same target, with
 //! the region-memo hit rate and distinct-key count), a `search_pruning`
@@ -30,9 +31,7 @@ use psbi_fleet::{run_campaign, CampaignSpec, FleetOptions};
 use psbi_liberty::Library;
 use psbi_netlist::bench_suite::CircuitRef;
 use psbi_timing::graph::TimingGraph;
-use psbi_timing::sample::{
-    chip_rng, sample_canonical, CanonicalBatchSampler, SampleBatch, SampleTiming,
-};
+use psbi_timing::sample::{chip_rng, sample_canonical, CanonicalBatchSampler, SampleTiming};
 use psbi_timing::seq::SequentialGraph;
 use psbi_timing::{constraint, ConstraintBatch, IntegerConstraints};
 use psbi_variation::VariationModel;
@@ -125,26 +124,27 @@ fn main() {
     }
     let scalar_s = t0.elapsed().as_secs_f64();
 
-    // Batched SoA path: one SampleBatch + ConstraintBatch reused across
-    // all chunks, inverse-transform normal draws — exactly what the
-    // flow's passes run (on the process-wide kernel backend).
+    // Fused path: one ConstraintBatch reused across all chunks, each
+    // chunk's chips drawn with inverse-transform normals and extracted
+    // while still in cache — exactly what the flow's passes run (on the
+    // process-wide kernel backend).
     let sampler = CanonicalBatchSampler::new(&sg);
-    let mut batch = SampleBatch::new();
     let mut cons = ConstraintBatch::new();
+    let mut chips: Vec<u64> = Vec::with_capacity(CHUNK);
     let t1 = Instant::now();
     let mut lo = 0usize;
     while lo < samples {
         let len = CHUNK.min(samples - lo);
-        batch.reset(&sg, len);
-        sampler.fill(seed, lo as u64, &mut batch);
-        cons.build_from(&sg, &batch, &skews, period, step);
+        chips.clear();
+        chips.extend(lo as u64..(lo + len) as u64);
+        cons.draw_from(&sampler, seed, &chips, &skews, period, step);
         sink = sink.wrapping_add(cons.view(0).setup_bound[0]);
         lo += len;
     }
     let batched_s = t1.elapsed().as_secs_f64();
 
-    // SIMD trajectory: the same chunked fill + extraction pinned to the
-    // fused scalar backend versus the active (widest) backend.  Both are
+    // SIMD trajectory: the same chunked fused draw pinned to the scalar
+    // reference backend versus the active (widest) backend.  Both are
     // bit-identical populations, so this isolates pure kernel throughput.
     let backend = psbi_timing::simd::active();
     let mut time_backend = |b: psbi_timing::Backend| {
@@ -152,9 +152,9 @@ fn main() {
         let mut lo = 0usize;
         while lo < samples {
             let len = CHUNK.min(samples - lo);
-            batch.reset(&sg, len);
-            sampler.fill_with(b, seed, lo as u64, &mut batch);
-            cons.build_from_with(b, &sg, &batch, &skews, period, step);
+            chips.clear();
+            chips.extend(lo as u64..(lo + len) as u64);
+            cons.draw_from_with(b, &sampler, seed, &chips, &skews, period, step);
             sink = sink.wrapping_add(cons.view(0).setup_bound[0]);
             lo += len;
         }

@@ -1,6 +1,9 @@
-//! SIMD-parity probe: draws a window of the sample stream into a
-//! [`psbi_timing::SampleBatch`], extracts its integer constraints, and
-//! dumps every buffer as raw little-endian bytes.
+//! SIMD-parity probe: draws windows of the sample stream through every
+//! canonical draw entry — the fused bound extraction
+//! (`ConstraintBatch::draw_from`), the fused min-period scan
+//! (`constraint::min_periods`), gathered `SampleBatch` rows and the
+//! single-chip `fill_one` — and dumps every result as raw little-endian
+//! bytes.
 //!
 //! ```text
 //! cargo run -p psbi-bench --release --bin simd_parity -- \
@@ -10,9 +13,11 @@
 //! The `simd-parity` CI job runs this twice — once on the default
 //! (widest) kernel backend and once under `PSBI_FORCE_SCALAR=1` — and
 //! `cmp`s the dumps: the batch engine's dispatch contract is that every
-//! backend produces **byte-identical** SoA buffers.  The active backend
-//! and an FNV-1a digest are printed to stderr so divergences are easy to
-//! spot in job logs.
+//! backend produces **byte-identical** buffers.  Each window leaves out
+//! every fifth chip, as the flow's passes skip settled chips, so the AVX2
+//! chip lanes see short last groups too.  The active backend and an
+//! FNV-1a digest are printed to stderr so divergences are easy to spot in
+//! job logs.
 
 use psbi_bench::Args;
 use psbi_liberty::Library;
@@ -69,14 +74,19 @@ fn main() {
     let sampler = CanonicalBatchSampler::new(&sg);
     let mut batch = SampleBatch::new();
     let mut cons = ConstraintBatch::new();
+    let mut mps = Vec::new();
+    let mut chips = Vec::with_capacity(CHUNK);
     let mut dump = Vec::new();
     let mut lo = 0usize;
     while lo < samples {
         let len = CHUNK.min(samples - lo);
-        batch.reset(&sg, len);
-        sampler.fill(seed, lo as u64, &mut batch);
-        cons.build_from(&sg, &batch, &skews, period, step);
-        for row in 0..len {
+        chips.clear();
+        chips.extend((lo as u64..(lo + len) as u64).filter(|k| k % 5 != 4));
+        batch.reset(&sg, chips.len());
+        sampler.fill_gathered(seed, &chips, &mut batch);
+        cons.draw_from(&sampler, seed, &chips, &skews, period, step);
+        constraint::min_periods(&sampler, seed, &chips, &skews, &mut mps);
+        for (row, mp) in mps.iter().enumerate() {
             let v = batch.view(row);
             push_f64s(&mut dump, v.edge_max);
             push_f64s(&mut dump, v.edge_min);
@@ -85,12 +95,15 @@ fn main() {
             let c = cons.view(row);
             push_i64s(&mut dump, c.setup_bound);
             push_i64s(&mut dump, c.hold_bound);
+            push_f64s(&mut dump, &[mp.period]);
+            dump.push(u8::from(mp.hold_ok));
+            dump.extend_from_slice(&(mp.critical_edge as u64).to_le_bytes());
         }
         lo += len;
     }
-    // Single-chip replay bytes ride along: `fill_one` must reproduce
-    // batch rows on every backend, so its output belongs in the parity
-    // surface too.
+    // Single-chip replay bytes ride along: `fill_one` (the scalar
+    // reference on every backend) must reproduce batch rows, so its output
+    // belongs in the parity surface too.
     for index in [0u64, 1, (samples as u64).saturating_sub(1), 99_991] {
         sampler.fill_one(seed, index, &mut st);
         push_f64s(&mut dump, &st.edge_max);

@@ -15,13 +15,15 @@
 //!
 //! All passes run the *same* deterministic chip population: chip `k` draws
 //! from an RNG keyed by `(stream, k)` alone.  The sample stream is cut
-//! into fixed-size chunks; each chunk is drawn into a structure-of-arrays
-//! [`psbi_timing::SampleBatch`], its constraints are extracted into a
-//! [`psbi_timing::ConstraintBatch`], and the per-chip solves run over the
-//! batch rows.  The draw and bound-extraction kernels run wide (AVX2 /
-//! NEON lanes) on the process-wide [`psbi_timing::simd`] backend; every
-//! backend is bit-identical to the scalar reference
-//! (`PSBI_FORCE_SCALAR=1`), so kernel choice never affects results.
+//! into fixed-size chunks; each chunk's chips are drawn and their
+//! constraints extracted in one fused pass into a
+//! [`psbi_timing::ConstraintBatch`] (gate-level chips through a
+//! [`psbi_timing::SampleBatch`]), and the per-chip solves run over the
+//! constraint rows.  The draw and bound-extraction kernels run wide (AVX2
+//! chip lanes, four chips per vector; NEON per-chip lanes) on the
+//! process-wide [`psbi_timing::simd`] backend; every backend is
+//! bit-identical to the scalar reference (`PSBI_FORCE_SCALAR=1`), so
+//! kernel choice never affects results.
 //! Chunks are distributed over a rayon-style work-stealing
 //! parallel iterator (idle workers claim the next unprocessed chunk), and
 //! every worker draws its solver/batch workspaces from a shared pool that
@@ -409,15 +411,17 @@ impl InsertionResult {
     }
 }
 
-/// One worker's reusable state: SoA batches, constraint rows, the
-/// per-sample solver with its scratch, and the yield evaluator's
-/// per-chip feasibility check.  Checked out of the flow's
+/// One worker's reusable state: constraint rows, the per-sample solver
+/// with its scratch, the yield evaluator's per-chip feasibility check, and
+/// for gate-level sampling the drawn chips.  Checked out of the flow's
 /// [`WorkspacePool`] per chunk and returned afterwards, so a handful of
 /// workspaces (one per concurrently active worker) serve the entire flow.
 #[derive(Default)]
 pub(crate) struct Workspace {
-    /// Stream indices of the chips in `batch` / `cons`, row by row.
+    /// Stream indices of the chips in `cons` (and `batch`), row by row.
     chips: Vec<u64>,
+    /// Gate-level chips only: canonical chips go from the sampler's
+    /// kernels straight into `cons` and are never stored.
     batch: SampleBatch,
     cons: ConstraintBatch,
     solver: SampleSolver,
@@ -871,26 +875,24 @@ impl<'a> BufferInsertionFlow<'a> {
         }
     }
 
-    /// Draws the chips listed in `ws.chips` of `stream` into `ws.batch`,
-    /// one row per listed chip — the flow's one draw path.
-    fn fill_batch(&self, ws: &mut Workspace, stream: u64) {
+    /// Draws the chips listed in `ws.chips` of `stream` into `ws.batch` at
+    /// gate level, one row per listed chip.
+    fn fill_gate_level(&self, ws: &mut Workspace, stream: u64) {
         ws.batch.reset(&self.sg, ws.chips.len());
-        if self.cfg.gate_level_sampling {
-            let gls = ws
-                .gls
-                .get_or_insert_with(|| GateLevelSampler::new(&self.tg));
-            ws.batch
-                .fill_gate_level_gathered(&self.tg, &self.sg, gls, stream, &ws.chips);
-        } else {
-            self.canon.fill_gathered(stream, &ws.chips, &mut ws.batch);
-        }
+        let gls = ws
+            .gls
+            .get_or_insert_with(|| GateLevelSampler::new(&self.tg));
+        ws.batch
+            .fill_gate_level_gathered(&self.tg, &self.sg, gls, stream, &ws.chips);
     }
 
     /// Lists in `ws.chips` the chips of `lo .. lo + len` that `zero`
     /// cannot settle at `period` (all of them without a table), then
-    /// draws them as one gathered batch and extracts their bounds into
-    /// `ws.cons`: row `r` of `ws.cons` is chip `ws.chips[r]`.  Every drawn
-    /// chip that passes untuned is recorded in `zero`.
+    /// draws them and extracts their bounds into `ws.cons` — canonical
+    /// chips in one fused pass ([`ConstraintBatch::draw_from`]), gate-level
+    /// ones through a gathered batch: row `r` of `ws.cons` is chip
+    /// `ws.chips[r]`.  Every drawn chip that passes untuned is recorded in
+    /// `zero`.
     #[allow(clippy::too_many_arguments)]
     fn fill_unsettled(
         &self,
@@ -912,9 +914,14 @@ impl<'a> BufferInsertionFlow<'a> {
         if ws.chips.is_empty() {
             return;
         }
-        self.fill_batch(ws, stream);
-        ws.cons
-            .build_from(&self.sg, &ws.batch, &self.skews, period, step);
+        if self.cfg.gate_level_sampling {
+            self.fill_gate_level(ws, stream);
+            ws.cons
+                .build_from(&self.sg, &ws.batch, &self.skews, period, step);
+        } else {
+            ws.cons
+                .draw_from(&self.canon, stream, &ws.chips, &self.skews, period, step);
+        }
         if let Some(zero) = zero {
             for (row, &k) in ws.chips.iter().enumerate() {
                 if ws.cons.view(row).feasible_at_zero() {
@@ -925,10 +932,11 @@ impl<'a> BufferInsertionFlow<'a> {
     }
 
     /// Draws one chip into a standalone [`SampleTiming`] — the replay path
-    /// used by speed binning, [`BufferInsertionFlow::chip_constraints`]
-    /// and the examples.  Chips produced here are bit-identical to the
-    /// ones the batched passes evaluate (it draws through the same batch
-    /// kernel), so replaying an evaluated chip reproduces it exactly.
+    /// used by speed binning, [`BufferInsertionFlow::chip_constraints`],
+    /// the verifier and the examples.  Canonical chips are drawn through
+    /// the scalar reference kernel, which every backend of the batched
+    /// passes reproduces bit for bit, so replaying an evaluated chip
+    /// reproduces it exactly.
     pub(crate) fn fill_sample(
         &self,
         stream: u64,
@@ -988,16 +996,17 @@ impl<'a> BufferInsertionFlow<'a> {
         let chunks = self.map_chunks(n, |ws, lo, len| {
             ws.chips.clear();
             ws.chips.extend(lo as u64..(lo + len) as u64);
-            self.fill_batch(ws, stream);
-            let mut periods = Vec::with_capacity(len);
-            let mut hold_fails = 0u64;
-            for row in 0..len {
-                let mp = constraint::min_period_view(&self.sg, ws.batch.view(row), &self.skews);
-                periods.push(mp.period);
-                if !mp.hold_ok {
-                    hold_fails += 1;
-                }
+            let mut mps = Vec::with_capacity(len);
+            if self.cfg.gate_level_sampling {
+                self.fill_gate_level(ws, stream);
+                mps.extend((0..len).map(|row| {
+                    constraint::min_period_view(&self.sg, ws.batch.view(row), &self.skews)
+                }));
+            } else {
+                constraint::min_periods(&self.canon, stream, &ws.chips, &self.skews, &mut mps);
             }
+            let periods: Vec<f64> = mps.iter().map(|mp| mp.period).collect();
+            let hold_fails = mps.iter().filter(|mp| !mp.hold_ok).count() as u64;
             (periods, hold_fails)
         });
         let hold_fails: u64 = chunks.iter().map(|(_, h)| h).sum();
@@ -1140,8 +1149,10 @@ impl<'a> BufferInsertionFlow<'a> {
     }
 
     /// Parallel yield evaluation on the fresh "yield" stream.  When every
-    /// deployed window contains 0, a chip the zero-pass table settles at
-    /// `period` passes with and without buffers and is not drawn.
+    /// deployed window contains 0, the zero assignment is in every window,
+    /// so a chip that passes untuned passes with buffers too: it skips the
+    /// deployment check, and if the zero-pass table settles it at `period`
+    /// it is not even drawn.
     fn evaluate_yield(&self, deployment: &Deployment, period: f64, step: f64) -> YieldReport {
         let _span = psbi_obs::Span::enter("flow.yield");
         let _timer = psbi_obs::metrics::timer("flow.yield");
@@ -1161,7 +1172,8 @@ impl<'a> BufferInsertionFlow<'a> {
             for row in 0..ws.chips.len() {
                 let cv = ws.cons.view(row);
                 let baseline = cv.feasible_at_zero();
-                let buffered = deployment.chip_passes(&self.sg, cv, &mut ws.check);
+                let buffered = (zero_untuned && baseline)
+                    || deployment.chip_passes(&self.sg, cv, &mut ws.check);
                 report.record(baseline, buffered);
             }
             report

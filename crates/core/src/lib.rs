@@ -35,8 +35,9 @@
 //! Every Monte-Carlo stage runs on a batched, structure-of-arrays engine:
 //! the sample stream is cut into fixed-size chunks, the chips of each
 //! chunk that the flow's zero-pass table cannot settle (see [`flow`]) are
-//! drawn into a reused [`psbi_timing::SampleBatch`], their constraints are
-//! extracted into a [`psbi_timing::ConstraintBatch`], and the per-chip
+//! drawn and their constraints extracted in one fused pass into a reused
+//! [`psbi_timing::ConstraintBatch`] (gate-level chips go through a
+//! [`psbi_timing::SampleBatch`] first), and the per-chip
 //! solves run from a pool of per-worker workspaces
 //! ([`solve::SampleSolver`] with persistent branch-and-bound scratch and
 //! difference-constraint solvers).  Chunks are scheduled onto a

@@ -312,6 +312,46 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// The flow's yield pass skips the deployment check for a chip
+        /// that passes untuned when every window contains 0: the zero
+        /// assignment is then in every window, so `chip_passes` holds.
+        /// Random small graphs (self-loops, edges inside a group), bounds
+        /// that are all >= 0 or mixed, and grouped deployments whose
+        /// windows contain 0.
+        #[test]
+        fn untuned_pass_implies_pass_when_windows_contain_zero(seed in 0u64..u64::MAX) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1usize..10);
+            let edges: Vec<(u32, u32)> = (0..rng.gen_range(1usize..20))
+                .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)))
+                .collect();
+            let sg = graph(n, &edges);
+            let lo = if rng.gen_bool(0.7) { 0 } else { -3 };
+            let setup: Vec<i64> = edges.iter().map(|_| rng.gen_range(lo..8)).collect();
+            let hold: Vec<i64> = edges.iter().map(|_| rng.gen_range(lo..8)).collect();
+            let groups = rng.gen_range(1u32..5);
+            let dep = Deployment {
+                var_of_ff: (0..n)
+                    .map(|_| if rng.gen_bool(0.25) { NONE } else { rng.gen_range(0..groups) })
+                    .collect(),
+                bounds: (0..groups)
+                    .map(|_| (rng.gen_range(-4i64..=0), rng.gen_range(0i64..=4)))
+                    .collect(),
+            };
+            let chip = ic(&setup, &hold);
+            if chip.feasible_at_zero() {
+                proptest::prop_assert!(
+                    dep.chip_passes(&sg, chip.as_view(), &mut ChipCheck::new()),
+                    "edges {edges:?} setup {setup:?} hold {hold:?} deployment {dep:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn no_buffers_chip_passes_iff_bounds_nonnegative() {
         let sg = graph(2, &[(0, 1)]);

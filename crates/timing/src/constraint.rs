@@ -12,7 +12,7 @@
 //! Flooring is conservative: any integer solution of the floored system
 //! satisfies the original real constraints.
 
-use crate::sample::{SampleBatch, SampleTiming, SampleView};
+use crate::sample::{CanonicalBatchSampler, Drawn, SampleBatch, SampleTiming, SampleView};
 use crate::seq::SequentialGraph;
 use crate::simd;
 use serde::{Deserialize, Serialize};
@@ -204,10 +204,13 @@ fn fill_bounds_row(
 
 /// Structure-of-arrays integer bounds for a batch of chips.
 ///
-/// Row-major `len × edges` buffers, reused across passes via
-/// [`ConstraintBatch::build_from`] (no per-chip allocation).  The
-/// bound-extraction inner loop runs on the process-wide kernel backend
-/// ([`simd::active`]); all backends produce bit-identical bounds.
+/// Row-major `len × edges` buffers, reused across passes (no per-chip
+/// allocation), filled either from a drawn [`SampleBatch`]
+/// ([`ConstraintBatch::build_from`]) or straight from the sampler
+/// ([`ConstraintBatch::draw_from`], the flow's path, which never stores
+/// the chips' delays).  The bound-extraction inner loop runs on the
+/// process-wide kernel backend ([`simd::active`]); all backends produce
+/// bit-identical bounds.
 #[derive(Debug, Clone, Default)]
 pub struct ConstraintBatch {
     n_edges: usize,
@@ -293,79 +296,179 @@ impl ConstraintBatch {
             ],
         );
         psbi_obs::metrics::counter_add("timing.extract.batches", 1);
-        if psbi_fault::failpoint!("timing.extract.panic", "first" = batch.first_index()) {
-            // Models a constraint-extraction crash (e.g. a malformed bound
-            // tripping a downstream assert): the pass dies mid-chunk and
-            // the fleet's per-job retry recomputes it deterministically.
-            panic!("injected fault: timing.extract.panic");
+        extract_failpoint(batch.first_index());
+        self.shape(
+            sg.edges.iter().map(|e| (e.from, e.to)),
+            batch.len(),
+            skews,
+            period,
+        );
+        let inv_step = 1.0 / step;
+        for row in 0..self.len {
+            self.extract_row(backend, row, batch.view(row), inv_step);
         }
-        self.n_edges = sg.edges.len();
-        self.len = batch.len();
-        self.setup_bound.clear();
-        self.setup_bound.resize(self.len * self.n_edges, 0);
-        self.hold_bound.clear();
-        self.hold_bound.resize(self.len * self.n_edges, 0);
-        // Chip-invariant per-edge terms, hoisted once per batch: the skew/
-        // period parts of both bounds and the capture-FF index.  The
-        // per-chip loop then streams the flat SoA rows without touching
-        // the fat `SeqEdge` structs at all.
+    }
+
+    /// Draws chips `chips` of `stream` from `sampler` and extracts their
+    /// integer bounds — row `r` is chip `chips[r]` — on the process-wide
+    /// kernel backend ([`simd::active`]).  The chips' delays are read
+    /// while still in cache and never stored: on AVX2 four chips at a
+    /// time from their chip lanes, else one chip at a time.  Row for row
+    /// bit-identical to [`fill_gathered`] followed by
+    /// [`build_from`](ConstraintBatch::build_from).
+    ///
+    /// One `sample.batch.fill` span covers the call, with a
+    /// `timing.extract` child span around each group's extraction; the
+    /// `timing.extract.panic` failpoint is keyed by `chips[0]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` is not strictly positive or `skews` does not
+    /// have one entry per FF of the sampler's graph.
+    ///
+    /// [`fill_gathered`]: crate::sample::CanonicalBatchSampler::fill_gathered
+    #[allow(clippy::too_many_arguments)]
+    pub fn draw_from(
+        &mut self,
+        sampler: &CanonicalBatchSampler,
+        stream: u64,
+        chips: &[u64],
+        skews: &[f64],
+        period: f64,
+        step: f64,
+    ) {
+        self.draw_from_with(simd::active(), sampler, stream, chips, skews, period, step);
+    }
+
+    /// [`draw_from`](ConstraintBatch::draw_from) on an explicit kernel
+    /// backend (parity tests and benchmarks).
+    ///
+    /// # Panics
+    ///
+    /// As [`draw_from`](ConstraintBatch::draw_from), or if `backend` is
+    /// not available on this host.
+    #[allow(clippy::too_many_arguments)]
+    pub fn draw_from_with(
+        &mut self,
+        backend: simd::Backend,
+        sampler: &CanonicalBatchSampler,
+        stream: u64,
+        chips: &[u64],
+        skews: &[f64],
+        period: f64,
+        step: f64,
+    ) {
+        assert!(step > 0.0, "buffer step must be positive");
+        assert_eq!(skews.len(), sampler.n_ffs(), "one skew per FF");
+        psbi_obs::metrics::counter_add("timing.extract.batches", 1);
+        self.shape(sampler.ends().iter().copied(), chips.len(), skews, period);
+        let inv_step = 1.0 / step;
+        let n = self.n_edges;
+        sampler.draw_chips(
+            backend,
+            stream,
+            chips.len(),
+            |r| chips[r],
+            |row, drawn| {
+                let live = match &drawn {
+                    Drawn::Chip(_) => 1,
+                    Drawn::Lanes(lanes) => lanes.live(),
+                };
+                let _span = psbi_obs::Span::enter_with(
+                    "timing.extract",
+                    &[("chips", live as u64), ("first", chips[row])],
+                );
+                if row == 0 {
+                    extract_failpoint(chips[0]);
+                }
+                match drawn {
+                    Drawn::Chip(v) => self.extract_row(backend, row, v, inv_step),
+                    Drawn::Lanes(lanes) => {
+                        let rows = row * n..(row + live) * n;
+                        lanes.bounds(
+                            &self.to_idx,
+                            &self.setup_base,
+                            &self.hold_base,
+                            inv_step,
+                            &mut self.setup_bound[rows.clone()],
+                            &mut self.hold_bound[rows],
+                        );
+                    }
+                }
+            },
+        );
+    }
+
+    /// Re-shapes the batch for `len` chips of a graph whose edges run
+    /// `ends`, and hoists the chip-invariant per-edge terms: the skew/
+    /// period parts of both bounds and the capture-FF index.  The per-chip
+    /// loops then stream flat rows without touching the fat `SeqEdge`
+    /// structs at all.
+    fn shape(
+        &mut self,
+        ends: impl Iterator<Item = (u32, u32)>,
+        len: usize,
+        skews: &[f64],
+        period: f64,
+    ) {
         self.setup_base.clear();
         self.hold_base.clear();
         self.to_idx.clear();
-        for edge in &sg.edges {
-            let (i, j) = (edge.from as usize, edge.to as usize);
+        for (from, to) in ends {
+            let (i, j) = (from as usize, to as usize);
             self.setup_base.push(period + skews[j] - skews[i]);
             self.hold_base.push(skews[i] - skews[j]);
-            self.to_idx.push(edge.to);
+            self.to_idx.push(to);
         }
-        let inv_step = 1.0 / step;
+        self.n_edges = self.to_idx.len();
+        self.len = len;
+        self.setup_bound.clear();
+        self.setup_bound.resize(len * self.n_edges, 0);
+        self.hold_bound.clear();
+        self.hold_bound.resize(len * self.n_edges, 0);
+    }
+
+    /// Extracts one chip's bounds into row `row` on a per-chip kernel.
+    fn extract_row(
+        &mut self,
+        backend: simd::Backend,
+        row: usize,
+        v: SampleView<'_>,
+        inv_step: f64,
+    ) {
+        let n = self.n_edges;
+        let setup_bound = &mut self.setup_bound[row * n..(row + 1) * n];
+        let hold_bound = &mut self.hold_bound[row * n..(row + 1) * n];
         // The scalar backend takes the fused loop; the hardware-vector
         // backends pay for the gather staging and recoup it in the
         // slack/floor sweep.
         if backend == simd::Backend::Scalar {
-            for row in 0..self.len {
-                let e0 = row * self.n_edges;
-                let v = batch.view(row);
-                for e in 0..self.n_edges {
-                    let j = self.to_idx[e] as usize;
-                    let setup_slack = self.setup_base[e] - v.setup[j] - v.edge_max[e];
-                    let hold_slack = v.edge_min[e] - v.hold[j] + self.hold_base[e];
-                    self.setup_bound[e0 + e] = (setup_slack * inv_step).floor() as i64;
-                    self.hold_bound[e0 + e] = (hold_slack * inv_step).floor() as i64;
-                }
+            for e in 0..n {
+                let j = self.to_idx[e] as usize;
+                let setup_slack = self.setup_base[e] - v.setup[j] - v.edge_max[e];
+                let hold_slack = v.edge_min[e] - v.hold[j] + self.hold_base[e];
+                setup_bound[e] = (setup_slack * inv_step).floor() as i64;
+                hold_bound[e] = (hold_slack * inv_step).floor() as i64;
             }
         } else {
-            // Wide path: gather the capture-FF setup/hold values into
-            // edge-indexed lanes (scalar; data-dependent indices), then
-            // run the vectorised slack/floor kernel over the row.
+            // Gather the capture-FF setup/hold values into edge-indexed
+            // lanes (scalar; data-dependent indices), then run the
+            // vectorised slack/floor kernel over the row.
             self.gather_setup.clear();
-            self.gather_setup.resize(self.n_edges, 0.0);
             self.gather_hold.clear();
-            self.gather_hold.resize(self.n_edges, 0.0);
-            for row in 0..self.len {
-                let e0 = row * self.n_edges;
-                let v = batch.view(row);
-                for e in 0..self.n_edges {
-                    let j = self.to_idx[e] as usize;
-                    self.gather_setup[e] = v.setup[j];
-                    self.gather_hold[e] = v.hold[j];
-                }
-                let lanes = simd::BoundLanes {
-                    setup_base: &self.setup_base,
-                    setup_ff: &self.gather_setup,
-                    edge_max: v.edge_max,
-                    edge_min: v.edge_min,
-                    hold_ff: &self.gather_hold,
-                    hold_base: &self.hold_base,
-                };
-                simd::extract_bounds(
-                    backend,
-                    &lanes,
-                    inv_step,
-                    &mut self.setup_bound[e0..e0 + self.n_edges],
-                    &mut self.hold_bound[e0..e0 + self.n_edges],
-                );
+            for &j in &self.to_idx {
+                self.gather_setup.push(v.setup[j as usize]);
+                self.gather_hold.push(v.hold[j as usize]);
             }
+            let lanes = simd::BoundLanes {
+                setup_base: &self.setup_base,
+                setup_ff: &self.gather_setup,
+                edge_max: v.edge_max,
+                edge_min: v.edge_min,
+                hold_ff: &self.gather_hold,
+                hold_base: &self.hold_base,
+            };
+            simd::extract_bounds(backend, &lanes, inv_step, setup_bound, hold_bound);
         }
     }
 
@@ -382,6 +485,16 @@ impl ConstraintBatch {
             setup_bound: &self.setup_bound[e0..e0 + self.n_edges],
             hold_bound: &self.hold_bound[e0..e0 + self.n_edges],
         }
+    }
+}
+
+/// The `timing.extract.panic` failpoint, keyed by a batch's first chip.
+fn extract_failpoint(first: u64) {
+    if psbi_fault::failpoint!("timing.extract.panic", "first" = first) {
+        // Models a constraint-extraction crash (e.g. a malformed bound
+        // tripping a downstream assert): the pass dies mid-chunk and
+        // the fleet's per-job retry recomputes it deterministically.
+        panic!("injected fault: timing.extract.panic");
     }
 }
 
@@ -414,12 +527,77 @@ pub fn min_period(sg: &SequentialGraph, st: &SampleTiming, skews: &[f64]) -> Min
 ///
 /// Panics if the graph has no edges.
 pub fn min_period_view(sg: &SequentialGraph, st: SampleView<'_>, skews: &[f64]) -> MinPeriod {
-    assert!(!sg.edges.is_empty(), "sequential graph has no edges");
+    min_period_over(sg.edges.iter().map(|e| (e.from, e.to)), st, skews)
+}
+
+/// Draws chips `chips` of `stream` from `sampler` and computes each one's
+/// unbuffered minimum period into `out` (cleared first; entry `r` is chip
+/// `chips[r]`) on the process-wide kernel backend ([`simd::active`]) —
+/// calibration's scan, reading the delays while still in cache, as
+/// [`ConstraintBatch::draw_from`] does.  Bit-identical to
+/// [`min_period_view`] over [`fill_gathered`] rows.
+///
+/// # Panics
+///
+/// Panics if the graph has no edges or `skews` does not have one entry
+/// per FF.
+///
+/// [`fill_gathered`]: crate::sample::CanonicalBatchSampler::fill_gathered
+pub fn min_periods(
+    sampler: &CanonicalBatchSampler,
+    stream: u64,
+    chips: &[u64],
+    skews: &[f64],
+    out: &mut Vec<MinPeriod>,
+) {
+    min_periods_with(simd::active(), sampler, stream, chips, skews, out);
+}
+
+/// [`min_periods`] on an explicit kernel backend (parity tests and
+/// benchmarks).
+///
+/// # Panics
+///
+/// As [`min_periods`], or if `backend` is not available on this host.
+pub fn min_periods_with(
+    backend: simd::Backend,
+    sampler: &CanonicalBatchSampler,
+    stream: u64,
+    chips: &[u64],
+    skews: &[f64],
+    out: &mut Vec<MinPeriod>,
+) {
+    assert!(!sampler.ends().is_empty(), "sequential graph has no edges");
+    assert_eq!(skews.len(), sampler.n_ffs(), "one skew per FF");
+    out.clear();
+    let ends = sampler.ends();
+    sampler.draw_chips(
+        backend,
+        stream,
+        chips.len(),
+        |r| chips[r],
+        |_, drawn| match drawn {
+            Drawn::Chip(v) => out.push(min_period_over(ends.iter().copied(), v, skews)),
+            Drawn::Lanes(lanes) => {
+                out.extend_from_slice(&lanes.min_periods(ends, skews)[..lanes.live()]);
+            }
+        },
+    );
+}
+
+/// The minimum-period scan over edges running `ends` — the reference
+/// expression tree the chip-lane scan reproduces per lane.
+fn min_period_over(
+    ends: impl ExactSizeIterator<Item = (u32, u32)>,
+    st: SampleView<'_>,
+    skews: &[f64],
+) -> MinPeriod {
+    assert!(ends.len() > 0, "sequential graph has no edges");
     let mut best = f64::NEG_INFINITY;
     let mut arg = 0usize;
     let mut hold_ok = true;
-    for (e, edge) in sg.edges.iter().enumerate() {
-        let (i, j) = (edge.from as usize, edge.to as usize);
+    for (e, (from, to)) in ends.enumerate() {
+        let (i, j) = (from as usize, to as usize);
         let need = st.edge_max[e] + st.setup[j] + skews[i] - skews[j];
         if need > best {
             best = need;

@@ -24,12 +24,15 @@
 //!   inverse-transform normals.  Chips are seeded by their global sample
 //!   index, so batches decompose deterministically — the foundation of the
 //!   flow's thread-count-independent parallelism;
-//! * [`constraint::ConstraintBatch`] — batched constraint extraction over
-//!   a [`sample::SampleBatch`], with chip-invariant per-edge terms hoisted
-//!   out of the chip loop;
-//! * [`simd`] — runtime-dispatched wide kernels (AVX2 / NEON lanes)
-//!   behind the batch engine, bit-identical to the scalar reference path,
-//!   which hosts without either run and `PSBI_FORCE_SCALAR=1` forces;
+//! * [`constraint::ConstraintBatch`] — batched constraint extraction,
+//!   either over a [`sample::SampleBatch`] or fused with the draw
+//!   ([`constraint::ConstraintBatch::draw_from`], which never stores the
+//!   chips' delays), with chip-invariant per-edge terms hoisted out of the
+//!   chip loop;
+//! * [`simd`] — runtime-dispatched wide kernels (AVX2 chip lanes, four
+//!   chips per vector; NEON per-chip lanes) behind the batch engine,
+//!   bit-identical to the scalar reference path, which hosts without
+//!   either run and `PSBI_FORCE_SCALAR=1` forces;
 //! * [`constraint::IntegerConstraints`] — the paper's setup/hold
 //!   inequalities discretised to buffer steps:
 //!   `k_i − k_j ≤ ⌊(T − s_j − d̄ij + t_j − t_i)/δ⌋` and

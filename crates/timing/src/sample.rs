@@ -13,29 +13,42 @@
 //! # Batched sampling
 //!
 //! The flow's hot loop evaluates tens of thousands of chips per pass, so
-//! this module also provides a structure-of-arrays batch engine:
+//! this module also provides a batch engine:
 //!
-//! * [`SampleBatch`] — flat `samples × width` buffers for edge max/min
-//!   delays and per-FF setup/hold times, reused across passes (one
-//!   allocation per worker for the whole flow);
-//! * [`CanonicalBatchSampler`] — a batch-draw kernel over pre-flattened
+//! * [`CanonicalBatchSampler`] — a draw kernel over pre-flattened
 //!   canonical coefficients that draws local terms by inverse transform
 //!   (one uniform through the raw Acklam probit — no rejection loop),
 //!   cutting the per-variate cost to a fraction of the scalar path's
-//!   polar method;
+//!   polar method.  Its one draw loop feeds three consumers that read
+//!   each chip while it is still in cache: the fused bound extraction
+//!   ([`ConstraintBatch::draw_from`], the flow's passes and yield),
+//!   calibration's minimum periods ([`min_periods`]) and the
+//!   [`SampleBatch`] fills of the public API;
+//! * [`SampleBatch`] — flat `samples × width` buffers for edge max/min
+//!   delays and per-FF setup/hold times, for callers that keep the drawn
+//!   chips (the flow keeps only gate-level chips);
 //! * [`SampleBatch::fill_gate_level`] — the exact gate-level sampler over a
 //!   batch, reusing one [`GateLevelSampler`] workspace.
 //!
+//! On AVX2 the draw loop runs four chips at once, one per vector lane
+//! (see [`simd`]); the scalar reference (`PSBI_FORCE_SCALAR=1`) and NEON
+//! draw one chip at a time, and [`CanonicalBatchSampler::fill_one`]
+//! always runs the scalar reference.  Every path produces the same bits.
+//!
 //! Each chip in a batch is drawn from its own [`chip_rng`] stream keyed by
 //! the *global* sample index, so a batch decomposes deterministically: the
-//! values of chip `k` do not depend on the batch boundaries or on how many
-//! worker threads drew neighbouring chips.  The batch kernels consume the
-//! per-chip random stream differently from the scalar functions (inverse
-//! transform instead of the polar method), so batch and scalar draws of
-//! the same chip index are two different — each internally reproducible —
+//! values of chip `k` do not depend on the batch boundaries, on which
+//! chips share its vector, or on how many worker threads drew
+//! neighbouring chips.  The batch kernels consume the per-chip random
+//! stream differently from the scalar functions (inverse transform
+//! instead of the polar method), so batch and scalar draws of the same
+//! chip index are two different — each internally reproducible —
 //! populations with the same distribution.  The global parameter draws
 //! come from [`chip_rng`] itself and are therefore identical in both
 //! modes.
+//!
+//! [`ConstraintBatch::draw_from`]: crate::constraint::ConstraintBatch::draw_from
+//! [`min_periods`]: crate::constraint::min_periods
 //!
 //! Delays are clamped to be non-negative and `min ≤ max` is enforced (the
 //! canonical mode draws the two forms with independent local terms, so rare
@@ -45,7 +58,7 @@ use crate::graph::TimingGraph;
 use crate::seq::SequentialGraph;
 use crate::simd;
 use psbi_variation::normal::draw_standard_normal;
-use psbi_variation::{GlobalSample, N_PARAMS};
+use psbi_variation::{ChipStream, GlobalSample, N_PARAMS};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -326,25 +339,29 @@ impl FlatForm {
 /// Batch-draw kernel for the canonical edge forms.
 ///
 /// Built once per graph; [`fill`](CanonicalBatchSampler::fill) then draws
-/// any window of the sample stream into a [`SampleBatch`].  The canonical
+/// any window of the sample stream into a [`SampleBatch`], and
+/// [`ConstraintBatch::draw_from`] and [`min_periods`] draw chips straight
+/// into their integer bounds or minimum periods.  The canonical
 /// coefficients are flattened into four structure-of-arrays groups
 /// (setup, hold, edge-max, edge-min — see [`simd::FormGroup`]) so the
-/// per-chip draw is a handful of linear sweeps the wide kernels can
-/// vectorise.
+/// draw is a handful of linear sweeps the wide kernels can vectorise.
 ///
 /// # Kernel dispatch
 ///
-/// [`fill`] and [`fill_one`] run on the process-wide backend picked by
-/// [`simd::active`] (AVX2 / NEON lanes, or the fused scalar reference on
-/// other hosts and under `PSBI_FORCE_SCALAR=1`).  All backends are
-/// **bit-identical** — see the [`simd`] module docs for the parity
-/// argument — so the choice never affects results, only throughput.
-/// [`fill_with`](CanonicalBatchSampler::fill_with) pins an explicit
-/// backend for benchmarks and parity tests.
+/// [`fill`] and the fused entries run on the process-wide backend picked
+/// by [`simd::active`] (AVX2 chip lanes, NEON per-chip kernels, or the
+/// fused scalar reference on other hosts and under
+/// `PSBI_FORCE_SCALAR=1`); [`fill_one`] always runs the scalar reference.
+/// All backends are **bit-identical** — see the [`simd`] module docs for
+/// the parity argument — so the choice never affects results, only
+/// throughput.  [`fill_with`](CanonicalBatchSampler::fill_with) pins an
+/// explicit backend for benchmarks and parity tests.
 ///
 /// [`fill`]: CanonicalBatchSampler::fill
 /// [`fill_one`]: CanonicalBatchSampler::fill_one
 /// [`simd::FormGroup`]: crate::simd
+/// [`ConstraintBatch::draw_from`]: crate::constraint::ConstraintBatch::draw_from
+/// [`min_periods`]: crate::constraint::min_periods
 #[derive(Debug, Clone)]
 pub struct CanonicalBatchSampler {
     setup: simd::FormGroup,
@@ -361,8 +378,19 @@ pub struct CanonicalBatchSampler {
     /// forms with a zero independent term — the uniform-consumption
     /// contract shared by the scalar and wide paths.
     draw_slots: Vec<u32>,
+    /// `(from, to)` FFs of every edge, for the fused consumers.
+    ends: Vec<(u32, u32)>,
     /// Total forms (`2·n_ffs + 2·n_edges`) = dense scratch length.
     n_forms: usize,
+}
+
+/// What the one draw loop ([`CanonicalBatchSampler::draw_chips`]) hands
+/// its consumer: a run of chips, drawn.
+pub(crate) enum Drawn<'a> {
+    /// One chip, from a per-chip kernel (the scalar reference or NEON).
+    Chip(SampleView<'a>),
+    /// Up to [`simd::CHIP_LANES`] consecutive chips in AVX2 chip lanes.
+    Lanes(simd::ChipLanes<'a>),
 }
 
 /// Dense scratch layout: `setup | hold | edge_max | edge_min`.
@@ -429,18 +457,25 @@ impl CanonicalBatchSampler {
             ff_forms,
             edge_forms,
             draw_slots,
+            ends: sg.edges.iter().map(|e| (e.from, e.to)).collect(),
             n_forms,
         }
     }
 
     #[inline]
-    fn n_ffs(&self) -> usize {
+    pub(crate) fn n_ffs(&self) -> usize {
         self.setup.len()
     }
 
     #[inline]
-    fn n_edges(&self) -> usize {
+    pub(crate) fn n_edges(&self) -> usize {
         self.emax.len()
+    }
+
+    /// `(from, to)` FFs of every edge, in edge order.
+    #[inline]
+    pub(crate) fn ends(&self) -> &[(u32, u32)] {
+        &self.ends
     }
 
     /// Fills `batch` with chips `first..first + batch.len()` of `stream`
@@ -475,8 +510,8 @@ impl CanonicalBatchSampler {
     }
 
     /// Fills row `r` of `batch` with chip `chips[r]` of `stream` on the
-    /// process-wide kernel backend — the flow's passes draw only the
-    /// chips they cannot settle without a draw.  Each row holds exactly
+    /// process-wide kernel backend — a gathered list, like the chips the
+    /// flow's passes cannot settle without a draw.  Each row holds exactly
     /// the chip a contiguous [`fill`](CanonicalBatchSampler::fill)
     /// containing that index would hold, and the batch's
     /// [`first_index`](SampleBatch::first_index) is `chips[0]`.
@@ -512,9 +547,9 @@ impl CanonicalBatchSampler {
         self.fill_rows(backend, stream, first, |row| chips[row], batch);
     }
 
-    /// The one canonical fill loop: row `r` draws chip `chip(r)`, and
-    /// `first` (= `chip(0)`) keys the span, the `sample.batch.corrupt`
-    /// failpoint and the batch's [`first_index`](SampleBatch::first_index).
+    /// The canonical fill loop: row `r` holds chip `chip(r)`, and `first`
+    /// (= `chip(0)`) is the batch's
+    /// [`first_index`](SampleBatch::first_index).
     fn fill_rows(
         &self,
         backend: simd::Backend,
@@ -529,17 +564,61 @@ impl CanonicalBatchSampler {
             "batch not reset for this sampler's graph"
         );
         assert_eq!(batch.n_ffs, self.n_ffs());
+        batch.first_index = first;
+        self.draw_chips(backend, stream, batch.len, chip, |row, drawn| match drawn {
+            Drawn::Chip(v) => {
+                let (edge_max, edge_min, setup, hold) = batch.row_mut(row);
+                edge_max.copy_from_slice(v.edge_max);
+                edge_min.copy_from_slice(v.edge_min);
+                setup.copy_from_slice(v.setup);
+                hold.copy_from_slice(v.hold);
+            }
+            Drawn::Lanes(lanes) => {
+                for l in 0..lanes.live() {
+                    let (edge_max, edge_min, setup, hold) = batch.row_mut(row + l);
+                    lanes.copy_lane(l, edge_max, edge_min, setup, hold);
+                }
+            }
+        });
+    }
+
+    /// The one canonical draw loop, behind [`fill`](Self::fill),
+    /// [`ConstraintBatch::draw_from`] and [`min_periods`]: draws chips
+    /// `chip(0..len)` of `stream` and hands them to `consume` in row order
+    /// with the row of the first — four chips per call in AVX2 chip lanes
+    /// (a short last group padded with a repeat of its first chip, which
+    /// is never read out), else one chip per call.  The
+    /// `sample.batch.fill` span covers the consumers too, and the
+    /// `sample.batch.corrupt` failpoint is keyed by `chip(0)`.
+    ///
+    /// `consume` must not draw (it would re-enter the thread's scratch).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backend` is not available on this host.
+    ///
+    /// [`ConstraintBatch::draw_from`]: crate::constraint::ConstraintBatch::draw_from
+    /// [`min_periods`]: crate::constraint::min_periods
+    pub(crate) fn draw_chips(
+        &self,
+        backend: simd::Backend,
+        stream: u64,
+        len: usize,
+        chip: impl Fn(usize) -> u64,
+        mut consume: impl FnMut(usize, Drawn<'_>),
+    ) {
         assert!(
             backend.is_available(),
             "kernel backend {} not available on this host",
             backend.name()
         );
+        let first = if len > 0 { chip(0) } else { 0 };
         let _span = psbi_obs::Span::enter_with(
             "sample.batch.fill",
-            &[("chips", batch.len as u64), ("first", first)],
+            &[("chips", len as u64), ("first", first)],
         );
         psbi_obs::metrics::counter_add("sample.batches", 1);
-        psbi_obs::metrics::counter_add("sample.chips", batch.len as u64);
+        psbi_obs::metrics::counter_add("sample.chips", len as u64);
         // Which kernel the sampling engine is running ([`simd::Backend`]'s
         // discriminant) — deterministic for a fixed environment, so it participates in metric-determinism
         // tests unlike the wall-time histograms.
@@ -550,71 +629,84 @@ impl CanonicalBatchSampler {
             // fleet's per-job retry recomputes the batch deterministically.
             panic!("injected fault: sample.batch.corrupt");
         }
-        batch.first_index = first;
-        let n_edges = batch.n_edges;
-        let n_ffs = batch.n_ffs;
-        if backend == simd::Backend::Scalar {
-            for row in 0..batch.len {
-                let f0 = row * n_ffs;
-                let e0 = row * n_edges;
-                self.draw_chip_scalar(
-                    stream,
-                    chip(row),
-                    &mut batch.edge_max[e0..e0 + n_edges],
-                    &mut batch.edge_min[e0..e0 + n_edges],
-                    &mut batch.setup[f0..f0 + n_ffs],
-                    &mut batch.hold[f0..f0 + n_ffs],
-                );
-            }
-        } else {
-            simd::with_scratch(|scratch| {
-                scratch.ensure(self.n_forms);
-                for row in 0..batch.len {
-                    let f0 = row * n_ffs;
-                    let e0 = row * n_edges;
-                    self.draw_chip_wide(
-                        backend,
-                        scratch,
-                        stream,
-                        chip(row),
-                        &mut batch.edge_max[e0..e0 + n_edges],
-                        &mut batch.edge_min[e0..e0 + n_edges],
-                        &mut batch.setup[f0..f0 + n_ffs],
-                        &mut batch.hold[f0..f0 + n_ffs],
+        simd::with_scratch(|scratch| match backend {
+            simd::Backend::Avx2 => {
+                let forms = simd::LaneForms {
+                    groups: [&self.setup, &self.hold, &self.emax, &self.emin],
+                    draw_slots: &self.draw_slots,
+                };
+                for row in (0..len).step_by(simd::CHIP_LANES) {
+                    let live = simd::CHIP_LANES.min(len - row);
+                    let seeds = std::array::from_fn(|l| {
+                        let (globals, rng) =
+                            chip_rng(stream, chip(row + if l < live { l } else { 0 }));
+                        simd::LaneSeed {
+                            state: rng.state(),
+                            delta: globals.delta,
+                        }
+                    });
+                    consume(
+                        row,
+                        Drawn::Lanes(simd::draw_lanes(&forms, &seeds, live, scratch)),
                     );
                 }
-            });
+            }
+            simd::Backend::Scalar | simd::Backend::Neon => {
+                scratch.ensure(self.n_forms, self.n_forms, self.n_forms);
+                for row in 0..len {
+                    consume(
+                        row,
+                        Drawn::Chip(self.draw_one(backend, scratch, stream, chip(row))),
+                    );
+                }
+            }
+        });
+    }
+
+    /// Draws one chip on a per-chip kernel into `scratch.row` (dense
+    /// layout `setup | hold | edge_max | edge_min`).
+    fn draw_one<'s>(
+        &self,
+        backend: simd::Backend,
+        scratch: &'s mut simd::Scratch,
+        stream: u64,
+        index: u64,
+    ) -> SampleView<'s> {
+        let (n_ffs, n_edges) = (self.n_ffs(), self.n_edges());
+        let simd::Scratch { u, z, row } = scratch;
+        let (setup, rest) = row[..self.n_forms].split_at_mut(n_ffs);
+        let (hold, rest) = rest.split_at_mut(n_ffs);
+        let (edge_max, edge_min) = rest.split_at_mut(n_edges);
+        if backend == simd::Backend::Scalar {
+            self.draw_chip_scalar(stream, index, edge_max, edge_min, setup, hold);
+        } else {
+            self.draw_chip_wide(
+                backend,
+                &mut u[..self.n_forms],
+                &mut z[..self.n_forms],
+                stream,
+                index,
+                edge_max,
+                edge_min,
+                setup,
+                hold,
+            );
+        }
+        SampleView {
+            edge_max,
+            edge_min,
+            setup,
+            hold,
         }
     }
 
-    /// Draws one chip directly into a reused [`SampleTiming`] — the
-    /// allocation-free single-chip form of [`CanonicalBatchSampler::fill`],
-    /// used by the flow's replay paths (speed binning, constraint replay).
-    /// Produces exactly the chip a batch containing `index` would hold
-    /// (kernel backends are bit-identical, so this holds regardless of
-    /// which backend filled the batch).
+    /// Draws one chip directly into a reused [`SampleTiming`] through the
+    /// scalar reference kernel, on every backend — the allocation-free
+    /// single-chip form of [`CanonicalBatchSampler::fill`], used by the
+    /// flow's replay paths (speed binning, constraint replay) and by the
+    /// verifier.  Produces exactly the chip a batch containing `index`
+    /// holds, since every backend is bit-identical to this reference.
     pub fn fill_one(&self, stream: u64, index: u64, out: &mut SampleTiming) {
-        self.fill_one_with(simd::active(), stream, index, out);
-    }
-
-    /// [`fill_one`](CanonicalBatchSampler::fill_one) on an explicit
-    /// kernel backend (parity tests and benchmarks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backend` is not available on this host.
-    pub fn fill_one_with(
-        &self,
-        backend: simd::Backend,
-        stream: u64,
-        index: u64,
-        out: &mut SampleTiming,
-    ) {
-        assert!(
-            backend.is_available(),
-            "kernel backend {} not available on this host",
-            backend.name()
-        );
         let n_edges = self.n_edges();
         let n_ffs = self.n_ffs();
         out.edge_max.clear();
@@ -625,38 +717,21 @@ impl CanonicalBatchSampler {
         out.setup.resize(n_ffs, 0.0);
         out.hold.clear();
         out.hold.resize(n_ffs, 0.0);
-        if backend == simd::Backend::Scalar {
-            self.draw_chip_scalar(
-                stream,
-                index,
-                &mut out.edge_max,
-                &mut out.edge_min,
-                &mut out.setup,
-                &mut out.hold,
-            );
-        } else {
-            simd::with_scratch(|scratch| {
-                scratch.ensure(self.n_forms);
-                self.draw_chip_wide(
-                    backend,
-                    scratch,
-                    stream,
-                    index,
-                    &mut out.edge_max,
-                    &mut out.edge_min,
-                    &mut out.setup,
-                    &mut out.hold,
-                );
-            });
-        }
+        self.draw_chip_scalar(
+            stream,
+            index,
+            &mut out.edge_max,
+            &mut out.edge_min,
+            &mut out.setup,
+            &mut out.hold,
+        );
     }
 
     /// Fused per-chip scalar kernel — the reference path (and the
     /// `PSBI_FORCE_SCALAR=1` path).  Draw order: FF setup/hold first,
-    /// then the edge pairs — every caller must go through here or
-    /// [`draw_chip_wide`](Self::draw_chip_wide) (which consumes the RNG in
-    /// the identical order) so a chip's values depend only on
-    /// `(stream, index)`.
+    /// then the edge pairs — the wide kernels consume each chip's RNG in
+    /// the identical order (through `draw_slots`) so a chip's values
+    /// depend only on `(stream, index)`.
     #[allow(clippy::too_many_arguments)]
     fn draw_chip_scalar(
         &self,
@@ -680,17 +755,18 @@ impl CanonicalBatchSampler {
         }
     }
 
-    /// Staged per-chip wide kernel: (1) consume the chip's RNG stream
-    /// into dense uniform slots — the same uniforms, in the same order,
-    /// as the scalar path; (2) probit the whole chip in one vectorised
-    /// sweep; (3) combine coefficients with the globals per form group;
-    /// (4) order the edge pairs.  Bit-identical to
-    /// [`draw_chip_scalar`](Self::draw_chip_scalar) on every backend.
+    /// Staged per-chip wide kernel (NEON): (1) consume the chip's RNG
+    /// stream into dense uniform slots `u` — the same uniforms, in the same
+    /// order, as the scalar path; (2) probit the whole chip into `z` in one
+    /// vectorised sweep; (3) combine coefficients with the globals per form
+    /// group; (4) order the edge pairs.  Bit-identical to
+    /// [`draw_chip_scalar`](Self::draw_chip_scalar).
     #[allow(clippy::too_many_arguments)]
     fn draw_chip_wide(
         &self,
         backend: simd::Backend,
-        scratch: &mut simd::Scratch,
+        u: &mut [f64],
+        z: &mut [f64],
         stream: u64,
         index: u64,
         edge_max: &mut [f64],
@@ -700,13 +776,12 @@ impl CanonicalBatchSampler {
     ) {
         let (globals, mut rng) = chip_rng(stream, index);
         for &slot in &self.draw_slots {
-            scratch.u[slot as usize] = unit_uniform(&mut rng);
+            u[slot as usize] = unit_uniform(&mut rng);
         }
         let n = self.n_forms;
-        simd::probit_dense(backend, &scratch.u[..n], &mut scratch.z[..n]);
+        simd::probit_dense(backend, &u[..n], &mut z[..n]);
         let n_ffs = self.n_ffs();
         let n_edges = self.n_edges();
-        let z = &scratch.z;
         simd::combine_draws(backend, &self.setup, &globals.delta, &z[..n_ffs], setup);
         simd::combine_draws(
             backend,
@@ -877,8 +952,9 @@ impl GateLevelSampler {
 }
 
 /// Draws the global parameter deviations for sample `index` of a run and
-/// returns the per-sample RNG for the local terms.
-pub fn chip_rng(base_seed: u64, index: u64) -> (GlobalSample, rand::rngs::StdRng) {
+/// returns the per-sample stream for the local terms (its outputs are the
+/// vendored `StdRng`'s for the same seed).
+pub fn chip_rng(base_seed: u64, index: u64) -> (GlobalSample, ChipStream) {
     let mut rng = psbi_variation::sample_rng(base_seed, index);
     let mut globals = GlobalSample::default();
     for d in &mut globals.delta {
@@ -1006,6 +1082,45 @@ mod tests {
             let var = sum2[i] / n as f64 - mean * mean;
             assert!(mean.abs() < 0.02);
             assert!((var - 1.0).abs() < 0.05);
+        }
+    }
+
+    #[test]
+    fn chip_rng_draws_the_pinned_globals() {
+        // The global deviations and the next stream output of a few chips,
+        // recorded when `chip_rng` returned the vendored `StdRng`: the
+        // in-tree stream must reproduce them bit for bit.
+        use rand::RngCore;
+        let pinned: [((u64, u64), [u64; 3], u64); 4] = [
+            (
+                (42, 0),
+                [0x3ff243f3f0d20700, 0x3ff1d5d4ede343f4, 0xbff34610c8971f27],
+                0xa713927cb9c33250,
+            ),
+            (
+                (42, 1),
+                [0xbfc165f0f5dbc20f, 0x3fd017d6978b1d5a, 0x3fd5d558012cbbe4],
+                0xc8204dd197a682fa,
+            ),
+            (
+                (7, 1_000_003),
+                [0xbfe6f1d54781cd3a, 0x3fe016442c9b5fa9, 0x3ff8ad82427b4c22],
+                0xc58dc25404f5a533,
+            ),
+            (
+                (u64::MAX, u64::MAX),
+                [0xbff938e95f6266da, 0x3fbbd0cc8b511f83, 0xc00b83f7bd59fc56],
+                0xe137feea0829fd6e,
+            ),
+        ];
+        for ((stream, index), delta, next) in pinned {
+            let (globals, mut rng) = chip_rng(stream, index);
+            assert_eq!(
+                globals.delta.map(f64::to_bits),
+                delta,
+                "chip ({stream}, {index})"
+            );
+            assert_eq!(rng.next_u64(), next, "chip ({stream}, {index})");
         }
     }
 
@@ -1178,18 +1293,61 @@ mod tests {
 
     #[test]
     fn fill_one_bit_identical_across_backends() {
+        // `fill_one` draws through the scalar reference on every backend;
+        // a one-chip batch on each backend (a single live lane on AVX2)
+        // must hold the same bits.
         let fx = Fixture::new(22);
         let tg = TimingGraph::build(&fx.circuit, &fx.lib, &fx.model).unwrap();
         let sg = SequentialGraph::extract(&tg);
         let sampler = CanonicalBatchSampler::new(&sg);
         let mut reference = SampleTiming::for_graph(&sg);
-        let mut st = SampleTiming::for_graph(&sg);
+        let mut batch = SampleBatch::new();
+        batch.reset(&sg, 1);
         for index in [0u64, 1, 63, 1_000_003] {
-            sampler.fill_one_with(crate::simd::Backend::Scalar, 5, index, &mut reference);
+            sampler.fill_one(5, index, &mut reference);
             for backend in crate::simd::Backend::available() {
-                sampler.fill_one_with(backend, 5, index, &mut st);
+                sampler.fill_gathered_with(backend, 5, &[index], &mut batch);
+                let v = batch.view(0);
+                let st = SampleTiming {
+                    edge_max: v.edge_max.to_vec(),
+                    edge_min: v.edge_min.to_vec(),
+                    setup: v.setup.to_vec(),
+                    hold: v.hold.to_vec(),
+                };
                 assert_eq!(st, reference, "backend {} index {index}", backend.name());
             }
+        }
+    }
+
+    #[test]
+    fn staged_per_chip_path_matches_the_scalar_reference() {
+        // NEON draws one chip at a time through `draw_chip_wide`; on
+        // hosts without NEON its staging (uniform slots, dense probit,
+        // per-group combine, pair ordering) runs here on the scalar
+        // lanes of the same dispatch.
+        let fx = Fixture::new(24);
+        let tg = TimingGraph::build(&fx.circuit, &fx.lib, &fx.model).unwrap();
+        let sg = SequentialGraph::extract(&tg);
+        let sampler = CanonicalBatchSampler::new(&sg);
+        let mut reference = SampleTiming::for_graph(&sg);
+        let mut scratch = simd::Scratch::default();
+        scratch.ensure(sampler.n_forms, sampler.n_forms, sampler.n_forms);
+        for index in [0u64, 7, 4_096] {
+            sampler.fill_one(3, index, &mut reference);
+            let mut st = SampleTiming::for_graph(&sg);
+            let simd::Scratch { u, z, .. } = &mut scratch;
+            sampler.draw_chip_wide(
+                simd::Backend::Scalar,
+                u,
+                z,
+                3,
+                index,
+                &mut st.edge_max,
+                &mut st.edge_min,
+                &mut st.setup,
+                &mut st.hold,
+            );
+            assert_eq!(st, reference, "index {index}");
         }
     }
 

@@ -39,5 +39,5 @@ pub mod stats;
 
 pub use canonical::CanonicalForm;
 pub use params::{GlobalSample, ProcessParam, VariationModel, N_PARAMS};
-pub use seeding::sample_rng;
+pub use seeding::{sample_rng, ChipStream};
 pub use stats::{mean, pearson, quantile, stddev, variance, Histogram, Summary};
