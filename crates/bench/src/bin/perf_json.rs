@@ -18,7 +18,7 @@
 //! adjacent target warmed versus a fresh flow at the same target, with
 //! the region-memo hit rate and distinct-key count), a `search_pruning`
 //! section (the default flow versus the reference mode, with exact B&B
-//! node counts), a `solver_stages` breakdown inside the `flow` section
+//! node counts and cascade rounds asked and solved), a `solver_stages` breakdown inside the `flow` section
 //! (discovery / saturation-screen / search / MILP seconds), and a
 //! `campaign` section: a small 2-circuit × 2-target fleet campaign timed
 //! against the same jobs as back-to-back `BufferInsertionFlow::run()`
@@ -254,21 +254,35 @@ fn main() {
             .map(|h| h.sum as f64 / 1e9)
             .unwrap_or(0.0)
     };
+    // Cascade rounds asked and solved per run: deterministic at 1
+    // thread, so every repeat adds the same amount.
+    let cascade = || {
+        let snap = psbi_obs::metrics::snapshot();
+        let read = |name: &str| snap.counter(name).unwrap_or(0);
+        [
+            read("solve.search.cascade.rounds"),
+            read("solve.search.cascade.solves"),
+        ]
+    };
     let run_sp = |cfg: &FlowConfig| {
         let mut search_s = f64::MAX;
+        let mut rounds = [0; 2];
         let (step_s, r) = best_of(|| {
             let before = search_stage_s();
+            let counted = cascade();
             let flow = BufferInsertionFlow::builder(&circuit, cfg.clone())
                 .build()
                 .expect("valid circuit");
             let r = flow.run_target(TargetPeriod::SigmaFactor(0.0));
             search_s = search_s.min(search_stage_s() - before);
+            let now = cascade();
+            rounds = [now[0] - counted[0], now[1] - counted[1]];
             (step_sum(&r), r)
         });
-        (step_s, search_s, r)
+        (step_s, search_s, rounds, r)
     };
-    let (sp_on_s, sp_on_search_s, sp_on_result) = run_sp(&sp_on_cfg);
-    let (sp_off_s, sp_off_search_s, sp_off_result) = run_sp(&sp_off_cfg);
+    let (sp_on_s, sp_on_search_s, sp_on_cascade, sp_on_result) = run_sp(&sp_on_cfg);
+    let (sp_off_s, sp_off_search_s, _, sp_off_result) = run_sp(&sp_off_cfg);
     assert_eq!(
         (
             sp_on_result.nb,
@@ -470,9 +484,11 @@ fn main() {
     let _ = writeln!(json, "    \"pruned_bound\": {},", sp_on.search_pruned_bound);
     let _ = writeln!(
         json,
-        "    \"pruned_symmetry\": {}",
+        "    \"pruned_symmetry\": {},",
         sp_on.search_pruned_symmetry
     );
+    let _ = writeln!(json, "    \"cascade_rounds\": {},", sp_on_cascade[0]);
+    let _ = writeln!(json, "    \"cascade_solves\": {}", sp_on_cascade[1]);
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"campaign\": {{");
     let _ = writeln!(json, "    \"jobs\": {},", outcome.total_jobs);

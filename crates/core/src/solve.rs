@@ -322,6 +322,8 @@ impl SearchScratch {
         psbi_obs::metrics::counter_add("solve.search.fallback.probes", stats.fallback_probes);
         psbi_obs::metrics::counter_add("solve.search.pruned.bound", stats.pruned_bound);
         psbi_obs::metrics::counter_add("solve.search.pruned.symmetry", stats.pruned_symmetry);
+        psbi_obs::metrics::counter_add("solve.search.cascade.rounds", stats.cascade_rounds);
+        psbi_obs::metrics::counter_add("solve.search.cascade.solves", stats.cascade_solves);
         let outcome = match phase {
             SearchPhase::Infeasible => CachedOutcome::Infeasible,
             SearchPhase::Fallback { support, witness } => CachedOutcome::Feasible {

@@ -77,6 +77,21 @@
 //!    doubles as the node's `In`-only probe, byte-identical witness
 //!    included.
 //!
+//!    *Rounds are solved once per region search.*  A round's system is
+//!    fixed by the region's arcs and windows plus its active set (`In` ∪
+//!    claimed slots; everything else is contracted into the root), and
+//!    [`DiffSolver`] solves every call cold.  So a round's verdict and
+//!    recovered cycle are a function of the active set alone, and a
+//!    per-region table keyed by the exact active-set bitset answers a
+//!    repeated round without a solve (most repeats are an `Out` child
+//!    re-asking its parent's rounds: 74% of the rounds on the
+//!    `small_jobs` grid).  Claims still read the cycle's endpoint slots
+//!    through the asking node's own state, so every claim, verdict and
+//!    node count is the cold search's.  The witness is the one piece of
+//!    solver state the search reads: after a feasible round 0 it is
+//!    copied from the solver's last solve, so a cached feasible round 0
+//!    is solved again and the witness bytes stay the cold solve's.
+//!
 //! Because pruned nodes are a subset of the reference search's nodes,
 //! the two modes return byte-identical outcomes unless a region hits
 //! [`SolverOptions::bb_node_cap`](super::SolverOptions::bb_node_cap):
@@ -123,6 +138,13 @@ pub(crate) struct SearchStats {
     /// final whole-support probe); armed-only obs counter
     /// `solve.search.fallback.probes`.
     pub(crate) fallback_probes: u64,
+    /// Cascade rounds asked for; armed-only obs counter
+    /// `solve.search.cascade.rounds`.
+    pub(crate) cascade_rounds: u64,
+    /// Cascade rounds the solver ran: the round table's misses, plus
+    /// each cached feasible round 0 solved again for its witness;
+    /// armed-only obs counter `solve.search.cascade.solves`.
+    pub(crate) cascade_solves: u64,
 }
 
 impl SearchStats {
@@ -134,6 +156,7 @@ impl SearchStats {
 }
 
 /// Outcome of one region's support search.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) enum SearchPhase {
     Infeasible,
     /// Greedy (inexact) support from witness sparsification.
@@ -151,10 +174,10 @@ pub(crate) enum SearchPhase {
 }
 
 /// Reusable buffers of the pruning machinery: coverage bitsets, the
-/// incremental uncovered mask with its save/restore stack, and the
-/// symmetry guard links.  Owned by the per-thread
-/// `SearchScratch` and borrowed for each region, so a steady-state pass
-/// allocates nothing here.
+/// incremental uncovered mask with its save/restore stack, the symmetry
+/// guard links, and the cascade bound's graph and round table.  Owned by
+/// the per-thread `SearchScratch` and borrowed for each region, so a
+/// steady-state pass allocates nothing here.
 #[derive(Debug, Default)]
 pub(crate) struct PruneScratch {
     /// Words per violated-constraint bitmask.
@@ -197,8 +220,6 @@ pub(crate) struct PruneScratch {
     casc_bounds: Vec<(i64, i64)>,
     /// Cascade-bound scratch: one negative cycle's arc indices.
     cycle: Vec<u32>,
-    /// Cascade-bound scratch: undecided slots freed so far.
-    claimed: Vec<bool>,
     /// Cascade-bound scratch: active slots (In ∪ freed), ascending.
     casc_active: Vec<u32>,
     /// Cascade-bound scratch: slot → dense index (or `NONE`).
@@ -207,6 +228,124 @@ pub(crate) struct PruneScratch {
     casc_prov: Vec<u32>,
     /// Cascade-bound scratch: the contracted arc list per round.
     dense_arcs: Vec<Arc>,
+    /// Cascade-bound scratch: the current round's active set (`In` ∪
+    /// claimed slots), a bitset over the region's slots and the
+    /// [`RoundTable`] key.
+    casc_key: Vec<u64>,
+    /// The cascade rounds this region search has solved, by active set;
+    /// cleared by [`SupportSearch::prepare_prune`].
+    rounds: RoundTable,
+    /// Test hooks on the round table's lookups.
+    #[cfg(test)]
+    pub(crate) audit: RoundAudit,
+}
+
+/// Test hooks on [`SupportSearch::cascade_decide`]'s table lookups.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct RoundAudit {
+    /// Every lookup misses, so every round runs the solver: the cold
+    /// search the table is compared against.
+    pub(crate) force_miss: bool,
+    /// Re-solve every hit cold, on a solver of its own so the search's
+    /// solver state is untouched, and compare it with the cached round.
+    pub(crate) check_hits: bool,
+    /// Hits checked, and those whose cold solve differed in verdict,
+    /// cycle recovery or the set of cycle endpoint slots.
+    pub(crate) hits: u64,
+    pub(crate) mismatches: u64,
+    solver: DiffSolver,
+}
+
+/// One cascade round's result.  It is a function of the round's active
+/// set alone (see [`SupportSearch::cascade_decide`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Round {
+    /// A violated constraint has no active endpoint; the solver did not
+    /// run.
+    Unknown,
+    /// The contracted system is feasible.
+    Feasible,
+    /// The contracted system is infeasible.  The table's
+    /// `ends[start..end]` holds the region-slot endpoints of the
+    /// recovered cycle's constraint arcs, in cycle order; `cycle` is
+    /// false when no cycle was recovered (the range is then empty).
+    Infeasible { start: u32, end: u32, cycle: bool },
+}
+
+/// The cascade rounds one region search has solved, keyed by active set:
+/// `words` `u64`s of slot bits per key, compared exactly.  Open
+/// addressing with linear probing over `index`.  The buffers keep their
+/// capacity across regions, so a steady-state pass allocates nothing
+/// here.
+#[derive(Debug, Default)]
+struct RoundTable {
+    /// Words per key: the region's slot count over 64, rounded up.
+    words: usize,
+    /// Entry `e`'s key is `keys[e * words..(e + 1) * words]`.
+    keys: Vec<u64>,
+    /// Entry `e`'s round.
+    rounds: Vec<Round>,
+    /// Cycle endpoint slots of the infeasible rounds (see [`Round`]).
+    ends: Vec<u32>,
+    /// Per bucket: entry index + 1, or 0 when empty.  A power of two
+    /// long, and at most half full.
+    index: Vec<u32>,
+}
+
+impl RoundTable {
+    const MIN_BUCKETS: usize = 16;
+
+    /// Empties the table for a region of `slots` slots.
+    fn reset(&mut self, slots: usize) {
+        self.words = slots.div_ceil(64);
+        self.keys.clear();
+        self.rounds.clear();
+        self.ends.clear();
+        self.index.clear();
+        self.index.resize(Self::MIN_BUCKETS, 0);
+    }
+
+    fn key(&self, e: usize) -> &[u64] {
+        &self.keys[e * self.words..(e + 1) * self.words]
+    }
+
+    /// The entry holding `key`, or the empty bucket where it goes.
+    fn find(&self, key: &[u64]) -> Result<usize, usize> {
+        let mut h = 0u64;
+        for &w in key {
+            h = (h.rotate_left(26) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+        let mask = self.index.len() - 1;
+        // Multiplicative hashing: the top bits mix every key bit.
+        let mut b = (h >> (64 - self.index.len().trailing_zeros())) as usize;
+        loop {
+            match self.index[b] {
+                0 => return Err(b),
+                e if self.key(e as usize - 1) == key => return Ok(e as usize - 1),
+                _ => b = (b + 1) & mask,
+            }
+        }
+    }
+
+    /// Adds `key → round` at the empty `bucket` that [`Self::find`]
+    /// returned for it.
+    fn insert(&mut self, bucket: usize, key: &[u64], round: Round) {
+        self.keys.extend_from_slice(key);
+        self.rounds.push(round);
+        self.index[bucket] = self.rounds.len() as u32;
+        if 2 * self.rounds.len() > self.index.len() {
+            let buckets = 2 * self.index.len();
+            self.index.clear();
+            self.index.resize(buckets, 0);
+            for e in 0..self.rounds.len() {
+                let Err(b) = self.find(self.key(e)) else {
+                    unreachable!("keys are distinct")
+                };
+                self.index[b] = e as u32 + 1;
+            }
+        }
+    }
 }
 
 /// Reusable buffers of the greedy fallback: the connected components of
@@ -660,7 +799,8 @@ impl SupportSearch<'_> {
     }
 
     /// One-time pruning setup for a region that will branch: coverage
-    /// bitsets, the root uncovered mask, and the symmetry guard links.  Only runs with `prune` on, after the root relaxation
+    /// bitsets, the root uncovered mask, the symmetry guard links, the
+    /// cascade graph and an empty round table.  Only runs with `prune` on, after the root relaxation
     /// check, for regions within `region_cap` (≤ 48 slots by default, so
     /// the pairwise twin scan is small).
     pub(crate) fn prepare_prune(&mut self) {
@@ -813,6 +953,7 @@ impl SupportSearch<'_> {
             // k(a) − k(b) ≤ bound  →  arc b → a with weight bound.
             ps.casc_arcs.push(Arc::new(vb, va, c.bound));
         }
+        ps.rounds.reset(m);
     }
 
     /// Combined `In`-only probe and cascade lower bound for the regime
@@ -853,92 +994,84 @@ impl SupportSearch<'_> {
     /// the undecided slots freed, and pinning the rest to zero extends
     /// any such witness to the full relaxation — so the relaxed probe is
     /// known feasible and need not run.
+    ///
+    /// Rounds repeat: a node's `Out` child keeps its `In` set, so it
+    /// re-asks the parent's round 0 and often its later rounds.  A
+    /// round's system is fixed by the region's arcs and windows plus its
+    /// active set, and [`DiffSolver`] solves each call cold, so the
+    /// round's [`Round`] — verdict, cycle recovery and the cycle's
+    /// endpoint slots — is a function of the active set alone.  The
+    /// region's [`RoundTable`] keeps each one, and the solver runs only
+    /// on a miss.  Claims read the cached endpoints through this node's
+    /// own state, exactly as they read a fresh cycle, so every verdict
+    /// and claim is the cold one.  The one read of solver state is the
+    /// witness [`Self::record_incumbent`] takes after a feasible round
+    /// 0, so a cached feasible round 0 is solved again.
     fn cascade_decide(&mut self, state: &[Decision], target: Option<usize>) -> Cascade {
         let m = state.len();
-        self.ps.claimed.clear();
-        self.ps.claimed.resize(m, false);
+        let ps = &mut *self.ps;
+        ps.casc_key.clear();
+        ps.casc_key.resize(m.div_ceil(64), 0);
+        for (i, d) in state.iter().enumerate() {
+            if *d == Decision::In {
+                ps.casc_key[i / 64] |= 1 << (i % 64);
+            }
+        }
         let mut extra = 0usize;
         loop {
-            // Contracted system over the active (In ∪ freed) slots.
-            self.ps.casc_active.clear();
-            self.ps.casc_dense.clear();
-            self.ps.casc_dense.resize(m, NONE);
-            for (i, d) in state.iter().enumerate() {
-                if *d == Decision::In || self.ps.claimed[i] {
-                    self.ps.casc_dense[i] = self.ps.casc_active.len() as u32;
-                    self.ps.casc_active.push(i as u32);
-                }
+            self.stats.cascade_rounds += 1;
+            #[cfg(test)]
+            if self.ps.audit.force_miss {
+                self.ps.rounds.reset(m);
             }
-            let root = self.ps.casc_active.len() as u32;
-            self.ps.dense_arcs.clear();
-            self.ps.casc_prov.clear();
-            for (t, a) in self.ps.casc_arcs.iter().enumerate() {
-                let map = |v: u32| {
-                    if v == m as u32 {
-                        root
-                    } else {
-                        let dv = self.ps.casc_dense[v as usize];
-                        if dv == NONE {
-                            root
-                        } else {
-                            dv
-                        }
+            let round = match self.ps.rounds.find(&self.ps.casc_key) {
+                Ok(e) => {
+                    let round = self.ps.rounds.rounds[e];
+                    #[cfg(test)]
+                    self.audit_hit(m, round);
+                    if extra == 0 && round == Round::Feasible {
+                        // The witness must be this system's.
+                        self.stats.cascade_solves += 1;
+                        let again = self.solve_round(m);
+                        debug_assert_eq!(again, Round::Feasible);
                     }
-                };
-                let (f, to) = (map(a.from), map(a.to));
-                if f == root && to == root {
-                    if a.weight < 0 {
-                        // A violated constraint with no active endpoint:
-                        // impossible once covered (the gate), so bail to
-                        // the legacy probes rather than reason further.
-                        return Cascade::Unknown;
-                    }
-                    continue; // 0 ≤ weight: never binding, drop
+                    round
                 }
-                self.ps.dense_arcs.push(Arc::new(f, to, a.weight));
-                self.ps.casc_prov.push(t as u32);
-            }
-            self.ps.casc_bounds.clear();
-            for &slot in &self.ps.casc_active {
-                self.ps
-                    .casc_bounds
-                    .push(self.bounds[self.region_ffs[slot as usize] as usize]);
-            }
-            let feasible = self.solver.decide_bounded_cycle(
-                self.ps.casc_active.len(),
-                &self.ps.dense_arcs,
-                &self.ps.casc_bounds,
-                &mut self.ps.cycle,
-            );
-            if feasible {
-                return if extra == 0 {
-                    Cascade::InFeasible
-                } else {
-                    Cascade::Feasible
-                };
-            }
-            let Some(target) = target else {
-                return Cascade::Exhausted; // no incumbent: verdict only
+                Err(bucket) => {
+                    let round = self.solve_round(m);
+                    if round != Round::Unknown {
+                        self.stats.cascade_solves += 1;
+                    }
+                    let ps = &mut *self.ps;
+                    ps.rounds.insert(bucket, &ps.casc_key, round);
+                    round
+                }
             };
-            if self.ps.cycle.is_empty() {
-                return Cascade::Unknown; // defensive: no cycle recovered
-            }
-            // Claim the pinned-undecided endpoints of the cycle's
-            // constraint arcs (window arcs only touch active slots).
-            let mut any = false;
-            let nd = self.ps.dense_arcs.len();
-            for idx in 0..self.ps.cycle.len() {
-                let k = self.ps.cycle[idx] as usize;
-                if k >= nd {
-                    continue;
-                }
-                let a = &self.ps.casc_arcs[self.ps.casc_prov[k] as usize];
-                for v in [a.from, a.to] {
-                    let v = v as usize;
-                    if v < m && state[v] == Decision::Undecided && !self.ps.claimed[v] {
-                        self.ps.claimed[v] = true;
-                        any = true;
+            let (start, end, target) = match round {
+                Round::Unknown => return Cascade::Unknown,
+                Round::Feasible if extra == 0 => return Cascade::InFeasible,
+                Round::Feasible => return Cascade::Feasible,
+                Round::Infeasible { start, end, cycle } => {
+                    let Some(target) = target else {
+                        return Cascade::Exhausted; // no incumbent: verdict only
+                    };
+                    if !cycle {
+                        return Cascade::Unknown; // defensive: no cycle recovered
                     }
+                    (start as usize, end as usize, target)
+                }
+            };
+            // Claim the pinned-undecided endpoints of the cycle's
+            // constraint arcs (window arcs only touch active slots).  An
+            // undecided slot is active exactly when an earlier round
+            // claimed it.
+            let ps = &mut *self.ps;
+            let mut any = false;
+            for &v in &ps.rounds.ends[start..end] {
+                let (w, bit) = (v as usize / 64, 1 << (v % 64));
+                if state[v as usize] == Decision::Undecided && ps.casc_key[w] & bit == 0 {
+                    ps.casc_key[w] |= bit;
+                    any = true;
                 }
             }
             if !any {
@@ -949,6 +1082,121 @@ impl SupportSearch<'_> {
                 return Cascade::Prune;
             }
         }
+    }
+
+    /// Solves the round whose active set is `casc_key` on the contracted
+    /// graph, appending an infeasible round's cycle endpoints to the
+    /// round table's `ends`.  A [`Round::Unknown`] runs no solve.
+    fn solve_round(&mut self, m: usize) -> Round {
+        let ps = &mut *self.ps;
+        ps.casc_active.clear();
+        ps.casc_dense.clear();
+        ps.casc_dense.resize(m, NONE);
+        for (w, &bits) in ps.casc_key.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                ps.casc_dense[i] = ps.casc_active.len() as u32;
+                ps.casc_active.push(i as u32);
+            }
+        }
+        let root = ps.casc_active.len() as u32;
+        ps.dense_arcs.clear();
+        ps.casc_prov.clear();
+        for (t, a) in ps.casc_arcs.iter().enumerate() {
+            let map = |v: u32| {
+                if v == m as u32 {
+                    root
+                } else {
+                    let dv = ps.casc_dense[v as usize];
+                    if dv == NONE {
+                        root
+                    } else {
+                        dv
+                    }
+                }
+            };
+            let (f, to) = (map(a.from), map(a.to));
+            if f == root && to == root {
+                if a.weight < 0 {
+                    // A violated constraint with no active endpoint:
+                    // impossible once covered (the gate), so bail to the
+                    // legacy probes rather than reason further.
+                    return Round::Unknown;
+                }
+                continue; // 0 ≤ weight: never binding, drop
+            }
+            ps.dense_arcs.push(Arc::new(f, to, a.weight));
+            ps.casc_prov.push(t as u32);
+        }
+        ps.casc_bounds.clear();
+        for &slot in &ps.casc_active {
+            ps.casc_bounds
+                .push(self.bounds[self.region_ffs[slot as usize] as usize]);
+        }
+        if self.solver.decide_bounded_cycle(
+            ps.casc_active.len(),
+            &ps.dense_arcs,
+            &ps.casc_bounds,
+            &mut ps.cycle,
+        ) {
+            return Round::Feasible;
+        }
+        let start = ps.rounds.ends.len() as u32;
+        let nd = ps.dense_arcs.len();
+        for &k in &ps.cycle {
+            let k = k as usize;
+            if k >= nd {
+                continue;
+            }
+            let a = &ps.casc_arcs[ps.casc_prov[k] as usize];
+            for v in [a.from, a.to] {
+                if (v as usize) < m {
+                    ps.rounds.ends.push(v);
+                }
+            }
+        }
+        Round::Infeasible {
+            start,
+            end: ps.rounds.ends.len() as u32,
+            cycle: !ps.cycle.is_empty(),
+        }
+    }
+
+    /// Re-solves a table hit cold on the audit's own solver and counts a
+    /// mismatch when the verdict, the cycle recovery or the set of cycle
+    /// endpoint slots differs from the cached round.
+    #[cfg(test)]
+    fn audit_hit(&mut self, m: usize, cached: Round) {
+        if !self.ps.audit.check_hits {
+            return;
+        }
+        std::mem::swap(self.solver, &mut self.ps.audit.solver);
+        let before = self.ps.rounds.ends.len();
+        let cold = self.solve_round(m);
+        std::mem::swap(self.solver, &mut self.ps.audit.solver);
+        let ends = &self.ps.rounds.ends;
+        let set = |range: std::ops::Range<usize>| {
+            let mut slots = ends[range].to_vec();
+            slots.sort_unstable();
+            slots.dedup();
+            slots
+        };
+        let same = match (cached, cold) {
+            (
+                Round::Infeasible { start, end, cycle },
+                Round::Infeasible {
+                    start: s,
+                    end: e,
+                    cycle: c,
+                },
+            ) => cycle == c && set(start as usize..end as usize) == set(s as usize..e as usize),
+            (a, b) => a == b,
+        };
+        self.ps.rounds.ends.truncate(before);
+        self.ps.audit.hits += 1;
+        self.ps.audit.mismatches += u64::from(!same);
     }
 
     /// Whether the symmetry rule lets `v`'s `In` branch be skipped at the
@@ -1245,3 +1493,6 @@ impl SupportSearch<'_> {
         state.iter().position(|d| *d == Decision::Undecided)
     }
 }
+
+#[cfg(test)]
+mod tests;

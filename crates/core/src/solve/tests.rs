@@ -1281,6 +1281,7 @@ fn search_stats_pruned_total_sums_all_rules() {
         pruned_bound: 3,
         pruned_symmetry: 1,
         fallback_probes: 7,
+        ..search::SearchStats::default()
     };
     assert_eq!(stats.pruned_total(), 4);
 }

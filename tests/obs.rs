@@ -16,7 +16,9 @@
 //!    draws plus zero-pass settles are pinned instead).
 //!
 //! It also checks that `solve.search.node_cap_hits` counts region
-//! searches under a one-node `bb_node_cap` and stays 0 at the default cap.
+//! searches under a one-node `bb_node_cap` and stays 0 at the default cap,
+//! and that the cascade round counters register on a flow that reaches
+//! the cascade bound.
 //!
 //! Arming is process-global, so every test serialises through
 //! [`psbi::obs::test_lock`] and arms/disarms manually (the `with_*`
@@ -308,4 +310,34 @@ fn node_cap_hits_count_the_searches_stopped_at_the_cap() {
     let (hits, nodes) = counters(SolverOptions::default().bb_node_cap);
     assert!(nodes > 0, "no region was searched");
     assert_eq!(hits, 0, "the default cap stopped a search on tiny_demo");
+}
+
+#[test]
+fn cascade_round_counters_register_and_the_table_answers_rounds() {
+    let _gate = obs::test_lock();
+    let _disarm = DisarmOnDrop;
+    let circuit = psbi::netlist::bench_suite::tiny_demo(1);
+    let cfg = FlowConfig {
+        samples: 120,
+        yield_samples: 120,
+        calibration_samples: 120,
+        ..FlowConfig::default()
+    };
+    let flow = BufferInsertionFlow::builder(&circuit, cfg)
+        .build()
+        .expect("valid circuit");
+    obs::metrics::arm(None); // arming clears the registry
+    flow.run();
+    let snap = obs::metrics::snapshot();
+    obs::metrics::disarm();
+    let read = |name: &str| snap.counter(name).expect("counter registered");
+    let (rounds, solves) = (
+        read("solve.search.cascade.rounds"),
+        read("solve.search.cascade.solves"),
+    );
+    assert!(solves > 0, "no cascade round ran the solver");
+    assert!(
+        rounds >= solves,
+        "{solves} solves for {rounds} rounds: the solver ran more than asked"
+    );
 }
