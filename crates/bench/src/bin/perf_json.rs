@@ -12,8 +12,8 @@
 //!
 //! Besides the sampling-throughput and flow-stage sections, the output
 //! carries a `simd` section — the chunked fused draw + extraction pinned
-//! to the scalar reference backend versus the active wide backend
-//! (AVX2 chip lanes or NEON), which the `perf-gate` CI job tracks — a
+//! to the scalar reference backend versus the active backend (AVX2 chip
+//! lanes where the host has them), which the `perf-gate` CI job tracks — a
 //! `cross_chip` section (a flow whose memo and zero-pass table an
 //! adjacent target warmed versus a fresh flow at the same target, with
 //! the region-memo hit rate and distinct-key count), a `search_pruning`

@@ -20,10 +20,10 @@
 //! [`psbi_timing::ConstraintBatch`] (gate-level chips through a
 //! [`psbi_timing::SampleBatch`]), and the per-chip solves run over the
 //! constraint rows.  The draw and bound-extraction kernels run wide (AVX2
-//! chip lanes, four chips per vector; NEON per-chip lanes) on the
-//! process-wide [`psbi_timing::simd`] backend; every backend is
-//! bit-identical to the scalar reference (`PSBI_FORCE_SCALAR=1`), so
-//! kernel choice never affects results.
+//! chip lanes, four chips per vector) on the process-wide
+//! [`psbi_timing::simd`] backend; every backend is bit-identical to the
+//! scalar reference (`PSBI_FORCE_SCALAR=1`), so kernel choice never
+//! affects results.
 //! Chunks are distributed over a rayon-style work-stealing
 //! parallel iterator (idle workers claim the next unprocessed chunk), and
 //! every worker draws its solver/batch workspaces from a shared pool that

@@ -819,6 +819,12 @@ impl SupportSearch<'_> {
                 NONE
             }
         };
+        // Cover and cascade arcs skip slotless constraints; the walk attaches member edges only.
+        debug_assert!(
+            cons.iter()
+                .all(|c| local(c.a) != NONE || local(c.b) != NONE),
+            "a constraint without an endpoint in its region reached the search"
+        );
         let words = nv.div_ceil(64);
         let ps = &mut *self.ps;
         ps.words = words;

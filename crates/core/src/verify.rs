@@ -12,8 +12,8 @@
 //! yield streams through the scalar single-chip path (the flow's
 //! `fill_sample`, which draws canonical chips with the sampler's scalar
 //! reference kernel on every backend — a kernel the flow's passes run
-//! only under `PSBI_FORCE_SCALAR=1`, and which the wide kernels match bit
-//! for bit by pinned test),
+//! only under `PSBI_FORCE_SCALAR=1`, and which the AVX2 chip lanes match
+//! bit for bit by pinned test),
 //! rebuilds its un-elided integer constraint system from scratch (every
 //! raw arc, [`Deployment::build_arcs`]), and re-validates:
 //!

@@ -175,11 +175,12 @@ impl ConstraintsView<'_> {
 
 /// Shared row kernel: writes one chip's floored bounds into slices.
 ///
-/// The slack terms are grouped exactly as in [`ConstraintBatch::build_from`]
-/// (skew/period base first, then the chip-dependent terms) so the scalar
-/// and batched paths produce bit-identical floored bounds for the same
-/// chip — floating-point association matters at step boundaries, and the
-/// flow's replay APIs promise exact agreement with the batched passes.
+/// The slack terms are grouped exactly as in [`ConstraintBatch`]'s row
+/// kernel and chip lanes (skew/period base first, then the chip-dependent
+/// terms) so the single-chip and batched paths produce bit-identical
+/// floored bounds for the same chip — floating-point association matters
+/// at step boundaries, and the flow's replay APIs promise exact agreement
+/// with the batched passes.
 #[inline]
 fn fill_bounds_row(
     sg: &SequentialGraph,
@@ -206,10 +207,10 @@ fn fill_bounds_row(
 ///
 /// Row-major `len × edges` buffers, reused across passes (no per-chip
 /// allocation), filled either from a drawn [`SampleBatch`]
-/// ([`ConstraintBatch::build_from`]) or straight from the sampler
-/// ([`ConstraintBatch::draw_from`], the flow's path, which never stores
-/// the chips' delays).  The bound-extraction inner loop runs on the
-/// process-wide kernel backend ([`simd::active`]); all backends produce
+/// ([`ConstraintBatch::build_from`], the scalar row kernel on every host)
+/// or straight from the sampler ([`ConstraintBatch::draw_from`], the
+/// flow's path, which never stores the chips' delays and extracts on the
+/// process-wide kernel backend, [`simd::active`]).  Every path produces
 /// bit-identical bounds.
 #[derive(Debug, Clone, Default)]
 pub struct ConstraintBatch {
@@ -223,10 +224,6 @@ pub struct ConstraintBatch {
     hold_base: Vec<f64>,
     /// Capture-FF index per edge (flat copy of `SeqEdge::to`).
     to_idx: Vec<u32>,
-    /// Wide-path scratch: the capture FF's setup/hold values gathered
-    /// per edge, so the bound kernel streams edge-indexed lanes only.
-    gather_setup: Vec<f64>,
-    gather_hold: Vec<f64>,
 }
 
 impl ConstraintBatch {
@@ -248,8 +245,7 @@ impl ConstraintBatch {
     }
 
     /// Extracts the integer bounds of every chip in `batch`, reusing this
-    /// batch's buffers, on the process-wide kernel backend
-    /// ([`simd::active`]).
+    /// batch's buffers, through the scalar row kernel.
     ///
     /// # Panics
     ///
@@ -262,32 +258,7 @@ impl ConstraintBatch {
         period: f64,
         step: f64,
     ) {
-        self.build_from_with(simd::active(), sg, batch, skews, period, step);
-    }
-
-    /// [`build_from`](ConstraintBatch::build_from) on an explicit kernel
-    /// backend.  Every backend produces bit-identical bounds; this entry
-    /// point exists for parity tests and scalar-vs-SIMD benchmarks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is not strictly positive, or if `backend` is not
-    /// available on this host.
-    pub fn build_from_with(
-        &mut self,
-        backend: simd::Backend,
-        sg: &SequentialGraph,
-        batch: &SampleBatch,
-        skews: &[f64],
-        period: f64,
-        step: f64,
-    ) {
         assert!(step > 0.0, "buffer step must be positive");
-        assert!(
-            backend.is_available(),
-            "kernel backend {} not available on this host",
-            backend.name()
-        );
         let _span = psbi_obs::Span::enter_with(
             "timing.extract",
             &[
@@ -305,7 +276,7 @@ impl ConstraintBatch {
         );
         let inv_step = 1.0 / step;
         for row in 0..self.len {
-            self.extract_row(backend, row, batch.view(row), inv_step);
+            self.extract_row(row, batch.view(row), inv_step);
         }
     }
 
@@ -382,7 +353,7 @@ impl ConstraintBatch {
                     extract_failpoint(chips[0]);
                 }
                 match drawn {
-                    Drawn::Chip(v) => self.extract_row(backend, row, v, inv_step),
+                    Drawn::Chip(v) => self.extract_row(row, v, inv_step),
                     Drawn::Lanes(lanes) => {
                         let rows = row * n..(row + live) * n;
                         lanes.bounds(
@@ -428,47 +399,18 @@ impl ConstraintBatch {
         self.hold_bound.resize(len * self.n_edges, 0);
     }
 
-    /// Extracts one chip's bounds into row `row` on a per-chip kernel.
-    fn extract_row(
-        &mut self,
-        backend: simd::Backend,
-        row: usize,
-        v: SampleView<'_>,
-        inv_step: f64,
-    ) {
+    /// Extracts one chip's bounds into row `row` — the scalar reference
+    /// kernel.
+    fn extract_row(&mut self, row: usize, v: SampleView<'_>, inv_step: f64) {
         let n = self.n_edges;
         let setup_bound = &mut self.setup_bound[row * n..(row + 1) * n];
         let hold_bound = &mut self.hold_bound[row * n..(row + 1) * n];
-        // The scalar backend takes the fused loop; the hardware-vector
-        // backends pay for the gather staging and recoup it in the
-        // slack/floor sweep.
-        if backend == simd::Backend::Scalar {
-            for e in 0..n {
-                let j = self.to_idx[e] as usize;
-                let setup_slack = self.setup_base[e] - v.setup[j] - v.edge_max[e];
-                let hold_slack = v.edge_min[e] - v.hold[j] + self.hold_base[e];
-                setup_bound[e] = (setup_slack * inv_step).floor() as i64;
-                hold_bound[e] = (hold_slack * inv_step).floor() as i64;
-            }
-        } else {
-            // Gather the capture-FF setup/hold values into edge-indexed
-            // lanes (scalar; data-dependent indices), then run the
-            // vectorised slack/floor kernel over the row.
-            self.gather_setup.clear();
-            self.gather_hold.clear();
-            for &j in &self.to_idx {
-                self.gather_setup.push(v.setup[j as usize]);
-                self.gather_hold.push(v.hold[j as usize]);
-            }
-            let lanes = simd::BoundLanes {
-                setup_base: &self.setup_base,
-                setup_ff: &self.gather_setup,
-                edge_max: v.edge_max,
-                edge_min: v.edge_min,
-                hold_ff: &self.gather_hold,
-                hold_base: &self.hold_base,
-            };
-            simd::extract_bounds(backend, &lanes, inv_step, setup_bound, hold_bound);
+        for e in 0..n {
+            let j = self.to_idx[e] as usize;
+            let setup_slack = self.setup_base[e] - v.setup[j] - v.edge_max[e];
+            let hold_slack = v.edge_min[e] - v.hold[j] + self.hold_base[e];
+            setup_bound[e] = (setup_slack * inv_step).floor() as i64;
+            hold_bound[e] = (hold_slack * inv_step).floor() as i64;
         }
     }
 
@@ -748,54 +690,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn build_from_backends_bit_identical() {
-        // Bound extraction must agree across every kernel backend — the
-        // floored integer bounds are the values the solver consumes, so
-        // any lane divergence would break run reproducibility.  Batch
-        // lengths and edge counts exercise the remainder loops.
-        use crate::sample::{CanonicalBatchSampler, SampleBatch};
-        let c = bench_suite::tiny_demo(14);
-        let lib = Library::industry_like();
-        let model = VariationModel::paper_defaults();
-        let tg = TimingGraph::build(&c, &lib, &model).unwrap();
-        let sg = SequentialGraph::extract(&tg);
-        let skews: Vec<f64> = (0..sg.n_ffs)
-            .map(|i| ((i % 7) as f64) * 1.5 - 4.0)
-            .collect();
-        let sampler = CanonicalBatchSampler::new(&sg);
-        for len in [1usize, 3, 5, 9] {
-            let mut batch = SampleBatch::new();
-            batch.reset(&sg, len);
-            sampler.fill(91, 17, &mut batch);
-            let (period, step) = (620.0, 2.25);
-            let mut reference = ConstraintBatch::new();
-            reference.build_from_with(
-                crate::simd::Backend::Scalar,
-                &sg,
-                &batch,
-                &skews,
-                period,
-                step,
-            );
-            for backend in crate::simd::Backend::available() {
-                let mut cb = ConstraintBatch::new();
-                cb.build_from_with(backend, &sg, &batch, &skews, period, step);
-                for row in 0..len {
-                    let a = reference.view(row);
-                    let b = cb.view(row);
-                    assert_eq!(
-                        a.setup_bound,
-                        b.setup_bound,
-                        "backend {} len {len} row {row}",
-                        backend.name()
-                    );
-                    assert_eq!(a.hold_bound, b.hold_bound);
-                }
-            }
-        }
-    }
-
     /// The flow's step at period `t`: `t · (1/8) / 20`, evaluated in the
     /// flow's order, so `1/step` shrinks as `t` grows.
     fn flow_step(t: f64) -> f64 {
@@ -806,8 +700,8 @@ mod tests {
     fn passing_untuned_is_monotone_in_the_period() {
         // The zero-pass lemma the flow's table relies on: a chip whose
         // floored bounds are all >= 0 at period T has them all >= 0 at
-        // every T' >= T — on every kernel backend and on the scalar path.
-        use crate::sample::{CanonicalBatchSampler, SampleBatch};
+        // every T' >= T — on every kernel backend of the flow's fused
+        // draw and on the scalar path.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
         let (mut implied, mut flipped) = (0usize, 0usize);
@@ -820,21 +714,21 @@ mod tests {
             let skews: Vec<f64> = (0..sg.n_ffs).map(|_| rng.gen_range(-6.0..6.0)).collect();
             let sampler = CanonicalBatchSampler::new(&sg);
             let len = 24;
-            let mut batch = SampleBatch::new();
-            batch.reset(&sg, len);
-            sampler.fill(circuit_seed, 100, &mut batch);
-            let chips: Vec<SampleTiming> = (0..len)
-                .map(|row| {
+            let ids: Vec<u64> = (100..100 + len as u64).collect();
+            let chips: Vec<SampleTiming> = ids
+                .iter()
+                .map(|&k| {
                     let mut st = SampleTiming::for_graph(&sg);
-                    sampler.fill_one(circuit_seed, 100 + row as u64, &mut st);
+                    sampler.fill_one(circuit_seed, k, &mut st);
                     st
                 })
                 .collect();
             // Periods around the chips' own minimum periods, including
             // each chip's exact threshold, paired with a later period
             // from one ulp to far above.
-            let mut periods: Vec<f64> = (0..len)
-                .map(|row| min_period_view(&sg, batch.view(row), &skews).period)
+            let mut periods: Vec<f64> = chips
+                .iter()
+                .map(|st| min_period(&sg, st, &skews).period)
                 .collect();
             for _ in 0..16 {
                 let base = periods[rng.gen_range(0..len)];
@@ -864,10 +758,13 @@ mod tests {
                         }
                     }
                     for backend in crate::simd::Backend::available() {
-                        let mut at_t = ConstraintBatch::new();
-                        let mut at_t2 = ConstraintBatch::new();
-                        at_t.build_from_with(backend, &sg, &batch, &skews, t, flow_step(t));
-                        at_t2.build_from_with(backend, &sg, &batch, &skews, t2, flow_step(t2));
+                        let bounds_at = |t: f64| {
+                            let mut cb = ConstraintBatch::new();
+                            let (seed, step) = (circuit_seed, flow_step(t));
+                            cb.draw_from_with(backend, &sampler, seed, &ids, &skews, t, step);
+                            cb
+                        };
+                        let (at_t, at_t2) = (bounds_at(t), bounds_at(t2));
                         for row in 0..len {
                             assert!(
                                 !at_t.view(row).feasible_at_zero()
@@ -890,7 +787,6 @@ mod tests {
         // whose hold slack is the smallest negative subnormal: its product
         // with 1/step rounds to −0.0, so the floored hold bound is 0 (a
         // pass) at every period whose 1/step is below 1/2.
-        use crate::sample::{CanonicalBatchSampler, SampleBatch};
         use crate::seq::SeqEdge;
         use psbi_variation::CanonicalForm;
         let tiny = f64::from_bits(1);
@@ -907,28 +803,20 @@ mod tests {
         );
         let skews = [0.0, 0.0];
         let sampler = CanonicalBatchSampler::new(&sg);
-        let mut batch = SampleBatch::new();
-        batch.reset(&sg, 1);
-        sampler.fill(1, 0, &mut batch);
-        let v = batch.view(0);
+        let mut st = SampleTiming::for_graph(&sg);
+        sampler.fill_one(1, 0, &mut st);
         let t = 1000.0;
         assert_eq!(
-            t - v.setup[1] - v.edge_max[0],
+            t - st.setup[1] - st.edge_max[0],
             0.0,
             "setup slack is exactly 0"
         );
-        let hold_slack = v.edge_min[0] - v.hold[1];
+        let hold_slack = st.edge_min[0] - st.hold[1];
         assert!(hold_slack < 0.0, "hold slack is negative");
         assert_eq!(
             (hold_slack * (1.0 / flow_step(t))).to_bits(),
             (-0.0f64).to_bits()
         );
-        let st = SampleTiming {
-            edge_max: v.edge_max.to_vec(),
-            edge_min: v.edge_min.to_vec(),
-            setup: v.setup.to_vec(),
-            hold: v.hold.to_vec(),
-        };
         let later = [t, f64::from_bits(t.to_bits() + 1), 1000.5, 2000.0, 1e9];
         let mut ic = IntegerConstraints::for_graph(&sg);
         for &t2 in &later {
@@ -936,7 +824,7 @@ mod tests {
             assert!(ic.feasible_at_zero(), "scalar fails at {t2}");
             for backend in crate::simd::Backend::available() {
                 let mut cb = ConstraintBatch::new();
-                cb.build_from_with(backend, &sg, &batch, &skews, t2, flow_step(t2));
+                cb.draw_from_with(backend, &sampler, 1, &[0], &skews, t2, flow_step(t2));
                 assert!(
                     cb.view(0).feasible_at_zero(),
                     "backend {} fails at {t2}",

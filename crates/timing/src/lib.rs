@@ -29,10 +29,10 @@
 //!   ([`constraint::ConstraintBatch::draw_from`], which never stores the
 //!   chips' delays), with chip-invariant per-edge terms hoisted out of the
 //!   chip loop;
-//! * [`simd`] — runtime-dispatched wide kernels (AVX2 chip lanes, four
-//!   chips per vector; NEON per-chip lanes) behind the batch engine,
-//!   bit-identical to the scalar reference path, which hosts without
-//!   either run and `PSBI_FORCE_SCALAR=1` forces;
+//! * [`simd`] — the runtime-dispatched wide kernel behind the batch
+//!   engine (AVX2 chip lanes, four chips per vector), bit-identical to the
+//!   scalar reference path, which every single-chip path, every host
+//!   without AVX2 and `PSBI_FORCE_SCALAR=1` run;
 //! * [`constraint::IntegerConstraints`] — the paper's setup/hold
 //!   inequalities discretised to buffer steps:
 //!   `k_i − k_j ≤ ⌊(T − s_j − d̄ij + t_j − t_i)/δ⌋` and

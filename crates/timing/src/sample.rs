@@ -31,9 +31,10 @@
 //!   batch, reusing one [`GateLevelSampler`] workspace.
 //!
 //! On AVX2 the draw loop runs four chips at once, one per vector lane
-//! (see [`simd`]); the scalar reference (`PSBI_FORCE_SCALAR=1`) and NEON
-//! draw one chip at a time, and [`CanonicalBatchSampler::fill_one`]
-//! always runs the scalar reference.  Every path produces the same bits.
+//! (see [`simd`]); every other path — hosts without AVX2,
+//! `PSBI_FORCE_SCALAR=1` and [`CanonicalBatchSampler::fill_one`] — draws
+//! one chip at a time through the scalar reference.  Every path produces
+//! the same bits.
 //!
 //! Each chip in a batch is drawn from its own [`chip_rng`] stream keyed by
 //! the *global* sample index, so a batch decomposes deterministically: the
@@ -301,7 +302,7 @@ fn draw_standard_normal_inv<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// Pre-flattened canonical coefficients of one form: mean, the global
 /// sensitivities, and the independent sigma.  The fused scalar reference
 /// path iterates these contiguous structs (one cache line per pair of
-/// forms); the wide path reads the same coefficients from the
+/// forms); the chip lanes read the same coefficients from the
 /// structure-of-arrays [`simd::FormGroup`]s instead.
 #[derive(Debug, Clone, Copy)]
 struct FlatForm {
@@ -321,7 +322,7 @@ impl FlatForm {
     }
 
     /// Scalar draw — the expression tree (left-associated sensitivity
-    /// sum, one conditional local term) every wide backend reproduces
+    /// sum, one conditional local term) the chip lanes reproduce
     /// lane-wise; see [`simd`] for the parity contract.
     #[inline]
     fn draw<R: Rng + ?Sized>(&self, globals: &GlobalSample, rng: &mut R) -> f64 {
@@ -344,14 +345,14 @@ impl FlatForm {
 /// into their integer bounds or minimum periods.  The canonical
 /// coefficients are flattened into four structure-of-arrays groups
 /// (setup, hold, edge-max, edge-min — see [`simd::FormGroup`]) so the
-/// draw is a handful of linear sweeps the wide kernels can vectorise.
+/// chip lanes draw in a handful of linear sweeps.
 ///
 /// # Kernel dispatch
 ///
 /// [`fill`] and the fused entries run on the process-wide backend picked
-/// by [`simd::active`] (AVX2 chip lanes, NEON per-chip kernels, or the
-/// fused scalar reference on other hosts and under
-/// `PSBI_FORCE_SCALAR=1`); [`fill_one`] always runs the scalar reference.
+/// by [`simd::active`] (AVX2 chip lanes, or the fused scalar reference on
+/// other hosts and under `PSBI_FORCE_SCALAR=1`); [`fill_one`] always runs
+/// the scalar reference.
 /// All backends are **bit-identical** — see the [`simd`] module docs for
 /// the parity argument — so the choice never affects results, only
 /// throughput.  [`fill_with`](CanonicalBatchSampler::fill_with) pins an
@@ -387,7 +388,7 @@ pub struct CanonicalBatchSampler {
 /// What the one draw loop ([`CanonicalBatchSampler::draw_chips`]) hands
 /// its consumer: a run of chips, drawn.
 pub(crate) enum Drawn<'a> {
-    /// One chip, from a per-chip kernel (the scalar reference or NEON).
+    /// One chip, drawn by the scalar reference.
     Chip(SampleView<'a>),
     /// Up to [`simd::CHIP_LANES`] consecutive chips in AVX2 chip lanes.
     Lanes(simd::ChipLanes<'a>),
@@ -651,47 +652,26 @@ impl CanonicalBatchSampler {
                     );
                 }
             }
-            simd::Backend::Scalar | simd::Backend::Neon => {
-                scratch.ensure(self.n_forms, self.n_forms, self.n_forms);
+            simd::Backend::Scalar => {
+                scratch.ensure(0, 0, self.n_forms);
                 for row in 0..len {
                     consume(
                         row,
-                        Drawn::Chip(self.draw_one(backend, scratch, stream, chip(row))),
+                        Drawn::Chip(self.draw_one(&mut scratch.row, stream, chip(row))),
                     );
                 }
             }
         });
     }
 
-    /// Draws one chip on a per-chip kernel into `scratch.row` (dense
+    /// Draws one chip through the scalar reference into `row` (dense
     /// layout `setup | hold | edge_max | edge_min`).
-    fn draw_one<'s>(
-        &self,
-        backend: simd::Backend,
-        scratch: &'s mut simd::Scratch,
-        stream: u64,
-        index: u64,
-    ) -> SampleView<'s> {
+    fn draw_one<'s>(&self, row: &'s mut [f64], stream: u64, index: u64) -> SampleView<'s> {
         let (n_ffs, n_edges) = (self.n_ffs(), self.n_edges());
-        let simd::Scratch { u, z, row } = scratch;
         let (setup, rest) = row[..self.n_forms].split_at_mut(n_ffs);
         let (hold, rest) = rest.split_at_mut(n_ffs);
         let (edge_max, edge_min) = rest.split_at_mut(n_edges);
-        if backend == simd::Backend::Scalar {
-            self.draw_chip_scalar(stream, index, edge_max, edge_min, setup, hold);
-        } else {
-            self.draw_chip_wide(
-                backend,
-                &mut u[..self.n_forms],
-                &mut z[..self.n_forms],
-                stream,
-                index,
-                edge_max,
-                edge_min,
-                setup,
-                hold,
-            );
-        }
+        self.draw_chip_scalar(stream, index, edge_max, edge_min, setup, hold);
         SampleView {
             edge_max,
             edge_min,
@@ -729,10 +709,9 @@ impl CanonicalBatchSampler {
 
     /// Fused per-chip scalar kernel — the reference path (and the
     /// `PSBI_FORCE_SCALAR=1` path).  Draw order: FF setup/hold first,
-    /// then the edge pairs — the wide kernels consume each chip's RNG in
+    /// then the edge pairs — the chip lanes consume each chip's RNG in
     /// the identical order (through `draw_slots`) so a chip's values
     /// depend only on `(stream, index)`.
-    #[allow(clippy::too_many_arguments)]
     fn draw_chip_scalar(
         &self,
         stream: u64,
@@ -753,58 +732,6 @@ impl CanonicalBatchSampler {
             *pair.0 = dmax.max(dmin);
             *pair.1 = dmin.min(dmax);
         }
-    }
-
-    /// Staged per-chip wide kernel (NEON): (1) consume the chip's RNG
-    /// stream into dense uniform slots `u` — the same uniforms, in the same
-    /// order, as the scalar path; (2) probit the whole chip into `z` in one
-    /// vectorised sweep; (3) combine coefficients with the globals per form
-    /// group; (4) order the edge pairs.  Bit-identical to
-    /// [`draw_chip_scalar`](Self::draw_chip_scalar).
-    #[allow(clippy::too_many_arguments)]
-    fn draw_chip_wide(
-        &self,
-        backend: simd::Backend,
-        u: &mut [f64],
-        z: &mut [f64],
-        stream: u64,
-        index: u64,
-        edge_max: &mut [f64],
-        edge_min: &mut [f64],
-        setup: &mut [f64],
-        hold: &mut [f64],
-    ) {
-        let (globals, mut rng) = chip_rng(stream, index);
-        for &slot in &self.draw_slots {
-            u[slot as usize] = unit_uniform(&mut rng);
-        }
-        let n = self.n_forms;
-        simd::probit_dense(backend, &u[..n], &mut z[..n]);
-        let n_ffs = self.n_ffs();
-        let n_edges = self.n_edges();
-        simd::combine_draws(backend, &self.setup, &globals.delta, &z[..n_ffs], setup);
-        simd::combine_draws(
-            backend,
-            &self.hold,
-            &globals.delta,
-            &z[n_ffs..2 * n_ffs],
-            hold,
-        );
-        simd::combine_draws(
-            backend,
-            &self.emax,
-            &globals.delta,
-            &z[2 * n_ffs..2 * n_ffs + n_edges],
-            edge_max,
-        );
-        simd::combine_draws(
-            backend,
-            &self.emin,
-            &globals.delta,
-            &z[2 * n_ffs + n_edges..n],
-            edge_min,
-        );
-        simd::order_edge_pairs(backend, edge_max, edge_min);
     }
 }
 
@@ -1254,10 +1181,9 @@ mod tests {
 
     #[test]
     fn wide_backends_bit_identical_to_scalar() {
-        // The tentpole parity contract: every kernel backend fills the
-        // same bytes as the fused scalar reference, for batch lengths
-        // that do and do not divide the lane widths (4 for AVX2, 2 for
-        // NEON) and for a non-zero window start.
+        // The parity contract: every kernel backend fills the same bytes
+        // as the fused scalar reference, for batch lengths that do and do
+        // not divide the four chip lanes, and for a non-zero window start.
         let fx = Fixture::new(21);
         let tg = TimingGraph::build(&fx.circuit, &fx.lib, &fx.model).unwrap();
         let sg = SequentialGraph::extract(&tg);
@@ -1316,38 +1242,6 @@ mod tests {
                 };
                 assert_eq!(st, reference, "backend {} index {index}", backend.name());
             }
-        }
-    }
-
-    #[test]
-    fn staged_per_chip_path_matches_the_scalar_reference() {
-        // NEON draws one chip at a time through `draw_chip_wide`; on
-        // hosts without NEON its staging (uniform slots, dense probit,
-        // per-group combine, pair ordering) runs here on the scalar
-        // lanes of the same dispatch.
-        let fx = Fixture::new(24);
-        let tg = TimingGraph::build(&fx.circuit, &fx.lib, &fx.model).unwrap();
-        let sg = SequentialGraph::extract(&tg);
-        let sampler = CanonicalBatchSampler::new(&sg);
-        let mut reference = SampleTiming::for_graph(&sg);
-        let mut scratch = simd::Scratch::default();
-        scratch.ensure(sampler.n_forms, sampler.n_forms, sampler.n_forms);
-        for index in [0u64, 7, 4_096] {
-            sampler.fill_one(3, index, &mut reference);
-            let mut st = SampleTiming::for_graph(&sg);
-            let simd::Scratch { u, z, .. } = &mut scratch;
-            sampler.draw_chip_wide(
-                simd::Backend::Scalar,
-                u,
-                z,
-                3,
-                index,
-                &mut st.edge_max,
-                &mut st.edge_min,
-                &mut st.setup,
-                &mut st.hold,
-            );
-            assert_eq!(st, reference, "index {index}");
         }
     }
 

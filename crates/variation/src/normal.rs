@@ -87,8 +87,8 @@ pub fn probit(p: f64) -> f64 {
     x - u / (1.0 + 0.5 * x * u)
 }
 
-/// Acklam's probit coefficients, exported so wide (SIMD) re-implementations
-/// of the central branch can evaluate the *identical* expression tree as
+/// Acklam's probit coefficients, exported so the AVX2 sampling kernel can
+/// evaluate the central branch with the *identical* expression tree of
 /// [`probit_fast`] — the bit-parity contract between the scalar and
 /// vectorised sampling kernels depends on both sides reading the same
 /// constants.
@@ -132,15 +132,15 @@ pub mod acklam {
 }
 
 /// The central branch of [`probit_fast`] — Acklam's rational approximation
-/// for `p ∈ [P_LOW, 1 − P_LOW]`, with no `ln`/`sqrt`.
+/// for `p ∈ [P_LOW, 1 − P_LOW]`, with no `ln`/`sqrt` (`P_LOW` is
+/// [`acklam::P_LOW`]).
 ///
-/// Exposed separately because the SIMD sampling kernels vectorise exactly
-/// this branch (it is branch-free and uses only exactly-rounded IEEE ops,
-/// so a lane-wise evaluation is bit-identical to this scalar one) and
-/// patch the rare tail lanes through [`probit_fast`].  Outside the central
-/// interval the returned value is a smooth but *wrong* extrapolation.
+/// Branch-free and built from exactly-rounded IEEE operations only, so the
+/// AVX2 sampling kernel evaluates it lane-wise from [`acklam`]'s constants
+/// with the same bits.  Outside the central interval the returned value is
+/// a smooth but *wrong* extrapolation.
 #[inline]
-pub fn probit_central(p: f64) -> f64 {
+fn probit_central(p: f64) -> f64 {
     use acklam::{A, B};
     let q = p - 0.5;
     let r = q * q;

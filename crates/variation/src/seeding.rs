@@ -169,10 +169,10 @@ mod tests {
 
     #[test]
     fn chip_stream_matches_the_vendored_std_rng() {
-        // The wide kernels step `ChipStream`'s state in vector lanes; the
-        // scalar paths and every other consumer of `rand` use `StdRng`.
+        // The AVX2 chip lanes step `ChipStream`'s state in vector lanes;
+        // the scalar paths and every other consumer of `rand` use `StdRng`.
         // A change to either generator must fail here, not quietly split
-        // the scalar reference from the wide kernels.
+        // the scalar reference from the chip lanes.
         let mut checked = 0;
         for base in [0u64, 1, 42, 0x5eed, u64::MAX] {
             for index in [0u64, 1, 2, 63, 64, 1_000_003, u64::MAX] {

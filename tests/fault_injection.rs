@@ -177,9 +177,9 @@ fn constraint_extraction_panic_is_retried_and_byte_identical() {
     let spec = quick_spec();
     let reference = reference_bytes(&spec, "extract_ref");
 
-    // Same contract one layer up: a panic inside batched constraint
-    // extraction (`ConstraintBatch::build_from_with`) is absorbed by the
-    // job retry and leaves no trace in the canonical bytes.
+    // Same contract one layer up: a panic inside the fused draw and
+    // constraint extraction (`ConstraintBatch::draw_from`) is absorbed by
+    // the job retry and leaves no trace in the canonical bytes.
     let path = tmp("extract");
     let _ = std::fs::remove_file(&path);
     let outcome = psbi::fault::with_spec("timing.extract.panic@times=1", || {
