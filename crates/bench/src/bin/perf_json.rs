@@ -33,7 +33,7 @@ use psbi_netlist::bench_suite::CircuitRef;
 use psbi_timing::graph::TimingGraph;
 use psbi_timing::sample::{chip_rng, sample_canonical, CanonicalBatchSampler, SampleTiming};
 use psbi_timing::seq::SequentialGraph;
-use psbi_timing::{constraint, ConstraintBatch, IntegerConstraints};
+use psbi_timing::{constraint, ConstraintBatch, IntegerConstraints, SaturationCaps};
 use psbi_variation::VariationModel;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -126,10 +126,12 @@ fn main() {
 
     // Fused path: one ConstraintBatch reused across all chunks, each
     // chunk's chips drawn with inverse-transform normals and extracted
-    // while still in cache — exactly what the flow's passes run (on the
-    // process-wide kernel backend).
+    // while still in cache — what the flow's passes run (on the
+    // process-wide kernel backend), without saturation caps so every form
+    // is drawn and the rows are exact: the dense kernel.
     let sampler = CanonicalBatchSampler::new(&sg);
     let mut cons = ConstraintBatch::new();
+    let caps = SaturationCaps::unbounded(&sg);
     let mut chips: Vec<u64> = Vec::with_capacity(CHUNK);
     let t1 = Instant::now();
     let mut lo = 0usize;
@@ -137,7 +139,7 @@ fn main() {
         let len = CHUNK.min(samples - lo);
         chips.clear();
         chips.extend(lo as u64..(lo + len) as u64);
-        cons.draw_from(&sampler, seed, &chips, &skews, period, step);
+        cons.draw_from(&sampler, seed, &chips, &skews, period, step, &caps);
         sink = sink.wrapping_add(cons.view(0).setup_bound[0]);
         lo += len;
     }
@@ -154,7 +156,7 @@ fn main() {
             let len = CHUNK.min(samples - lo);
             chips.clear();
             chips.extend(lo as u64..(lo + len) as u64);
-            cons.draw_from_with(b, &sampler, seed, &chips, &skews, period, step);
+            cons.draw_from_with(b, &sampler, seed, &chips, &skews, period, step, &caps);
             sink = sink.wrapping_add(cons.view(0).setup_bound[0]);
             lo += len;
         }

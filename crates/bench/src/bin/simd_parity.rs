@@ -1,9 +1,11 @@
 //! SIMD-parity probe: draws windows of the sample stream through every
 //! canonical draw entry — the fused bound extraction
-//! (`ConstraintBatch::draw_from`), the fused min-period scan
-//! (`constraint::min_periods`), gathered `SampleBatch` rows and the
-//! single-chip `fill_one` — and dumps every result as raw little-endian
-//! bytes.
+//! (`ConstraintBatch::draw_from`: exact rows, and rows saturated under the
+//! floating windows of ±20 steps and under a pruned-style set where every
+//! seventh FF keeps a ±20 window and the rest are pinned at 0), the fused
+//! min-period scan (`constraint::min_periods`), gathered `SampleBatch` rows
+//! and the single-chip `fill_one` — and dumps every result as raw
+//! little-endian bytes.
 //!
 //! ```text
 //! cargo run -p psbi-bench --release --bin simd_parity -- \
@@ -13,7 +15,9 @@
 //! The `simd-parity` CI job runs this twice — once on the default
 //! (widest) kernel backend and once under `PSBI_FORCE_SCALAR=1` — and
 //! `cmp`s the dumps: the batch engine's dispatch contract is that every
-//! backend produces **byte-identical** buffers.  Each window leaves out
+//! backend produces **byte-identical** buffers, so the saturated rows
+//! check the AVX2 draw that skips forms against the scalar reference,
+//! which draws every form and saturates the exact row.  Each window leaves out
 //! every fifth chip, as the flow's passes skip settled chips, so the AVX2
 //! chip lanes see short last groups too.  The active backend and an
 //! FNV-1a digest are printed to stderr so divergences are easy to spot in
@@ -24,7 +28,7 @@ use psbi_liberty::Library;
 use psbi_timing::graph::TimingGraph;
 use psbi_timing::sample::{chip_rng, sample_canonical, CanonicalBatchSampler, SampleBatch};
 use psbi_timing::seq::SequentialGraph;
-use psbi_timing::{constraint, ConstraintBatch, SampleTiming};
+use psbi_timing::{constraint, ConstraintBatch, SampleTiming, SaturationCaps};
 use psbi_variation::VariationModel;
 
 /// Chunk size mirroring the flow's parallel work unit.
@@ -71,6 +75,18 @@ fn main() {
     let period = psbi_variation::mean(&periods);
     let step = period / 160.0;
 
+    // Saturation caps: none (exact rows), the A1 pass's floating windows,
+    // and a pruned pass's (few buffered FFs, the rest pinned at 0).
+    let steps = 20i64;
+    let pruned: Vec<(i64, i64)> = (0..sg.n_ffs)
+        .map(|ff| if ff % 7 == 0 { (-steps, steps) } else { (0, 0) })
+        .collect();
+    let cap_sets = [
+        SaturationCaps::unbounded(&sg),
+        SaturationCaps::from_windows(&sg, &vec![(-steps, steps); sg.n_ffs]),
+        SaturationCaps::from_windows(&sg, &pruned),
+    ];
+
     let sampler = CanonicalBatchSampler::new(&sg);
     let mut batch = SampleBatch::new();
     let mut cons = ConstraintBatch::new();
@@ -84,7 +100,6 @@ fn main() {
         chips.extend((lo as u64..(lo + len) as u64).filter(|k| k % 5 != 4));
         batch.reset(&sg, chips.len());
         sampler.fill_gathered(seed, &chips, &mut batch);
-        cons.draw_from(&sampler, seed, &chips, &skews, period, step);
         constraint::min_periods(&sampler, seed, &chips, &skews, &mut mps);
         for (row, mp) in mps.iter().enumerate() {
             let v = batch.view(row);
@@ -92,12 +107,17 @@ fn main() {
             push_f64s(&mut dump, v.edge_min);
             push_f64s(&mut dump, v.setup);
             push_f64s(&mut dump, v.hold);
-            let c = cons.view(row);
-            push_i64s(&mut dump, c.setup_bound);
-            push_i64s(&mut dump, c.hold_bound);
             push_f64s(&mut dump, &[mp.period]);
             dump.push(u8::from(mp.hold_ok));
             dump.extend_from_slice(&(mp.critical_edge as u64).to_le_bytes());
+        }
+        for caps in &cap_sets {
+            cons.draw_from(&sampler, seed, &chips, &skews, period, step, caps);
+            for row in 0..cons.len() {
+                let c = cons.view(row);
+                push_i64s(&mut dump, c.setup_bound);
+                push_i64s(&mut dump, c.hold_bound);
+            }
         }
         lo += len;
     }

@@ -49,6 +49,17 @@
 //! redraws.  The results never depend on what the table holds — only
 //! the work does.  Reference mode ignores the table and draws every chip
 //! in every pass.
+//!
+//! Each pass also hands its draws its saturation windows (see
+//! [`psbi_timing::constraint`]): the insertion passes their
+//! [`BufferSpace`]'s windows, the yield pass its [`Deployment`]'s, each
+//! widened to contain 0, and `(0, 0)` for FFs without a buffer.  A row
+//! then holds every bound saturated at the largest value any of the
+//! pass's consumers can tell from a larger one, which gives every
+//! consumer the answers of the exact row, and lets the AVX2 draw skip the
+//! forms that feed only bounds at their caps (in the yield pass, most of
+//! them).  Reference mode draws exact rows, so the byte-parity legs
+//! compare saturated rows against exact ones.
 
 use crate::group::{group_buffers, BufferCandidate, Group, GroupConfig};
 use crate::prune::{prune, PruneConfig, PruneReport};
@@ -61,7 +72,9 @@ use psbi_liberty::Library;
 use psbi_netlist::{Circuit, NetlistError, Placement, SkewConfig};
 use psbi_timing::graph::TimingGraph;
 use psbi_timing::sample::{CanonicalBatchSampler, GateLevelSampler, SampleBatch, SampleTiming};
-use psbi_timing::{constraint, ConstraintBatch, IntegerConstraints, SequentialGraph};
+use psbi_timing::{
+    constraint, ConstraintBatch, IntegerConstraints, SaturationCaps, SequentialGraph,
+};
 use psbi_variation::seeding::stream_seed;
 use psbi_variation::{Histogram, VariationModel};
 use rayon::prelude::*;
@@ -140,13 +153,15 @@ pub struct FlowConfig {
     pub verify: bool,
     /// Reference mode: detach the cross-chip [`RegionMemo`], run the
     /// unpruned branch and bound, and draw every chip in every pass
-    /// (ignoring the flow's zero-pass table) — the byte-parity oracle
-    /// tests and CI compare the default flow against.  A memo hit is a
-    /// verified replay of a pure function, every pruning rule preserves
-    /// the pinned tie-break order, and a settled chip gets exactly the
-    /// outcome its draw would give, so canonical outputs are
-    /// bit-identical either way; reference mode only costs time.
-    /// `PSBI_REFERENCE=1` force-enables it process-wide.
+    /// (ignoring the flow's zero-pass table), as exact rows (no
+    /// saturation caps) — the byte-parity oracle tests and CI compare the
+    /// default flow against.  A memo hit is a verified replay of a pure
+    /// function, every pruning rule preserves the pinned tie-break order,
+    /// a settled chip gets exactly the outcome its draw would give, and a
+    /// saturated row gives every consumer the answers of the exact row,
+    /// so canonical outputs are bit-identical either way; reference mode
+    /// only costs time.  `PSBI_REFERENCE=1` force-enables it
+    /// process-wide.
     pub reference: bool,
 }
 
@@ -788,7 +803,8 @@ impl<'a> BufferInsertionFlow<'a> {
 
     /// Whether this flow runs in reference mode ([`FlowConfig::reference`]
     /// or the `PSBI_REFERENCE` environment switch): memo detached, unpruned
-    /// search.  Canonical outputs are bit-identical either way.
+    /// search, every chip drawn, exact rows.  Canonical outputs are
+    /// bit-identical either way.
     pub fn reference_enabled(&self) -> bool {
         self.cfg.reference || reference_env_enabled()
     }
@@ -886,13 +902,25 @@ impl<'a> BufferInsertionFlow<'a> {
             .fill_gate_level_gathered(&self.tg, &self.sg, gls, stream, &ws.chips);
     }
 
+    /// The saturation caps a pass hands [`ConstraintBatch::draw_from`]:
+    /// those of the pass's own saturation windows (`windows`), or none in
+    /// reference mode, which draws exact rows.
+    fn saturation_caps(&self, windows: impl FnOnce() -> Vec<(i64, i64)>) -> SaturationCaps {
+        if self.reference_enabled() {
+            SaturationCaps::unbounded(&self.sg)
+        } else {
+            SaturationCaps::from_windows(&self.sg, &windows())
+        }
+    }
+
     /// Lists in `ws.chips` the chips of `lo .. lo + len` that `zero`
     /// cannot settle at `period` (all of them without a table), then
     /// draws them and extracts their bounds into `ws.cons` — canonical
-    /// chips in one fused pass ([`ConstraintBatch::draw_from`]), gate-level
-    /// ones through a gathered batch: row `r` of `ws.cons` is chip
-    /// `ws.chips[r]`.  Every drawn chip that passes untuned is recorded in
-    /// `zero`.
+    /// chips in one fused pass ([`ConstraintBatch::draw_from`], each bound
+    /// saturated at its cap in the pass's `caps`),
+    /// gate-level ones exactly, through a gathered batch: row `r` of
+    /// `ws.cons` is chip `ws.chips[r]`.  Every drawn chip that passes
+    /// untuned is recorded in `zero`.
     #[allow(clippy::too_many_arguments)]
     fn fill_unsettled(
         &self,
@@ -903,6 +931,7 @@ impl<'a> BufferInsertionFlow<'a> {
         len: usize,
         period: f64,
         step: f64,
+        caps: &SaturationCaps,
     ) {
         ws.chips.clear();
         ws.chips.extend(
@@ -919,8 +948,9 @@ impl<'a> BufferInsertionFlow<'a> {
             ws.cons
                 .build_from(&self.sg, &ws.batch, &self.skews, period, step);
         } else {
+            let (canon, skews) = (&self.canon, &self.skews);
             ws.cons
-                .draw_from(&self.canon, stream, &ws.chips, &self.skews, period, step);
+                .draw_from(canon, stream, &ws.chips, skews, period, step, caps);
         }
         if let Some(zero) = zero {
             for (row, &k) in ws.chips.iter().enumerate() {
@@ -1038,6 +1068,7 @@ impl<'a> BufferInsertionFlow<'a> {
         let samples = self.cfg.samples;
         let prune = !self.reference_enabled();
         let zero = (!self.reference_enabled()).then_some(&self.zero_insert);
+        let caps = self.saturation_caps(|| space.saturation_windows());
 
         // Slot map for the tuning matrix.
         let mut slot_of_ff = vec![NONE; n_ffs];
@@ -1064,7 +1095,7 @@ impl<'a> BufferInsertionFlow<'a> {
         }
 
         let locals: Vec<Local> = self.map_chunks(samples, |ws, lo, len| {
-            self.fill_unsettled(ws, stream, zero, lo, len, period, step);
+            self.fill_unsettled(ws, stream, zero, lo, len, period, step, &caps);
             let mut local = Local {
                 hist: vec![Histogram::new(); n_ffs],
                 infeasible: 0,
@@ -1163,8 +1194,9 @@ impl<'a> BufferInsertionFlow<'a> {
             .iter()
             .all(|&(lo, hi)| (lo..=hi).contains(&0));
         let zero = (zero_untuned && !self.reference_enabled()).then_some(&self.zero_yield);
+        let caps = self.saturation_caps(|| deployment.saturation_windows());
         let reports = self.map_chunks(samples, |ws, lo, len| {
-            self.fill_unsettled(ws, stream, zero, lo, len, period, step);
+            self.fill_unsettled(ws, stream, zero, lo, len, period, step, &caps);
             let mut report = YieldReport::default();
             for _ in ws.chips.len()..len {
                 report.record(true, true);

@@ -51,7 +51,7 @@
 //! available ([`SampleSolver::solve_reference_milp`]) and is used by tests
 //! to cross-validate the specialised path.
 
-use crate::yield_eval::ChipCheck;
+use crate::yield_eval::{widened, ChipCheck};
 use psbi_milp::{Model, Op, Status};
 use psbi_timing::feasibility::{Arc as FeasArc, DiffSolver};
 use psbi_timing::{ConstraintsView, IntegerConstraints, SequentialGraph, Violation};
@@ -112,6 +112,20 @@ impl BufferSpace {
     /// Number of FFs with buffers.
     pub fn num_buffers(&self) -> usize {
         self.has_buffer.iter().filter(|b| **b).count()
+    }
+
+    /// The saturation windows of a pass over this space (see
+    /// [`psbi_timing::constraint`]): each buffered FF's window widened to
+    /// contain 0, and `(0, 0)` for an FF without a buffer.  Every window
+    /// the solver's consumers give an FF — the screen's, and the
+    /// constraint walk's inside a region or pinned at 0 outside it — lies
+    /// inside.
+    pub(crate) fn saturation_windows(&self) -> Vec<(i64, i64)> {
+        self.has_buffer
+            .iter()
+            .zip(&self.bounds)
+            .map(|(&has, &window)| if has { widened(window) } else { (0, 0) })
+            .collect()
     }
 
     /// Validates that all active windows contain zero.

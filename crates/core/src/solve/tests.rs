@@ -1628,3 +1628,156 @@ fn live_core_screen_matches_the_full_variable_system() {
         "both grouped verdicts must be exercised: {grouped:?}"
     );
 }
+
+/// One case of the saturated-row lemma (`psbi_timing::constraint`), drawn
+/// from `seed`: a random small graph with random canonical forms (some
+/// without an independent term), a random buffer space (bufferless FFs,
+/// asymmetric windows) and a random grouped deployment (shared variables,
+/// windows that may exclude 0 as ablation A4's do), eight chips at a
+/// period near one chip's threshold.  For every chip, the exact row and the
+/// rows saturated under the space's and the deployment's saturation
+/// windows must give equal solver outcomes (result and diagnostics) for a
+/// random push objective, equal `chip_passes` and equal
+/// `feasible_at_zero`.  Returns the bounds the windows saturated and the
+/// chips that violate a bound untuned.
+fn saturated_rows_case(seed: u64) -> (usize, usize) {
+    use psbi_timing::sample::{CanonicalBatchSampler, SampleTiming};
+    use psbi_timing::{ConstraintBatch, SaturationCaps};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let form = |rng: &mut StdRng, scale: f64| {
+        let mean = rng.gen_range(0.0..scale);
+        let sens = [(); 3].map(|_| rng.gen_range(-0.2..0.2) * scale);
+        let indep = if rng.gen_bool(0.2) {
+            0.0
+        } else {
+            rng.gen_range(0.0..0.3) * scale
+        };
+        CanonicalForm::with_parts(mean, sens, indep)
+    };
+    let n = rng.gen_range(2usize..10);
+    let edges = (0..rng.gen_range(1..=3 * n))
+        .map(|_| SeqEdge {
+            from: rng.gen_range(0..n as u32),
+            to: rng.gen_range(0..n as u32),
+            max_delay: form(&mut rng, 100.0),
+            min_delay: form(&mut rng, 60.0),
+        })
+        .collect();
+    let setup = (0..n).map(|_| form(&mut rng, 10.0)).collect();
+    let hold = (0..n).map(|_| form(&mut rng, 6.0)).collect();
+    let sg = SequentialGraph::from_parts(n, edges, setup, hold);
+    let sampler = CanonicalBatchSampler::new(&sg);
+    let skews: Vec<f64> = (0..n).map(|_| rng.gen_range(-4.0..4.0)).collect();
+    let stream = rng.gen_range(0..u64::MAX);
+    let chips: Vec<u64> = (0..8).collect();
+    let mut st = SampleTiming::for_graph(&sg);
+    sampler.fill_one(stream, rng.gen_range(0..8), &mut st);
+    let threshold = psbi_timing::constraint::min_period(&sg, &st, &skews).period;
+    let period = threshold * rng.gen_range(0.9..1.1);
+    let step = rng.gen_range(0.5..6.0);
+    let mut space = BufferSpace::floating(n, 4);
+    for ff in 0..n {
+        space.has_buffer[ff] = rng.gen_bool(0.7);
+        space.bounds[ff] = (-rng.gen_range(0i64..5), rng.gen_range(0i64..5));
+    }
+    let groups = rng.gen_range(1u32..4);
+    let dep = Deployment {
+        var_of_ff: (0..n)
+            .map(|_| {
+                if rng.gen_bool(0.25) {
+                    NONE
+                } else {
+                    rng.gen_range(0..groups)
+                }
+            })
+            .collect(),
+        bounds: (0..groups)
+            .map(|_| {
+                let lo = rng.gen_range(-4i64..3);
+                (lo, lo + rng.gen_range(0i64..5))
+            })
+            .collect(),
+    };
+    let targets: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
+    let push = match rng.gen_range(0u32..3) {
+        0 => PushObjective::None,
+        1 => PushObjective::ToZero,
+        _ => PushObjective::ToTargets(&targets),
+    };
+    let draw = |caps: SaturationCaps| {
+        let mut cons = ConstraintBatch::new();
+        cons.draw_from(&sampler, stream, &chips, &skews, period, step, &caps);
+        cons
+    };
+    let exact = draw(SaturationCaps::unbounded(&sg));
+    let by_space = draw(SaturationCaps::from_windows(
+        &sg,
+        &space.saturation_windows(),
+    ));
+    let by_dep = draw(SaturationCaps::from_windows(&sg, &dep.saturation_windows()));
+    let opts = SolverOptions::default();
+    let (mut solver, mut check) = (SampleSolver::new(), ChipCheck::new());
+    let (mut saturated, mut violated) = (0, 0);
+    for row in 0..chips.len() {
+        let (e, s, d) = (exact.view(row), by_space.view(row), by_dep.view(row));
+        let case = format!("seed {seed} chip {row}");
+        let solve = |solver: &mut SampleSolver, ic| {
+            solver.solve(SolveRequest::new(&sg, ic, &space, push, &opts))
+        };
+        assert_eq!(
+            solve(&mut solver, e),
+            solve(&mut solver, s),
+            "{case}: solve"
+        );
+        assert_eq!(
+            dep.chip_passes(&sg, e, &mut check),
+            dep.chip_passes(&sg, d, &mut check),
+            "{case}: chip_passes"
+        );
+        assert_eq!(e.feasible_at_zero(), s.feasible_at_zero(), "{case}: space");
+        assert_eq!(
+            e.feasible_at_zero(),
+            d.feasible_at_zero(),
+            "{case}: deployment"
+        );
+        let differ = |a: &[i64], b: &[i64]| a.iter().zip(b).filter(|(x, y)| x != y).count();
+        saturated += differ(e.setup_bound, s.setup_bound) + differ(e.hold_bound, s.hold_bound);
+        saturated += differ(e.setup_bound, d.setup_bound) + differ(e.hold_bound, d.hold_bound);
+        violated += usize::from(!e.feasible_at_zero());
+    }
+    (saturated, violated)
+}
+
+mod saturated_rows {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Saturated rows give the solver, the deployment check and the
+        /// untuned check the answers of exact rows.
+        #[test]
+        fn saturated_rows_answer_as_exact_rows(seed in 0u64..u64::MAX) {
+            saturated_rows_case(seed);
+        }
+    }
+
+    /// The cases are not vacuous: the windows saturate bounds, and chips
+    /// violate bounds, so the solver and both checks have work to do.
+    #[test]
+    fn saturated_rows_cases_saturate_and_violate() {
+        let (mut saturated, mut violated) = (0, 0);
+        for seed in 0..64 {
+            let (s, v) = saturated_rows_case(seed);
+            saturated += s;
+            violated += v;
+        }
+        assert!(
+            saturated > 1000 && violated > 100,
+            "{saturated} bounds saturated, {violated} chips violated"
+        );
+    }
+}

@@ -22,6 +22,11 @@ use serde::{Deserialize, Serialize};
 
 const NONE: u32 = u32::MAX;
 
+/// A tuning window widened to contain 0.
+pub(crate) fn widened((lo, hi): (i64, i64)) -> (i64, i64) {
+    (lo.min(0), hi.max(0))
+}
+
 /// The per-chip feasibility check: can the chip's tuning variables be set,
 /// each inside its window, so that every setup and hold bound holds?
 ///
@@ -163,6 +168,21 @@ impl Deployment {
     /// Number of physical buffers.
     pub fn num_buffers(&self) -> usize {
         self.bounds.len()
+    }
+
+    /// The saturation windows of the yield pass over this deployment (see
+    /// [`psbi_timing::constraint`]): each buffered FF's group window
+    /// widened to contain 0 — an ablation A4 window may exclude it, and
+    /// the untuned check reads every bound against 0 — and `(0, 0)` for
+    /// an FF without a buffer.
+    pub(crate) fn saturation_windows(&self) -> Vec<(i64, i64)> {
+        self.var_of_ff
+            .iter()
+            .map(|&v| match v {
+                NONE => (0, 0),
+                v => widened(self.bounds[v as usize]),
+            })
+            .collect()
     }
 
     /// Builds the raw constraint arcs of one sample: every setup and hold

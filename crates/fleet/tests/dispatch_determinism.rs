@@ -62,6 +62,36 @@ fn slow_spec() -> CampaignSpec {
     spec
 }
 
+/// Doubles `spec`'s sample counts until one worker in one process runs
+/// it in at least `min_ms`, and returns that time: the faster of two
+/// runs, as the subprocess legs may load the host meanwhile.  The lease
+/// legs need jobs and leases that last a known while, and how long a job
+/// takes depends on the build and the host.
+fn grow_to(spec: &mut CampaignSpec, min_ms: u64, tag: &str) -> u64 {
+    let path = tmp(&format!("{tag}_timing"));
+    let one_worker = FleetOptions {
+        workers: 1,
+        ..FleetOptions::default()
+    };
+    loop {
+        let ms = (0..2)
+            .map(|_| {
+                let _ = std::fs::remove_file(&path);
+                let start = Instant::now();
+                run_campaign(spec, &path, &one_worker).expect("timing run");
+                start.elapsed().as_millis() as u64
+            })
+            .min()
+            .expect("two timing runs");
+        if ms >= min_ms {
+            cleanup(&path);
+            return ms;
+        }
+        spec.samples *= 2;
+        spec.yield_samples *= 2;
+    }
+}
+
 fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("psbi_dispatch_det_{tag}_{}", std::process::id()))
 }
@@ -398,12 +428,16 @@ fn conn_drop_failpoint_recovers_byte_identically() {
 
 #[test]
 fn worker_stall_failpoint_expires_the_lease_and_recovers() {
-    let spec = slow_spec();
+    let mut spec = slow_spec();
+    // At least 200 ms for the four jobs on one worker, most of it in the
+    // two σ 0 jobs: a lease's first job outlasts a 40 ms lease and its
+    // 10 ms reaper tick.
+    psbi_fault::with_spec("", || grow_to(&mut spec, 200, "stall"));
     let (ref_bytes, ref_report) = psbi_fault::with_spec("", || reference(&spec, "stall"));
-    // Jobs take ~50 ms each and leases are circuit-aligned (2 jobs), so
-    // with every heartbeat suppressed a 40 ms lease always expires
-    // before its first result; late results are still accepted and the
-    // re-dispatched duplicates discarded.
+    // Leases are circuit-aligned (2 jobs), so with every heartbeat
+    // suppressed a 40 ms lease always expires before its first result;
+    // late results are still accepted and the re-dispatched duplicates
+    // discarded.
     psbi_fault::with_spec("dispatch.worker.stall@times=100000", || {
         let journal = tmp("stall");
         let mut opts = serve_opts(true);
@@ -420,13 +454,17 @@ fn worker_stall_failpoint_expires_the_lease_and_recovers() {
 
 #[test]
 fn lease_expire_early_failpoint_redispatches_byte_identically() {
-    let spec = slow_spec();
+    let mut spec = slow_spec();
+    // At least 200 ms for the four jobs on one worker, most of it in the
+    // two σ 0 jobs, so each lease lives past a 50 ms reaper tick.
+    psbi_fault::with_spec("", || grow_to(&mut spec, 200, "expearly"));
     let (ref_bytes, ref_report) = psbi_fault::with_spec("", || reference(&spec, "expearly"));
     psbi_fault::with_spec("dispatch.lease.expire_early@nth=1,times=1", || {
         let journal = tmp("expearly");
         // The reaper only evaluates the failpoint on leases it examines, so
-        // the lease must outlive a reaper tick: ~50 ms jobs against a
-        // 200 ms lease (50 ms tick) guarantee a live lease at tick time.
+        // the lease must outlive a reaper tick: jobs of 50 ms or more
+        // against a 200 ms lease (50 ms tick) guarantee a live lease at
+        // tick time.
         let mut opts = serve_opts(true);
         opts.lease_ms = 200;
         distributed_run(&spec, &journal, 2, opts);
@@ -496,8 +534,14 @@ fn heartbeats_renew_a_lease_that_outlives_its_window() {
         spec.circuits.truncate(1);
         spec.sigma_factors = (0..9).map(|k| f64::from(k) * 0.25).collect();
         let journal = tmp("renewal");
+        // The lease must outlive its window by construction, whatever the
+        // build and host: the window is a third of what the same campaign
+        // takes on one worker in one process (the served one takes at
+        // least as long), and the campaign grows until that is at least
+        // 200 ms, so a beat delayed by a loaded host does not let it lapse.
+        let campaign_ms = grow_to(&mut spec, 600, "renewal");
         let mut opts = serve_opts(true);
-        opts.lease_ms = 200;
+        opts.lease_ms = campaign_ms / 3;
         // Workers beat at a quarter of the lease window.
         let beat_ms = opts.lease_ms / 4;
         let heartbeats = psbi_obs::metrics::with_metrics(None, || {
@@ -514,7 +558,8 @@ fn heartbeats_renew_a_lease_that_outlives_its_window() {
         // its `lease_ms` window.
         assert!(
             heartbeats > opts.lease_ms / beat_ms + 1,
-            "the lease never outlived its {} ms window ({heartbeats} heartbeats)",
+            "the lease never outlived its {} ms window ({heartbeats} heartbeats; \
+             the campaign took {campaign_ms} ms on one worker)",
             opts.lease_ms
         );
         cleanup(&journal);

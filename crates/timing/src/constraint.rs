@@ -11,6 +11,46 @@
 //!
 //! Flooring is conservative: any integer solution of the floored system
 //! satisfies the original real constraints.
+//!
+//! # Saturated rows
+//!
+//! A pass of the flow reads its chips' bounds through consumers that each
+//! confine every tuning `k` to a window, and a bound that the left-hand
+//! side can never reach constrains nothing.  So
+//! [`ConstraintBatch::draw_from`] takes the pass's [`SaturationCaps`],
+//! built from its **saturation windows** — per FF, a window `(lo, hi)`
+//! containing 0 — and stores, per edge `i → j`,
+//! `min(setup_bound, hi(i) − lo(j))` and `min(hold_bound, hi(j) − lo(i))`:
+//! each bound saturated at its **cap**, which is never negative.  The flow hands each pass windows that contain
+//! every consumer's own: each buffered FF's window (in the yield pass, its
+//! group's) widened to contain 0, and `(0, 0)` for an FF without a buffer.
+//! Widening matters: a deployment of ablation A4 has windows that exclude
+//! 0, and the solver's constraint walk pins FFs outside a region at 0, so
+//! a cap from unwidened windows could fall below a consumer's own cap.
+//! [`SaturationCaps::unbounded`] gives exact rows (reference mode draws
+//! those).
+//!
+//! **Lemma: saturated rows give every consumer the answers of exact
+//! rows.**  A consumer of a pass's rows reads a bound `b` only through
+//! `b < c` for a threshold `c ≤ cap`, and uses the value of `b` only when
+//! `b < c`.  Then `min(b, cap) < c` iff `b < c`, and in that case
+//! `min(b, cap) = b`.  The consumers:
+//!
+//! * violation discovery ([`ConstraintsView::collect_violations`]) and the
+//!   solver's unfixable-pair check read `b < 0`;
+//! * the chip feasibility check (the solver's whole-chip screen and the
+//!   yield pass's deployment check) reads `b < hi(a) − lo(b)` over the
+//!   same windows, and an edge whose ends share a variable reads `0 ≤ b`
+//!   only when `b` is below that cap;
+//! * the solver's constraint walk reads `b` below the cap of its region
+//!   windows, with FFs outside the region pinned at 0, and the search, its
+//!   greedy fallback and the concentration MILP read only what it keeps;
+//! * [`ConstraintsView::feasible_at_zero`], and with it the flow's
+//!   zero-pass table, reads `b < 0`.
+//!
+//! The single-chip paths keep exact values: [`IntegerConstraints::build`]
+//! (and so chip replay and the verifier), [`ConstraintBatch::build_from`]
+//! and calibration's [`min_periods`].
 
 use crate::sample::{CanonicalBatchSampler, Drawn, SampleBatch, SampleTiming, SampleView};
 use crate::seq::SequentialGraph;
@@ -203,15 +243,109 @@ fn fill_bounds_row(
     }
 }
 
+/// One pass's saturation caps (see the module docs): per edge `i → j` of a
+/// graph, the setup cap `hi(i) − lo(j)` and the hold cap `hi(j) − lo(i)` of
+/// the pass's saturation windows, `i64::MAX` where a bound is stored
+/// exactly.  Built once per pass and handed to every
+/// [`ConstraintBatch::draw_from`] of it.
+#[derive(Debug, Clone)]
+pub struct SaturationCaps {
+    /// Setup caps, then hold caps.
+    caps: Vec<i64>,
+    /// The same as `f64`s, for the chip lanes.
+    caps_f: Vec<f64>,
+    /// Whether some cap is below `i64::MAX`.
+    bounded: bool,
+}
+
+impl SaturationCaps {
+    /// The caps of saturation windows `windows`, one per FF of `sg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` does not have one entry per FF or a window does
+    /// not contain 0.
+    pub fn from_windows(sg: &SequentialGraph, windows: &[(i64, i64)]) -> Self {
+        assert_eq!(windows.len(), sg.n_ffs, "one saturation window per FF");
+        assert!(
+            windows.iter().all(|&(lo, hi)| lo <= 0 && 0 <= hi),
+            "saturation windows must contain 0"
+        );
+        let window = |ff: u32| windows[ff as usize];
+        let setup = sg
+            .edges
+            .iter()
+            .map(|e| cap(window(e.from).1, window(e.to).0));
+        let hold = sg
+            .edges
+            .iter()
+            .map(|e| cap(window(e.to).1, window(e.from).0));
+        let caps: Vec<i64> = setup.chain(hold).collect();
+        Self {
+            caps_f: caps.iter().map(|&c| c as f64).collect(),
+            bounded: caps.iter().any(|&c| c < i64::MAX),
+            caps,
+        }
+    }
+
+    /// No caps: every bound of `sg` is stored exactly.
+    pub fn unbounded(sg: &SequentialGraph) -> Self {
+        Self {
+            caps: vec![i64::MAX; 2 * sg.edges.len()],
+            caps_f: vec![i64::MAX as f64; 2 * sg.edges.len()],
+            bounded: false,
+        }
+    }
+
+    /// Number of edges the caps are for.
+    fn n_edges(&self) -> usize {
+        self.caps.len() / 2
+    }
+}
+
+/// Caps from `2⁵²` up are stored as `i64::MAX` (unbounded): every smaller
+/// cap is exact as an `f64`, and `i64::MAX` becomes 2⁶³, where `as i64`
+/// saturates back to it, so the chip lanes compare and saturate in `f64`.
+/// A larger cap than the windows give is still sound (the lemma needs only
+/// `c ≤ cap`).
+const CAP_LIMIT: i64 = 1 << 52;
+
+/// The cap `hi − lo` of one bound (see the module docs), saturating, with
+/// caps from [`CAP_LIMIT`] up stored as `i64::MAX`.
+fn cap(hi: i64, lo: i64) -> i64 {
+    match hi.saturating_sub(lo) {
+        c if c >= CAP_LIMIT => i64::MAX,
+        c => c,
+    }
+}
+
+/// The chip-invariant terms of one batch's rows, per edge: the capture FF,
+/// the two slack bases and the two saturation caps (`i64::MAX` where a
+/// bound is stored exactly; empty for the exact rows of
+/// [`ConstraintBatch::build_from`]), also as `f64`s for the chip lanes,
+/// plus `1/step`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) struct RowTerms<'a> {
+    pub(crate) to: &'a [u32],
+    pub(crate) setup_base: &'a [f64],
+    pub(crate) hold_base: &'a [f64],
+    pub(crate) setup_cap: &'a [i64],
+    pub(crate) hold_cap: &'a [i64],
+    pub(crate) setup_cap_f: &'a [f64],
+    pub(crate) hold_cap_f: &'a [f64],
+    pub(crate) inv_step: f64,
+}
+
 /// Structure-of-arrays integer bounds for a batch of chips.
 ///
 /// Row-major `len × edges` buffers, reused across passes (no per-chip
 /// allocation), filled either from a drawn [`SampleBatch`]
-/// ([`ConstraintBatch::build_from`], the scalar row kernel on every host)
-/// or straight from the sampler ([`ConstraintBatch::draw_from`], the
-/// flow's path, which never stores the chips' delays and extracts on the
-/// process-wide kernel backend, [`simd::active`]).  Every path produces
-/// bit-identical bounds.
+/// ([`ConstraintBatch::build_from`], the scalar row kernel on every host,
+/// exact bounds) or straight from the sampler
+/// ([`ConstraintBatch::draw_from`], the flow's path, which never stores the
+/// chips' delays, extracts on the process-wide kernel backend,
+/// [`simd::active`], and saturates each bound at its cap).  Every backend
+/// produces bit-identical rows.
 #[derive(Debug, Clone, Default)]
 pub struct ConstraintBatch {
     n_edges: usize,
@@ -244,8 +378,8 @@ impl ConstraintBatch {
         self.len == 0
     }
 
-    /// Extracts the integer bounds of every chip in `batch`, reusing this
-    /// batch's buffers, through the scalar row kernel.
+    /// Extracts the exact integer bounds of every chip in `batch`,
+    /// reusing this batch's buffers, through the scalar row kernel.
     ///
     /// # Panics
     ///
@@ -274,19 +408,39 @@ impl ConstraintBatch {
             skews,
             period,
         );
-        let inv_step = 1.0 / step;
-        for row in 0..self.len {
-            self.extract_row(row, batch.view(row), inv_step);
+        let n = self.n_edges;
+        let terms = RowTerms {
+            to: &self.to_idx,
+            setup_base: &self.setup_base,
+            hold_base: &self.hold_base,
+            setup_cap: &[],
+            hold_cap: &[],
+            setup_cap_f: &[],
+            hold_cap_f: &[],
+            inv_step: 1.0 / step,
+        };
+        let rows = self
+            .setup_bound
+            .chunks_exact_mut(n)
+            .zip(self.hold_bound.chunks_exact_mut(n));
+        for (row, (setup_bound, hold_bound)) in rows.enumerate() {
+            extract_row(&terms, batch.view(row), setup_bound, hold_bound);
         }
     }
 
     /// Draws chips `chips` of `stream` from `sampler` and extracts their
-    /// integer bounds — row `r` is chip `chips[r]` — on the process-wide
-    /// kernel backend ([`simd::active`]).  The chips' delays are read
-    /// while still in cache and never stored: on AVX2 four chips at a
-    /// time from their chip lanes, else one chip at a time.  Row for row
-    /// bit-identical to [`fill_gathered`] followed by
-    /// [`build_from`](ConstraintBatch::build_from).
+    /// integer bounds, each saturated at its cap in `caps` (see the module
+    /// docs) — row `r` is chip `chips[r]` — on the process-wide kernel
+    /// backend ([`simd::active`]).  The chips' delays are read while still
+    /// in cache and never stored: on AVX2 four chips at a time from their
+    /// chip lanes, which draw only the forms that can feed a bound below
+    /// its cap; else one chip at a time.  Row for row bit-identical to
+    /// [`fill_gathered`] followed by
+    /// [`build_from`](ConstraintBatch::build_from) and the saturation:
+    /// setup `min(bound, hi(from) − lo(to))`, hold
+    /// `min(bound, hi(to) − lo(from))`.  With
+    /// [`SaturationCaps::unbounded`] the rows are exact and every form is
+    /// drawn.
     ///
     /// One `sample.batch.fill` span covers the call, with a
     /// `timing.extract` child span around each group's extraction; the
@@ -294,8 +448,9 @@ impl ConstraintBatch {
     ///
     /// # Panics
     ///
-    /// Panics if `step` is not strictly positive or `skews` does not
-    /// have one entry per FF of the sampler's graph.
+    /// Panics if `step` is not strictly positive, `skews` does not have
+    /// one entry per FF of the sampler's graph, or `caps` is not for its
+    /// edges.
     ///
     /// [`fill_gathered`]: crate::sample::CanonicalBatchSampler::fill_gathered
     #[allow(clippy::too_many_arguments)]
@@ -307,8 +462,10 @@ impl ConstraintBatch {
         skews: &[f64],
         period: f64,
         step: f64,
+        caps: &SaturationCaps,
     ) {
-        self.draw_from_with(simd::active(), sampler, stream, chips, skews, period, step);
+        let backend = simd::active();
+        self.draw_from_with(backend, sampler, stream, chips, skews, period, step, caps);
     }
 
     /// [`draw_from`](ConstraintBatch::draw_from) on an explicit kernel
@@ -328,18 +485,34 @@ impl ConstraintBatch {
         skews: &[f64],
         period: f64,
         step: f64,
+        caps: &SaturationCaps,
     ) {
         assert!(step > 0.0, "buffer step must be positive");
         assert_eq!(skews.len(), sampler.n_ffs(), "one skew per FF");
+        assert_eq!(caps.n_edges(), sampler.n_edges(), "caps for another graph");
         psbi_obs::metrics::counter_add("timing.extract.batches", 1);
         self.shape(sampler.ends().iter().copied(), chips.len(), skews, period);
-        let inv_step = 1.0 / step;
         let n = self.n_edges;
+        let (setup_cap, hold_cap) = caps.caps.split_at(n);
+        let (setup_cap_f, hold_cap_f) = caps.caps_f.split_at(n);
+        let terms = RowTerms {
+            to: &self.to_idx,
+            setup_base: &self.setup_base,
+            hold_base: &self.hold_base,
+            setup_cap,
+            hold_cap,
+            setup_cap_f,
+            hold_cap_f,
+            inv_step: 1.0 / step,
+        };
+        let bounded = caps.bounded;
+        let (setup_bound, hold_bound) = (&mut self.setup_bound, &mut self.hold_bound);
         sampler.draw_chips(
             backend,
             stream,
             chips.len(),
             |r| chips[r],
+            bounded.then_some(&terms),
             |row, drawn| {
                 let live = match &drawn {
                     Drawn::Chip(_) => 1,
@@ -352,19 +525,17 @@ impl ConstraintBatch {
                 if row == 0 {
                     extract_failpoint(chips[0]);
                 }
+                let rows = row * n..(row + live) * n;
+                let (setup_bound, hold_bound) =
+                    (&mut setup_bound[rows.clone()], &mut hold_bound[rows]);
                 match drawn {
-                    Drawn::Chip(v) => self.extract_row(row, v, inv_step),
-                    Drawn::Lanes(lanes) => {
-                        let rows = row * n..(row + live) * n;
-                        lanes.bounds(
-                            &self.to_idx,
-                            &self.setup_base,
-                            &self.hold_base,
-                            inv_step,
-                            &mut self.setup_bound[rows.clone()],
-                            &mut self.hold_bound[rows],
-                        );
+                    Drawn::Chip(v) => {
+                        extract_row(&terms, v, setup_bound, hold_bound);
+                        if bounded {
+                            saturate_row(&terms, setup_bound, hold_bound);
+                        }
                     }
+                    Drawn::Lanes(lanes) => lanes.bounds(&terms, setup_bound, hold_bound),
                 }
             },
         );
@@ -393,25 +564,10 @@ impl ConstraintBatch {
         }
         self.n_edges = self.to_idx.len();
         self.len = len;
-        self.setup_bound.clear();
+        // Every fill writes whole rows, so what the buffers held is never
+        // read: only growth is zeroed.
         self.setup_bound.resize(len * self.n_edges, 0);
-        self.hold_bound.clear();
         self.hold_bound.resize(len * self.n_edges, 0);
-    }
-
-    /// Extracts one chip's bounds into row `row` — the scalar reference
-    /// kernel.
-    fn extract_row(&mut self, row: usize, v: SampleView<'_>, inv_step: f64) {
-        let n = self.n_edges;
-        let setup_bound = &mut self.setup_bound[row * n..(row + 1) * n];
-        let hold_bound = &mut self.hold_bound[row * n..(row + 1) * n];
-        for e in 0..n {
-            let j = self.to_idx[e] as usize;
-            let setup_slack = self.setup_base[e] - v.setup[j] - v.edge_max[e];
-            let hold_slack = v.edge_min[e] - v.hold[j] + self.hold_base[e];
-            setup_bound[e] = (setup_slack * inv_step).floor() as i64;
-            hold_bound[e] = (hold_slack * inv_step).floor() as i64;
-        }
     }
 
     /// Borrowed view of chip `row`.
@@ -427,6 +583,34 @@ impl ConstraintBatch {
             setup_bound: &self.setup_bound[e0..e0 + self.n_edges],
             hold_bound: &self.hold_bound[e0..e0 + self.n_edges],
         }
+    }
+}
+
+/// Extracts one chip's exact bounds into a row — the scalar reference
+/// kernel (`t`'s caps are not read).
+fn extract_row(
+    t: &RowTerms<'_>,
+    v: SampleView<'_>,
+    setup_bound: &mut [i64],
+    hold_bound: &mut [i64],
+) {
+    for (e, (sb, hb)) in setup_bound.iter_mut().zip(hold_bound).enumerate() {
+        let j = t.to[e] as usize;
+        let setup_slack = t.setup_base[e] - v.setup[j] - v.edge_max[e];
+        let hold_slack = v.edge_min[e] - v.hold[j] + t.hold_base[e];
+        *sb = (setup_slack * t.inv_step).floor() as i64;
+        *hb = (hold_slack * t.inv_step).floor() as i64;
+    }
+}
+
+/// Saturates one exact row at `t`'s caps — the scalar reference of the
+/// saturated rows.
+fn saturate_row(t: &RowTerms<'_>, setup_bound: &mut [i64], hold_bound: &mut [i64]) {
+    for (b, &c) in setup_bound.iter_mut().zip(t.setup_cap) {
+        *b = (*b).min(c);
+    }
+    for (b, &c) in hold_bound.iter_mut().zip(t.hold_cap) {
+        *b = (*b).min(c);
     }
 }
 
@@ -518,6 +702,7 @@ pub fn min_periods_with(
         stream,
         chips.len(),
         |r| chips[r],
+        None,
         |_, drawn| match drawn {
             Drawn::Chip(v) => out.push(min_period_over(ends.iter().copied(), v, skews)),
             Drawn::Lanes(lanes) => {
@@ -761,7 +946,10 @@ mod tests {
                         let bounds_at = |t: f64| {
                             let mut cb = ConstraintBatch::new();
                             let (seed, step) = (circuit_seed, flow_step(t));
-                            cb.draw_from_with(backend, &sampler, seed, &ids, &skews, t, step);
+                            let caps = SaturationCaps::unbounded(&sg);
+                            cb.draw_from_with(
+                                backend, &sampler, seed, &ids, &skews, t, step, &caps,
+                            );
                             cb
                         };
                         let (at_t, at_t2) = (bounds_at(t), bounds_at(t2));
@@ -824,7 +1012,8 @@ mod tests {
             assert!(ic.feasible_at_zero(), "scalar fails at {t2}");
             for backend in crate::simd::Backend::available() {
                 let mut cb = ConstraintBatch::new();
-                cb.draw_from_with(backend, &sampler, 1, &[0], &skews, t2, flow_step(t2));
+                let (caps, step) = (SaturationCaps::unbounded(&sg), flow_step(t2));
+                cb.draw_from_with(backend, &sampler, 1, &[0], &skews, t2, step, &caps);
                 assert!(
                     cb.view(0).feasible_at_zero(),
                     "backend {} fails at {t2}",

@@ -27,8 +27,9 @@
 //! * [`constraint::ConstraintBatch`] — batched constraint extraction,
 //!   either over a [`sample::SampleBatch`] or fused with the draw
 //!   ([`constraint::ConstraintBatch::draw_from`], which never stores the
-//!   chips' delays), with chip-invariant per-edge terms hoisted out of the
-//!   chip loop;
+//!   chips' delays and saturates each bound at a pass's
+//!   [`constraint::SaturationCaps`]), with chip-invariant per-edge terms
+//!   hoisted out of the chip loop;
 //! * [`simd`] — the runtime-dispatched wide kernel behind the batch
 //!   engine (AVX2 chip lanes, four chips per vector), bit-identical to the
 //!   scalar reference path, which every single-chip path, every host
@@ -70,7 +71,7 @@ pub mod seq;
 pub mod simd;
 
 pub use constraint::{
-    ConstraintBatch, ConstraintKind, ConstraintsView, IntegerConstraints, Violation,
+    ConstraintBatch, ConstraintKind, ConstraintsView, IntegerConstraints, SaturationCaps, Violation,
 };
 pub use feasibility::{DiffSolver, Feasibility};
 pub use graph::TimingGraph;

@@ -21,7 +21,9 @@
 //!   cutting the per-variate cost to a fraction of the scalar path's
 //!   polar method.  Its one draw loop feeds three consumers that read
 //!   each chip while it is still in cache: the fused bound extraction
-//!   ([`ConstraintBatch::draw_from`], the flow's passes and yield),
+//!   ([`ConstraintBatch::draw_from`], the flow's passes and yield, whose
+//!   rows saturate each bound at the pass's cap, so the AVX2 draw skips
+//!   the forms that feed only saturated bounds),
 //!   calibration's minimum periods ([`min_periods`]) and the
 //!   [`SampleBatch`] fills of the public API;
 //! * [`SampleBatch`] — flat `samples × width` buffers for edge max/min
@@ -55,6 +57,7 @@
 //! canonical mode draws the two forms with independent local terms, so rare
 //! crossings are possible and physically meaningless).
 
+use crate::constraint::RowTerms;
 use crate::graph::TimingGraph;
 use crate::seq::SequentialGraph;
 use crate::simd;
@@ -566,21 +569,28 @@ impl CanonicalBatchSampler {
         );
         assert_eq!(batch.n_ffs, self.n_ffs());
         batch.first_index = first;
-        self.draw_chips(backend, stream, batch.len, chip, |row, drawn| match drawn {
-            Drawn::Chip(v) => {
-                let (edge_max, edge_min, setup, hold) = batch.row_mut(row);
-                edge_max.copy_from_slice(v.edge_max);
-                edge_min.copy_from_slice(v.edge_min);
-                setup.copy_from_slice(v.setup);
-                hold.copy_from_slice(v.hold);
-            }
-            Drawn::Lanes(lanes) => {
-                for l in 0..lanes.live() {
-                    let (edge_max, edge_min, setup, hold) = batch.row_mut(row + l);
-                    lanes.copy_lane(l, edge_max, edge_min, setup, hold);
+        self.draw_chips(
+            backend,
+            stream,
+            batch.len,
+            chip,
+            None,
+            |row, drawn| match drawn {
+                Drawn::Chip(v) => {
+                    let (edge_max, edge_min, setup, hold) = batch.row_mut(row);
+                    edge_max.copy_from_slice(v.edge_max);
+                    edge_min.copy_from_slice(v.edge_min);
+                    setup.copy_from_slice(v.setup);
+                    hold.copy_from_slice(v.hold);
                 }
-            }
-        });
+                Drawn::Lanes(lanes) => {
+                    for l in 0..lanes.live() {
+                        let (edge_max, edge_min, setup, hold) = batch.row_mut(row + l);
+                        lanes.copy_lane(l, edge_max, edge_min, setup, hold);
+                    }
+                }
+            },
+        );
     }
 
     /// The one canonical draw loop, behind [`fill`](Self::fill),
@@ -591,6 +601,13 @@ impl CanonicalBatchSampler {
     /// is never read out), else one chip per call.  The
     /// `sample.batch.fill` span covers the consumers too, and the
     /// `sample.batch.corrupt` failpoint is keyed by `chip(0)`.
+    ///
+    /// With `caps`, the consumer reads only the bounds rows those terms
+    /// give, each saturated at its cap, so the chip lanes draw only the
+    /// forms that can feed a bound below its cap ([`simd::draw_lanes`]);
+    /// the scalar reference draws every form.  The armed-only counters
+    /// `sample.draws` and `sample.probits` count the local draws of the
+    /// chips and the probits the draw ran for them.
     ///
     /// `consume` must not draw (it would re-enter the thread's scratch).
     ///
@@ -606,6 +623,7 @@ impl CanonicalBatchSampler {
         stream: u64,
         len: usize,
         chip: impl Fn(usize) -> u64,
+        caps: Option<&RowTerms<'_>>,
         mut consume: impl FnMut(usize, Drawn<'_>),
     ) {
         assert!(
@@ -630,27 +648,42 @@ impl CanonicalBatchSampler {
             // fleet's per-job retry recomputes the batch deterministically.
             panic!("injected fault: sample.batch.corrupt");
         }
-        simd::with_scratch(|scratch| match backend {
+        let draws = self.draw_slots.len() * len;
+        let probits = simd::with_scratch(|scratch| match backend {
             simd::Backend::Avx2 => {
                 let forms = simd::LaneForms {
                     groups: [&self.setup, &self.hold, &self.emax, &self.emin],
                     draw_slots: &self.draw_slots,
                 };
+                let seed = |r: usize| {
+                    let (globals, rng) = chip_rng(stream, chip(r));
+                    simd::LaneSeed {
+                        state: rng.state(),
+                        delta: globals.delta,
+                    }
+                };
+                // A draw against caps screens the call's chips first, so
+                // it keeps their seeds.
+                if let Some(t) = caps {
+                    scratch.seeds.clear();
+                    scratch.seeds.extend((0..len).map(seed));
+                    simd::screen(&forms, t, scratch);
+                }
+                let mut probits = 0;
                 for row in (0..len).step_by(simd::CHIP_LANES) {
                     let live = simd::CHIP_LANES.min(len - row);
                     let seeds = std::array::from_fn(|l| {
-                        let (globals, rng) =
-                            chip_rng(stream, chip(row + if l < live { l } else { 0 }));
-                        simd::LaneSeed {
-                            state: rng.state(),
-                            delta: globals.delta,
+                        let r = row + if l < live { l } else { 0 };
+                        match caps {
+                            Some(_) => scratch.seeds[r],
+                            None => seed(r),
                         }
                     });
-                    consume(
-                        row,
-                        Drawn::Lanes(simd::draw_lanes(&forms, &seeds, live, scratch)),
-                    );
+                    let lanes = simd::draw_lanes(&forms, &seeds, live, caps, scratch);
+                    probits += lanes.probits() * live;
+                    consume(row, Drawn::Lanes(lanes));
                 }
+                probits
             }
             simd::Backend::Scalar => {
                 scratch.ensure(0, 0, self.n_forms);
@@ -660,8 +693,11 @@ impl CanonicalBatchSampler {
                         Drawn::Chip(self.draw_one(&mut scratch.row, stream, chip(row))),
                     );
                 }
+                draws
             }
         });
+        psbi_obs::metrics::counter_add("sample.draws", draws as u64);
+        psbi_obs::metrics::counter_add("sample.probits", probits as u64);
     }
 
     /// Draws one chip through the scalar reference into `row` (dense

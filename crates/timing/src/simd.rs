@@ -3,11 +3,11 @@
 //! The Monte-Carlo hot loop spends nearly all of its time drawing chips —
 //! a random stream, an inverse-transform normal per local term, the
 //! canonical combine — and reading them out: the floored integer bounds of
-//! [`ConstraintBatch::draw_from`], calibration's minimum periods
-//! ([`min_periods`]) and the [`SampleBatch`] rows of
-//! [`CanonicalBatchSampler::fill`].  This module provides one wide version
-//! of that loop — AVX2 chip lanes on `x86_64` — beside the fused scalar
-//! reference, behind a per-process dispatch:
+//! [`ConstraintBatch::draw_from`] (saturated at the pass's caps),
+//! calibration's minimum periods ([`min_periods`]) and the [`SampleBatch`]
+//! rows of [`CanonicalBatchSampler::fill`].  This module provides one wide
+//! version of that loop — AVX2 chip lanes on `x86_64` — beside the fused
+//! scalar reference, behind a per-process dispatch:
 //!
 //! * [`active`] picks the host's [`Backend`] **once per process**
 //!   (`OnceLock`), so every flow, pass and fleet job in a process uses the
@@ -79,6 +79,51 @@
 //! patched through the scalar [`probit_fast`], which needs `ln`, straight
 //! from the compare mask of the vector that holds them.
 //!
+//! # Draws against caps: the static bracket
+//!
+//! [`ConstraintBatch::draw_from`] stores each bound saturated at its cap
+//! (see [`crate::constraint`]), and in the flow's yield pass nearly every
+//! cap is 0, so most bounds come out at their caps whatever the chip.  The
+//! chip lanes then draw only the forms that can feed a bound below its
+//! cap, decided from the chips' global deviations alone:
+//!
+//! * **The bracket.**  A form's global part `g = mean + Σ sens·δ` is the
+//!   combine's left-associated sum, with the same bits; its clamped draw is
+//!   `max(g + indep·z, 0)` with `z = probit_fast(u)`, and `|z| ≤ Z`
+//!   (`PROBIT_BOUND`, 8.3) for every uniform a stream produces.  Each step
+//!   is a correctly rounded operation, monotone in each argument, so
+//!   `lo = max(g − |indep|·Z, 0) ≤ draw ≤ max(g + |indep|·Z, 0) = hi`.
+//!   After the pair order an edge's max lies below the larger `hi` of its
+//!   two forms and its min above the smaller `lo`.  The floored bounds are
+//!   monotone in each draw too, so the setup bound is at least
+//!   `⌊((base − setup_hi) − max_hi)·(1/δ)⌋` and the hold bound at least
+//!   `⌊((min_lo − hold_hi) + base)·(1/δ)⌋`.  A bound whose lower bracket
+//!   is at or above its cap in every lane is saturated: its row entry is
+//!   the cap whatever the uniforms.
+//! * **The screen** (once per call) evaluates the same bracket with each
+//!   product `sens·δ` at its extreme over the box of the call's globals,
+//!   four forms per vector.  Edges it proves saturated
+//!   for every chip of the call are never looked at again; a call in which
+//!   more than half the edges survive (the insertion pass on floating
+//!   windows, whose caps are 40 steps) draws every form, as without caps,
+//!   and saturates each bound on the way out.
+//! * **The sparse draw**, per four-chip group: the per-lane bracket of the
+//!   surviving edges gives the live edges (a bound below its cap in some
+//!   lane); both forms of a live edge are needed, and its capture FF's
+//!   setup (hold) form when its setup (hold) bound is live.  Every draw
+//!   slot still steps the streams, in `draw_slots` order, so the stream
+//!   contract does not change, but only a needed slot produces a uniform;
+//!   the probit, combine and pair order run for the needed forms only.
+//!   The rows start as the caps and each live edge gets
+//!   `min(bound, cap)`; a live edge's saturated side reads its FF form's
+//!   upper bracket (or its draw) and so comes out at the cap too.
+//!
+//! Which forms are drawn depends on the group and the call, but every
+//! stored bound is `min(exact, cap)`, so rows never depend on how chips
+//! share lanes or calls.  The scalar reference draws every form and
+//! saturates the exact row; `sample.probits` against `sample.draws` shows
+//! the skipped share.
+//!
 //! [`CanonicalBatchSampler::fill`]: crate::sample::CanonicalBatchSampler::fill
 //! [`fill_one`]: crate::sample::CanonicalBatchSampler::fill_one
 //! [`ConstraintBatch::draw_from`]: crate::constraint::ConstraintBatch::draw_from
@@ -88,7 +133,7 @@
 //! [`acklam`]: psbi_variation::normal::acklam
 //! [`probit_fast`]: psbi_variation::normal::probit_fast
 
-use crate::constraint::MinPeriod;
+use crate::constraint::{MinPeriod, RowTerms};
 use psbi_variation::N_PARAMS;
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -205,18 +250,44 @@ fn select() -> Backend {
 
 /// Per-thread staging buffers of the draw loop.  The scalar reference
 /// draws one chip into `row` (dense layout `setup | hold | edge_max |
-/// edge_min`).  The chip lanes hold one block's uniforms in `u`, and all
-/// forms' probit images in `z`, which end as the four chips' draws.
+/// edge_min`).  The chip lanes take their chips' `seeds`, hold one block's
+/// uniforms in `u`, and all forms' probit images in `z`, which end as the
+/// four chips' draws.  A draw against caps keeps the call's [`Screen`],
+/// marks the forms a group needs in `need`, lists in `live` the edges with
+/// a bound that can fall below its cap in one of the group's chips, and
+/// holds the probits of a list of needed forms in `listed` (their uniforms
+/// go to the front of `u`).
 ///
 /// Uniform slots of forms with `indep == 0` are never written; they are
 /// initialised to `0.5` and otherwise hold an earlier draw's uniform, so
 /// they stay inside `(0, 1)` and the dense probit sweep never sees an
 /// out-of-domain value (the combine never reads those lanes).
 #[derive(Debug, Default)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 pub(crate) struct Scratch {
+    pub(crate) seeds: Vec<LaneSeed>,
     pub(crate) u: Vec<f64>,
     pub(crate) z: Vec<f64>,
     pub(crate) row: Vec<f64>,
+    listed: Vec<f64>,
+    screen: Screen,
+    need: Vec<bool>,
+    live: Vec<u32>,
+}
+
+/// The screen of one call's draw against caps (see [`screen`]): the edges
+/// that can have a bound below its cap in some chip of the call, their
+/// capture FFs, and whether so many can that the call draws every form.
+#[derive(Debug, Default)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct Screen {
+    edges: Vec<u32>,
+    ffs: Vec<u32>,
+    dense: bool,
+    /// Scratch: upper ends of the FF forms' brackets (setup | hold, each
+    /// padded to whole vectors), and which FFs are listed.
+    ff_hi: Vec<f64>,
+    listed: Vec<bool>,
 }
 
 impl Scratch {
@@ -256,6 +327,14 @@ pub(crate) const CHIP_LANES: usize = 4;
 /// the probit, and the whole draw's working set stays in L2.
 const LANE_BLOCK: usize = 256;
 
+/// A bound on `|probit_fast(u)|` over every uniform a chip stream can
+/// produce: `u = (k + 0.5)·2⁻⁵²` for a 52-bit `k` lies in
+/// `[2⁻⁵³, 1 − 2⁻⁵³]`, where the probit's magnitude peaks at about 8.21
+/// (both extremes; pinned by test).  The static bracket of a draw against
+/// caps puts each independent term at `±|indep|·PROBIT_BOUND`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) const PROBIT_BOUND: f64 = 8.3;
+
 /// The canonical coefficients and draw order of one graph, as the chip-lane
 /// draw reads them: the four form groups in dense order (setup, hold,
 /// edge-max, edge-min) and the dense index of every uniform, in stream
@@ -268,6 +347,7 @@ pub(crate) struct LaneForms<'a> {
 
 /// One lane's chip going into [`draw_lanes`]: its random stream's
 /// xoshiro256** state (after the global draws) and its global deviations.
+#[derive(Debug, Clone, Copy)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 pub(crate) struct LaneSeed {
     pub(crate) state: [u64; 4],
@@ -278,6 +358,12 @@ pub(crate) struct LaneSeed {
 /// `d[f·4 + l]` is dense form `f` (setup | hold | edge-max | edge-min) of
 /// lane `l`'s chip.  Lanes `live..4` are padding and are never read out.
 ///
+/// A sparse draw against caps holds exact draws only where a bound can
+/// fall below its cap: both forms of each edge it patches, and the FF
+/// forms those edges' unsaturated bounds read.  The other FF forms of those
+/// edges hold the upper end of their static bracket (see the module docs),
+/// and every other form is stale.
+///
 /// Only [`draw_lanes`] builds one, after checking that the host runs AVX2,
 /// which is what makes the AVX2 readers below sound.
 pub(crate) struct ChipLanes<'a> {
@@ -285,16 +371,64 @@ pub(crate) struct ChipLanes<'a> {
     n_ffs: usize,
     n_edges: usize,
     live: usize,
+    rows: Rows<'a>,
+    /// Probits run per lane.
+    probits: usize,
+}
+
+/// How [`ChipLanes::bounds`] writes the lanes' rows.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Rows<'a> {
+    /// Every form drawn, every bound exact (no caps).
+    Exact,
+    /// Every form drawn, every bound saturated at its cap.
+    Capped,
+    /// The caps, patched with `min(bound, cap)` at these edges.
+    Patched(&'a [u32]),
+}
+
+/// Screens a call's draw against caps `t` over the chips whose seeds
+/// `scratch.seeds` holds, for [`draw_lanes`]: lists the edges whose
+/// bounds some chip of the call may have below their caps, and their
+/// capture FFs, and marks the call dense when more than half the edges
+/// are listed.  The screen is the static bracket (see the module docs)
+/// over the box of the chips' globals: each form's global part is bounded
+/// by the same left-associated sum of the products' extremes over the box,
+/// every step monotone, so it bounds every chip of the call.
+///
+/// # Panics
+///
+/// Panics if the host has no AVX2.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn screen(forms: &LaneForms<'_>, t: &RowTerms<'_>, scratch: &mut Scratch) {
+    assert!(Backend::Avx2.is_available(), "chip lanes need an AVX2 host");
+    let Scratch { seeds, screen, .. } = scratch;
+    let (mut lo, mut hi) = ([f64::INFINITY; N_PARAMS], [f64::NEG_INFINITY; N_PARAMS]);
+    for seed in seeds.iter() {
+        for p in 0..N_PARAMS {
+            lo[p] = lo[p].min(seed.delta[p]);
+            hi[p] = hi[p].max(seed.delta[p]);
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: AVX2 availability was asserted above.
+    unsafe {
+        avx2::screen(forms, t, &lo, &hi, screen)
+    }
 }
 
 /// Draws four chips at once into `scratch` and returns their lanes.
 ///
 /// Lane `l` steps `seeds[l].state` with the same shifts, xors and rotations
-/// as [`psbi_variation::ChipStream`].  Block by block of FF or edge pairs,
+/// as [`psbi_variation::ChipStream`].  Without `caps`, and with caps on a
+/// call that [`screen`] marked dense, block by block of FF or edge pairs,
 /// the uniforms land at their dense `draw_slots` index, are probited, and
 /// the draws are combined and ordered in place — the scalar reference's
-/// expression tree per lane (see the module docs).  Only lanes `0..live`
-/// are read out.
+/// expression tree per lane (see the module docs).  Otherwise the static
+/// bracket of the four chips decides which of the screened edges can have
+/// a bound below its cap in one of them, and the stream produces, and the
+/// probit, combine and pair order run, only for the forms those bounds
+/// read.  Only lanes `0..live` are read out.
 ///
 /// # Panics
 ///
@@ -304,6 +438,7 @@ pub(crate) fn draw_lanes<'s>(
     forms: &LaneForms<'_>,
     seeds: &[LaneSeed; CHIP_LANES],
     live: usize,
+    caps: Option<&RowTerms<'_>>,
     scratch: &'s mut Scratch,
 ) -> ChipLanes<'s> {
     assert!(Backend::Avx2.is_available(), "chip lanes need an AVX2 host");
@@ -312,16 +447,45 @@ pub(crate) fn draw_lanes<'s>(
     let n = n_forms * CHIP_LANES;
     let n_u = 2 * LANE_BLOCK * CHIP_LANES;
     scratch.ensure(n_u, n, 0);
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+    let mut probits = forms.draw_slots.len();
+    let sparse = caps.filter(|_| !scratch.screen.dense);
     #[cfg(target_arch = "x86_64")]
     // SAFETY: AVX2 availability was asserted above.
     unsafe {
-        avx2::draw_lanes(forms, seeds, &mut scratch.u[..n_u], &mut scratch.z[..n])
+        let Scratch {
+            u,
+            z,
+            listed,
+            screen,
+            need,
+            live,
+            ..
+        } = scratch;
+        let (u, z) = (&mut u[..n_u], &mut z[..n]);
+        match sparse {
+            None => avx2::draw_lanes(forms, seeds, u, z),
+            Some(t) => {
+                if need.len() < n_forms {
+                    need.resize(n_forms, false);
+                }
+                listed.resize(LANE_BLOCK * CHIP_LANES, 0.0);
+                let (u, need) = (&mut u[..LANE_BLOCK * CHIP_LANES], &mut need[..n_forms]);
+                probits = avx2::draw_capped(forms, seeds, t, screen, u, listed, z, need, live);
+            }
+        }
     }
     ChipLanes {
         d: &scratch.z[..n],
         n_ffs: forms.groups[0].len(),
         n_edges: forms.groups[2].len(),
         live,
+        rows: match (caps, sparse) {
+            (None, _) => Rows::Exact,
+            (Some(_), None) => Rows::Capped,
+            (Some(_), Some(_)) => Rows::Patched(&scratch.live),
+        },
+        probits,
     }
 }
 
@@ -330,6 +494,12 @@ impl ChipLanes<'_> {
     #[inline]
     pub(crate) fn live(&self) -> usize {
         self.live
+    }
+
+    /// Probits the draw ran per lane.
+    #[inline]
+    pub(crate) fn probits(&self) -> usize {
+        self.probits
     }
 
     /// Copies lane `l`'s chip out into one chip's rows.
@@ -342,6 +512,7 @@ impl ChipLanes<'_> {
         hold: &mut [f64],
     ) {
         assert!(l < self.live, "padding lanes are never read out");
+        assert!(matches!(self.rows, Rows::Exact), "a draw against caps");
         let (f, e) = (self.n_ffs, self.n_edges);
         let lane = |dst: &mut [f64], off: usize| {
             for (k, v) in dst.iter_mut().enumerate() {
@@ -354,36 +525,34 @@ impl ChipLanes<'_> {
         lane(edge_min, 2 * f + e);
     }
 
-    /// Floored integer bounds of the live lanes' chips: lane `l` writes row
-    /// `l` of `setup_bound`/`hold_bound` (`live × edges`, row-major).
-    /// Same grouping as the scalar row kernel of
+    /// Floored integer bounds of the live lanes' chips, each saturated at
+    /// its cap in `t`: lane `l` writes row `l` of `setup_bound`/`hold_bound`
+    /// (`live × edges`, row-major).  Same grouping as the scalar row
+    /// kernel of
     /// [`IntegerConstraints::build`](crate::constraint::IntegerConstraints::build),
-    /// with the capture FF's values read from its lanes (`to[e]`).
+    /// with the capture FF's values read from its lanes (`t.to[e]`).  A
+    /// dense draw writes every bound (exact without caps, where every cap
+    /// is `i64::MAX`); a sparse draw against caps writes the caps, then
+    /// `min(bound, cap)` at each edge it drew.
     #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-    pub(crate) fn bounds(
-        &self,
-        to: &[u32],
-        setup_base: &[f64],
-        hold_base: &[f64],
-        inv_step: f64,
-        setup_bound: &mut [i64],
-        hold_bound: &mut [i64],
-    ) {
+    pub(crate) fn bounds(&self, t: &RowTerms<'_>, setup_bound: &mut [i64], hold_bound: &mut [i64]) {
         let e = self.n_edges;
-        assert!(to.len() == e && setup_base.len() == e && hold_base.len() == e);
+        assert!(t.to.len() == e && t.setup_base.len() == e && t.hold_base.len() == e);
         assert!(setup_bound.len() == self.live * e && hold_bound.len() == self.live * e);
         #[cfg(target_arch = "x86_64")]
         // SAFETY: a `ChipLanes` exists only after `draw_lanes` asserted AVX2.
         unsafe {
-            avx2::lane_bounds(
-                self,
-                to,
-                setup_base,
-                hold_base,
-                inv_step,
-                setup_bound,
-                hold_bound,
-            )
+            match self.rows {
+                Rows::Exact => avx2::lane_bounds::<false>(self, t, setup_bound, hold_bound),
+                Rows::Capped => {
+                    assert!(t.setup_cap.len() == e && t.hold_cap.len() == e);
+                    avx2::lane_bounds::<true>(self, t, setup_bound, hold_bound)
+                }
+                Rows::Patched(edges) => {
+                    assert!(t.setup_cap.len() == e && t.hold_cap.len() == e);
+                    avx2::capped_bounds(self, edges, t, setup_bound, hold_bound)
+                }
+            }
         }
         #[cfg(not(target_arch = "x86_64"))]
         unreachable!("chip lanes exist on AVX2 hosts only")
@@ -402,6 +571,7 @@ impl ChipLanes<'_> {
         assert_eq!(ends.len(), self.n_edges, "one (from, to) pair per edge");
         assert!(!ends.is_empty(), "sequential graph has no edges");
         assert_eq!(skews.len(), self.n_ffs, "one skew per FF");
+        assert!(matches!(self.rows, Rows::Exact), "a draw against caps");
         #[cfg(target_arch = "x86_64")]
         // SAFETY: a `ChipLanes` exists only after `draw_lanes` asserted AVX2.
         unsafe {
@@ -529,24 +699,17 @@ mod avx2 {
         _mm256_or_si256(_mm256_slli_epi64::<K>(x), _mm256_srli_epi64::<L>(x))
     }
 
-    /// The next output of the four lanes' xoshiro256** streams `s`, as
-    /// the uniform `(k + 0.5)·2⁻⁵²` of its top 52 bits `k`.  Exact integer
+    /// The uniform `(k + 0.5)·2⁻⁵²` of the top 52 bits `k` of the four
+    /// lanes' xoshiro256** output for state word `s1`.  Exact integer
     /// arithmetic: `·5` and `·9` as shift-add, rotations as shift-or; and
     /// OR-ing `k` into the mantissa of 2⁵² and subtracting 2⁵² gives
     /// `k as f64` exactly.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn next_uniform(s: &mut [__m256i; 4]) -> __m256d {
-        let x5 = _mm256_add_epi64(_mm256_slli_epi64::<2>(s[1]), s[1]);
+    fn uniform(s1: __m256i) -> __m256d {
+        let x5 = _mm256_add_epi64(_mm256_slli_epi64::<2>(s1), s1);
         let r = rotl::<7, 57>(x5);
         let out = _mm256_add_epi64(_mm256_slli_epi64::<3>(r), r);
-        let t = _mm256_slli_epi64::<17>(s[1]);
-        s[2] = _mm256_xor_si256(s[2], s[0]);
-        s[3] = _mm256_xor_si256(s[3], s[1]);
-        s[1] = _mm256_xor_si256(s[1], s[2]);
-        s[0] = _mm256_xor_si256(s[0], s[3]);
-        s[2] = _mm256_xor_si256(s[2], t);
-        s[3] = rotl::<45, 19>(s[3]);
         let k = _mm256_or_si256(
             _mm256_srli_epi64::<12>(out),
             _mm256_set1_epi64x(0x4330_0000_0000_0000),
@@ -557,6 +720,42 @@ mod avx2 {
             _mm256_add_pd(kf, _mm256_set1_pd(0.5)),
             _mm256_set1_pd(1.0 / (1u64 << 52) as f64),
         )
+    }
+
+    /// Steps the four lanes' xoshiro256** streams `s` past one output.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn step(s: &mut [__m256i; 4]) {
+        let t = _mm256_slli_epi64::<17>(s[1]);
+        s[2] = _mm256_xor_si256(s[2], s[0]);
+        s[3] = _mm256_xor_si256(s[3], s[1]);
+        s[1] = _mm256_xor_si256(s[1], s[2]);
+        s[0] = _mm256_xor_si256(s[0], s[3]);
+        s[2] = _mm256_xor_si256(s[2], t);
+        s[3] = rotl::<45, 19>(s[3]);
+    }
+
+    /// The next output of the four lanes' streams `s`, as a uniform.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn next_uniform(s: &mut [__m256i; 4]) -> __m256d {
+        let u = uniform(s[1]);
+        step(s);
+        u
+    }
+
+    /// The four chips' globals `δ_p`, one chip per lane.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn deltas(seeds: &[LaneSeed; LANES]) -> [__m256d; N_PARAMS] {
+        std::array::from_fn(|p| {
+            _mm256_setr_pd(
+                seeds[0].delta[p],
+                seeds[1].delta[p],
+                seeds[2].delta[p],
+                seeds[3].delta[p],
+            )
+        })
     }
 
     /// `u` holds `2 × LANE_BLOCK` forms' lanes and `z` all forms' lanes;
@@ -574,14 +773,7 @@ mod avx2 {
         z: &mut [f64],
     ) {
         let mut state = [0, 1, 2, 3].map(|w| state_word(seeds, w));
-        let delta: [__m256d; N_PARAMS] = std::array::from_fn(|p| {
-            _mm256_setr_pd(
-                seeds[0].delta[p],
-                seeds[1].delta[p],
-                seeds[2].delta[p],
-                seeds[3].delta[p],
-            )
-        });
+        let delta = deltas(seeds);
         let [setup, hold, emax, emin] = forms.groups;
         let (n_ffs, n_edges) = (setup.len(), emax.len());
         let mut d = 0;
@@ -632,35 +824,310 @@ mod avx2 {
         );
     }
 
+    /// The global part `mean + Σ_p sens[p]·δ_p` of a form in the four chip
+    /// lanes: the scalar reference's left-associated sum.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn global(mean: f64, sens: [f64; N_PARAMS], delta: &[__m256d; N_PARAMS]) -> __m256d {
+        let mut v = _mm256_set1_pd(mean);
+        for (&s, &d) in sens.iter().zip(delta) {
+            v = _mm256_add_pd(v, _mm256_mul_pd(_mm256_set1_pd(s), d));
+        }
+        v
+    }
+
+    /// Form `k` of a group's global part (see [`global`]).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn global_of(g: &FormGroup, k: usize, delta: &[__m256d; N_PARAMS]) -> __m256d {
+        global(g.mean[k], std::array::from_fn(|p| g.sens[p][k]), delta)
+    }
+
+    /// A form's clamped draw from its global part `v`, its independent
+    /// sigma `indep` and its probit `z`: `max(v + indep·z, +0.0)`, or
+    /// `max(v, +0.0)` when `indep == 0`, exactly as the scalar path skips
+    /// the local draw (see the module's bit-parity notes).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn clamped(v: __m256d, indep: f64, z: __m256d) -> __m256d {
+        let zero = _mm256_setzero_pd();
+        let ind = _mm256_set1_pd(indep);
+        let use_w = _mm256_cmp_pd::<_CMP_NEQ_OQ>(ind, zero);
+        let w = _mm256_add_pd(v, _mm256_mul_pd(ind, z));
+        _mm256_max_pd(_mm256_blendv_pd(v, w, use_w), zero)
+    }
+
+    /// The static bracket `(lo, hi)` of a form's clamped draw, given its
+    /// global part `v`: `max(v ∓ |indep|·Z, 0)` with `Z = PROBIT_BOUND`.
+    /// Every step of [`clamped`] is monotone and `|indep·z| ≤ |indep|·Z`,
+    /// so `lo ≤ draw ≤ hi` in every lane, whatever uniform the stream
+    /// produces (see the module docs).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn bracket(v: __m256d, indep: f64) -> (__m256d, __m256d) {
+        let zero = _mm256_setzero_pd();
+        let reach = _mm256_set1_pd(indep.abs() * PROBIT_BOUND);
+        (
+            _mm256_max_pd(_mm256_sub_pd(v, reach), zero),
+            _mm256_max_pd(_mm256_add_pd(v, reach), zero),
+        )
+    }
+
     /// Combines the probits `z` of forms `lo..` of a group (chip lanes)
-    /// into clamped draws in place: per form, the scalar reference's
-    /// left-associated sum with the four chips' globals in the lanes, and
-    /// the `max(draw, +0.0)` clamp (see the module's bit-parity notes).
+    /// into clamped draws in place (see [`clamped`]).
     #[inline]
     #[target_feature(enable = "avx2")]
     fn combine_lanes(g: &FormGroup, lo: usize, delta: &[__m256d; N_PARAMS], z: &mut [f64]) {
         let m = z.len() / LANES;
         let (mean, indep) = (&g.mean[lo..lo + m], &g.indep[lo..lo + m]);
         let sens: [&[f64]; N_PARAMS] = std::array::from_fn(|p| &g.sens[p][lo..lo + m]);
-        let zero = _mm256_setzero_pd();
         for k in 0..m {
-            let mut v = _mm256_set1_pd(mean[k]);
-            for (s, &d) in sens.iter().zip(delta) {
-                v = _mm256_add_pd(v, _mm256_mul_pd(_mm256_set1_pd(s[k]), d));
-            }
-            // Forms with indep == 0 keep the global-only value, exactly as
-            // the scalar path skips the local draw.
-            let ind = _mm256_set1_pd(indep[k]);
-            let use_w = _mm256_cmp_pd::<_CMP_NEQ_OQ>(ind, zero);
+            let v = global(mean[k], std::array::from_fn(|p| sens[p][k]), delta);
             // SAFETY: `k < m = z.len() / 4`, so lanes `4k..4k + 4` are in
             // bounds.
             unsafe {
                 let zk = z.as_mut_ptr().add(k * LANES);
-                let w = _mm256_add_pd(v, _mm256_mul_pd(ind, _mm256_loadu_pd(zk)));
-                let sel = _mm256_blendv_pd(v, w, use_w);
-                _mm256_storeu_pd(zk, _mm256_max_pd(sel, zero));
+                _mm256_storeu_pd(zk, clamped(v, indep[k], _mm256_loadu_pd(zk)));
             }
         }
+    }
+
+    /// Probits the listed forms' uniforms `u` (four lanes per form) into
+    /// `probits` and stores each form's lanes at its dense index in `z`.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn probit_listed(u: &[f64], probits: &mut [f64], listed: &[u32], z: &mut [f64]) {
+        let probits = &mut probits[..u.len()];
+        probit_dense(u, probits);
+        for (i, &form) in listed.iter().enumerate() {
+            store4(z, form as usize, load4(probits, i));
+        }
+    }
+
+    /// Whether `x ≥ cap` in every lane (`cap` is exact below 2⁵² and 2⁶³
+    /// for `i64::MAX`, where `x as i64` saturates to the cap).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn saturated(x: __m256d, cap: f64) -> bool {
+        _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(x, _mm256_set1_pd(cap))) == 0b1111
+    }
+
+    /// Entries `k..k + 4` of `s`, as far as they exist, then zeros.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load_upto4(s: &[f64], k: usize) -> __m256d {
+        if let Some(v) = s.get(k..k + LANES) {
+            // SAFETY: `v` holds exactly four `f64`s.
+            return unsafe { _mm256_loadu_pd(v.as_ptr()) };
+        }
+        let mut v = [0.0; LANES];
+        for (d, &x) in v.iter_mut().zip(&s[k..]) {
+            *d = x;
+        }
+        // SAFETY: `v` holds exactly four `f64`s.
+        unsafe { _mm256_loadu_pd(v.as_ptr()) }
+    }
+
+    /// The screen's bracket `(lo, hi)` of forms `k..k + 4` of a group (as
+    /// far as they exist), over every chip whose globals lie in the box
+    /// `lo_delta..=hi_delta` (broadcast per parameter): the global part at
+    /// the extremes of each product over the box, the independent term at
+    /// `±|indep|·PROBIT_BOUND`, then the clamp.  Every step is monotone,
+    /// so the ends bound every such chip's clamped draw.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn box_bracket(
+        g: &FormGroup,
+        k: usize,
+        lo_delta: &[__m256d; N_PARAMS],
+        hi_delta: &[__m256d; N_PARAMS],
+    ) -> (__m256d, __m256d) {
+        let mean = load_upto4(&g.mean, k);
+        let (mut lo, mut hi) = (mean, mean);
+        for p in 0..N_PARAMS {
+            let s = load_upto4(&g.sens[p], k);
+            let (a, b) = (_mm256_mul_pd(s, lo_delta[p]), _mm256_mul_pd(s, hi_delta[p]));
+            lo = _mm256_add_pd(lo, _mm256_min_pd(a, b));
+            hi = _mm256_add_pd(hi, _mm256_max_pd(a, b));
+        }
+        let abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), load_upto4(&g.indep, k));
+        let reach = _mm256_mul_pd(abs, _mm256_set1_pd(PROBIT_BOUND));
+        let zero = _mm256_setzero_pd();
+        (
+            _mm256_max_pd(_mm256_sub_pd(lo, reach), zero),
+            _mm256_max_pd(_mm256_add_pd(hi, reach), zero),
+        )
+    }
+
+    /// The screen of one call (see [`super::screen`]) over the globals'
+    /// box `lo..=hi`, four forms or edges per vector.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn screen(
+        forms: &LaneForms<'_>,
+        t: &RowTerms<'_>,
+        lo: &[f64; N_PARAMS],
+        hi: &[f64; N_PARAMS],
+        screen: &mut Screen,
+    ) {
+        let [setup, hold, emax, emin] = forms.groups;
+        let (f, n) = (setup.len(), emax.len());
+        let lo = lo.map(|d| _mm256_set1_pd(d));
+        let hi = hi.map(|d| _mm256_set1_pd(d));
+        // Upper ends of the FF forms' brackets, setup | hold (padded to
+        // whole vectors).
+        let padded = f.next_multiple_of(LANES);
+        screen.ff_hi.clear();
+        screen.ff_hi.resize(2 * padded, 0.0);
+        for (g, out) in [setup, hold]
+            .into_iter()
+            .zip(screen.ff_hi.chunks_exact_mut(padded))
+        {
+            for k in (0..f).step_by(LANES) {
+                store4(out, k / LANES, box_bracket(g, k, &lo, &hi).1);
+            }
+        }
+        let (setup_hi, hold_hi) = screen.ff_hi.split_at(padded);
+        screen.listed.clear();
+        screen.listed.resize(f, false);
+        screen.edges.clear();
+        screen.ffs.clear();
+        let vis = _mm256_set1_pd(t.inv_step);
+        for e in (0..n).step_by(LANES) {
+            let m = LANES.min(n - e);
+            let (max_lo, max_hi) = box_bracket(emax, e, &lo, &hi);
+            let (min_lo, min_hi) = box_bracket(emin, e, &lo, &hi);
+            let j: [usize; LANES] = std::array::from_fn(|i| t.to[e + i.min(m - 1)] as usize);
+            let capture = |x: &[f64]| _mm256_setr_pd(x[j[0]], x[j[1]], x[j[2]], x[j[3]]);
+            let s = _mm256_sub_pd(
+                _mm256_sub_pd(load_upto4(t.setup_base, e), capture(setup_hi)),
+                _mm256_max_pd(max_hi, min_hi),
+            );
+            let h = _mm256_add_pd(
+                _mm256_sub_pd(_mm256_min_pd(min_lo, max_lo), capture(hold_hi)),
+                load_upto4(t.hold_base, e),
+            );
+            let at_cap = |x: __m256d, cap: &[f64]| {
+                let x = _mm256_floor_pd(_mm256_mul_pd(x, vis));
+                _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(x, load_upto4(cap, e)))
+            };
+            let saturated = at_cap(s, t.setup_cap_f) & at_cap(h, t.hold_cap_f);
+            for (i, &j) in j.iter().enumerate().take(m) {
+                if saturated & (1 << i) == 0 {
+                    screen.edges.push((e + i) as u32);
+                    if !screen.listed[j] {
+                        screen.listed[j] = true;
+                        screen.ffs.push(j as u32);
+                    }
+                }
+            }
+        }
+        screen.dense = 2 * screen.edges.len() > n;
+    }
+
+    /// The sparse draw against caps `t` of the edges `screen` kept: `u`
+    /// and `probits` hold `LANE_BLOCK` listed forms' lanes (their uniforms
+    /// and probits), `z` all forms' lanes and `need` one flag per form;
+    /// `live` receives the edges drawn exactly.  Returns the probits run
+    /// per lane.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn draw_capped(
+        forms: &LaneForms<'_>,
+        seeds: &[LaneSeed; LANES],
+        t: &RowTerms<'_>,
+        screen: &Screen,
+        u: &mut [f64],
+        probits: &mut [f64],
+        z: &mut [f64],
+        need: &mut [bool],
+        live: &mut Vec<u32>,
+    ) -> usize {
+        let mut state = [0, 1, 2, 3].map(|w| state_word(seeds, w));
+        let delta = deltas(seeds);
+        let [setup, hold, emax, emin] = forms.groups;
+        let (f, n) = (setup.len(), emax.len());
+        let vis = _mm256_set1_pd(t.inv_step);
+        // 1. The static bracket of the screened edges.  Their capture FFs'
+        // forms keep the upper end of their bracket unless a live edge
+        // needs the draw: the lower bound of a setup or hold bound reads
+        // only upper ends of FF forms.
+        for &j in &screen.ffs {
+            for (g, k) in [(setup, j as usize), (hold, f + j as usize)] {
+                let (_, hi) = bracket(global_of(g, j as usize, &delta), g.indep[j as usize]);
+                store4(z, k, hi);
+            }
+        }
+        need.fill(false);
+        live.clear();
+        for &e in &screen.edges {
+            let e = e as usize;
+            let (max_lo, max_hi) = bracket(global_of(emax, e, &delta), emax.indep[e]);
+            let (min_lo, min_hi) = bracket(global_of(emin, e, &delta), emin.indep[e]);
+            // After the pair order the edge's max is at most the larger
+            // upper end, and its min at least the smaller lower end.
+            let j = t.to[e] as usize;
+            let (dmax, dmin) = (_mm256_max_pd(max_hi, min_hi), _mm256_min_pd(min_lo, max_lo));
+            let (s, h) = floored(t, e, load4(z, j), load4(z, f + j), dmax, dmin, vis);
+            let setup_sat = saturated(s, t.setup_cap_f[e]);
+            let hold_sat = saturated(h, t.hold_cap_f[e]);
+            if !(setup_sat && hold_sat) {
+                live.push(e as u32);
+                need[2 * f + e] = true;
+                need[2 * f + n + e] = true;
+                need[j] |= !setup_sat;
+                need[f + j] |= !hold_sat;
+            }
+        }
+        // 2. Every draw slot steps the streams, in `draw_slots` order; a
+        // needed one also produces its uniform, listed with its form.
+        // Each full list is probited and scattered to its forms.
+        let mut listed = [0u32; LANE_BLOCK];
+        let (mut k, mut drawn) = (0, 0);
+        for &slot in forms.draw_slots {
+            if need[slot as usize] {
+                store4(u, k, uniform(state[1]));
+                listed[k] = slot;
+                k += 1;
+                if k == LANE_BLOCK {
+                    probit_listed(u, probits, &listed, z);
+                    drawn += k;
+                    k = 0;
+                }
+            }
+            step(&mut state);
+        }
+        probit_listed(&u[..k * LANES], probits, &listed[..k], z);
+        drawn += k;
+        // 3. The needed forms' draws: combined in place, and the live
+        // edges' pairs ordered.
+        for &j in &screen.ffs {
+            for (g, k) in [(setup, j as usize), (hold, f + j as usize)] {
+                if need[k] {
+                    let v = global_of(g, j as usize, &delta);
+                    store4(z, k, clamped(v, g.indep[j as usize], load4(z, k)));
+                }
+            }
+        }
+        for &e in live.iter() {
+            let e = e as usize;
+            let (a, b) = (2 * f + e, 2 * f + n + e);
+            let dmax = clamped(global_of(emax, e, &delta), emax.indep[e], load4(z, a));
+            let dmin = clamped(global_of(emin, e, &delta), emin.indep[e], load4(z, b));
+            store4(z, a, _mm256_max_pd(dmax, dmin));
+            store4(z, b, _mm256_min_pd(dmin, dmax));
+        }
+        drawn
     }
 
     /// Four consecutive lanes of `d` starting at lane `4·f`.
@@ -670,6 +1137,40 @@ mod avx2 {
         let src = &d[f * LANES..][..LANES];
         // SAFETY: `src` holds exactly four `f64`s.
         unsafe { _mm256_loadu_pd(src.as_ptr()) }
+    }
+
+    /// Stores `v` into the four lanes of `d` starting at lane `4·f`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store4(d: &mut [f64], f: usize, v: __m256d) {
+        let dst = &mut d[f * LANES..][..LANES];
+        // SAFETY: `dst` holds exactly four `f64`s.
+        unsafe { _mm256_storeu_pd(dst.as_mut_ptr(), v) }
+    }
+
+    /// Edge `e`'s floored setup and hold slacks in the chip lanes, from its
+    /// capture FF's setup and hold and its ordered max and min delays: the
+    /// scalar row kernel's grouping, `(base − setup) − max` and
+    /// `(min − hold) + base`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn floored(
+        t: &RowTerms<'_>,
+        e: usize,
+        setup: __m256d,
+        hold: __m256d,
+        dmax: __m256d,
+        dmin: __m256d,
+        vis: __m256d,
+    ) -> (__m256d, __m256d) {
+        let sb = _mm256_set1_pd(t.setup_base[e]);
+        let s = _mm256_sub_pd(_mm256_sub_pd(sb, setup), dmax);
+        let hb = _mm256_set1_pd(t.hold_base[e]);
+        let h = _mm256_add_pd(_mm256_sub_pd(dmin, hold), hb);
+        (
+            _mm256_floor_pd(_mm256_mul_pd(s, vis)),
+            _mm256_floor_pd(_mm256_mul_pd(h, vis)),
+        )
     }
 
     /// Transposes four edges' chip lanes `v[0..4]` into four chips' edge
@@ -728,32 +1229,44 @@ mod avx2 {
         }
     }
 
+    /// Stores `v`'s lanes into `out[..4]` as `x as i64` would, through
+    /// [`to_i64`] when every lane is [`small`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store_i64(v: __m256d, out: &mut [i64; LANES]) {
+        if small(&[v]) {
+            // SAFETY: `out` holds exactly four `i64`s.
+            unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), to_i64(v)) }
+        } else {
+            store_cast(v, out);
+        }
+    }
+
     /// # Safety
     ///
     /// The host must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lane_bounds(
+    pub(super) unsafe fn lane_bounds<const CAPPED: bool>(
         lanes: &ChipLanes<'_>,
-        to: &[u32],
-        setup_base: &[f64],
-        hold_base: &[f64],
-        inv_step: f64,
+        t: &RowTerms<'_>,
         setup_bound: &mut [i64],
         hold_bound: &mut [i64],
     ) {
         let (f, n, d) = (lanes.n_ffs, lanes.n_edges, lanes.d);
-        let vis = _mm256_set1_pd(inv_step);
+        let vis = _mm256_set1_pd(t.inv_step);
         // One edge's floored setup and hold slacks, chip lanes.
         let edge = |e: usize| {
-            let j = to[e] as usize;
-            let sb = _mm256_set1_pd(setup_base[e]);
-            let s = _mm256_sub_pd(_mm256_sub_pd(sb, load4(d, j)), load4(d, 2 * f + e));
-            let hb = _mm256_set1_pd(hold_base[e]);
-            let h = _mm256_add_pd(_mm256_sub_pd(load4(d, 2 * f + n + e), load4(d, f + j)), hb);
-            (
-                _mm256_floor_pd(_mm256_mul_pd(s, vis)),
-                _mm256_floor_pd(_mm256_mul_pd(h, vis)),
-            )
+            let j = t.to[e] as usize;
+            let (emax, emin) = (load4(d, 2 * f + e), load4(d, 2 * f + n + e));
+            let (s, h) = floored(t, e, load4(d, j), load4(d, f + j), emax, emin, vis);
+            if CAPPED {
+                (
+                    _mm256_min_pd(_mm256_set1_pd(t.setup_cap_f[e]), s),
+                    _mm256_min_pd(_mm256_set1_pd(t.hold_cap_f[e]), h),
+                )
+            } else {
+                (s, h)
+            }
         };
         // Four edges at a time, transposed so each chip's row gets four
         // contiguous bounds; padding lanes are never stored.
@@ -793,6 +1306,52 @@ mod avx2 {
                 row[e] = t as i64;
             }
             e += 1;
+        }
+    }
+
+    /// The rows of a draw against caps: every live row starts as the
+    /// caps, then each live edge gets `min(bound, cap)` per lane — the
+    /// minimum taken before the conversion, exact because every cap is
+    /// below 2⁵² or `i64::MAX` (see [`saturated`]).  A live edge's
+    /// saturated side reads the upper brackets its FF form may still
+    /// hold, and so comes out at its cap too.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn capped_bounds(
+        lanes: &ChipLanes<'_>,
+        live_edges: &[u32],
+        t: &RowTerms<'_>,
+        setup_bound: &mut [i64],
+        hold_bound: &mut [i64],
+    ) {
+        let (f, n, d) = (lanes.n_ffs, lanes.n_edges, lanes.d);
+        for (sr, hr) in setup_bound
+            .chunks_exact_mut(n)
+            .zip(hold_bound.chunks_exact_mut(n))
+        {
+            sr.copy_from_slice(t.setup_cap);
+            hr.copy_from_slice(t.hold_cap);
+        }
+        let vis = _mm256_set1_pd(t.inv_step);
+        let (mut s_out, mut h_out) = ([0i64; LANES], [0i64; LANES]);
+        for &e in live_edges {
+            let e = e as usize;
+            let j = t.to[e] as usize;
+            let (emax, emin) = (load4(d, 2 * f + e), load4(d, 2 * f + n + e));
+            let (s, h) = floored(t, e, load4(d, j), load4(d, f + j), emax, emin, vis);
+            // `MINPD` returns its second operand on NaN, as `x as i64`
+            // then reads it.
+            let s = _mm256_min_pd(_mm256_set1_pd(t.setup_cap_f[e]), s);
+            let h = _mm256_min_pd(_mm256_set1_pd(t.hold_cap_f[e]), h);
+            store_i64(s, &mut s_out);
+            store_i64(h, &mut h_out);
+            for l in 0..lanes.live {
+                setup_bound[l * n + e] = s_out[l];
+                hold_bound[l * n + e] = h_out[l];
+            }
         }
     }
 
@@ -913,6 +1472,30 @@ mod tests {
         for (&p, zi) in u.iter().zip(z) {
             assert_eq!(zi.to_bits(), probit_fast(p).to_bits(), "avx2 at u = {p}");
         }
+    }
+
+    /// The static bracket's `PROBIT_BOUND` holds for every uniform a
+    /// chip stream can produce, `(k + 0.5)·2⁻⁵²` for a 52-bit `k`: at both
+    /// extremes, and over the 2²⁰ smallest and the 2²⁰ largest `k`.
+    #[test]
+    fn probit_bound_covers_every_stream_uniform() {
+        use psbi_variation::normal::probit_fast;
+        let uniform = |k: u64| (k as f64 + 0.5) * (1.0 / (1u64 << 52) as f64);
+        let top = (1u64 << 52) - 1;
+        assert_eq!(uniform(0), 2f64.powi(-53));
+        assert_eq!(1.0 - uniform(top), 2f64.powi(-53));
+        let mut peak = 0.0f64;
+        for k in (0..1u64 << 20).chain(top + 1 - (1 << 20)..=top) {
+            let z = probit_fast(uniform(k)).abs();
+            assert!(z <= PROBIT_BOUND, "|probit_fast| = {z} at k = {k}");
+            peak = peak.max(z);
+        }
+        assert_eq!(
+            peak,
+            probit_fast(uniform(0)).abs(),
+            "the peak is at an extreme"
+        );
+        assert!(peak > PROBIT_BOUND - 0.1, "the bound is tight: peak {peak}");
     }
 
     #[test]

@@ -3,13 +3,16 @@
 //! `fill_gathered_with` on every kernel backend this host runs (AVX2 draws
 //! four chips per vector, one per lane) must give, chip for chip, the bits
 //! of `fill_one` (the scalar reference kernel) followed by
-//! `IntegerConstraints::build` and `min_period`.
+//! `IntegerConstraints::build` — each bound saturated at its cap under the
+//! case's saturation windows — and `min_period`.
 //!
 //! Cases are synthetic graphs (some forms without an independent term,
 //! constant forms whose slacks land on step boundaries), random skews,
-//! periods and steps, and chip lists of 1–11 chips with repeats in
-//! non-monotone order — so short last groups, padding lanes and lanes
-//! holding the same chip all occur — plus rows of s9234.
+//! periods and steps, random saturation windows (every FF unbounded, so
+//! the rows are exact; one floating width for all; or per FF, some
+//! unbounded and some pinned at 0), and chip lists of 1–11 chips with
+//! repeats in non-monotone order — so short last groups, padding lanes and
+//! lanes holding the same chip all occur — plus rows of s9234.
 
 use proptest::prelude::*;
 use psbi_liberty::Library;
@@ -17,7 +20,7 @@ use psbi_timing::constraint::{self, min_periods_with};
 use psbi_timing::graph::TimingGraph;
 use psbi_timing::sample::{CanonicalBatchSampler, SampleBatch, SampleTiming};
 use psbi_timing::seq::{SeqEdge, SequentialGraph};
-use psbi_timing::{Backend, ConstraintBatch, IntegerConstraints};
+use psbi_timing::{Backend, ConstraintBatch, IntegerConstraints, SaturationCaps};
 use psbi_variation::{CanonicalForm, VariationModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,9 +75,51 @@ fn chips(rng: &mut StdRng) -> Vec<u64> {
         .collect()
 }
 
+/// The saturation window of an FF no consumer bounds: its caps are
+/// `i64::MAX`, so its edges' bounds are exact.
+const UNBOUNDED: (i64, i64) = (i64::MIN, i64::MAX);
+
+/// Random saturation windows, each containing 0: every FF unbounded
+/// (exact rows), one floating width for every FF, or per FF a random
+/// window, unbounded or pinned at 0 now and then.
+fn windows(rng: &mut StdRng, n: usize) -> Vec<(i64, i64)> {
+    match rng.gen_range(0u32..4) {
+        0 => vec![UNBOUNDED; n],
+        1 => {
+            let w = rng.gen_range(0i64..12);
+            vec![(-w, w); n]
+        }
+        _ => (0..n)
+            .map(|_| match rng.gen_range(0u32..6) {
+                0 => UNBOUNDED,
+                1 => (0, 0),
+                _ => (-rng.gen_range(0i64..8), rng.gen_range(0i64..8)),
+            })
+            .collect(),
+    }
+}
+
+/// The exact bounds `ic` saturated at their caps under `windows`: setup
+/// `min(b, hi(from) − lo(to))`, hold `min(b, hi(to) − lo(from))`.
+fn saturated(
+    sg: &SequentialGraph,
+    ic: &IntegerConstraints,
+    windows: &[(i64, i64)],
+) -> IntegerConstraints {
+    let mut out = ic.clone();
+    for (e, edge) in sg.edges.iter().enumerate() {
+        let ((lo_i, hi_i), (lo_j, hi_j)) = (windows[edge.from as usize], windows[edge.to as usize]);
+        out.setup_bound[e] = out.setup_bound[e].min(hi_i.saturating_sub(lo_j));
+        out.hold_bound[e] = out.hold_bound[e].min(hi_j.saturating_sub(lo_i));
+    }
+    out
+}
+
 /// Checks every fused entry on every available backend against the
-/// scalar reference for one graph, chip list and operating point; `case`
-/// names the case in failure messages.
+/// scalar reference for one graph, chip list, operating point and set of
+/// saturation windows; `case` names the case in failure messages.
+/// Returns how many bounds the windows saturated, over every chip.
+#[allow(clippy::too_many_arguments)]
 fn check(
     case: &str,
     sg: &SequentialGraph,
@@ -83,7 +128,8 @@ fn check(
     skews: &[f64],
     period: f64,
     step: f64,
-) {
+    windows: &[(i64, i64)],
+) -> usize {
     let sampler = CanonicalBatchSampler::new(sg);
     let reference: Vec<SampleTiming> = chips
         .iter()
@@ -97,9 +143,11 @@ fn check(
     let mut cons = ConstraintBatch::new();
     let mut mps = Vec::new();
     let mut batch = SampleBatch::new();
+    let mut capped = 0;
+    let caps = SaturationCaps::from_windows(sg, windows);
     for backend in Backend::available() {
         let name = format!("{case}, {}", backend.name());
-        cons.draw_from_with(backend, &sampler, stream, chips, skews, period, step);
+        cons.draw_from_with(backend, &sampler, stream, chips, skews, period, step, &caps);
         min_periods_with(backend, &sampler, stream, chips, skews, &mut mps);
         batch.reset(sg, chips.len());
         sampler.fill_gathered_with(backend, stream, chips, &mut batch);
@@ -130,17 +178,22 @@ fn check(
                 "{name} row {row} chip {chip} hold"
             );
             ic.build(sg, st, skews, period, step);
+            let want = saturated(sg, &ic, windows);
             let c = cons.view(row);
             assert_eq!(
                 c.setup_bound,
-                &ic.setup_bound[..],
+                &want.setup_bound[..],
                 "{name} row {row} chip {chip} setup bounds"
             );
             assert_eq!(
                 c.hold_bound,
-                &ic.hold_bound[..],
+                &want.hold_bound[..],
                 "{name} row {row} chip {chip} hold bounds"
             );
+            capped += (ic.setup_bound.iter().zip(&want.setup_bound))
+                .chain(ic.hold_bound.iter().zip(&want.hold_bound))
+                .filter(|(b, c)| b != c)
+                .count();
             let want = constraint::min_period(sg, st, skews);
             let got = mps[row];
             assert_eq!(
@@ -158,6 +211,7 @@ fn check(
             );
         }
     }
+    capped
 }
 
 proptest! {
@@ -202,8 +256,42 @@ proptest! {
                 }
             }
         };
-        check(&format!("seed {seed}"), &sg, stream, &chips, &skews, period, step);
+        let windows = windows(&mut rng, sg.n_ffs);
+        check(&format!("seed {seed}"), &sg, stream, &chips, &skews, period, step, &windows);
     }
+}
+
+/// The proptest's cases saturate bounds, and often: the draw that skips
+/// forms is exercised, not only the dense one.
+#[test]
+fn saturating_cases_occur() {
+    let (mut cases, mut capped) = (0, 0);
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sg = graph(&mut rng);
+        let windows = windows(&mut rng, sg.n_ffs);
+        let chips = chips(&mut rng);
+        let skews = vec![0.0; sg.n_ffs];
+        let mut st = SampleTiming::for_graph(&sg);
+        CanonicalBatchSampler::new(&sg).fill_one(seed, chips[0], &mut st);
+        let period = constraint::min_period(&sg, &st, &skews).period;
+        let n = check(
+            "saturating",
+            &sg,
+            seed,
+            &chips,
+            &skews,
+            period,
+            1.0,
+            &windows,
+        );
+        cases += usize::from(n > 0);
+        capped += n;
+    }
+    assert!(
+        cases > 32 && capped > 1000,
+        "{cases} cases saturated {capped} bounds"
+    );
 }
 
 #[test]
@@ -223,21 +311,25 @@ fn fused_entries_match_the_scalar_reference_on_s9234() {
     let mut st = SampleTiming::for_graph(&sg);
     CanonicalBatchSampler::new(&sg).fill_one(42, 0, &mut st);
     let period = constraint::min_period(&sg, &st, &skews).period;
+    // Exact rows, the floating windows of ±20 steps, and a pruned pass's
+    // windows (every seventh FF buffered, the rest pinned at 0).
+    let window_sets = [
+        vec![UNBOUNDED; sg.n_ffs],
+        vec![(-20, 20); sg.n_ffs],
+        (0..sg.n_ffs)
+            .map(|ff| if ff % 7 == 0 { (-20, 20) } else { (0, 0) })
+            .collect(),
+    ];
     for chips in [
         vec![0u64],
         vec![5, 3, 3, 900, 1, 2, 7],
         (100..164).rev().collect(),
         vec![u64::MAX, 0, 17, 17, 17, 4_000_000_007, 2, 1, 6, 5, 11],
     ] {
-        check("s9234", &sg, 42, &chips, &skews, period, period / 160.0);
-        check(
-            "s9234",
-            &sg,
-            42,
-            &chips,
-            &skews,
-            period * 1.05,
-            period / 160.0,
-        );
+        for windows in &window_sets {
+            for t in [period, period * 1.05] {
+                check("s9234", &sg, 42, &chips, &skews, t, period / 160.0, windows);
+            }
+        }
     }
 }

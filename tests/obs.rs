@@ -17,8 +17,10 @@
 //!
 //! It also checks that `solve.search.node_cap_hits` counts region
 //! searches under a one-node `bb_node_cap` and stays 0 at the default cap,
-//! and that the cascade round counters register on a flow that reaches
-//! the cascade bound.
+//! that the cascade round counters register on a flow that reaches the
+//! cascade bound, and that the draw counters `sample.draws` and
+//! `sample.probits` show the AVX2 draw skipping probits that the scalar
+//! reference runs.
 //!
 //! Arming is process-global, so every test serialises through
 //! [`psbi::obs::test_lock`] and arms/disarms manually (the `with_*`
@@ -340,4 +342,37 @@ fn cascade_round_counters_register_and_the_table_answers_rounds() {
         rounds >= solves,
         "{solves} solves for {rounds} rounds: the solver ran more than asked"
     );
+}
+
+#[test]
+fn probit_counters_show_the_draws_that_skip_forms() {
+    let _gate = obs::test_lock();
+    let _disarm = DisarmOnDrop;
+    let circuit = psbi::netlist::bench_suite::tiny_demo(1);
+    let cfg = FlowConfig {
+        samples: 120,
+        yield_samples: 240,
+        calibration_samples: 120,
+        ..FlowConfig::default()
+    };
+    let flow = BufferInsertionFlow::builder(&circuit, cfg)
+        .build()
+        .expect("valid circuit");
+    obs::metrics::arm(None); // arming clears the registry
+    flow.run();
+    let snap = obs::metrics::snapshot();
+    obs::metrics::disarm();
+    let read = |name: &str| snap.counter(name).expect("counter registered");
+    let (draws, probits) = (read("sample.draws"), read("sample.probits"));
+    assert!(draws > 0, "no local draw was counted");
+    // The AVX2 draw against caps skips forms that feed only saturated
+    // bounds; the scalar reference draws every form, and reference mode
+    // draws exact rows.
+    let skips =
+        psbi::timing::simd::active() == psbi::timing::Backend::Avx2 && !flow.reference_enabled();
+    if skips {
+        assert!(probits < draws, "{probits} probits for {draws} draws");
+    } else {
+        assert_eq!(probits, draws, "a draw that saw every form skipped some");
+    }
 }
